@@ -15,13 +15,26 @@ import numpy as np
 from .classical import allele_chisq_values, chi2df_values, hwd_values
 from .errors import InputError, UnknownStatistic
 from .robust import DEFAULT_GRID, batch_correlations
-from .trend import trend_values
+from .trend import trend_sums, trend_values
 
-# Normal-type statistics have signed values; the rest are chi-square-like.
-NORMAL_TYPE = frozenset(
-    {"Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD", "MAX2", "MAX2_REC_ADD", "MAX3", "MAXGRID"}
-)
-CHISQ_TYPE = frozenset({"CHI2_2DF", "AA", "HWD", "T_P", "T_MAX"})
+# Trend-family statistics and the scores x of the Z_x they combine
+# (MAXGRID takes the grid). A MERT scales the sum of its pair by the
+# plug-in correlation at MERT_RHO's index in the batch_correlations
+# triple; the others take the maximum of their decision values.
+TREND_SCORES = {
+    "Z0": (0.0,),
+    "Z_HALF": (0.5,),
+    "Z1": (1.0,),
+    "MERT": (0.0, 1.0),
+    "MERT_REC_ADD": (0.0, 0.5),
+    "MAX2": (0.0, 1.0),
+    "MAX2_REC_ADD": (0.0, 0.5),
+    "MAX3": (0.0, 0.5, 1.0),
+}
+MERT_RHO = {"MERT": 1, "MERT_REC_ADD": 0}
+
+# The trend family is normal-type (signed values); the rest are chi-square-like.
+NORMAL_TYPE = frozenset({*TREND_SCORES, "MAXGRID"})
 
 ALL_STATISTICS = (
     "Z0",
@@ -69,19 +82,29 @@ def evaluate_battery(
     """Decision values for every battery statistic on a batch of tables.
 
     ``cells`` has shape (B, 6) with columns r0, r1, r2, s0, s1, s2.
-    Shared components (the three trend statistics, the correlation
-    plug-ins, the composite parts) are computed once. Undefined entries
-    are NaN; with the +1/2 continuity correction applied they never occur.
+    Shared components are computed once: each distinct trend score Z_x
+    (from one set of trend sums), the correlation plug-ins and the
+    composite parts. Undefined entries are NaN; with the +1/2 continuity
+    correction applied they never occur.
     """
     battery = validate_battery(battery)
+    if "MAXGRID" in battery and len(grid) == 0:
+        raise InputError("score grid must be nonempty")
     cells = np.atleast_2d(np.asarray(cells, dtype=float))
 
-    z: dict[float, np.ndarray] = {}
+    def scores(name: str) -> tuple[float, ...]:
+        if name == "MAXGRID":
+            return tuple(float(x) for x in grid)
+        return TREND_SCORES.get(name, ())
 
-    def trend(x: float) -> np.ndarray:
-        if x not in z:
-            z[x] = trend_values(cells, x)
-        return z[x]
+    # One pass over the cells gives the sums behind every Z_x; they are
+    # released before the classical kernels allocate their temporaries.
+    needed = dict.fromkeys(x for name in battery for x in scores(name))
+    z: dict[float, np.ndarray] = {}
+    if needed:
+        sums = trend_sums(cells)
+        z = {x: trend_values(sums, x) for x in needed}
+        del sums
 
     rho: list[np.ndarray] | None = None
 
@@ -110,30 +133,14 @@ def evaluate_battery(
 
     out: dict[str, np.ndarray] = {}
     for name in battery:
-        if name == "Z0":
-            out[name] = decide(trend(0.0))
-        elif name == "Z_HALF":
-            out[name] = decide(trend(0.5))
-        elif name == "Z1":
-            out[name] = decide(trend(1.0))
-        elif name == "MERT":
-            r01 = correlations()[1]
-            out[name] = decide((trend(0.0) + trend(1.0)) / np.sqrt(2.0 * (1.0 + r01)))
-        elif name == "MERT_REC_ADD":
-            r0h = correlations()[0]
-            out[name] = decide((trend(0.0) + trend(0.5)) / np.sqrt(2.0 * (1.0 + r0h)))
-        elif name == "MAX2":
-            out[name] = np.maximum(decide(trend(0.0)), decide(trend(1.0)))
-        elif name == "MAX2_REC_ADD":
-            out[name] = np.maximum(decide(trend(0.0)), decide(trend(0.5)))
-        elif name == "MAX3":
-            out[name] = np.maximum(
-                np.maximum(decide(trend(0.0)), decide(trend(0.5))), decide(trend(1.0))
-            )
-        elif name == "MAXGRID":
-            vals = decide(trend(float(grid[0])))
-            for x in grid[1:]:
-                vals = np.maximum(vals, decide(trend(float(x))))
+        xs = scores(name)
+        if name in MERT_RHO:
+            r = correlations()[MERT_RHO[name]]
+            out[name] = decide((z[xs[0]] + z[xs[1]]) / np.sqrt(2.0 * (1.0 + r)))
+        elif xs:
+            vals = decide(z[xs[0]])
+            for x in xs[1:]:
+                vals = np.maximum(vals, decide(z[x]))
             out[name] = vals
         elif name == "CHI2_2DF":
             out[name] = chi2df_values(cells)

@@ -28,7 +28,7 @@ from scipy import stats as spstats
 
 from . import __version__
 from .battery import ALL_STATISTICS, DEFAULT_BATTERY, DEFAULT_GRID, NORMAL_TYPE, validate_battery
-from .errors import TrendmaxError
+from .errors import InputError, TrendmaxError
 from .montecarlo import (
     estimate_critical_values,
     estimate_power,
@@ -46,9 +46,12 @@ from .tables import apply_continuity_correction, parse_table_record
 def _default_workers() -> int:
     value = os.environ.get("TRENDMAX_THREADS", "1")
     try:
-        return max(1, int(value))
+        workers = int(value)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise InputError(f"TRENDMAX_THREADS must be a positive integer, got {value!r}")
+    return workers
 
 
 def _add_common_sim_args(sp):

@@ -332,10 +332,14 @@ def mean_correlation_matrix(
 # ---------------------------------------------------------------------------
 
 def _empirical_pvalues(null_sorted: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """(1 + #null >= obs) / (B + 1), vectorized over observations."""
+    """(1 + #null >= obs) / (B + 1), vectorized over observations.
+
+    An undefined (NaN) observation gets p = 1, so it is never counted as
+    significant, as in power and permutation.
+    """
     b = null_sorted.size
     n_ge = b - np.searchsorted(null_sorted, observed, side="left")
-    return (1.0 + n_ge) / (b + 1.0)
+    return np.where(np.isnan(observed), 1.0, (1.0 + n_ge) / (b + 1.0))
 
 
 def pvalue_crosstab(
@@ -354,7 +358,8 @@ def pvalue_crosstab(
 
     Both statistics are evaluated on the same replicates and referred to
     the same shared null sample, preserving the matched design. P-values
-    are binned closed-on-the-left at ``bins``.
+    are binned closed-on-the-left at ``bins``; replicates on which a
+    statistic is undefined get p = 1 and land in the last bin.
     """
     battery = validate_battery((stat_a, stat_b)) if stat_a != stat_b else validate_battery((stat_a,))
     edges = tuple(float(e) for e in bins)

@@ -32,7 +32,6 @@ from .errors import (
     NotExtremePair,
 )
 from .tables import GenotypeTable
-from .trend import trend_values
 
 DEFAULT_GRID = tuple(i / 10 for i in range(11))
 
@@ -289,21 +288,3 @@ def batch_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     nn = cells[..., 0:3] + cells[..., 3:6]
     props = nn / nn.sum(axis=-1, keepdims=True)
     return correlation_values(props)
-
-
-def batch_mert(cells: np.ndarray, x_s: float, x_t: float) -> np.ndarray:
-    """Vectorized extreme-pair MERT over a batch of tables.
-
-    ``(x_s, x_t)`` is the score pair; the plug-in correlation matching the
-    pair is taken from the pooled-proportion closed form.
-    """
-    r0h, r01, _ = batch_correlations(cells)
-    if (x_s, x_t) == (0.0, 1.0):
-        rho = r01
-    elif (x_s, x_t) == (0.0, 0.5):
-        rho = r0h
-    else:
-        raise InputError(f"no closed-form correlation for score pair ({x_s}, {x_t})")
-    zs = trend_values(cells, x_s)
-    zt = trend_values(cells, x_t)
-    return (zs + zt) / np.sqrt(2.0 * (1.0 + rho))

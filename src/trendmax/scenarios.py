@@ -17,8 +17,12 @@ Recognized keys per record:
     R1, R2      per-stratum case counts (mixture)
     S1, S2      per-stratum control counts (mixture)
     r, s        total cases / controls
-    correction  bool, default true
+    correction  JSON boolean, default true
     sidedness   "one" | "two", default "two"
+
+Counts must be integral (250 or 250.0, not 2.7 or "250") and
+``correction`` must be a JSON boolean; anything else raises
+:class:`ScenarioError` naming the key.
 """
 
 from __future__ import annotations
@@ -151,21 +155,29 @@ def parse_scenario_record(rec: dict, where: str = "scenario") -> Scenario:
             raise ScenarioError(f"{where}: missing required key {key!r}")
         return rec[key]
 
+    def count(key):
+        value = need(key)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ScenarioError(f"{where}: {key!r} must be an integer count, got {value!r}")
+
     mixture = any(k in rec for k in ("pA", "pB", "R1", "R2", "S1", "S2"))
     if mixture:
         if "p" in rec:
             raise ScenarioError(f"{where}: give either p or the mixture keys, not both")
         pop = MixturePopulation(
             pa=float(need("pA")), pb=float(need("pB")),
-            cases_a=int(need("R1")), cases_b=int(need("R2")),
-            controls_a=int(need("S1")), controls_b=int(need("S2")),
+            cases_a=count("R1"), cases_b=count("R2"),
+            controls_a=count("S1"), controls_b=count("S2"),
         )
-        r = int(rec.get("r", pop.n_cases))
-        s = int(rec.get("s", pop.n_controls))
+        r = count("r") if "r" in rec else pop.n_cases
+        s = count("s") if "s" in rec else pop.n_controls
     else:
         pop = HWEPopulation(p=float(need("p")))
-        r = int(need("r"))
-        s = int(need("s"))
+        r = count("r")
+        s = count("s")
 
     model = canonical_model_kind(str(rec.get("model", "null"))) if rec.get("model", "null") != "null" else "null"
     if model == "null":
@@ -180,6 +192,10 @@ def parse_scenario_record(rec: dict, where: str = "scenario") -> Scenario:
         else:
             pen = penetrances_for_model(model, f0, f2)
 
+    correction = rec.get("correction", True)
+    if not isinstance(correction, bool):
+        raise ScenarioError(f"{where}: 'correction' must be true or false, got {correction!r}")
+
     sided = str(rec.get("sidedness", "two"))
     if sided not in ("one", "two"):
         raise ScenarioError(f"{where}: sidedness must be 'one' or 'two', got {sided!r}")
@@ -190,7 +206,7 @@ def parse_scenario_record(rec: dict, where: str = "scenario") -> Scenario:
             penetrances=pen,
             n_cases=r,
             n_controls=s,
-            correction=bool(rec.get("correction", True)),
+            correction=correction,
             two_sided=(sided == "two"),
             label=str(rec.get("id", "")),
         )

@@ -10,11 +10,27 @@ statistic is invariant to affine transformations of the scores, so the
 one-parameter family (0, x, 1) with x in [0, 1] covers every ordered
 scoring. x = 0, 1/2, 1 are optimal for the recessive, additive and
 dominant models respectively.
+
+Sufficient sums
+---------------
+With scores (0, x, 1) a table enters Z_x only through seven per-table
+numbers, n, sqrt(n), r s, n1, n2 and u_i = s r_i - r s_i (i = 1, 2):
+
+    Z_x = sqrt(n) (x u1 + u2) / sqrt( r s [ n (x^2 n1 + n2) - (x n1 + n2)^2 ] )
+
+:func:`trend_sums` computes them once per batch, after which every score
+costs a few B-vector operations. The result is bit-identical to the
+general-score formula above evaluated with scores (0, x, 1): the sums
+are formed with the same operations in the same order, the x_0 = 0 terms
+of the general sums are exact zeros, and the remaining two-term sums are
+rounded once either way, as (x*x)*n1 + n2, x*n1 + n2 and x*u1 + u2.
+Tables whose variance term is not positive come back as NaN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,30 +49,49 @@ class TrendStatistic:
     score: float
 
 
-def trend_values_general(cells: np.ndarray, scores) -> np.ndarray:
-    """Vectorized trend statistic for arbitrary scores (x0, x1, x2).
+class TrendSums(NamedTuple):
+    """Per-table sufficient sums for the trend family; each field has shape (...)."""
 
-    ``cells`` has shape (..., 6) with columns r0, r1, r2, s0, s1, s2.
-    Entries where the variance term is not positive come back as NaN.
-    """
+    n: np.ndarray
+    sqrt_n: np.ndarray
+    rs: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+
+
+def trend_sums(cells: np.ndarray) -> TrendSums:
+    """Sufficient sums of cells with shape (..., 6): columns r0, r1, r2, s0, s1, s2."""
     cells = np.asarray(cells, dtype=float)
-    x = np.asarray(scores, dtype=float)
-    rr = cells[..., 0:3]
-    ss = cells[..., 3:6]
-    r = rr.sum(axis=-1)
-    s = ss.sum(axis=-1)
-    nn = rr + ss
+    r = cells[..., 0:3].sum(axis=-1)
+    s = cells[..., 3:6].sum(axis=-1)
     n = r + s
-    num = np.sqrt(n) * ((x * (s[..., None] * rr - r[..., None] * ss)).sum(axis=-1))
-    var = r * s * (n * (x * x * nn).sum(axis=-1) - (x * nn).sum(axis=-1) ** 2)
+    r1, r2, s1, s2 = cells[..., 1], cells[..., 2], cells[..., 4], cells[..., 5]
+    return TrendSums(
+        n=n,
+        sqrt_n=np.sqrt(n),
+        rs=r * s,
+        n1=r1 + s1,
+        n2=r2 + s2,
+        u1=s * r1 - r * s1,
+        u2=s * r2 - r * s2,
+    )
+
+
+def trend_values(cells, x: float) -> np.ndarray:
+    """Vectorized trend statistic with scores (0, x, 1).
+
+    ``cells`` is either a cell array of shape (..., 6) or the
+    :class:`TrendSums` of one; pass the sums to evaluate many scores on
+    the same batch. Entries whose variance term is not positive are NaN.
+    """
+    sums = cells if isinstance(cells, TrendSums) else trend_sums(cells)
+    x = float(x)
+    var = sums.rs * (sums.n * ((x * x) * sums.n1 + sums.n2) - (x * sums.n1 + sums.n2) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / np.sqrt(var)
+        out = sums.sqrt_n * (x * sums.u1 + sums.u2) / np.sqrt(var)
         return np.where(var > 0, out, np.nan)
-
-
-def trend_values(cells: np.ndarray, x: float) -> np.ndarray:
-    """Vectorized trend statistic with scores (0, x, 1)."""
-    return trend_values_general(cells, (0.0, float(x), 1.0))
 
 
 def trend_statistic(table: GenotypeTable, score: float) -> TrendStatistic:

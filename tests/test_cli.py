@@ -16,6 +16,8 @@ and review the diff before committing it.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -29,93 +31,92 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = ROOT / "scenarios"
 ALL = ",".join(ALL_STATISTICS)
 
-# case name -> (argv, expected exit code)
+# case name -> argv; every case exits 0
 CASES = {
-    "analyze_perm": (
-        ["analyze", "--input", str(GOLDEN / "tables.txt"), "--b-perm", "200", "--seed", "7"],
-        0,
-    ),
-    "analyze_one_sided_json": (
-        ["analyze", "--table", "10 20 30 30 20 10", "--table", "3 0 5 9 2 0",
-         "--sidedness", "one", "--correction", "on", "--battery", ALL,
-         "--grid", "0,0.25,0.5,0.75,1", "--format", "json"],
-        0,
-    ),
-    "criticals_hwe_all": (
-        ["criticals", "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "3",
-         "--b-null", "2000", "--battery", ALL],
-        0,
-    ),
-    "criticals_stratified_json": (
-        ["criticals", "--scenarios", str(SCENARIOS / "null_stratified.json"), "--seed", "3",
-         "--b-null", "2000", "--format", "json"],
-        0,
-    ),
-    "criticals_normal_approx": (
-        ["criticals", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"), "--seed", "3",
-         "--b-null", "2000", "--normal-approx"],
-        0,
-    ),
-    "power_recadd": (
-        ["power", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"), "--seed", "3",
-         "--b-null", "2000", "--b-power", "500"],
-        0,
-    ),
-    "power_maxgrid_json": (
-        ["power", "--scenarios", str(SCENARIOS / "crosstab_additive.json"), "--seed", "4",
-         "--b-null", "2000", "--b-power", "500", "--battery", "Z0,Z_HALF,Z1,MERT,MAX3,MAXGRID",
-         "--grid", "0,0.2,0.4,0.5,0.6,0.8,1", "--format", "json"],
-        0,
-    ),
-    "corr_stratified": (
-        ["corr", "--scenarios", str(SCENARIOS / "null_stratified.json"), "--seed", "3",
-         "--b-power", "500"],
-        0,
-    ),
-    "crosstab_max3_maxgrid": (
-        ["crosstab", "--scenarios", str(SCENARIOS / "crosstab_additive.json"),
-         "--stat-a", "MAX3", "--stat-b", "MAXGRID", "--seed", "3",
-         "--b-null", "2000", "--b-reps", "500"],
-        0,
-    ),
-    "crosstab_chi2_tmax_json": (
-        ["crosstab", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"),
-         "--stat-a", "CHI2_2DF", "--stat-b", "T_MAX", "--seed", "5",
-         "--b-null", "2000", "--b-reps", "500", "--bins", "0.05,0.5", "--format", "json"],
-        0,
-    ),
+    "analyze_perm": [
+        "analyze", "--input", str(GOLDEN / "tables.txt"), "--b-perm", "200", "--seed", "7",
+    ],
+    "analyze_one_sided_json": [
+        "analyze", "--table", "10 20 30 30 20 10", "--table", "3 0 5 9 2 0",
+        "--sidedness", "one", "--correction", "on", "--battery", ALL,
+        "--grid", "0,0.25,0.5,0.75,1", "--format", "json",
+    ],
+    "criticals_hwe_all": [
+        "criticals", "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "3",
+        "--b-null", "2000", "--battery", ALL,
+    ],
+    "criticals_stratified_json": [
+        "criticals", "--scenarios", str(SCENARIOS / "null_stratified.json"), "--seed", "3",
+        "--b-null", "2000", "--format", "json",
+    ],
+    "criticals_normal_approx": [
+        "criticals", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"), "--seed", "3",
+        "--b-null", "2000", "--normal-approx",
+    ],
+    "power_recadd": [
+        "power", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"), "--seed", "3",
+        "--b-null", "2000", "--b-power", "500",
+    ],
+    "power_maxgrid_json": [
+        "power", "--scenarios", str(SCENARIOS / "crosstab_additive.json"), "--seed", "4",
+        "--b-null", "2000", "--b-power", "500", "--battery", "Z0,Z_HALF,Z1,MERT,MAX3,MAXGRID",
+        "--grid", "0,0.2,0.4,0.5,0.6,0.8,1", "--format", "json",
+    ],
+    "corr_stratified": [
+        "corr", "--scenarios", str(SCENARIOS / "null_stratified.json"), "--seed", "3",
+        "--b-power", "500",
+    ],
+    "crosstab_max3_maxgrid": [
+        "crosstab", "--scenarios", str(SCENARIOS / "crosstab_additive.json"),
+        "--stat-a", "MAX3", "--stat-b", "MAXGRID", "--seed", "3",
+        "--b-null", "2000", "--b-reps", "500",
+    ],
+    "crosstab_chi2_tmax_json": [
+        "crosstab", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"),
+        "--stat-a", "CHI2_2DF", "--stat-b", "T_MAX", "--seed", "5",
+        "--b-null", "2000", "--b-reps", "500", "--bins", "0.05,0.5", "--format", "json",
+    ],
 }
 
 
-def run_cli(argv, capsys=None):
+def run_cli(argv):
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
-    if capsys is None:
-        import contextlib
-        import io
-
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        return code, out.getvalue(), err.getvalue()
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_golden_output(case, capsys, monkeypatch):
+def test_cli_golden_output(case, monkeypatch):
     monkeypatch.delenv("TRENDMAX_THREADS", raising=False)
-    argv, expected_code = CASES[case]
-    code, out, err = run_cli(argv, capsys)
-    assert code == expected_code, err
+    code, out, err = run_cli(CASES[case])
+    assert code == 0, err
+    assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_invalid_thread_count_is_an_error(value, monkeypatch):
+    monkeypatch.setenv("TRENDMAX_THREADS", value)
+    code, out, err = run_cli(CASES["corr_stratified"])
+    assert code == 2
+    assert out == ""
+    assert "TRENDMAX_THREADS" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("case", ["power_recadd", "crosstab_max3_maxgrid"])
+def test_thread_count_does_not_change_output(case, monkeypatch):
+    monkeypatch.setenv("TRENDMAX_THREADS", "2")
+    code, out, err = run_cli(CASES[case])
+    assert code == 0, err
     assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
 
 
 def regenerate() -> None:
-    for case, (argv, expected_code) in sorted(CASES.items()):
+    for case, argv in sorted(CASES.items()):
         code, out, err = run_cli(argv)
-        if code != expected_code:
-            raise SystemExit(f"{case}: exit code {code}, expected {expected_code}: {err}")
+        if code != 0:
+            raise SystemExit(f"{case}: exit code {code}: {err}")
         (GOLDEN / f"{case}.txt").write_text(out, encoding="utf-8")
         print(f"wrote {case}")
 

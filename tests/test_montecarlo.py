@@ -267,6 +267,19 @@ def test_crosstab_directional_claim_for_max3_vs_chi2():
     assert upper_right > lower_left
 
 
+def test_crosstab_undefined_replicates_are_not_significant():
+    # HWD is undefined on ~43% of these uncorrected null replicates and
+    # Z_HALF on ~20%; they must land in the p = 1 bin, not in [0, 0.01).
+    sc = Scenario(population=HWEPopulation(0.02), penetrances=None,
+                  n_cases=20, n_controls=20, correction=False)
+    tab = pvalue_crosstab(sc, "HWD", "Z_HALF", b_null=2_000, b_reps=2_000, seed=1)
+    assert tab.counts.shape == (4, 4)
+    assert tab.counts.sum() == 2_000
+    rows, cols = tab.counts.sum(axis=1), tab.counts.sum(axis=0)
+    assert rows[0] <= 40 and cols[0] <= 40  # about 1% under the null, was 911 and 403
+    assert rows[-1] >= 700 and cols[-1] >= 300  # the undefined replicates
+
+
 def test_crosstab_rejects_bad_bins():
     with pytest.raises(Exception):
         pvalue_crosstab(null_scenario(), "Z0", "Z1", b_null=2_000, b_reps=100,

@@ -4,9 +4,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendmax import GenotypeTable, InputError, ZeroVariance, optimal_score, trend_statistic
-from trendmax.trend import trend_values, trend_values_general
+from trendmax.trend import TrendSums, trend_sums, trend_values
 
 from conftest import random_tables
+
+
+def general_trend_reference(cells: np.ndarray, scores) -> np.ndarray:
+    """Trend statistic for arbitrary scores (x0, x1, x2), from the raw cells.
+
+    This is the general-score formula evaluated directly, with (..., 3)
+    temporaries and no sufficient sums; scores (0, x, 1) must reproduce
+    ``trend_values`` bit for bit. Non-positive variance gives NaN.
+    """
+    cells = np.asarray(cells, dtype=float)
+    x = np.asarray(scores, dtype=float)
+    rr = cells[..., 0:3]
+    ss = cells[..., 3:6]
+    r = rr.sum(axis=-1)
+    s = ss.sum(axis=-1)
+    nn = rr + ss
+    n = r + s
+    num = np.sqrt(n) * ((x * (s[..., None] * rr - r[..., None] * ss)).sum(axis=-1))
+    var = r * s * (n * (x * x * nn).sum(axis=-1) - (x * nn).sum(axis=-1) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / np.sqrt(var)
+        return np.where(var > 0, out, np.nan)
+
+
+def assert_bit_identical(got: np.ndarray, want: np.ndarray) -> None:
+    """Same values, same NaN positions and same zero signs."""
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def score_test_oracle(cells: np.ndarray, x: float) -> np.ndarray:
@@ -71,8 +99,46 @@ def test_affine_score_invariance_on_random_tables():
         a = rng.uniform(-5, 5)
         b = rng.uniform(0.1, 5)
         base = trend_values(cells, x)
-        shifted = trend_values_general(cells, (a, a + b * x, a + b))
+        shifted = general_trend_reference(cells, (a, a + b * x, a + b))
         assert np.allclose(base, shifted, atol=1e-10)
+
+
+# Integer or half-integer cells (raw and continuity-corrected tables),
+# with many zeros so that empty rows, empty columns and undefined
+# statistics all occur.
+cell_batches = st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(0, 400)), min_size=6, max_size=6),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(cell_batches, st.booleans(), st.floats(0, 1, allow_nan=False))
+@settings(max_examples=200, deadline=None)
+def test_kernel_bit_identical_to_general_reference(rows, corrected, x):
+    cells = np.array(rows, dtype=float) + (0.5 if corrected else 0.0)
+    sums = trend_sums(cells)
+    assert isinstance(sums, TrendSums)
+    for score in (0.0, 0.5, 1.0, x):
+        want = general_trend_reference(cells, (0.0, score, 1.0))
+        assert_bit_identical(trend_values(cells, score), want)
+        assert_bit_identical(trend_values(sums, score), want)
+
+
+def test_kernel_undefined_tables_are_nan():
+    cells = np.array([
+        [0, 0, 0, 0, 0, 0],  # empty table
+        [0, 0, 0, 5, 3, 2],  # no cases
+        [10, 0, 0, 5, 0, 0],  # one genotype only
+        [4, 0, 3, 2, 0, 6],  # NM empty: Z_x defined for every x
+        [4, 3, 0, 2, 6, 0],  # MM empty: Z_0 undefined
+    ], dtype=float)
+    for x in (0.0, 0.3, 1.0):
+        got = trend_values(trend_sums(cells), x)
+        assert np.isnan(got[:3]).all()
+        assert not np.isnan(got[3])
+    assert np.isnan(trend_values(cells, 0.0)[4])
+    assert not np.isnan(trend_values(cells, 0.5)[4])
 
 
 def test_antisymmetry_under_row_swap():
