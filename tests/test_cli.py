@@ -36,6 +36,10 @@ CASES = {
     "analyze_perm": [
         "analyze", "--input", str(GOLDEN / "tables.txt"), "--b-perm", "200", "--seed", "7",
     ],
+    "analyze_perm_corrected": [
+        "analyze", "--input", str(GOLDEN / "tables.txt"), "--correction", "on",
+        "--b-perm", "200", "--seed", "7",
+    ],
     "analyze_one_sided_json": [
         "analyze", "--table", "10 20 30 30 20 10", "--table", "3 0 5 9 2 0",
         "--sidedness", "one", "--correction", "on", "--battery", ALL,
