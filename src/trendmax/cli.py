@@ -3,7 +3,9 @@
 Subcommands:
 
     analyze    statistics, correlation structure and advisory for one
-               or more observed tables (optionally permutation p-values)
+               or more observed tables; with --b-perm, permutation
+               p-values of the whole battery from one set of permuted
+               tables per table
     criticals  empirical critical values for scenario packs
     power      rejection rates (size for null scenarios) per scenario
     corr       mean plug-in correlation triples per scenario
@@ -22,14 +24,23 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
-from scipy import stats as spstats
+from scipy.special import chdtrc, ndtr
 
 from . import __version__
-from .battery import ALL_STATISTICS, DEFAULT_BATTERY, DEFAULT_GRID, NORMAL_TYPE, validate_battery
+from .battery import (
+    ALL_STATISTICS,
+    DEFAULT_BATTERY,
+    DEFAULT_GRID,
+    NORMAL_TYPE,
+    evaluate_battery,
+    validate_battery,
+)
 from .errors import InputError, TrendmaxError
 from .montecarlo import (
+    UNDEFINED_OBSERVED,
     estimate_critical_values,
     estimate_power,
     mean_correlation_matrix,
@@ -37,7 +48,6 @@ from .montecarlo import (
     permutation_pvalue,
     pvalue_crosstab,
 )
-from .battery import evaluate_single
 from .robust import estimate_correlations, mert_certificate, recommend_robust_test
 from .scenarios import load_scenarios, scenario_hash
 from .tables import apply_continuity_correction, parse_table_record
@@ -162,12 +172,12 @@ def _asymptotic_pvalue(name: str, value: float, two_sided: bool) -> float | None
     """Normal/chi-square tail p-values; None where no asymptotic law exists."""
     if name in ("Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD"):
         if two_sided:
-            return 2.0 * float(spstats.norm.sf(abs(value)))
-        return float(spstats.norm.sf(value))
+            return 2.0 * float(ndtr(-abs(value)))
+        return float(ndtr(-value))
     if name == "CHI2_2DF":
-        return float(spstats.chi2.sf(value, df=2))
+        return float(chdtrc(2, value))
     if name in ("AA", "HWD"):
-        return float(spstats.chi2.sf(value, df=1))
+        return float(chdtrc(1, value))
     return None  # MAX statistics and composites: simulation/permutation only
 
 
@@ -175,12 +185,14 @@ def cmd_analyze(args) -> int:
     battery = _parse_battery(args.battery)
     grid = _parse_grid(args.grid)
     two_sided = args.sidedness == "two"
+    if args.b_perm < 0:
+        raise InputError(f"--b-perm must be nonnegative, got {args.b_perm}")
 
     records: list[tuple[str, str]] = []
     if args.table:
         records.extend((f"arg{i}", text) for i, text in enumerate(args.table))
     if args.input:
-        text = sys.stdin.read() if args.input == "-" else open(args.input, encoding="utf-8").read()
+        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line and not line.startswith("#"):
@@ -207,8 +219,17 @@ def cmd_analyze(args) -> int:
             continue
         n_tables += 1
         table = apply_continuity_correction(raw) if args.correction == "on" else raw
+        values = evaluate_battery(table.to_array(), battery, two_sided, grid)
+        perm: dict[str, float] = {}
+        perm_error = ""
+        if args.b_perm:
+            try:
+                perm = permutation_pvalue(raw, battery, args.b_perm,
+                                          seed=args.seed, two_sided=two_sided, grid=grid)
+            except TrendmaxError as exc:
+                perm_error = str(exc)
         for name in battery:
-            value = evaluate_single(table.to_array(), name, two_sided, grid)
+            value = float(values[name][0])
             err = ""
             p_asym = p_perm = ""
             if np.isnan(value):
@@ -217,13 +238,12 @@ def cmd_analyze(args) -> int:
             else:
                 pa = _asymptotic_pvalue(name, value, two_sided)
                 p_asym = f"{pa:.6g}" if pa is not None else ""
-                if args.b_perm:
-                    try:
-                        pp = permutation_pvalue(raw, name, args.b_perm,
-                                                seed=args.seed, two_sided=two_sided, grid=grid)
-                        p_perm = f"{pp:.6g}"
-                    except TrendmaxError as exc:
-                        err = str(exc)
+                if perm_error:
+                    err = perm_error
+                elif perm and np.isnan(perm[name]):
+                    err = UNDEFINED_OBSERVED.format(name)
+                elif perm:
+                    p_perm = f"{perm[name]:.6g}"
             rows.append([label, name, "" if np.isnan(value) else f"{value:.6g}",
                          p_asym, p_perm, err])
             results.append({"record": label, "statistic": name,

@@ -400,9 +400,11 @@ def pvalue_crosstab(
 # permutation p-values
 # ---------------------------------------------------------------------------
 
-def _permutation_setup(table: GenotypeTable, statistic: str, two_sided: bool, grid):
-    from .battery import evaluate_single
+UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 
+
+def _permutation_setup(table: GenotypeTable, battery, two_sided: bool, grid):
+    """Column margins, case count and observed decision values of a table."""
     if not table.is_integral():
         raise DegenerateTable("permutation requires an integer-valued table")
     margins = [int(round(m)) for m in (table.n0, table.n1, table.n2)]
@@ -410,40 +412,50 @@ def _permutation_setup(table: GenotypeTable, statistic: str, two_sided: bool, gr
     n = sum(margins)
     if n_cases <= 0 or n_cases >= n:
         raise DegenerateTable("both groups must be nonempty for permutation")
-    observed = evaluate_single(table.to_array(), statistic, two_sided, grid)
-    if math.isnan(observed):
-        raise DegenerateTable(f"statistic {statistic} is undefined on the observed table")
-    return margins, n_cases, observed
+    observed = evaluate_battery(table.to_array(), battery, two_sided, grid)
+    return margins, n_cases, {name: float(v[0]) for name, v in observed.items()}
+
+
+def _permuted_cells(case_rows, margins) -> np.ndarray:
+    """(B, 6) cells from permuted case rows and the fixed column margins."""
+    case_rows = np.asarray(case_rows, dtype=float)
+    return np.concatenate([case_rows, np.asarray(margins, dtype=float)[None, :] - case_rows], axis=1)
 
 
 def permutation_pvalue(
     table: GenotypeTable,
-    statistic: str,
+    battery,
     b: int,
     *,
     seed: int,
     two_sided: bool = True,
     grid=DEFAULT_GRID,
-) -> float:
-    """Monte Carlo permutation p-value (1 + #{perm >= obs}) / (1 + B).
+) -> dict[str, float]:
+    """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B).
 
     Case/control labels are permuted holding the genotype column totals
     fixed, i.e. the case row is resampled from the multivariate
-    hypergeometric given margins. Permuted tables on which the statistic
-    is undefined count as non-exceedances.
+    hypergeometric given margins. One set of B permuted tables is drawn
+    from ``seed`` and the whole battery is evaluated on it, so every
+    statistic of the table is referred to the same permutations (a
+    matched design) and each p-value equals the one for that statistic
+    alone. Permuted tables on which a statistic is undefined count as
+    non-exceedances; a statistic undefined on the observed table maps to
+    NaN. A table that cannot be permuted raises :class:`DegenerateTable`.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
-    margins, n_cases, observed = _permutation_setup(table, statistic, two_sided, grid)
-    if b == 0:
-        return 1.0
-    rng = np.random.default_rng(seed)
-    case_rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
-    ctrl_rows = np.asarray(margins)[None, :] - case_rows
-    cells = np.concatenate([case_rows, ctrl_rows], axis=1).astype(float)
-    values = evaluate_battery(cells, (statistic,), two_sided, grid)[statistic]
-    exceed = int(np.sum(values >= observed))  # NaN compares False
-    return (1 + exceed) / (1 + b)
+    battery = validate_battery(battery)
+    margins, n_cases, observed = _permutation_setup(table, battery, two_sided, grid)
+    exceed = dict.fromkeys(battery, 0)
+    if b > 0:
+        rng = np.random.default_rng(seed)
+        case_rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
+        values = evaluate_battery(_permuted_cells(case_rows, margins), battery, two_sided, grid)
+        # NaN compares False on either side
+        exceed = {name: int(np.sum(values[name] >= observed[name])) for name in battery}
+    return {name: math.nan if math.isnan(observed[name]) else (1 + exceed[name]) / (1 + b)
+            for name in battery}
 
 
 def exact_permutation_pvalue(
@@ -458,7 +470,10 @@ def exact_permutation_pvalue(
     P(statistic >= observed) under label permutation; undefined permuted
     statistics count as non-exceedances, matching the Monte Carlo mode.
     """
-    margins, n_cases, observed = _permutation_setup(table, statistic, two_sided, grid)
+    margins, n_cases, observed = _permutation_setup(table, (statistic,), two_sided, grid)
+    observed = observed[statistic]
+    if math.isnan(observed):
+        raise DegenerateTable(UNDEFINED_OBSERVED.format(statistic))
     n0, n1, n2 = margins
     support = []
     for a0 in range(min(n0, n_cases) + 1):
@@ -466,9 +481,7 @@ def exact_permutation_pvalue(
             a2 = n_cases - a0 - a1
             if 0 <= a2 <= n2:
                 support.append((a0, a1, a2))
-    rows = np.array(support, dtype=float)
-    cells = np.concatenate([rows, np.asarray(margins)[None, :] - rows], axis=1)
-    values = evaluate_battery(cells, (statistic,), two_sided, grid)[statistic]
+    values = evaluate_battery(_permuted_cells(support, margins), (statistic,), two_sided, grid)[statistic]
     numer = Fraction(0)
     denom = Fraction(math.comb(n0 + n1 + n2, n_cases))
     for (a0, a1, a2), v in zip(support, values):

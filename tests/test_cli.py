@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats as spstats
 
 from trendmax.battery import ALL_STATISTICS
-from trendmax.cli import main
+from trendmax.cli import _asymptotic_pvalue, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -114,6 +118,52 @@ def test_thread_count_does_not_change_output(case, monkeypatch):
     code, out, err = run_cli(CASES[case])
     assert code == 0, err
     assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``src/`` on the path."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("TRENDMAX_THREADS", None)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    proc = run_python("import sys, trendmax.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("two_sided", [True, False])
+def test_asymptotic_pvalue_matches_scipy_stats(two_sided):
+    normal = ("Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD")
+    for x in np.linspace(-12.0, 12.0, 481):
+        want = 2.0 * spstats.norm.sf(abs(x)) if two_sided else spstats.norm.sf(x)
+        for name in normal:
+            assert _asymptotic_pvalue(name, x, two_sided) == want
+    for x in np.linspace(0.0, 120.0, 481):
+        assert _asymptotic_pvalue("CHI2_2DF", x, two_sided) == spstats.chi2.sf(x, df=2)
+        for name in ("AA", "HWD"):
+            assert _asymptotic_pvalue(name, x, two_sided) == spstats.chi2.sf(x, df=1)
+    for name in ("MAX2", "MAX2_REC_ADD", "MAX3", "MAXGRID", "T_P", "T_MAX"):
+        assert _asymptotic_pvalue(name, 2.0, two_sided) is None
+
+
+def test_negative_b_perm_is_rejected_before_reading_tables(tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(["analyze", "--input", str(missing), "--b-perm", "-5", "--seed", "7"])
+    assert code == 2
+    assert out == ""
+    assert "--b-perm" in err and "-5" in err
+
+
+def test_analyze_input_file_is_closed():
+    argv = CASES["analyze_perm"]
+    proc = run_python(f"import sys; from trendmax.cli import main; sys.exit(main({argv!r}))",
+                      "-W", "error::ResourceWarning")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / "analyze_perm.txt").read_text(encoding="utf-8")
 
 
 def regenerate() -> None:

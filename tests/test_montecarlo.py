@@ -1,9 +1,12 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
 from trendmax import (
@@ -30,7 +33,10 @@ from trendmax import (
     sample_table,
     simulate_cells,
 )
-from trendmax.battery import evaluate_single
+from trendmax.battery import ALL_STATISTICS, evaluate_single
+from trendmax.tables import parse_table_record
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BATTERY = ("Z0", "Z_HALF", "Z1", "MERT", "MAX2", "MAX3", "CHI2_2DF", "T_P", "T_MAX")
 
@@ -325,16 +331,16 @@ def test_exact_permutation_matches_subset_enumeration(statistic):
 
 def test_permutation_identical_rows_pvalue_near_one():
     t = GenotypeTable(5, 10, 5, 5, 10, 5)
-    p = permutation_pvalue(t, "CHI2_2DF", 2_000, seed=30)
+    p = permutation_pvalue(t, ("CHI2_2DF",), 2_000, seed=30)["CHI2_2DF"]
     assert p > 0.9
 
 
 def test_permutation_zero_b_returns_one(worked_table):
-    assert permutation_pvalue(worked_table, "MAX3", 0, seed=31) == 1.0
+    assert permutation_pvalue(worked_table, ("MAX3",), 0, seed=31)["MAX3"] == 1.0
 
 
 def test_permutation_extreme_table_small_pvalue(worked_table):
-    p = permutation_pvalue(worked_table, "T_MAX", 10_000, seed=32)
+    p = permutation_pvalue(worked_table, ("T_MAX",), 10_000, seed=32)["T_MAX"]
     assert p < 0.01
 
 
@@ -342,14 +348,49 @@ def test_permutation_monte_carlo_agrees_with_exact():
     t = GenotypeTable(1, 2, 3, 3, 2, 1)
     exact = float(exact_permutation_pvalue(t, "CHI2_2DF"))
     b = 20_000
-    approx = permutation_pvalue(t, "CHI2_2DF", b, seed=33)
+    approx = permutation_pvalue(t, ("CHI2_2DF",), b, seed=33)["CHI2_2DF"]
     assert abs(approx - exact) <= 4 * math.sqrt(exact * (1 - exact) / b) + 1e-4
 
 
 def test_permutation_requires_integer_table():
     t = GenotypeTable(1.5, 2.5, 3.5, 3.5, 2.5, 1.5)
     with pytest.raises(DegenerateTable):
-        permutation_pvalue(t, "CHI2_2DF", 100, seed=34)
+        permutation_pvalue(t, ("CHI2_2DF",), 100, seed=34)
+
+
+def golden_tables() -> list[GenotypeTable]:
+    lines = (GOLDEN / "tables.txt").read_text(encoding="utf-8").splitlines()
+    return [parse_table_record(line) for line in lines if not line.startswith("#")]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_permutation_statistic_alone_equals_statistic_in_battery(seed, two_sided):
+    grid = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
+    for t in golden_tables():
+        full = permutation_pvalue(t, ALL_STATISTICS, 300, seed=seed, two_sided=two_sided, grid=grid)
+        for name in ALL_STATISTICS:
+            alone = permutation_pvalue(t, (name,), 300, seed=seed, two_sided=two_sided, grid=grid)
+            # bit for bit, NaN (undefined on the observed table) included
+            assert np.float64(alone[name]).tobytes() == np.float64(full[name]).tobytes(), (t, name)
+
+
+def test_permutation_undefined_observed_statistic_is_nan():
+    t = GenotypeTable(10, 0, 0, 5, 0, 0)  # monomorphic: every statistic undefined
+    p = permutation_pvalue(t, ALL_STATISTICS, 100, seed=39)
+    assert list(p) == list(ALL_STATISTICS)
+    assert all(math.isnan(v) for v in p.values())
+    with pytest.raises(DegenerateTable, match="statistic Z0 is undefined on the observed table"):
+        exact_permutation_pvalue(t, "Z0")
+
+
+def test_permutation_battery_agrees_with_exact():
+    t = GenotypeTable(2, 3, 4, 5, 3, 1)
+    b = 20_000
+    approx = permutation_pvalue(t, ALL_STATISTICS, b, seed=40)
+    for name in ALL_STATISTICS:
+        exact = float(exact_permutation_pvalue(t, name))
+        assert abs(approx[name] - exact) <= 4 * math.sqrt(exact * (1 - exact) / b) + 1e-4, name
 
 
 # ---------------------------------------------------------------------------
