@@ -14,7 +14,7 @@ import numpy as np
 
 from .classical import allele_chisq_values, chi2df_values, hwd_values
 from .errors import InputError, UnknownStatistic
-from .robust import DEFAULT_GRID, batch_correlations
+from .robust import DEFAULT_GRID, batch_correlations, validate_grid
 from .trend import trend_sums, trend_values
 
 # Trend-family statistics and the scores x of the Z_x they combine
@@ -81,21 +81,21 @@ def evaluate_battery(
 ) -> dict[str, np.ndarray]:
     """Decision values for every battery statistic on a batch of tables.
 
-    ``cells`` has shape (B, 6) with columns r0, r1, r2, s0, s1, s2.
+    ``cells`` has shape (B, 6) with columns r0, r1, r2, s0, s1, s2, in
+    any memory order (the samplers hand over column-major batches), or is
+    a single row of six.
     Shared components are computed once: each distinct trend score Z_x
     (from one set of trend sums), the correlation plug-ins and the
     composite parts. Undefined entries are NaN; with the +1/2 continuity
     correction applied they never occur.
     """
     battery = validate_battery(battery)
-    if "MAXGRID" in battery and len(grid) == 0:
-        raise InputError("score grid must be nonempty")
+    if "MAXGRID" in battery:
+        grid = validate_grid(grid)
     cells = np.atleast_2d(np.asarray(cells, dtype=float))
 
     def scores(name: str) -> tuple[float, ...]:
-        if name == "MAXGRID":
-            return tuple(float(x) for x in grid)
-        return TREND_SCORES.get(name, ())
+        return grid if name == "MAXGRID" else TREND_SCORES.get(name, ())
 
     # One pass over the cells gives the sums behind every Z_x; they are
     # released before the classical kernels allocate their temporaries.

@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -51,17 +50,6 @@ from .montecarlo import (
 from .robust import estimate_correlations, mert_certificate, recommend_robust_test
 from .scenarios import load_scenarios, scenario_hash
 from .tables import apply_continuity_correction, parse_table_record
-
-
-def _default_workers() -> int:
-    value = os.environ.get("TRENDMAX_THREADS", "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise InputError(f"TRENDMAX_THREADS must be a positive integer, got {value!r}")
-    return workers
 
 
 def _add_common_sim_args(sp):
@@ -131,10 +119,17 @@ def _parse_battery(text: str):
     return validate_battery(tuple(name.strip() for name in text.split(",") if name.strip()))
 
 
+def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _parse_grid(text):
     if not text:
         return DEFAULT_GRID
-    return tuple(float(x) for x in text.split(","))
+    return _parse_floats(text, "--grid")
 
 
 def _emit(lines_or_obj, args, header: dict):
@@ -224,8 +219,9 @@ def cmd_analyze(args) -> int:
         perm_error = ""
         if args.b_perm:
             try:
-                perm = permutation_pvalue(raw, battery, args.b_perm,
-                                          seed=args.seed, two_sided=two_sided, grid=grid)
+                perm = permutation_pvalue(raw, battery, args.b_perm, seed=args.seed,
+                                          two_sided=two_sided, grid=grid,
+                                          observed=values if table is raw else None)
             except TrendmaxError as exc:
                 perm_error = str(exc)
         for name in battery:
@@ -280,7 +276,6 @@ def cmd_criticals(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery)
     grid = _parse_grid(args.grid)
-    workers = _default_workers()
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          battery=",".join(battery),
                          mode="normal_approx" if args.normal_approx else "null_simulation")
@@ -299,7 +294,7 @@ def cmd_criticals(args) -> int:
                                 "threshold": value, "b": args.b_null, "seed": args.seed})
         else:
             cvs = estimate_critical_values(null, battery, args.b_null, args.alpha,
-                                           seed=args.seed, workers=workers, grid=grid)
+                                           seed=args.seed, grid=grid)
             for name in battery:
                 rows.append([null.label, name, f"{cvs.thresholds[name]:.6g}", "",
                              args.b_null, args.seed])
@@ -337,7 +332,6 @@ def cmd_power(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery)
     grid = _parse_grid(args.grid)
-    workers = _default_workers()
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          b_power=args.b_power, battery=",".join(battery))
     rows = [["scenario", "statistic", "metric", "rate", "se", "b", "seed"]]
@@ -350,9 +344,9 @@ def cmd_power(args) -> int:
         if cache_key not in criticals_cache:
             criticals_cache[cache_key] = estimate_critical_values(
                 null, battery, args.b_null, args.alpha,
-                seed=args.seed, workers=workers, grid=grid)
+                seed=args.seed, grid=grid)
         row = estimate_power(scenario, battery, criticals_cache[cache_key],
-                             args.b_power, seed=args.seed, workers=workers, grid=grid)
+                             args.b_power, seed=args.seed, grid=grid)
         metric = "size" if scenario.is_null else "power"
         for name in battery:
             rows.append([scenario.label, name, metric, f"{row.rates[name]:.6g}",
@@ -369,12 +363,11 @@ def cmd_power(args) -> int:
 
 def cmd_corr(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    workers = _default_workers()
     header = _provenance(args, scenarios, b=args.b_power)
     rows = [["scenario", "rho_0_half", "rho_0_1", "rho_half_1", "failure_rate", "b", "seed"]]
     results = []
     for scenario in scenarios:
-        mc = mean_correlation_matrix(scenario, args.b_power, seed=args.seed, workers=workers)
+        mc = mean_correlation_matrix(scenario, args.b_power, seed=args.seed)
         rows.append([scenario.label, f"{mc.rho_0_half:.6g}", f"{mc.rho_0_1:.6g}",
                      f"{mc.rho_half_1:.6g}", f"{mc.failure_rate:.6g}", args.b_power, args.seed])
         results.append({"scenario": scenario.label, "rho_0_half": mc.rho_0_half,
@@ -387,8 +380,7 @@ def cmd_corr(args) -> int:
 def cmd_crosstab(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     grid = _parse_grid(args.grid)
-    workers = _default_workers()
-    bins = tuple(float(x) for x in args.bins.split(","))
+    bins = _parse_floats(args.bins, "--bins")
     header = _provenance(args, scenarios, stat_a=args.stat_a, stat_b=args.stat_b,
                          b_null=args.b_null, b_reps=args.b_reps, bins=args.bins)
     rows = [["scenario", "row_bin", "col_bin", "count"]]
@@ -396,7 +388,7 @@ def cmd_crosstab(args) -> int:
     for scenario in scenarios:
         tab = pvalue_crosstab(scenario, args.stat_a, args.stat_b,
                               args.b_null, args.b_reps, bins,
-                              seed=args.seed, workers=workers, grid=grid)
+                              seed=args.seed, grid=grid)
         labels = tab.bin_labels()
         for i, row_label in enumerate(labels):
             for j, col_label in enumerate(labels):

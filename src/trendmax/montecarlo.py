@@ -14,9 +14,16 @@ turns the correction off.
 Determinism
 -----------
 Replicates are generated in fixed-size chunks whose random streams are
-spawned from (seed, chunk index). Results are therefore bit-identical
-for a given (scenario, battery, B, seed) no matter how many workers run
-the chunks.
+spawned from (seed, chunk index) and drawn one chunk after another.
+Results are therefore bit-identical for a given (scenario, battery, B,
+seed).
+
+Layout
+------
+A batch of B tables is stored column-major: the (B, 6) cell array is the
+transpose of a C-ordered (6, B) buffer, so each cell column r0 .. s2 is
+one contiguous B-vector and the batched kernels, which slice columns,
+read contiguous memory.
 
 Quantile convention
 -------------------
@@ -29,7 +36,6 @@ statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,46 +163,32 @@ def sample_mixture(
         n_controls=population.n_controls,
         correction=correction,
     )
-    cells = _sample_chunk(scenario, 1, rng)[0]
-    return GenotypeTable(*cells)
+    out = np.zeros((6, 1))
+    _sample_chunk(scenario, rng, out)
+    return GenotypeTable(*(out[:, 0] + (0.5 if correction else 0.0)))
 
 
-def _sample_chunk(scenario: Scenario, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, 6) float cell array for one chunk; fixed draw order per stratum."""
-    case = np.zeros((count, 3))
-    ctrl = np.zeros((count, 3))
+def _sample_chunk(scenario: Scenario, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Add one chunk's draws into ``out`` of shape (6, count); fixed draw order per stratum."""
+    count = out.shape[1]
     for case_probs, ctrl_probs, n_cases, n_controls in scenario.strata():
-        case += rng.multinomial(n_cases, case_probs, size=count)
-        ctrl += rng.multinomial(n_controls, ctrl_probs, size=count)
-    cells = np.concatenate([case, ctrl], axis=1)
-    if scenario.correction:
-        cells += 0.5
-    return cells
+        out[0:3] += rng.multinomial(n_cases, case_probs, size=count).T
+        out[3:6] += rng.multinomial(n_controls, ctrl_probs, size=count).T
 
 
-def _chunks(total: int) -> list[int]:
-    counts = [CHUNK_SIZE] * (total // CHUNK_SIZE)
-    if total % CHUNK_SIZE:
-        counts.append(total % CHUNK_SIZE)
-    return counts
-
-
-def simulate_cells(scenario: Scenario, b: int, seed: int, workers: int = 1) -> np.ndarray:
-    """(b, 6) table cells for a scenario; bit-identical for any worker count."""
+def simulate_cells(scenario: Scenario, b: int, seed: int) -> np.ndarray:
+    """(b, 6) table cells for a scenario, column-major (see Layout)."""
     if b <= 0:
         raise InputError("replicate count must be positive")
-    counts = _chunks(b)
-    seeds = np.random.SeedSequence(seed).spawn(len(counts))
-
-    def run(i: int) -> np.ndarray:
-        return _sample_chunk(scenario, counts[i], np.random.default_rng(seeds[i]))
-
-    if workers > 1 and len(counts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(counts))))
-    else:
-        parts = [run(i) for i in range(len(counts))]
-    return np.concatenate(parts, axis=0)
+    n_chunks = -(-b // CHUNK_SIZE)
+    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    out = np.zeros((6, b))
+    for i, chunk_seed in enumerate(seeds):
+        lo = i * CHUNK_SIZE
+        _sample_chunk(scenario, np.random.default_rng(chunk_seed), out[:, lo:lo + CHUNK_SIZE])
+    if scenario.correction:
+        out += 0.5
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +196,16 @@ def simulate_cells(scenario: Scenario, b: int, seed: int, workers: int = 1) -> n
 # ---------------------------------------------------------------------------
 
 def empirical_upper_quantile(values: np.ndarray, alpha: float) -> float:
-    """v(ceil((1-alpha) B)) of the sorted sample, ignoring NaNs."""
+    """v(ceil((1-alpha) B)) of the sorted sample, ignoring NaNs; found by selection."""
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha {alpha!r} must lie strictly in (0, 1)")
     values = np.asarray(values, dtype=float)
     values = values[~np.isnan(values)]
     if values.size == 0:
         raise InputError("no finite values to take a quantile of")
-    values = np.sort(values)
     k = math.ceil((1.0 - alpha) * values.size)
     k = min(max(k, 1), values.size)
-    return float(values[k - 1])
+    return float(np.partition(values, k - 1)[k - 1])
 
 
 def estimate_critical_values(
@@ -224,7 +215,6 @@ def estimate_critical_values(
     alpha: float = 0.05,
     *,
     seed: int,
-    workers: int = 1,
     grid=DEFAULT_GRID,
 ) -> CriticalValueSet:
     """Empirical upper-alpha thresholds of each decision value under the null."""
@@ -233,7 +223,7 @@ def estimate_critical_values(
     if b < 1000:
         raise InputError("need at least 1000 null replicates")
     battery = validate_battery(battery)
-    cells = simulate_cells(scenario, b, seed, workers)
+    cells = simulate_cells(scenario, b, seed)
     values = evaluate_battery(cells, battery, scenario.two_sided, grid)
     thresholds = {}
     error_rates = {}
@@ -260,7 +250,6 @@ def estimate_power(
     b: int = 10_000,
     *,
     seed: int,
-    workers: int = 1,
     grid=DEFAULT_GRID,
 ) -> PowerRow:
     """Rejection rate of each statistic against matched null thresholds.
@@ -279,7 +268,7 @@ def estimate_power(
     missing = [name for name in battery if name not in criticals.thresholds]
     if missing:
         raise MismatchedScenario(f"no thresholds for {missing}")
-    cells = simulate_cells(scenario, b, seed, workers)
+    cells = simulate_cells(scenario, b, seed)
     values = evaluate_battery(cells, battery, scenario.two_sided, grid)
     rates = {}
     ses = {}
@@ -308,10 +297,9 @@ def mean_correlation_matrix(
     b: int = 10_000,
     *,
     seed: int,
-    workers: int = 1,
 ) -> MeanCorrelations:
     """Replicate average of the plug-in correlation triple at n_i / n."""
-    cells = simulate_cells(scenario, b, seed, workers)
+    cells = simulate_cells(scenario, b, seed)
     r0h, r01, rh1 = batch_correlations(cells)
     bad = np.isnan(r01) | np.isnan(r0h) | np.isnan(rh1)
     ok = ~bad
@@ -351,7 +339,6 @@ def pvalue_crosstab(
     bins: tuple[float, ...] = (0.01, 0.05, 0.10),
     *,
     seed: int,
-    workers: int = 1,
     grid=DEFAULT_GRID,
 ) -> PValueCrossTab:
     """Matched comparison of two statistics' empirical p-values.
@@ -367,9 +354,9 @@ def pvalue_crosstab(
         raise InputError(f"bin edges {edges!r} must be strictly increasing within (0, 1)")
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-    null_cells = simulate_cells(scenario.null_scenario(), b_null, null_seed, workers)
+    null_cells = simulate_cells(scenario.null_scenario(), b_null, null_seed)
     null_values = evaluate_battery(null_cells, battery, scenario.two_sided, grid)
-    rep_cells = simulate_cells(scenario, b_reps, rep_seed, workers)
+    rep_cells = simulate_cells(scenario, b_reps, rep_seed)
     rep_values = evaluate_battery(rep_cells, battery, scenario.two_sided, grid)
 
     all_edges = np.array([*edges, 1.0 + 1e-12])
@@ -403,7 +390,7 @@ def pvalue_crosstab(
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 
 
-def _permutation_setup(table: GenotypeTable, battery, two_sided: bool, grid):
+def _permutation_setup(table: GenotypeTable, battery, two_sided: bool, grid, observed=None):
     """Column margins, case count and observed decision values of a table."""
     if not table.is_integral():
         raise DegenerateTable("permutation requires an integer-valued table")
@@ -412,14 +399,18 @@ def _permutation_setup(table: GenotypeTable, battery, two_sided: bool, grid):
     n = sum(margins)
     if n_cases <= 0 or n_cases >= n:
         raise DegenerateTable("both groups must be nonempty for permutation")
-    observed = evaluate_battery(table.to_array(), battery, two_sided, grid)
-    return margins, n_cases, {name: float(v[0]) for name, v in observed.items()}
+    if observed is None:
+        observed = evaluate_battery(table.to_array(), battery, two_sided, grid)
+    return margins, n_cases, {name: float(observed[name][0]) for name in battery}
 
 
 def _permuted_cells(case_rows, margins) -> np.ndarray:
-    """(B, 6) cells from permuted case rows and the fixed column margins."""
-    case_rows = np.asarray(case_rows, dtype=float)
-    return np.concatenate([case_rows, np.asarray(margins, dtype=float)[None, :] - case_rows], axis=1)
+    """(B, 6) column-major cells from permuted case rows and the fixed column margins."""
+    case_rows = np.asarray(case_rows, dtype=float).T
+    out = np.empty((6, case_rows.shape[1]))
+    out[0:3] = case_rows
+    np.subtract(np.asarray(margins, dtype=float)[:, None], case_rows, out=out[3:6])
+    return out.T
 
 
 def permutation_pvalue(
@@ -430,6 +421,7 @@ def permutation_pvalue(
     seed: int,
     two_sided: bool = True,
     grid=DEFAULT_GRID,
+    observed=None,
 ) -> dict[str, float]:
     """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B).
 
@@ -442,11 +434,15 @@ def permutation_pvalue(
     alone. Permuted tables on which a statistic is undefined count as
     non-exceedances; a statistic undefined on the observed table maps to
     NaN. A table that cannot be permuted raises :class:`DegenerateTable`.
+
+    A caller that has already evaluated the battery on ``table`` (same
+    sidedness and grid) passes the result of :func:`evaluate_battery` as
+    ``observed`` so that it is not evaluated twice.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
     battery = validate_battery(battery)
-    margins, n_cases, observed = _permutation_setup(table, battery, two_sided, grid)
+    margins, n_cases, observed = _permutation_setup(table, battery, two_sided, grid, observed)
     exceed = dict.fromkeys(battery, 0)
     if b > 0:
         rng = np.random.default_rng(seed)

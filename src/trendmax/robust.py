@@ -238,14 +238,20 @@ def max3(table: GenotypeTable, two_sided: bool = True, middle: str = "additive")
     raise InputError(f"unknown middle statistic {middle!r} (use 'additive' or 'mert')")
 
 
-def max_grid(table: GenotypeTable, grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
-    """Maximum of (|)Z_x(|) over a score grid, approximating the continuum maximum."""
+def validate_grid(grid) -> tuple[float, ...]:
+    """The grid as floats; it must be nonempty with every score in [0, 1] (NaN fails)."""
     grid = tuple(float(x) for x in grid)
     if not grid:
         raise InputError("score grid must be nonempty")
-    if any(not 0.0 <= x <= 1.0 for x in grid):
-        raise InputError("grid scores must lie in [0, 1]")
-    return _max_of(table, grid, two_sided, "MAXGRID")
+    bad = [x for x in grid if not 0.0 <= x <= 1.0]
+    if bad:
+        raise InputError(f"grid scores must lie in [0, 1], got {bad[0]!r}")
+    return grid
+
+
+def max_grid(table: GenotypeTable, grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
+    """Maximum of (|)Z_x(|) over a score grid, approximating the continuum maximum."""
+    return _max_of(table, validate_grid(grid), two_sided, "MAXGRID")
 
 
 def maximin_member(rho: np.ndarray) -> tuple[int, float]:
@@ -286,5 +292,6 @@ def batch_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """Correlation triples from pooled proportions of a batch of tables."""
     cells = np.asarray(cells, dtype=float)
     nn = cells[..., 0:3] + cells[..., 3:6]
-    props = nn / nn.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # an empty table gives NaN proportions
+        props = nn / nn.sum(axis=-1, keepdims=True)
     return correlation_values(props)

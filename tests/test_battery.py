@@ -45,3 +45,31 @@ def test_maxgrid_dominates_max3_when_grid_contains_its_scores(extra, two_sided, 
 def test_empty_grid_rejected():
     with pytest.raises(InputError):
         evaluate_battery(random_tables(5, seed=203), ("MAXGRID",), grid=())
+
+
+def assert_bit_identical(a: np.ndarray, b: np.ndarray, name: str) -> None:
+    assert np.array_equal(a, b, equal_nan=True), name
+    assert np.array_equal(np.isnan(a), np.isnan(b)), name
+    assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 6), min_size=6, max_size=6), min_size=1, max_size=40),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_battery_is_bit_identical_across_memory_layouts(rows, corrected, two_sided):
+    cells = np.array(rows, dtype=float) + (0.5 if corrected else 0.0)
+    c_values = evaluate_battery(np.ascontiguousarray(cells), ALL_STATISTICS, two_sided, GRID)
+    f_values = evaluate_battery(np.asfortranarray(cells), ALL_STATISTICS, two_sided, GRID)
+    single = [evaluate_battery(row, ALL_STATISTICS, two_sided, GRID) for row in cells]
+    for name in ALL_STATISTICS:
+        assert_bit_identical(c_values[name], f_values[name], name)
+        assert_bit_identical(c_values[name], np.concatenate([v[name] for v in single]), name)
+
+
+@pytest.mark.parametrize("grid", [(0.0, 1.5), (0.0, np.nan), (-0.1,), (np.inf,)])
+def test_grid_scores_outside_unit_interval_rejected(grid):
+    with pytest.raises(InputError, match="grid scores"):
+        evaluate_battery(random_tables(5, seed=204), ("MAXGRID",), grid=grid)

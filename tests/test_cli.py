@@ -96,25 +96,7 @@ def run_cli(argv):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_golden_output(case, monkeypatch):
-    monkeypatch.delenv("TRENDMAX_THREADS", raising=False)
-    code, out, err = run_cli(CASES[case])
-    assert code == 0, err
-    assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_invalid_thread_count_is_an_error(value, monkeypatch):
-    monkeypatch.setenv("TRENDMAX_THREADS", value)
-    code, out, err = run_cli(CASES["corr_stratified"])
-    assert code == 2
-    assert out == ""
-    assert "TRENDMAX_THREADS" in err and repr(value) in err
-
-
-@pytest.mark.parametrize("case", ["power_recadd", "crosstab_max3_maxgrid"])
-def test_thread_count_does_not_change_output(case, monkeypatch):
-    monkeypatch.setenv("TRENDMAX_THREADS", "2")
+def test_cli_golden_output(case):
     code, out, err = run_cli(CASES[case])
     assert code == 0, err
     assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
@@ -123,7 +105,6 @@ def test_thread_count_does_not_change_output(case, monkeypatch):
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter with ``src/`` on the path."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("TRENDMAX_THREADS", None)
     return subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -164,6 +145,50 @@ def test_analyze_input_file_is_closed():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout == (GOLDEN / "analyze_perm.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "--table", "10 20 30 30 20 10", "--battery", "MAXGRID", "--grid", "0,abc"], "--grid"),
+    (CASES["power_maxgrid_json"][:-4] + ["--grid", "0,0.5,x"], "--grid"),
+    (CASES["crosstab_chi2_tmax_json"][:-4] + ["--bins", "0.05,x"], "--bins"),
+])
+def test_unparsable_numbers_name_their_flag(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["0,1.5", "0,nan", "-0.5,1", "0,inf"])
+@pytest.mark.parametrize("case", ["analyze_one_sided_json", "crosstab_max3_maxgrid"])
+def test_grid_scores_outside_unit_interval_are_an_error(case, grid):
+    code, out, err = run_cli(CASES[case] + [f"--grid={grid}"])
+    assert code == 2
+    assert out == ""
+    assert "grid scores must lie in [0, 1]" in err
+
+
+def test_analyze_evaluates_the_observed_battery_once_per_table(monkeypatch):
+    import trendmax.cli
+    import trendmax.montecarlo
+
+    calls = []
+
+    def counting(original):
+        def wrapper(cells, *args, **kwargs):
+            calls.append(len(np.atleast_2d(cells)))
+            return original(cells, *args, **kwargs)
+        return wrapper
+
+    for module in (trendmax.cli, trendmax.montecarlo):
+        monkeypatch.setattr(module, "evaluate_battery", counting(module.evaluate_battery))
+    code, out, err = run_cli(CASES["analyze_perm"])
+    assert code == 0, err
+    n_tables = sum(1 for line in (GOLDEN / "tables.txt").read_text().splitlines()
+                   if line.strip() and not line.startswith("#"))
+    # one observed (one-row) call and at most one permuted batch per table
+    assert calls.count(1) == n_tables
+    assert len(calls) <= 2 * n_tables
 
 
 def regenerate() -> None:

@@ -20,6 +20,7 @@ from trendmax import (
     Scenario,
     ScenarioError,
     DegenerateTable,
+    InputError,
     empirical_upper_quantile,
     estimate_critical_values,
     estimate_power,
@@ -34,6 +35,7 @@ from trendmax import (
     simulate_cells,
 )
 from trendmax.battery import ALL_STATISTICS, evaluate_single
+from trendmax.montecarlo import CHUNK_SIZE
 from trendmax.tables import parse_table_record
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -116,6 +118,40 @@ def test_simulate_cells_correction_flag():
     assert np.all(raw % 1 == 0)
 
 
+def row_major_reference(scenario: Scenario, b: int, seed: int) -> np.ndarray:
+    """The sampler's draws laid out row-major: per-chunk (count, 6) blocks, concatenated."""
+    counts = [CHUNK_SIZE] * (b // CHUNK_SIZE) + ([b % CHUNK_SIZE] if b % CHUNK_SIZE else [])
+    parts = []
+    for count, chunk_seed in zip(counts, np.random.SeedSequence(seed).spawn(len(counts))):
+        rng = np.random.default_rng(chunk_seed)
+        case = np.zeros((count, 3))
+        ctrl = np.zeros((count, 3))
+        for case_probs, ctrl_probs, n_cases, n_controls in scenario.strata():
+            case += rng.multinomial(n_cases, case_probs, size=count)
+            ctrl += rng.multinomial(n_controls, ctrl_probs, size=count)
+        cells = np.concatenate([case, ctrl], axis=1)
+        if scenario.correction:
+            cells += 0.5
+        parts.append(cells)
+    return np.concatenate(parts, axis=0)
+
+
+@pytest.mark.parametrize("correction", [True, False])
+@pytest.mark.parametrize("population", [
+    HWEPopulation(0.3),
+    MixturePopulation(0.1, 0.4, 150, 100, 120, 130),
+])
+def test_simulate_cells_matches_row_major_reference(population, correction):
+    sc = Scenario(population=population, penetrances=penetrances_for_model("add", 0.01, 0.03),
+                  n_cases=250, n_controls=250, correction=correction)
+    b = 2 * CHUNK_SIZE + 137
+    cells = simulate_cells(sc, b, seed=11)
+    assert cells.shape == (b, 6)
+    assert np.array_equal(cells, row_major_reference(sc, b, seed=11))
+    for j in range(6):
+        assert cells[:, j].flags.c_contiguous
+
+
 def test_mixture_split_must_match_totals():
     with pytest.raises(ScenarioError):
         Scenario(population=MixturePopulation(0.1, 0.4, 250, 100, 250, 100),
@@ -126,20 +162,10 @@ def test_mixture_split_must_match_totals():
 # determinism
 # ---------------------------------------------------------------------------
 
-def test_simulate_cells_deterministic_across_workers():
-    sc = alt_scenario()
-    base = simulate_cells(sc, 25_000, seed=42, workers=1)
-    for workers in (2, 4):
-        again = simulate_cells(sc, 25_000, seed=42, workers=workers)
-        assert np.array_equal(base, again)
-
-
 def test_estimate_power_bitwise_reproducible():
     sc = alt_scenario()
     cvs = estimate_critical_values(sc.null_scenario(), BATTERY, b=20_000, seed=7)
-    rows = [
-        estimate_power(sc, BATTERY, cvs, b=5_000, seed=8, workers=w) for w in (1, 3)
-    ]
+    rows = [estimate_power(sc, BATTERY, cvs, b=5_000, seed=8) for _ in range(2)]
     assert rows[0].rates == rows[1].rates
 
 
@@ -162,6 +188,35 @@ def test_empirical_quantile_median_and_monotonicity():
     alphas = (0.01, 0.05, 0.1, 0.25, 0.5)
     thresholds = [empirical_upper_quantile(draws, a) for a in alphas]
     assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
+
+
+def sorted_reference_quantile(values, alpha: float) -> float:
+    values = np.sort(values[~np.isnan(values)])
+    k = min(max(math.ceil((1.0 - alpha) * values.size), 1), values.size)
+    return float(values[k - 1])
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.nan]),
+                       st.floats(-10, 10, allow_nan=False)), min_size=1, max_size=60),
+    st.sampled_from([1e-12, 0.01, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-12]),
+)
+@settings(max_examples=200, deadline=None)
+def test_empirical_quantile_equals_sorted_reference(values, alpha):
+    values = np.array(values)
+    if np.isnan(values).all():
+        with pytest.raises(InputError):
+            empirical_upper_quantile(values, alpha)
+        return
+    assert empirical_upper_quantile(values, alpha) == sorted_reference_quantile(values, alpha)
+
+
+def test_empirical_quantile_single_value_and_ties():
+    for alpha in (1e-12, 0.05, 1.0 - 1e-12):
+        assert empirical_upper_quantile(np.array([3.0]), alpha) == 3.0
+        assert empirical_upper_quantile(np.array([math.nan, 3.0]), alpha) == 3.0
+    ties = np.array([1.0, 2.0, 2.0, 2.0, 5.0, math.nan])
+    assert [empirical_upper_quantile(ties, a) for a in (0.9, 0.5, 0.1)] == [1.0, 2.0, 5.0]
 
 
 def test_empirical_quantile_convergence_rate():
