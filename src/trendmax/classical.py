@@ -28,19 +28,26 @@ class CompositeStatistic:
 
 
 def chi2df_values(cells: np.ndarray) -> np.ndarray:
-    """Vectorized 2-df Pearson chi-square; NaN where a margin is zero."""
+    """Vectorized 2-df Pearson chi-square; NaN where a margin is zero.
+
+    Built one genotype column at a time from B-vectors. Sums fold left to right
+    and squares are products, as in the (B, 3) broadcast form of the formula
+    (a 3-term ``sum(axis=-1)``, ``** 2`` on arrays), so values match it bitwise.
+    """
     cells = np.asarray(cells, dtype=float)
-    rr = cells[..., 0:3]
-    ss = cells[..., 3:6]
-    r = rr.sum(axis=-1, keepdims=True)
-    s = ss.sum(axis=-1, keepdims=True)
-    nn = rr + ss
+    r0, r1, r2, s0, s1, s2 = (cells[..., j] for j in range(6))
+    r, s = r0 + r1 + r2, s0 + s1 + s2
     n = r + s
+    ok = (r > 0) & (s > 0)
+    stat = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        er = r * nn / n
-        es = s * nn / n
-        stat = ((rr - er) ** 2 / er + (ss - es) ** 2 / es).sum(axis=-1)
-        ok = (nn > 0).all(axis=-1) & (r[..., 0] > 0) & (s[..., 0] > 0)
+        for rj, sj in ((r0, s0), (r1, s1), (r2, s2)):
+            nn = rj + sj
+            ok &= nn > 0
+            er, es = r * nn / n, s * nn / n
+            dr, ds = rj - er, sj - es
+            term = dr * dr / er + ds * ds / es
+            stat = term if stat is None else stat + term
         return np.where(ok, stat, np.nan)
 
 

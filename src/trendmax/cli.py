@@ -47,19 +47,20 @@ from .montecarlo import (
     permutation_pvalue,
     pvalue_crosstab,
 )
-from .robust import estimate_correlations, mert_certificate, recommend_robust_test
+from .robust import estimate_correlations, mert_certificate, recommend_robust_test, validate_grid
 from .scenarios import load_scenarios, scenario_hash
 from .tables import apply_continuity_correction, parse_table_record
 
 
-def _add_common_sim_args(sp):
+def _add_common_sim_args(sp, *, battery: bool = False, grid: bool = False):
     sp.add_argument("--scenarios", required=True, help="path to a JSON scenario file")
     sp.add_argument("--seed", type=int, required=True, help="random seed (required)")
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY),
-                    help="comma-separated statistic ids (default: all but MAXGRID)")
-    sp.add_argument("--grid", default=None,
-                    help="comma-separated scores in [0,1] for MAXGRID")
+    if battery:
+        sp.add_argument("--alpha", type=float, default=0.05)
+        sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY),
+                        help="comma-separated statistic ids (default: all but MAXGRID)")
+    if grid:
+        sp.add_argument("--grid", default=None, help="comma-separated scores in [0,1] for MAXGRID")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -88,14 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("criticals", help="empirical critical values per scenario")
-    _add_common_sim_args(sp)
+    _add_common_sim_args(sp, battery=True, grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--normal-approx", action="store_true",
                     help="approximate normal-type thresholds from the analytic "
                          "null correlations instead of null-data simulation")
 
     sp = sub.add_parser("power", help="rejection rates per scenario and statistic")
-    _add_common_sim_args(sp)
+    _add_common_sim_args(sp, battery=True, grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--b-power", type=int, default=10_000)
 
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replicates per scenario")
 
     sp = sub.add_parser("crosstab", help="matched p-value cross-tabulation")
-    _add_common_sim_args(sp)
+    _add_common_sim_args(sp, grid=True)
     sp.add_argument("--stat-a", required=True, choices=ALL_STATISTICS)
     sp.add_argument("--stat-b", required=True, choices=ALL_STATISTICS)
     sp.add_argument("--b-null", type=int, default=200_000)
@@ -127,9 +128,11 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _parse_grid(text):
-    if not text:
-        return DEFAULT_GRID
-    return _parse_floats(text, "--grid")
+    grid = _parse_floats(text, "--grid") if text else DEFAULT_GRID
+    try:
+        return validate_grid(grid)
+    except InputError as exc:
+        raise InputError(f"--grid: {exc}") from None
 
 
 def _emit(lines_or_obj, args, header: dict):

@@ -14,9 +14,10 @@ turns the correction off.
 Determinism
 -----------
 Replicates are generated in fixed-size chunks whose random streams are
-spawned from (seed, chunk index) and drawn one chunk after another.
-Results are therefore bit-identical for a given (scenario, battery, B,
-seed).
+spawned from (seed, chunk index). Chunks may be drawn at the same time,
+one thread per usable core, each into its own column slice of the
+buffer, so the result does not depend on the core count or the order the
+chunks run in: it is bit-identical for a given (scenario, battery, B, seed).
 
 Layout
 ------
@@ -36,6 +37,8 @@ statistics.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,6 +58,7 @@ from .scenarios import Scenario
 from .tables import GenotypeTable
 
 CHUNK_SIZE = 10_000
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +168,29 @@ def sample_mixture(
         correction=correction,
     )
     out = np.zeros((6, 1))
-    _sample_chunk(scenario, rng, out)
+    _sample_chunk(scenario.strata(), rng, out)
     return GenotypeTable(*(out[:, 0] + (0.5 if correction else 0.0)))
 
 
-def _sample_chunk(scenario: Scenario, rng: np.random.Generator, out: np.ndarray) -> None:
+def _sample_chunk(strata, rng: np.random.Generator, out: np.ndarray) -> None:
     """Add one chunk's draws into ``out`` of shape (6, count); fixed draw order per stratum."""
     count = out.shape[1]
-    for case_probs, ctrl_probs, n_cases, n_controls in scenario.strata():
+    for case_probs, ctrl_probs, n_cases, n_controls in strata:
         out[0:3] += rng.multinomial(n_cases, case_probs, size=count).T
         out[3:6] += rng.multinomial(n_controls, ctrl_probs, size=count).T
 
 
 def simulate_cells(scenario: Scenario, b: int, seed: int) -> np.ndarray:
-    """(b, 6) table cells for a scenario, column-major (see Layout)."""
+    """(b, 6) table cells for a scenario, column-major (see Layout and Determinism)."""
     if b <= 0:
         raise InputError("replicate count must be positive")
     n_chunks = -(-b // CHUNK_SIZE)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_chunks))
     out = np.zeros((6, b))
-    for i, chunk_seed in enumerate(seeds):
-        lo = i * CHUNK_SIZE
-        _sample_chunk(scenario, np.random.default_rng(chunk_seed), out[:, lo:lo + CHUNK_SIZE])
+    slices = [out[:, lo:lo + CHUNK_SIZE] for lo in range(0, b, CHUNK_SIZE)]
+    with ThreadPoolExecutor(min(_CORES, n_chunks)) as pool:
+        # list() re-raises the first chunk's exception
+        list(pool.map(_sample_chunk, [scenario.strata()] * n_chunks, rngs, slices))
     if scenario.correction:
         out += 0.5
     return out.T

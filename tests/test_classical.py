@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trendmax import (
     GenotypeTable,
@@ -12,7 +14,7 @@ from trendmax import (
     tmax,
     to_allele_table,
 )
-from trendmax.classical import allele_chisq_values
+from trendmax.classical import allele_chisq_values, chi2df_values
 
 from conftest import random_tables
 
@@ -25,6 +27,46 @@ def pearson_2x2_oracle(table: GenotypeTable) -> float:
     cols = obs.sum(axis=0, keepdims=True)
     exp = rows * cols / obs.sum()
     return float(((obs - exp) ** 2 / exp).sum())
+
+
+def broadcast_chi2df_reference(cells: np.ndarray) -> np.ndarray:
+    """The 2-df chi-square as (B, 3) row and column arrays summed over the last axis."""
+    cells = np.asarray(cells, dtype=float)
+    rr = cells[..., 0:3]
+    ss = cells[..., 3:6]
+    r = rr.sum(axis=-1, keepdims=True)
+    s = ss.sum(axis=-1, keepdims=True)
+    nn = rr + ss
+    n = r + s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        er = r * nn / n
+        es = s * nn / n
+        stat = ((rr - er) ** 2 / er + (ss - es) ** 2 / es).sum(axis=-1)
+        ok = (nn > 0).all(axis=-1) & (r[..., 0] > 0) & (s[..., 0] > 0)
+        return np.where(ok, stat, np.nan)
+
+
+def assert_bit_identical(got, want) -> None:
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+CELL = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 1e3, allow_subnormal=False))
+
+
+@given(st.lists(st.lists(CELL, min_size=6, max_size=6), min_size=1, max_size=40))
+@example([[0.0] * 6, [0.0, 0.0, 0.0, 3.0, 4.0, 5.0], [0.0, 2.0, 3.0, 0.0, 1.0, 4.0]])
+@settings(max_examples=200, deadline=None)
+def test_chi2df_values_bit_identical_to_broadcast_formula(rows):
+    cells = np.array(rows, dtype=float)
+    want = broadcast_chi2df_reference(cells)
+    for layout in (np.ascontiguousarray(cells), np.asfortranarray(cells),
+                   np.ascontiguousarray(cells.T).T):
+        assert_bit_identical(chi2df_values(layout), want)
+    for i, row in enumerate(cells):
+        assert_bit_identical(chi2df_values(row[None, :]), want[i:i + 1])
+        assert_bit_identical(chi2df_values(row), broadcast_chi2df_reference(row))
 
 
 def test_chisq_2df_worked_example(worked_table):

@@ -168,6 +168,36 @@ def test_grid_scores_outside_unit_interval_are_an_error(case, grid):
     assert "grid scores must lie in [0, 1]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--table", "10 20 30 30 20 10", "--grid", "0,7"],
+    CASES["power_recadd"] + ["--battery", "Z0", "--grid", "0,7"],
+])
+def test_grid_is_validated_without_maxgrid_in_the_battery(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err and "grid scores must lie in [0, 1]" in err
+
+
+def assert_unrecognized(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("flag", [["--alpha", "7"], ["--battery", "NOPE"], ["--grid", "x"]])
+def test_corr_rejects_options_it_does_not_use(flag, capsys):
+    assert_unrecognized(CASES["corr_stratified"], flag, capsys)
+
+
+@pytest.mark.parametrize("flag", [["--alpha", "7"], ["--battery", "NOPE"]])
+def test_crosstab_rejects_options_it_does_not_use(flag, capsys):
+    assert_unrecognized(CASES["crosstab_max3_maxgrid"], flag, capsys)
+
+
 def test_analyze_evaluates_the_observed_battery_once_per_table(monkeypatch):
     import trendmax.cli
     import trendmax.montecarlo

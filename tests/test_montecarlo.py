@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from trendmax import (
     simulate_cells,
 )
 from trendmax.battery import ALL_STATISTICS, evaluate_single
+import trendmax.montecarlo
 from trendmax.montecarlo import CHUNK_SIZE
 from trendmax.tables import parse_table_record
 
@@ -141,15 +143,61 @@ def row_major_reference(scenario: Scenario, b: int, seed: int) -> np.ndarray:
     HWEPopulation(0.3),
     MixturePopulation(0.1, 0.4, 150, 100, 120, 130),
 ])
-def test_simulate_cells_matches_row_major_reference(population, correction):
+def test_simulate_cells_matches_row_major_reference(population, correction, monkeypatch):
     sc = Scenario(population=population, penetrances=penetrances_for_model("add", 0.01, 0.03),
                   n_cases=250, n_controls=250, correction=correction)
-    b = 2 * CHUNK_SIZE + 137
-    cells = simulate_cells(sc, b, seed=11)
-    assert cells.shape == (b, 6)
-    assert np.array_equal(cells, row_major_reference(sc, b, seed=11))
-    for j in range(6):
-        assert cells[:, j].flags.c_contiguous
+    b = 2 * CHUNK_SIZE + 137  # three chunks, the last one short
+    reference = row_major_reference(sc, b, seed=11)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        cells = simulate_cells(sc, b, seed=11)
+        assert cells.shape == (b, 6)
+        assert np.array_equal(cells, reference), f"{cores} cores"
+        for j in range(6):
+            assert cells[:, j].flags.c_contiguous
+
+
+def test_critical_values_do_not_depend_on_core_count(monkeypatch):
+    thresholds = []
+    for cores in (1, 4):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        cvs = estimate_critical_values(null_scenario(), BATTERY, b=3 * CHUNK_SIZE + 11, seed=13)
+        thresholds.append(cvs.thresholds)
+    assert thresholds[0] == thresholds[1]
+
+
+def test_simulate_cells_with_more_threads_than_cores_under_frequent_switching(monkeypatch):
+    sc = Scenario(population=MixturePopulation(0.1, 0.4, 150, 100, 120, 130), penetrances=None,
+                  n_cases=250, n_controls=250)
+    b = 8 * CHUNK_SIZE
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 1)
+    serial = simulate_cells(sc, b, seed=17)
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_cells(sc, b, seed=17)
+    finally:
+        sys.setswitchinterval(interval)
+    # a lost or doubled update would break the equality and the row totals
+    assert np.array_equal(threaded, serial)
+    assert np.all(threaded[:, 0:3].sum(axis=1) == 250 + 1.5)
+    assert np.all(threaded[:, 3:6].sum(axis=1) == 250 + 1.5)
+
+
+def test_simulate_cells_raises_a_chunk_error_and_returns_nothing(monkeypatch):
+    sample_chunk = trendmax.montecarlo._sample_chunk
+
+    def failing_on_chunk_1(strata, rng, out):
+        if rng.bit_generator.seed_seq.spawn_key == (1,):
+            raise RuntimeError("chunk 1 failed")
+        sample_chunk(strata, rng, out)
+
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", failing_on_chunk_1)
+    # the error reaches the caller, so no partly filled array is returned
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        simulate_cells(null_scenario(), 3 * CHUNK_SIZE, seed=5)
 
 
 def test_mixture_split_must_match_totals():
