@@ -81,11 +81,10 @@ def hwd_values(case_cells: np.ndarray) -> np.ndarray:
         e0 = r * q * q
         e1 = 2 * r * p * q
         e2 = r * p * p
-        stat = (
-            (rr[..., 0] - e0) ** 2 / e0
-            + (rr[..., 1] - e1) ** 2 / e1
-            + (rr[..., 2] - e2) ** 2 / e2
-        )
+        d0, d1, d2 = rr[..., 0] - e0, rr[..., 1] - e1, rr[..., 2] - e2
+        # squares are products: a float64 scalar's ** 2 calls pow(), which
+        # can differ in the last bit from an array's square
+        stat = d0 * d0 / e0 + d1 * d1 / e1 + d2 * d2 / e2
         ok = (r > 0) & (p > 0) & (p < 1)
         return np.where(ok, stat, np.nan)
 

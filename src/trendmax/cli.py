@@ -143,10 +143,7 @@ def _emit(lines_or_obj, args, header: dict):
         buf = io.StringIO()
         for key, value in header.items():
             buf.write(f"# {key}={value}\n")
-        rows = lines_or_obj
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(buf, lineterminator="\n").writerows(lines_or_obj)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -156,14 +153,8 @@ def _emit(lines_or_obj, args, header: dict):
 
 
 def _provenance(args, scenarios, **extra) -> dict:
-    header = {
-        "version": __version__,
-        "command": args.command,
-        "scenario_hash": scenario_hash(scenarios),
-        "seed": args.seed,
-    }
-    header.update(extra)
-    return header
+    return {"version": __version__, "command": args.command,
+            "scenario_hash": scenario_hash(scenarios), "seed": args.seed, **extra}
 
 
 def _asymptotic_pvalue(name: str, value: float, two_sided: bool) -> float | None:
@@ -407,19 +398,11 @@ def cmd_crosstab(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "criticals": cmd_criticals,
-        "power": cmd_power,
-        "corr": cmd_corr,
-        "crosstab": cmd_crosstab,
-    }
+    handlers = {"analyze": cmd_analyze, "criticals": cmd_criticals, "power": cmd_power,
+                "corr": cmd_corr, "crosstab": cmd_crosstab}
     try:
         return handlers[args.command](args)
-    except TrendmaxError as exc:
-        print(f"trendmax {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TrendmaxError, OSError) as exc:
         print(f"trendmax {args.command}: {exc}", file=sys.stderr)
         return 2
 

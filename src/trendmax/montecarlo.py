@@ -14,17 +14,20 @@ turns the correction off.
 Determinism
 -----------
 Replicates are generated in fixed-size chunks whose random streams are
-spawned from (seed, chunk index). Chunks may be drawn at the same time,
-one thread per usable core, each into its own column slice of the
-buffer, so the result does not depend on the core count or the order the
+spawned from (seed, chunk index). One task per chunk, on one thread per
+usable core, draws the chunk into a buffer of its own, scores it there
+(battery, correlation plug-ins, or the cells themselves) and writes the
+values into its own column slice of the output. Every kernel works row
+by row, so the result does not depend on the core count or the order the
 chunks run in: it is bit-identical for a given (scenario, battery, B, seed).
 
 Layout
 ------
-A batch of B tables is stored column-major: the (B, 6) cell array is the
-transpose of a C-ordered (6, B) buffer, so each cell column r0 .. s2 is
-one contiguous B-vector and the batched kernels, which slice columns,
-read contiguous memory.
+A chunk's (count, 6) cells are the transpose of a C-ordered (6, count)
+buffer, so each cell column is contiguous for the kernels. What stays in
+memory is a (k, B) array of k values per table (battery size, 3
+correlations, or 6 cells for :func:`simulate_cells`), plus one chunk and
+its kernel temporaries per running task.
 
 Quantile convention
 -------------------
@@ -180,20 +183,39 @@ def _sample_chunk(strata, rng: np.random.Generator, out: np.ndarray) -> None:
         out[3:6] += rng.multinomial(n_controls, ctrl_probs, size=count).T
 
 
-def simulate_cells(scenario: Scenario, b: int, seed: int) -> np.ndarray:
-    """(b, 6) table cells for a scenario, column-major (see Layout and Determinism)."""
+def _score_chunks(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
+    """(width, b) array: ``score`` maps each chunk's (count, 6) cells to width vectors."""
     if b <= 0:
         raise InputError("replicate count must be positive")
     n_chunks = -(-b // CHUNK_SIZE)
     rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_chunks))
-    out = np.zeros((6, b))
-    slices = [out[:, lo:lo + CHUNK_SIZE] for lo in range(0, b, CHUNK_SIZE)]
+    strata = scenario.strata()
+    out = np.empty((width, b))
+
+    def run(lo: int, rng: np.random.Generator) -> None:
+        cells = np.zeros((6, min(CHUNK_SIZE, b - lo)))
+        _sample_chunk(strata, rng, cells)
+        if scenario.correction:
+            cells += 0.5
+        for row, values in zip(out[:, lo:lo + CHUNK_SIZE], score(cells.T), strict=True):
+            row[:] = values
+
     with ThreadPoolExecutor(min(_CORES, n_chunks)) as pool:
         # list() re-raises the first chunk's exception
-        list(pool.map(_sample_chunk, [scenario.strata()] * n_chunks, rngs, slices))
-    if scenario.correction:
-        out += 0.5
-    return out.T
+        list(pool.map(run, range(0, b, CHUNK_SIZE), rngs))
+    return out
+
+
+def _battery_values(scenario: Scenario, b: int, seed: int, battery, grid) -> dict[str, np.ndarray]:
+    """Decision values of a validated battery on b simulated tables."""
+    def score(cells):
+        return evaluate_battery(cells, battery, scenario.two_sided, grid).values()
+    return dict(zip(battery, _score_chunks(scenario, b, seed, score, len(battery))))
+
+
+def simulate_cells(scenario: Scenario, b: int, seed: int) -> np.ndarray:
+    """(b, 6) table cells for a scenario, column-major (see Layout and Determinism)."""
+    return _score_chunks(scenario, b, seed, np.transpose, 6).T
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +227,8 @@ def empirical_upper_quantile(values: np.ndarray, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha {alpha!r} must lie strictly in (0, 1)")
     values = np.asarray(values, dtype=float)
-    values = values[~np.isnan(values)]
+    nan = np.isnan(values)
+    values = values[~nan] if nan.any() else values
     if values.size == 0:
         raise InputError("no finite values to take a quantile of")
     k = math.ceil((1.0 - alpha) * values.size)
@@ -228,15 +251,14 @@ def estimate_critical_values(
     if b < 1000:
         raise InputError("need at least 1000 null replicates")
     battery = validate_battery(battery)
-    cells = simulate_cells(scenario, b, seed)
-    values = evaluate_battery(cells, battery, scenario.two_sided, grid)
     thresholds = {}
     error_rates = {}
-    for name, v in values.items():
+    for name, v in _battery_values(scenario, b, seed, battery, grid).items():
+        nan = np.isnan(v)
+        if bad := int(np.count_nonzero(nan)):
+            error_rates[name] = bad / b
+            v = v[~nan]
         thresholds[name] = empirical_upper_quantile(v, alpha)
-        bad = float(np.isnan(v).mean())
-        if bad:
-            error_rates[name] = bad
     return CriticalValueSet(
         thresholds=thresholds,
         alpha=alpha,
@@ -273,8 +295,7 @@ def estimate_power(
     missing = [name for name in battery if name not in criticals.thresholds]
     if missing:
         raise MismatchedScenario(f"no thresholds for {missing}")
-    cells = simulate_cells(scenario, b, seed)
-    values = evaluate_battery(cells, battery, scenario.two_sided, grid)
+    values = _battery_values(scenario, b, seed, battery, grid)
     rates = {}
     ses = {}
     error_rates = {}
@@ -304,20 +325,12 @@ def mean_correlation_matrix(
     seed: int,
 ) -> MeanCorrelations:
     """Replicate average of the plug-in correlation triple at n_i / n."""
-    cells = simulate_cells(scenario, b, seed)
-    r0h, r01, rh1 = batch_correlations(cells)
-    bad = np.isnan(r01) | np.isnan(r0h) | np.isnan(rh1)
-    ok = ~bad
-    if not ok.any():
+    rho = _score_chunks(scenario, b, seed, batch_correlations, 3)
+    bad = np.isnan(rho).any(axis=0)
+    if bad.all():
         raise DegenerateTable("correlation estimation failed on every replicate")
-    return MeanCorrelations(
-        rho_0_half=float(r0h[ok].mean()),
-        rho_0_1=float(r01[ok].mean()),
-        rho_half_1=float(rh1[ok].mean()),
-        b=b,
-        seed=seed,
-        failure_rate=float(bad.mean()),
-    )
+    r0h, r01, rh1 = (float(r[~bad].mean()) for r in rho)
+    return MeanCorrelations(r0h, r01, rh1, b=b, seed=seed, failure_rate=float(bad.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +372,8 @@ def pvalue_crosstab(
         raise InputError(f"bin edges {edges!r} must be strictly increasing within (0, 1)")
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-    null_cells = simulate_cells(scenario.null_scenario(), b_null, null_seed)
-    null_values = evaluate_battery(null_cells, battery, scenario.two_sided, grid)
-    rep_cells = simulate_cells(scenario, b_reps, rep_seed)
-    rep_values = evaluate_battery(rep_cells, battery, scenario.two_sided, grid)
+    null_values = _battery_values(scenario.null_scenario(), b_null, null_seed, battery, grid)
+    rep_values = _battery_values(scenario, b_reps, rep_seed, battery, grid)
 
     all_edges = np.array([*edges, 1.0 + 1e-12])
     n_bins = len(edges) + 1

@@ -10,6 +10,12 @@ def worked_table() -> GenotypeTable:
     return GenotypeTable(10, 20, 30, 30, 20, 10)
 
 
+def assert_bit_identical(got, want) -> None:
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def random_tables(n: int, seed: int, max_count: int = 60, corrected: bool = True) -> np.ndarray:
     """(n, 6) batch of random nondegenerate tables.
 

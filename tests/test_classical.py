@@ -14,9 +14,10 @@ from trendmax import (
     tmax,
     to_allele_table,
 )
-from trendmax.classical import allele_chisq_values, chi2df_values
+from trendmax.battery import evaluate_battery
+from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
 
-from conftest import random_tables
+from conftest import assert_bit_identical, random_tables
 
 
 def pearson_2x2_oracle(table: GenotypeTable) -> float:
@@ -44,12 +45,6 @@ def broadcast_chi2df_reference(cells: np.ndarray) -> np.ndarray:
         stat = ((rr - er) ** 2 / er + (ss - es) ** 2 / es).sum(axis=-1)
         ok = (nn > 0).all(axis=-1) & (r[..., 0] > 0) & (s[..., 0] > 0)
         return np.where(ok, stat, np.nan)
-
-
-def assert_bit_identical(got, want) -> None:
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 CELL = st.one_of(st.integers(0, 6).map(float), st.floats(0.0, 1e3, allow_subnormal=False))
@@ -134,6 +129,31 @@ def test_chisq_hwd_zero_iff_hwe_identity():
             assert identity < 1e-6 * max(1.0, row.prod())
         if identity == 0:
             assert stat == pytest.approx(0.0, abs=1e-9)
+
+
+def scalar_or_nan(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except (ZeroMargin, MonomorphicSample):
+        return np.nan
+
+
+def test_scalar_composites_bit_identical_to_batch():
+    # small counts give zero cells and monomorphic case rows; half of the
+    # tables are shifted by the +1/2 correction
+    rng = np.random.default_rng(0)
+    cells = rng.integers(0, 40, size=(10_000, 6)).astype(float)
+    cells[rng.random(10_000) < 0.5] += 0.5
+    cells[rng.random((10_000, 6)) < 0.05] = 0.0
+    hwd = hwd_values(cells[:, :3])
+    batch = evaluate_battery(cells, ("HWD", "T_P", "T_MAX"))
+    assert_bit_identical(batch["HWD"], hwd)
+    assert np.isnan(hwd).any() and not np.isnan(hwd).all()
+    for i, row in enumerate(cells):
+        t = GenotypeTable(*row)
+        assert_bit_identical(scalar_or_nan(chisq_hwd, row[:3]), hwd[i])
+        assert_bit_identical(scalar_or_nan(lambda: product_test(t).value), batch["T_P"][i])
+        assert_bit_identical(scalar_or_nan(lambda: tmax(t).value), batch["T_MAX"][i])
 
 
 def test_composites_worked_example(worked_table):

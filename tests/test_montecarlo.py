@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,10 +36,13 @@ from trendmax import (
     sample_table,
     simulate_cells,
 )
-from trendmax.battery import ALL_STATISTICS, evaluate_single
+from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, evaluate_battery, evaluate_single
+from trendmax.robust import batch_correlations
 import trendmax.montecarlo
 from trendmax.montecarlo import CHUNK_SIZE
 from trendmax.tables import parse_table_record
+
+from conftest import assert_bit_identical
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -198,6 +202,139 @@ def test_simulate_cells_raises_a_chunk_error_and_returns_nothing(monkeypatch):
     # the error reaches the caller, so no partly filled array is returned
     with pytest.raises(RuntimeError, match="chunk 1 failed"):
         simulate_cells(null_scenario(), 3 * CHUNK_SIZE, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# per-chunk scoring against the whole-batch pipeline
+# ---------------------------------------------------------------------------
+
+GRID = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
+ENGINE_B = 2 * CHUNK_SIZE + 137  # three chunks, the last one short
+
+
+def engine_scenario(population, size, two_sided, correction) -> Scenario:
+    return Scenario(population=population, penetrances=penetrances_for_model("add", 0.01, 0.03),
+                    n_cases=size, n_controls=size, correction=correction, two_sided=two_sided)
+
+
+ENGINE_CASES = pytest.mark.parametrize("population, size, two_sided", [
+    (HWEPopulation(0.3), 250, True),
+    (MixturePopulation(0.1, 0.4, 150, 100, 120, 130), 250, False),
+    (HWEPopulation(0.05), 20, True),  # uncorrected, many statistics are undefined
+])
+
+
+@pytest.mark.parametrize("correction", [True, False])
+@ENGINE_CASES
+def test_entry_points_score_what_the_whole_batch_scores(population, size, two_sided, correction,
+                                                        monkeypatch):
+    sc = engine_scenario(population, size, two_sided, correction)
+    used = []
+    battery_values = trendmax.montecarlo._battery_values
+
+    def recording(scenario, b, seed, battery, grid):
+        values = battery_values(scenario, b, seed, battery, grid)
+        used.append(((scenario, b, seed, battery), values))
+        return values
+
+    monkeypatch.setattr(trendmax.montecarlo, "_battery_values", recording)
+    whole_batch = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        used.clear()
+        cvs = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS, b=ENGINE_B, seed=41, grid=GRID)
+        row = estimate_power(sc, ALL_STATISTICS, cvs, b=ENGINE_B, seed=42, grid=GRID)
+        pvalue_crosstab(sc, "MAXGRID", "T_MAX", b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
+        assert len(used) == 4
+        for key, values in used:
+            scenario, b, seed, battery = key
+            if key not in whole_batch:
+                cells = row_major_reference(scenario, b, seed)
+                whole_batch[key] = evaluate_battery(cells, battery, scenario.two_sided, GRID)
+            want = whole_batch[key]
+            assert list(values) == list(want) == list(battery)
+            for name in battery:
+                assert_bit_identical(values[name], want[name])
+                assert values[name].flags.c_contiguous
+
+        null_values, alt_values = used[0][1], used[1][1]
+        for name in ALL_STATISTICS:
+            assert cvs.thresholds[name] == empirical_upper_quantile(null_values[name], 0.05)
+            assert cvs.error_rates.get(name, 0.0) == float(np.isnan(null_values[name]).mean())
+            rate = float(np.sum(alt_values[name] > cvs.thresholds[name]) / ENGINE_B)
+            assert row.rates[name] == rate
+            assert row.error_rates.get(name, 0.0) == float(np.isnan(alt_values[name]).mean())
+    if not correction and size == 20:
+        assert cvs.error_rates and row.error_rates
+
+
+@pytest.mark.parametrize("correction", [True, False])
+@ENGINE_CASES
+def test_mean_correlations_equal_the_whole_batch_mean(population, size, two_sided, correction,
+                                                      monkeypatch):
+    sc = engine_scenario(population, size, two_sided, correction)
+    rho = np.array(batch_correlations(row_major_reference(sc, ENGINE_B, seed=44)))
+    bad = np.isnan(rho).any(axis=0)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        mc = mean_correlation_matrix(sc, ENGINE_B, seed=44)
+        assert mc.as_tuple() == tuple(float(r[~bad].mean()) for r in rho)
+        assert mc.failure_rate == float(bad.mean())
+
+
+def test_a_scorer_error_on_chunk_1_reaches_every_caller(monkeypatch):
+    sc = alt_scenario()
+    cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=ENGINE_B, seed=45)
+    sample_chunk = trendmax.montecarlo._sample_chunk
+    chunk_1_buffers = []
+
+    def marking_chunk_1(strata, rng, out):
+        if rng.bit_generator.seed_seq.spawn_key == (1,):
+            chunk_1_buffers.append(out)
+        sample_chunk(strata, rng, out)
+
+    def failing_on_chunk_1(kernel):
+        def scorer(cells, *args):
+            if any(cells.base is buffer for buffer in chunk_1_buffers):
+                raise RuntimeError("chunk 1 failed")
+            return kernel(cells, *args)
+        return scorer
+
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", marking_chunk_1)
+    for kernel in ("evaluate_battery", "batch_correlations"):
+        monkeypatch.setattr(trendmax.montecarlo, kernel,
+                            failing_on_chunk_1(getattr(trendmax.montecarlo, kernel)))
+    calls = [
+        lambda: estimate_critical_values(sc.null_scenario(), ("MAX3",), b=ENGINE_B, seed=46),
+        lambda: estimate_power(sc, ("MAX3",), cvs, b=ENGINE_B, seed=47),
+        lambda: mean_correlation_matrix(sc, ENGINE_B, seed=47),
+        lambda: pvalue_crosstab(sc, "MAX3", "Z0", b_null=ENGINE_B, b_reps=1_000, seed=48),
+    ]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            call()
+
+
+def traced_peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_holds_the_values_and_a_few_chunks(monkeypatch):
+    # 13 decision values x 200,000 tables are 20.8 MB; sampling the whole
+    # batch before scoring it peaked at 52 MB here, and at 42 MB on the crosstab
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    null = Scenario(population=MixturePopulation(0.1, 0.4, 250, 100, 250, 100), penetrances=None,
+                    n_cases=350, n_controls=350)
+    peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=200_000, seed=49))
+    assert peak <= 32.0
+    peak = traced_peak_mb(lambda: pvalue_crosstab(alt_scenario(f2=0.02023), "MAX3", "MAXGRID", seed=50))
+    assert peak <= 15.0
 
 
 def test_mixture_split_must_match_totals():
