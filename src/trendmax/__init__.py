@@ -10,18 +10,20 @@ from .battery import (
     ALL_STATISTICS,
     DEFAULT_BATTERY,
     DEFAULT_GRID,
-    evaluate_battery,
-    evaluate_single,
-    validate_battery,
-)
-from .classical import (
-    CompositeStatistic,
     chisq_2df,
     chisq_allele,
-    chisq_hwd,
+    evaluate_battery,
+    evaluate_single,
+    max2,
+    max3,
+    max_grid,
+    mert_rec_add,
+    mert_statistic,
     product_test,
     tmax,
+    validate_battery,
 )
+from .classical import CompositeStatistic, chisq_hwd
 from .errors import (
     CorrelationOutOfRange,
     DegeneratePrevalence,
@@ -55,8 +57,6 @@ from .montecarlo import (
     normal_approx_critical_max,
     permutation_pvalue,
     pvalue_crosstab,
-    sample_mixture,
-    sample_table,
     simulate_cells,
 )
 from .population import (
@@ -76,25 +76,17 @@ from .robust import (
     RobustStatistic,
     check_extreme_pair_condition,
     estimate_correlations,
-    max2,
-    max3,
-    max_grid,
     maximin_member,
     mert_are,
     mert_certificate,
-    mert_pair,
-    mert_rec_add,
-    mert_statistic,
     recommend_robust_test,
 )
 from .scenarios import Scenario, load_scenarios, parse_scenarios, scenario_hash
 from .tables import (
-    AlleleTable,
     GenotypeTable,
     apply_continuity_correction,
     new_genotype_table,
     parse_table_record,
-    to_allele_table,
 )
 from .trend import TrendStatistic, optimal_score, trend_statistic
 

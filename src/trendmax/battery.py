@@ -1,4 +1,10 @@
-"""Statistic battery: named decision statistics evaluated jointly.
+"""Statistic registry and battery: named decision statistics evaluated jointly.
+
+:data:`STATISTICS` is the one description of every statistic: the trend
+scores it combines, its combiner, its asymptotic null law and the
+exception that means "undefined". The battery, the CLI and the scalar API
+(:func:`max3`, :func:`mert_statistic`, :func:`chisq_2df`, ...) all read
+it, so each statistic has exactly one numeric implementation.
 
 A battery is an ordered list of statistic identifiers, all evaluated on
 the same tables so that comparisons between tests are matched. For each
@@ -10,51 +16,85 @@ composite statistics, which reject for large values either way.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import reduce
+
 import numpy as np
 
-from .classical import allele_chisq_values, chi2df_values, hwd_values
-from .errors import InputError, UnknownStatistic
-from .robust import DEFAULT_GRID, batch_correlations, validate_grid
+from .classical import CompositeStatistic, allele_chisq_values, chi2df_values, hwd_values
+from .errors import InputError, MonomorphicSample, TrendmaxError, UnknownStatistic, ZeroMargin, ZeroVariance
+from .robust import DEFAULT_GRID, FAMILY_PAIRS, RobustStatistic, batch_correlations, validate_grid
+from .tables import GenotypeTable
 from .trend import trend_sums, trend_values
 
-# Trend-family statistics and the scores x of the Z_x they combine
-# (MAXGRID takes the grid). A MERT scales the sum of its pair by the
-# plug-in correlation at MERT_RHO's index in the batch_correlations
-# triple; the others take the maximum of their decision values.
-TREND_SCORES = {
-    "Z0": (0.0,),
-    "Z_HALF": (0.5,),
-    "Z1": (1.0,),
-    "MERT": (0.0, 1.0),
-    "MERT_REC_ADD": (0.0, 0.5),
-    "MAX2": (0.0, 1.0),
-    "MAX2_REC_ADD": (0.0, 0.5),
-    "MAX3": (0.0, 0.5, 1.0),
+NORMAL = "normal"
+
+
+class _Parts(dict):
+    """Shared components of one evaluation; ``parts[kernel]`` is kernel(cells), computed once."""
+
+    def __init__(self, cells: np.ndarray, z: dict[float, np.ndarray], two_sided: bool):
+        super().__init__()
+        self.cells, self.z, self.two_sided = cells, z, two_sided
+
+    def __missing__(self, kernel):
+        self[kernel] = value = kernel(self.cells)
+        return value
+
+    def decide(self, values: np.ndarray) -> np.ndarray:
+        return np.abs(values) if self.two_sided else values
+
+
+def max_decided(parts: _Parts, xs: tuple[float, ...]) -> np.ndarray:
+    """Maximum of the decision values of Z_x over the scores."""
+    return reduce(np.maximum, (parts.decide(parts.z[x]) for x in xs))
+
+
+def pair_mert(parts: _Parts, xs: tuple[float, ...]) -> np.ndarray:
+    """Extreme-pair MERT (Z_s + Z_t) / sqrt(2 (1 + rho_st)) at the plug-in rho_st."""
+    rho = parts[batch_correlations][FAMILY_PAIRS.index(xs)]
+    return parts.decide((parts.z[xs[0]] + parts.z[xs[1]]) / np.sqrt(2.0 * (1.0 + rho)))
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """How one statistic is built: ``combine(parts, scores)`` gives its decision values.
+
+    ``scores`` are the x of the Z_x it combines (None: the MAXGRID grid);
+    ``law`` is NORMAL, a chi-square df, or None (simulation or permutation
+    only); the scalar API raises ``undefined`` where the value is NaN.
+    """
+
+    combine: Callable[[_Parts, tuple[float, ...]], np.ndarray]
+    scores: tuple[float, ...] | None = ()
+    law: str | int | None = None
+    undefined: type[TrendmaxError] = ZeroVariance
+
+
+# Combiners look kernels up as module globals when called, so wrappers set on the module see every call.
+STATISTICS = {
+    "Z0": Statistic(max_decided, (0.0,), NORMAL),
+    "Z_HALF": Statistic(max_decided, (0.5,), NORMAL),
+    "Z1": Statistic(max_decided, (1.0,), NORMAL),
+    "MERT": Statistic(pair_mert, (0.0, 1.0), NORMAL),
+    "MERT_REC_ADD": Statistic(pair_mert, (0.0, 0.5), NORMAL),
+    "MAX2": Statistic(max_decided, (0.0, 1.0)),
+    "MAX2_REC_ADD": Statistic(max_decided, (0.0, 0.5)),
+    "MAX3": Statistic(max_decided, (0.0, 0.5, 1.0)),
+    "MAXGRID": Statistic(max_decided, None),
+    "CHI2_2DF": Statistic(lambda p, xs: p[chi2df_values], law=2, undefined=ZeroMargin),
+    "AA": Statistic(lambda p, xs: p[allele_chisq_values], law=1, undefined=ZeroMargin),
+    "HWD": Statistic(lambda p, xs: p[hwd_values], law=1, undefined=MonomorphicSample),
+    "T_P": Statistic(lambda p, xs: p[allele_chisq_values] * p[hwd_values], undefined=MonomorphicSample),
+    "T_MAX": Statistic(lambda p, xs: np.maximum(p[allele_chisq_values], p[hwd_values]),
+                       undefined=MonomorphicSample),
 }
-MERT_RHO = {"MERT": 1, "MERT_REC_ADD": 0}
 
-# The trend family is normal-type (signed values); the rest are chi-square-like.
-NORMAL_TYPE = frozenset({*TREND_SCORES, "MAXGRID"})
-
-ALL_STATISTICS = (
-    "Z0",
-    "Z_HALF",
-    "Z1",
-    "MERT",
-    "MERT_REC_ADD",
-    "MAX2",
-    "MAX2_REC_ADD",
-    "MAX3",
-    "MAXGRID",
-    "CHI2_2DF",
-    "AA",
-    "HWD",
-    "T_P",
-    "T_MAX",
-)
+ALL_STATISTICS = tuple(STATISTICS)
 
 # MAXGRID needs an explicit grid, so it stays opt-in.
-DEFAULT_BATTERY = tuple(name for name in ALL_STATISTICS if name != "MAXGRID")
+DEFAULT_BATTERY = tuple(name for name, spec in STATISTICS.items() if spec.scores is not None)
 
 
 def validate_battery(battery) -> tuple[str, ...]:
@@ -63,7 +103,7 @@ def validate_battery(battery) -> tuple[str, ...]:
         raise InputError("battery must contain at least one statistic")
     seen = set()
     for name in battery:
-        if name not in ALL_STATISTICS:
+        if name not in STATISTICS:
             raise UnknownStatistic(
                 f"unknown statistic {name!r}; known: {', '.join(ALL_STATISTICS)}"
             )
@@ -89,73 +129,100 @@ def evaluate_battery(
     composite parts. Undefined entries are NaN; with the +1/2 continuity
     correction applied they never occur.
     """
-    battery = validate_battery(battery)
-    if "MAXGRID" in battery:
-        grid = validate_grid(grid)
+    specs = {name: STATISTICS[name] for name in validate_battery(battery)}
+    scores = {name: validate_grid(grid) if spec.scores is None else spec.scores
+              for name, spec in specs.items()}
     cells = np.atleast_2d(np.asarray(cells, dtype=float))
-
-    def scores(name: str) -> tuple[float, ...]:
-        return grid if name == "MAXGRID" else TREND_SCORES.get(name, ())
 
     # One pass over the cells gives the sums behind every Z_x; they are
     # released before the classical kernels allocate their temporaries.
-    needed = dict.fromkeys(x for name in battery for x in scores(name))
+    needed = dict.fromkeys(x for xs in scores.values() for x in xs)
     z: dict[float, np.ndarray] = {}
     if needed:
         sums = trend_sums(cells)
         z = {x: trend_values(sums, x) for x in needed}
         del sums
 
-    rho: list[np.ndarray] | None = None
-
-    def correlations():
-        nonlocal rho
-        if rho is None:
-            rho = list(batch_correlations(cells))
-        return rho
-
-    def decide(values: np.ndarray) -> np.ndarray:
-        return np.abs(values) if two_sided else values
-
-    aa_vals = hwd_vals = None
-
-    def aa() -> np.ndarray:
-        nonlocal aa_vals
-        if aa_vals is None:
-            aa_vals = allele_chisq_values(cells)
-        return aa_vals
-
-    def hwd() -> np.ndarray:
-        nonlocal hwd_vals
-        if hwd_vals is None:
-            hwd_vals = hwd_values(cells[..., 0:3])
-        return hwd_vals
-
-    out: dict[str, np.ndarray] = {}
-    for name in battery:
-        xs = scores(name)
-        if name in MERT_RHO:
-            r = correlations()[MERT_RHO[name]]
-            out[name] = decide((z[xs[0]] + z[xs[1]]) / np.sqrt(2.0 * (1.0 + r)))
-        elif xs:
-            vals = decide(z[xs[0]])
-            for x in xs[1:]:
-                vals = np.maximum(vals, decide(z[x]))
-            out[name] = vals
-        elif name == "CHI2_2DF":
-            out[name] = chi2df_values(cells)
-        elif name == "AA":
-            out[name] = aa()
-        elif name == "HWD":
-            out[name] = hwd()
-        elif name == "T_P":
-            out[name] = aa() * hwd()
-        elif name == "T_MAX":
-            out[name] = np.maximum(aa(), hwd())
-    return out
+    parts = _Parts(cells, z, two_sided)
+    return {name: spec.combine(parts, scores[name]) for name, spec in specs.items()}
 
 
 def evaluate_single(table_cells, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> float:
     """Decision value of one statistic on one table (NaN if undefined)."""
     values = evaluate_battery(np.asarray(table_cells, dtype=float), (name,), two_sided, grid)
     return float(values[name][0])
+
+
+# The scalar API: one table through evaluate_battery; NaN raises the registry's exception.
+
+_Z_NAMES = {spec.scores[0]: name for name, spec in STATISTICS.items() if len(spec.scores or ()) == 1}
+_RHO_NAMES = ("rho_0_half", "rho_0_1", "rho_half_1")  # CorrelationTriple order
+
+
+def _defined(table: GenotypeTable, names, two_sided=True, grid=DEFAULT_GRID) -> list[float]:
+    """Values of ``names`` on one table; the first one's exception if it is undefined."""
+    values = [float(v[0]) for v in evaluate_battery(table.to_array(), names, two_sided, grid).values()]
+    if np.isnan(values[0]):
+        raise STATISTICS[names[0]].undefined(f"{names[0]} is undefined on {table}")
+    return values
+
+
+def _trend_family(table: GenotypeTable, name, two_sided, grid=DEFAULT_GRID, kind=None) -> RobustStatistic:
+    """A trend-family statistic with its signed Z_x components (and a MERT's rho)."""
+    value = _defined(table, (name,), two_sided, grid)[0]
+    spec, cells = STATISTICS[name], table.to_array()[None]
+    xs = validate_grid(grid) if spec.scores is None else spec.scores
+    sums = trend_sums(cells)
+    components = {_Z_NAMES.get(x, f"Z@{x:g}"): float(trend_values(sums, x)[0]) for x in xs}
+    if spec.combine is pair_mert:
+        i = FAMILY_PAIRS.index(xs)
+        components[_RHO_NAMES[i]] = float(batch_correlations(cells)[i][0])
+    return RobustStatistic(value, components, kind or name, two_sided)
+
+
+def mert_statistic(table: GenotypeTable) -> RobustStatistic:
+    """Signed MERT of the extreme pair (Z_0, Z_1), at the plug-in correlation from n_i / n."""
+    return _trend_family(table, "MERT", False)
+
+
+def mert_rec_add(table: GenotypeTable) -> RobustStatistic:
+    """Signed extreme-pair MERT for the restricted recessive-additive family."""
+    return _trend_family(table, "MERT_REC_ADD", False)
+
+
+def max2(table: GenotypeTable, two_sided: bool = True,
+         pair: tuple[float, float] = (0.0, 1.0)) -> RobustStatistic:
+    """Maximum over a pair of trend statistics: (Z_0, Z_1), or (0, 0.5) for rec-add."""
+    return _trend_family(table, "MAXGRID", two_sided, pair, "MAX2")
+
+
+def max3(table: GenotypeTable, two_sided: bool = True) -> RobustStatistic:
+    """Maximum over (Z_0, Z_1/2, Z_1)."""
+    return _trend_family(table, "MAX3", two_sided)
+
+
+def max_grid(table: GenotypeTable, grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
+    """Maximum of (|)Z_x(|) over a score grid, approximating the continuum maximum."""
+    return _trend_family(table, "MAXGRID", two_sided, grid)
+
+
+def chisq_2df(table: GenotypeTable) -> float:
+    """Pearson chi-square over the six genotype cells (2 df)."""
+    return _defined(table, ("CHI2_2DF",))[0]
+
+
+def chisq_allele(table: GenotypeTable) -> float:
+    """Allele-association chi-square on the collapsed allele table (1 df)."""
+    return _defined(table, ("AA",))[0]
+
+
+def product_test(table: GenotypeTable) -> CompositeStatistic:
+    """Product of the allele-association and HWD chi-squares."""
+    value, aa, hwd = _defined(table, ("T_P", "AA", "HWD"))
+    return CompositeStatistic(value, {"AA": aa, "HWD": hwd}, "PRODUCT")
+
+
+def tmax(table: GenotypeTable) -> CompositeStatistic:
+    """Maximum of the allele-association and HWD chi-squares."""
+    value, aa, hwd = _defined(table, ("T_MAX", "AA", "HWD"))
+    return CompositeStatistic(value, {"AA": aa, "HWD": hwd}, "TMAX")

@@ -1,13 +1,14 @@
-"""Model-free comparison statistics.
+"""Model-free comparison statistics, as batched kernels.
 
-  * chisq_2df    - Pearson chi-square on the 2x3 genotype table (2 df)
-  * chisq_allele - chi-square on the collapsed 2x2 allele table (1 df);
-                   valid on its own only when both samples are in HWE,
-                   but used here as a building block regardless
-  * chisq_hwd    - chi-square for Hardy-Weinberg disequilibrium in cases
-  * product_test / tmax - product and maximum of the two pieces above;
-                   these have no usable asymptotic null distribution, so
-                   significance comes from permutation or simulation
+  * chi2df_values       - Pearson chi-square on the 2x3 genotype table (2 df)
+  * allele_chisq_values - chi-square on the collapsed 2x2 allele table (1 df);
+                          valid on its own only when both samples are in HWE
+  * hwd_values          - chi-square for Hardy-Weinberg disequilibrium in cases
+
+Their product T_P and maximum T_MAX have no usable asymptotic null
+distribution, so significance comes from permutation or simulation. The
+registry in :mod:`trendmax.battery` builds the statistics and their
+scalar functions from these kernels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MonomorphicSample, ZeroMargin
-from .tables import GenotypeTable
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ def allele_chisq_values(cells: np.ndarray) -> np.ndarray:
 
 
 def hwd_values(case_cells: np.ndarray) -> np.ndarray:
-    """Vectorized HWD chi-square from case rows with shape (..., 3).
+    """Vectorized HWD chi-square from case rows (..., 3) or whole tables (..., 6).
 
     The allele frequency is estimated from the cases themselves; rows
     whose estimate hits 0 or 1 come back as NaN.
     """
-    rr = np.asarray(case_cells, dtype=float)
+    rr = np.asarray(case_cells, dtype=float)[..., 0:3]
     r = rr.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = (rr[..., 1] + 2 * rr[..., 2]) / (2 * r)
@@ -89,21 +89,6 @@ def hwd_values(case_cells: np.ndarray) -> np.ndarray:
         return np.where(ok, stat, np.nan)
 
 
-def chisq_2df(table: GenotypeTable) -> float:
-    """Pearson chi-square over the six genotype cells (2 df)."""
-    if table.r <= 0 or table.s <= 0 or min(table.n0, table.n1, table.n2) <= 0:
-        raise ZeroMargin("all row and column totals must be positive")
-    return float(chi2df_values(table.to_array()))
-
-
-def chisq_allele(table: GenotypeTable) -> float:
-    """Allele-association chi-square on the collapsed allele table (1 df)."""
-    value = float(allele_chisq_values(table.to_array()))
-    if np.isnan(value):
-        raise ZeroMargin("allele table has a zero margin")
-    return value
-
-
 def chisq_hwd(case_row) -> float:
     """Hardy-Weinberg disequilibrium chi-square computed in cases only."""
     rr = np.asarray(case_row, dtype=float)
@@ -117,17 +102,3 @@ def chisq_hwd(case_row) -> float:
             f"case row {tuple(rr)!r} is monomorphic: estimated allele frequency is 0 or 1"
         )
     return value
-
-
-def product_test(table: GenotypeTable) -> CompositeStatistic:
-    """Product of the allele-association and HWD chi-squares."""
-    aa = chisq_allele(table)
-    hwd = chisq_hwd(table.case_row)
-    return CompositeStatistic(value=aa * hwd, parts={"AA": aa, "HWD": hwd}, kind="PRODUCT")
-
-
-def tmax(table: GenotypeTable) -> CompositeStatistic:
-    """Maximum of the allele-association and HWD chi-squares."""
-    aa = chisq_allele(table)
-    hwd = chisq_hwd(table.case_row)
-    return CompositeStatistic(value=max(aa, hwd), parts={"AA": aa, "HWD": hwd}, kind="TMAX")

@@ -33,8 +33,10 @@ from .battery import (
     ALL_STATISTICS,
     DEFAULT_BATTERY,
     DEFAULT_GRID,
-    NORMAL_TYPE,
+    NORMAL,
+    STATISTICS,
     evaluate_battery,
+    max_decided,
     validate_battery,
 )
 from .errors import InputError, TrendmaxError
@@ -47,7 +49,7 @@ from .montecarlo import (
     permutation_pvalue,
     pvalue_crosstab,
 )
-from .robust import estimate_correlations, mert_certificate, recommend_robust_test, validate_grid
+from .robust import FAMILY, estimate_correlations, mert_certificate, recommend_robust_test, validate_grid
 from .scenarios import load_scenarios, scenario_hash
 from .tables import apply_continuity_correction, parse_table_record
 
@@ -159,15 +161,12 @@ def _provenance(args, scenarios, **extra) -> dict:
 
 def _asymptotic_pvalue(name: str, value: float, two_sided: bool) -> float | None:
     """Normal/chi-square tail p-values; None where no asymptotic law exists."""
-    if name in ("Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD"):
-        if two_sided:
-            return 2.0 * float(ndtr(-abs(value)))
-        return float(ndtr(-value))
-    if name == "CHI2_2DF":
-        return float(chdtrc(2, value))
-    if name in ("AA", "HWD"):
-        return float(chdtrc(1, value))
-    return None  # MAX statistics and composites: simulation/permutation only
+    law = STATISTICS[name].law
+    if law is None:  # simulation or permutation only
+        return None
+    if law == NORMAL:
+        return 2.0 * float(ndtr(-abs(value))) if two_sided else float(ndtr(-value))
+    return float(chdtrc(law, value))
 
 
 def cmd_analyze(args) -> int:
@@ -257,6 +256,8 @@ def cmd_analyze(args) -> int:
                                 "p_asymptotic": None, "p_permutation": None, "error": None})
         except TrendmaxError as exc:
             rows.append([label, "correlations", "", "", "", str(exc)])
+            results.append({"record": label, "statistic": "correlations", "value": None,
+                            "p_asymptotic": None, "p_permutation": None, "error": str(exc)})
 
     header = {"version": __version__, "command": "analyze",
               "sidedness": args.sidedness, "correction": args.correction,
@@ -300,7 +301,7 @@ def cmd_criticals(args) -> int:
 
 
 def _normal_approx_thresholds(null, battery, args) -> dict[str, float]:
-    """Thresholds for normal-type statistics from the analytic correlations."""
+    """Thresholds of the maxima of trend statistics from the analytic correlations."""
     strata = null.strata()
     total = sum(nc + ns for _, _, nc, ns in strata)
     pooled = np.zeros(3)
@@ -310,15 +311,12 @@ def _normal_approx_thresholds(null, battery, args) -> dict[str, float]:
     triple = estimate_correlations(tuple(pooled))
     rho = triple.as_matrix()
     out: dict[str, float] = {}
-    pair_index = {"Z0": [0], "Z_HALF": [1], "Z1": [2],
-                  "MAX2": [0, 2], "MAX2_REC_ADD": [0, 1], "MAX3": [0, 1, 2]}
     for name in battery:
-        if name not in NORMAL_TYPE or name in ("MERT", "MERT_REC_ADD", "MAXGRID"):
-            continue
-        idx = pair_index[name]
-        sub = rho[np.ix_(idx, idx)]
-        out[name] = normal_approx_critical_max(sub, args.alpha, args.b_null,
-                                               two_sided=null.two_sided, seed=args.seed)
+        xs = STATISTICS[name].scores
+        if STATISTICS[name].combine is max_decided and xs:
+            idx = [FAMILY.index(x) for x in xs]
+            out[name] = normal_approx_critical_max(rho[np.ix_(idx, idx)], args.alpha, args.b_null,
+                                                   two_sided=null.two_sided, seed=args.seed)
     return out
 
 

@@ -55,7 +55,6 @@ from .errors import (
     NotPSD,
     ScenarioError,
 )
-from .population import CaseControlProbs, MixturePopulation, PenetranceModel
 from .robust import batch_correlations
 from .scenarios import Scenario
 from .tables import GenotypeTable
@@ -137,43 +136,6 @@ class PValueCrossTab:
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
-
-def sample_table(
-    probs: CaseControlProbs,
-    n_cases: int,
-    n_controls: int,
-    rng: np.random.Generator,
-    correction: bool = False,
-) -> GenotypeTable:
-    """One table: case row ~ mul(r; p), control row ~ mul(s; q), independent."""
-    if n_cases <= 0 or n_controls <= 0:
-        raise InputError("sample sizes must be positive")
-    r_row = rng.multinomial(n_cases, probs.case_probs)
-    s_row = rng.multinomial(n_controls, probs.control_probs)
-    cells = [float(c) for c in (*r_row, *s_row)]
-    if correction:
-        cells = [c + 0.5 for c in cells]
-    return GenotypeTable(*cells)
-
-
-def sample_mixture(
-    population: MixturePopulation,
-    penetrances: PenetranceModel | None,
-    rng: np.random.Generator,
-    correction: bool = False,
-) -> GenotypeTable:
-    """One stratified table: independent stratum tables added cellwise."""
-    scenario = Scenario(
-        population=population,
-        penetrances=penetrances,
-        n_cases=population.n_cases,
-        n_controls=population.n_controls,
-        correction=correction,
-    )
-    out = np.zeros((6, 1))
-    _sample_chunk(scenario.strata(), rng, out)
-    return GenotypeTable(*(out[:, 0] + (0.5 if correction else 0.0)))
-
 
 def _sample_chunk(strata, rng: np.random.Generator, out: np.ndarray) -> None:
     """Add one chunk's draws into ``out`` of shape (6, count); fixed draw order per stratum."""

@@ -23,8 +23,6 @@ from .errors import (
     OrderViolation,
 )
 
-MODEL_KINDS = ("recessive", "additive", "dominant", "custom")
-
 _KIND_ALIASES = {
     "rec": "recessive",
     "add": "additive",

@@ -1,22 +1,20 @@
-"""Efficiency-robust combinations of trend statistics.
+"""Correlation structure of the trend family and the MERT/MAX advisory.
 
 Given the optimal trend tests Z_0, Z_1/2, Z_1 for the recessive, additive
 and dominant models, this module provides
 
   * closed-form null correlations between pairs of trend statistics,
     evaluated at (estimated) genotype proportions,
-  * the maximin efficiency robust test (MERT) for an extreme pair,
-    (Z_s + Z_t) / sqrt(2 (1 + rho_st)), plus the necessary-and-sufficient
-    certificate rho_si + rho_it >= 1 + rho_st that the pair MERT is the
+  * the necessary-and-sufficient certificate rho_si + rho_it >= 1 + rho_st
+    that the extreme-pair MERT (Z_s + Z_t) / sqrt(2 (1 + rho_st)) is the
     MERT of the whole family,
-  * maximum statistics MAX2 / MAX3 and a grid approximation to the
-    maximum over the continuous score family,
   * helpers for maximin selection inside a family and for choosing
     between MERT and MAX from the minimum correlation.
 
-For jointly normal statistics the Pitman efficiency of Z_j relative to
-Z_i equals rho_ij^2, which is what makes the null correlation matrix the
-whole story.
+The MERT and MAX statistics themselves are registry entries in
+:mod:`trendmax.battery`. For jointly normal statistics the Pitman
+efficiency of Z_j relative to Z_i equals rho_ij^2, which is what makes
+the null correlation matrix the whole story.
 """
 
 from __future__ import annotations
@@ -34,6 +32,11 @@ from .errors import (
 from .tables import GenotypeTable
 
 DEFAULT_GRID = tuple(i / 10 for i in range(11))
+
+# Scores of (Z_0, Z_1/2, Z_1), and the score pairs in the order of the
+# correlation triple (rho_0_half, rho_0_1, rho_half_1).
+FAMILY = (0.0, 0.5, 1.0)
+FAMILY_PAIRS = ((0.0, 0.5), (0.0, 1.0), (0.5, 1.0))
 
 # Advisory thresholds on the minimum null correlation of the family.
 MERT_PREFERRED_ABOVE = 0.75
@@ -73,7 +76,9 @@ def correlation_values(props: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     """Vectorized closed-form correlations at proportions with shape (..., 3).
 
     Returns (rho_0_half, rho_0_1, rho_half_1). Entries whose denominators
-    are not positive (a boundary proportion) come back as NaN.
+    are not positive (a boundary proportion) come back as NaN. Values are
+    clamped at 1: with no heterozygotes (p1 = 0) all three equal 1
+    exactly, but rounding can give 1 + 4e-16.
     """
     props = np.asarray(props, dtype=float)
     p0, p1, p2 = props[..., 0], props[..., 1], props[..., 2]
@@ -87,11 +92,8 @@ def correlation_values(props: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         rho_half_1 = p2 * (p1 + 2 * p0) / (d2 * dm)
         ok = (p0 > 0) & (p0 < 1) & (p2 > 0) & (p2 < 1) & (mid_var > 0)
         nan = np.full_like(rho_0_1, np.nan)
-        return (
-            np.where(ok, rho_0_half, nan),
-            np.where(ok, rho_0_1, nan),
-            np.where(ok, rho_half_1, nan),
-        )
+        return tuple(np.where(ok, np.minimum(rho, 1.0), nan)
+                     for rho in (rho_0_half, rho_0_1, rho_half_1))
 
 
 def estimate_correlations(props) -> CorrelationTriple:
@@ -112,13 +114,6 @@ def estimate_correlations(props) -> CorrelationTriple:
             f"proportions {tuple(props)!r} give a zero-variance component"
         )
     return CorrelationTriple(float(r0h), float(r01), float(rh1))
-
-
-def mert_pair(zs: float, zt: float, rho_st: float) -> float:
-    """Extreme-pair MERT value (zs + zt) / sqrt(2 (1 + rho_st))."""
-    if not -1.0 < rho_st <= 1.0:
-        raise CorrelationOutOfRange(f"pair correlation {rho_st!r} not in (-1, 1]")
-    return (zs + zt) / np.sqrt(2.0 * (1.0 + rho_st))
 
 
 def mert_are(rho_st: float) -> float:
@@ -152,42 +147,6 @@ def check_extreme_pair_condition(rho: np.ndarray, s: int, t: int, tol: float = 1
     return bool(np.all(lhs >= 1.0 + rho[s, t] - tol))
 
 
-def _component_z(table: GenotypeTable, x: float) -> float:
-    from .trend import trend_statistic
-
-    return trend_statistic(table, x).value
-
-
-def mert_statistic(table: GenotypeTable) -> RobustStatistic:
-    """MERT for the full recessive-to-dominant family: extreme pair (Z_0, Z_1).
-
-    The pair correlation is estimated by plugging the pooled proportions
-    n_i / n into the closed form.
-    """
-    z0 = _component_z(table, 0.0)
-    z1 = _component_z(table, 1.0)
-    triple = estimate_correlations(table.pooled_proportions())
-    value = mert_pair(z0, z1, triple.rho_0_1)
-    return RobustStatistic(
-        value=float(value),
-        components={"Z0": z0, "Z1": z1, "rho_0_1": triple.rho_0_1},
-        kind="MERT",
-    )
-
-
-def mert_rec_add(table: GenotypeTable) -> RobustStatistic:
-    """Extreme-pair MERT for the restricted recessive-additive family."""
-    z0 = _component_z(table, 0.0)
-    zh = _component_z(table, 0.5)
-    triple = estimate_correlations(table.pooled_proportions())
-    value = mert_pair(z0, zh, triple.rho_0_half)
-    return RobustStatistic(
-        value=float(value),
-        components={"Z0": z0, "Z_HALF": zh, "rho_0_half": triple.rho_0_half},
-        kind="MERT_REC_ADD",
-    )
-
-
 def mert_certificate(table: GenotypeTable) -> bool:
     """Certificate that the (Z_0, Z_1) pair MERT is the family MERT.
 
@@ -196,46 +155,6 @@ def mert_certificate(table: GenotypeTable) -> bool:
     """
     triple = estimate_correlations(table.pooled_proportions())
     return check_extreme_pair_condition(triple.as_matrix(), 0, 2)
-
-
-def _max_of(table: GenotypeTable, xs, two_sided: bool, kind: str) -> RobustStatistic:
-    zs = {x: _component_z(table, x) for x in xs}
-    decided = {x: abs(z) if two_sided else z for x, z in zs.items()}
-    value = max(decided.values())
-    names = {0.0: "Z0", 0.5: "Z_HALF", 1.0: "Z1"}
-    components = {names.get(x, f"Z@{x:g}"): z for x, z in zs.items()}
-    return RobustStatistic(value=float(value), components=components, kind=kind, two_sided=two_sided)
-
-
-def max2(table: GenotypeTable, two_sided: bool = True, pair: tuple[float, float] = (0.0, 1.0)) -> RobustStatistic:
-    """Maximum of the two extreme trend statistics.
-
-    The default pair (0, 1) covers the full recessive-to-dominant family;
-    pass (0, 0.5) for the recessive-additive subfamily.
-    """
-    return _max_of(table, pair, two_sided, "MAX2")
-
-
-def max3(table: GenotypeTable, two_sided: bool = True, middle: str = "additive") -> RobustStatistic:
-    """Maximum over (Z_0, Z_u, Z_1).
-
-    ``middle`` selects Z_u: "additive" uses Z_1/2 (the usual genetics
-    choice); "mert" uses the extreme-pair MERT instead.
-    """
-    if middle == "additive":
-        return _max_of(table, (0.0, 0.5, 1.0), two_sided, "MAX3")
-    if middle == "mert":
-        z0 = _component_z(table, 0.0)
-        z1 = _component_z(table, 1.0)
-        zu = mert_statistic(table).value
-        vals = [abs(v) if two_sided else v for v in (z0, zu, z1)]
-        return RobustStatistic(
-            value=float(max(vals)),
-            components={"Z0": z0, "MERT": zu, "Z1": z1},
-            kind="MAX3",
-            two_sided=two_sided,
-        )
-    raise InputError(f"unknown middle statistic {middle!r} (use 'additive' or 'mert')")
 
 
 def validate_grid(grid) -> tuple[float, ...]:
@@ -247,11 +166,6 @@ def validate_grid(grid) -> tuple[float, ...]:
     if bad:
         raise InputError(f"grid scores must lie in [0, 1], got {bad[0]!r}")
     return grid
-
-
-def max_grid(table: GenotypeTable, grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
-    """Maximum of (|)Z_x(|) over a score grid, approximating the continuum maximum."""
-    return _max_of(table, validate_grid(grid), two_sided, "MAXGRID")
 
 
 def maximin_member(rho: np.ndarray) -> tuple[int, float]:

@@ -57,10 +57,6 @@ class GenotypeTable:
     def case_row(self) -> tuple[float, float, float]:
         return (self.r0, self.r1, self.r2)
 
-    @property
-    def control_row(self) -> tuple[float, float, float]:
-        return (self.s0, self.s1, self.s2)
-
     def cells(self) -> tuple[float, ...]:
         return (self.r0, self.r1, self.r2, self.s0, self.s1, self.s2)
 
@@ -77,39 +73,6 @@ class GenotypeTable:
         return (self.n0 / n, self.n1 / n, self.n2 / n)
 
 
-@dataclass(frozen=True)
-class AlleleTable:
-    """2x2 allele counts obtained by collapsing a genotype table.
-
-    Each genotype contributes two alleles, so the grand total is 2n.
-    """
-
-    case_n: float
-    case_m: float
-    ctrl_n: float
-    ctrl_m: float
-
-    @property
-    def case_total(self) -> float:
-        return self.case_n + self.case_m
-
-    @property
-    def ctrl_total(self) -> float:
-        return self.ctrl_n + self.ctrl_m
-
-    @property
-    def n_total(self) -> float:
-        return self.case_n + self.ctrl_n
-
-    @property
-    def m_total(self) -> float:
-        return self.case_m + self.ctrl_m
-
-    @property
-    def grand_total(self) -> float:
-        return self.case_total + self.ctrl_total
-
-
 def new_genotype_table(r0, r1, r2, s0, s1, s2) -> GenotypeTable:
     """Build a validated genotype table from six nonnegative counts."""
     cells = (r0, r1, r2, s0, s1, s2)
@@ -124,16 +87,6 @@ def new_genotype_table(r0, r1, r2, s0, s1, s2) -> GenotypeTable:
     if s0 + s1 + s2 <= 0:
         raise EmptyRow("control row is entirely zero")
     return GenotypeTable(*(float(c) for c in cells))
-
-
-def to_allele_table(table: GenotypeTable) -> AlleleTable:
-    """Collapse genotype counts to allele counts (two alleles per individual)."""
-    return AlleleTable(
-        case_n=2 * table.r0 + table.r1,
-        case_m=table.r1 + 2 * table.r2,
-        ctrl_n=2 * table.s0 + table.s1,
-        ctrl_m=table.s1 + 2 * table.s2,
-    )
 
 
 def apply_continuity_correction(table: GenotypeTable, delta: float = 0.5) -> GenotypeTable:

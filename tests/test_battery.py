@@ -3,8 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendmax import InputError
-from trendmax.battery import ALL_STATISTICS, evaluate_battery
+import trendmax.battery
+from trendmax import (
+    GenotypeTable,
+    InputError,
+    MonomorphicSample,
+    ZeroMargin,
+    ZeroVariance,
+    chisq_2df,
+    max3,
+    mert_rec_add,
+    tmax,
+)
+from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS, evaluate_battery
 
 from conftest import random_tables
 
@@ -73,3 +84,37 @@ def test_battery_is_bit_identical_across_memory_layouts(rows, corrected, two_sid
 def test_grid_scores_outside_unit_interval_rejected(grid):
     with pytest.raises(InputError, match="grid scores"):
         evaluate_battery(random_tables(5, seed=204), ("MAXGRID",), grid=grid)
+
+
+def test_default_battery_is_every_statistic_but_the_grid_maximum():
+    assert ALL_STATISTICS == tuple(STATISTICS)
+    assert set(ALL_STATISTICS) - set(DEFAULT_BATTERY) == {"MAXGRID"}
+    assert DEFAULT_BATTERY == tuple(name for name in ALL_STATISTICS if name != "MAXGRID")
+
+
+def test_shared_kernels_run_once_and_are_looked_up_on_the_module(monkeypatch):
+    # a wrapper installed on the module must see every call (the benchmark
+    # tracer relies on it), and statistics sharing a kernel share one call
+    calls = []
+
+    def counting(name, kernel):
+        def wrapper(cells):
+            calls.append(name)
+            return kernel(cells)
+        return wrapper
+
+    for name in ("allele_chisq_values", "hwd_values", "batch_correlations", "chi2df_values"):
+        monkeypatch.setattr(trendmax.battery, name, counting(name, getattr(trendmax.battery, name)))
+    evaluate_battery(random_tables(20, seed=205), ALL_STATISTICS, grid=GRID)
+    assert sorted(calls) == ["allele_chisq_values", "batch_correlations", "chi2df_values", "hwd_values"]
+
+
+@pytest.mark.parametrize("fn, table, error", [
+    (max3, GenotypeTable(3, 4, 5, 0, 0, 0), ZeroVariance),
+    (mert_rec_add, GenotypeTable(0, 4, 5, 0, 3, 2), ZeroVariance),
+    (chisq_2df, GenotypeTable(1, 2, 0, 3, 4, 0), ZeroMargin),
+    (tmax, GenotypeTable(0, 0, 9, 3, 4, 5), MonomorphicSample),
+])
+def test_scalar_api_raises_the_registry_exception_where_undefined(fn, table, error):
+    with pytest.raises(error, match="is undefined on"):
+        fn(table)

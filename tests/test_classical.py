@@ -7,14 +7,20 @@ from trendmax import (
     GenotypeTable,
     MonomorphicSample,
     ZeroMargin,
+    ZeroVariance,
     chisq_2df,
     chisq_allele,
     chisq_hwd,
+    max2,
+    max3,
+    max_grid,
+    mert_rec_add,
+    mert_statistic,
     product_test,
     tmax,
-    to_allele_table,
+    trend_statistic,
 )
-from trendmax.battery import evaluate_battery
+from trendmax.battery import ALL_STATISTICS, evaluate_battery
 from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
 
 from conftest import assert_bit_identical, random_tables
@@ -22,8 +28,9 @@ from conftest import assert_bit_identical, random_tables
 
 def pearson_2x2_oracle(table: GenotypeTable) -> float:
     """Brute-force Pearson chi-square on the collapsed allele table."""
-    a = to_allele_table(table)
-    obs = np.array([[a.case_n, a.case_m], [a.ctrl_n, a.ctrl_m]])
+    # two alleles per individual: NN gives two N, NM one of each, MM two M
+    obs = np.array([[2 * table.r0 + table.r1, table.r1 + 2 * table.r2],
+                    [2 * table.s0 + table.s1, table.s1 + 2 * table.s2]])
     rows = obs.sum(axis=1, keepdims=True)
     cols = obs.sum(axis=0, keepdims=True)
     exp = rows * cols / obs.sum()
@@ -62,6 +69,12 @@ def test_chi2df_values_bit_identical_to_broadcast_formula(rows):
     for i, row in enumerate(cells):
         assert_bit_identical(chi2df_values(row[None, :]), want[i:i + 1])
         assert_bit_identical(chi2df_values(row), broadcast_chi2df_reference(row))
+
+
+def test_hwd_values_reads_the_case_columns_of_whole_tables():
+    cells = random_tables(500, seed=303, max_count=5, corrected=False)
+    assert_bit_identical(hwd_values(cells), hwd_values(cells[:, :3]))
+    assert_bit_identical(hwd_values(np.asfortranarray(cells)), hwd_values(cells[:, :3]))
 
 
 def test_chisq_2df_worked_example(worked_table):
@@ -132,28 +145,63 @@ def test_chisq_hwd_zero_iff_hwe_identity():
 
 
 def scalar_or_nan(fn, *args) -> float:
+    """The scalar value (``.value`` of a result object), or NaN where fn raises that it is undefined."""
     try:
-        return fn(*args)
-    except (ZeroMargin, MonomorphicSample):
+        value = fn(*args)
+    except (ZeroVariance, ZeroMargin, MonomorphicSample):
         return np.nan
+    return getattr(value, "value", value)
+
+
+GRID = (0.0, 0.2, 0.5, 0.7, 1.0)
+
+# Scalar functions keyed by the battery statistic each must reproduce,
+# per sidedness. The MERTs and Z_x are signed, so they match the one-sided
+# battery; the chi-squares and composites have no sidedness.
+SCALAR_WRAPPERS = {
+    True: {
+        "MAX2": lambda t: max2(t, True),
+        "MAX2_REC_ADD": lambda t: max2(t, True, pair=(0.0, 0.5)),
+        "MAX3": lambda t: max3(t, True),
+        "MAXGRID": lambda t: max_grid(t, GRID, True),
+    },
+    False: {
+        "MAX2": lambda t: max2(t, False),
+        "MAX2_REC_ADD": lambda t: max2(t, False, pair=(0.0, 0.5)),
+        "MAX3": lambda t: max3(t, False),
+        "MAXGRID": lambda t: max_grid(t, GRID, False),
+        "MERT": mert_statistic,
+        "MERT_REC_ADD": mert_rec_add,
+        "Z0": lambda t: trend_statistic(t, 0.0),
+        "Z_HALF": lambda t: trend_statistic(t, 0.5),
+        "Z1": lambda t: trend_statistic(t, 1.0),
+        "CHI2_2DF": chisq_2df,
+        "AA": chisq_allele,
+        "HWD": lambda t: chisq_hwd(t.case_row),
+        "T_P": product_test,
+        "T_MAX": tmax,
+    },
+}
 
 
 def test_scalar_composites_bit_identical_to_batch():
-    # small counts give zero cells and monomorphic case rows; half of the
+    # small counts give zero cells, monomorphic case rows and tables with no
+    # heterozygotes, where the plug-in correlations are 1; half of the
     # tables are shifted by the +1/2 correction
     rng = np.random.default_rng(0)
     cells = rng.integers(0, 40, size=(10_000, 6)).astype(float)
     cells[rng.random(10_000) < 0.5] += 0.5
     cells[rng.random((10_000, 6)) < 0.05] = 0.0
-    hwd = hwd_values(cells[:, :3])
-    batch = evaluate_battery(cells, ("HWD", "T_P", "T_MAX"))
-    assert_bit_identical(batch["HWD"], hwd)
-    assert np.isnan(hwd).any() and not np.isnan(hwd).all()
-    for i, row in enumerate(cells):
-        t = GenotypeTable(*row)
-        assert_bit_identical(scalar_or_nan(chisq_hwd, row[:3]), hwd[i])
-        assert_bit_identical(scalar_or_nan(lambda: product_test(t).value), batch["T_P"][i])
-        assert_bit_identical(scalar_or_nan(lambda: tmax(t).value), batch["T_MAX"][i])
+    assert np.count_nonzero(cells[:, 1] + cells[:, 4] == 0) > 10
+    assert_bit_identical(evaluate_battery(cells, ("HWD",))["HWD"], hwd_values(cells[:, :3]))
+    tables = [GenotypeTable(*row) for row in cells]
+    for two_sided, wrappers in SCALAR_WRAPPERS.items():
+        batch = evaluate_battery(cells, ALL_STATISTICS, two_sided, GRID)
+        for name, fn in wrappers.items():
+            assert np.isnan(batch[name]).any() and not np.isnan(batch[name]).all(), name
+            scalar = np.array([scalar_or_nan(fn, t) for t in tables])
+            assert np.array_equal(scalar, batch[name], equal_nan=True), f"{name}, two_sided={two_sided}"
+            assert_bit_identical(scalar, batch[name])
 
 
 def test_composites_worked_example(worked_table):

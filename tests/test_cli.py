@@ -17,7 +17,9 @@ and review the diff before committing it.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -219,6 +221,37 @@ def test_analyze_evaluates_the_observed_battery_once_per_table(monkeypatch):
     # one observed (one-row) call and at most one permuted batch per table
     assert calls.count(1) == n_tables
     assert len(calls) <= 2 * n_tables
+
+
+def test_analyze_reports_correlations_on_a_table_without_heterozygotes():
+    # n1 = 0: the plug-in correlations are exactly 1 and must not be rejected
+    # as out of range by rounding (1 + 4e-16)
+    code, out, err = run_cli(["analyze", "--table", "17 0 22 0 0 9"])
+    assert code == 1, err  # CHI2_2DF is undefined on the only table
+    rows = {row.split(",")[1]: row for row in out.splitlines() if row.startswith("arg0,")}
+    assert "correlations" not in rows
+    for name in ("rho_0_half", "rho_0_1", "rho_half_1"):
+        assert rows[name] == f"arg0,{name},1,,,"
+    assert rows["mert_certificate"] == "arg0,mert_certificate,true,,,"
+    assert rows["advisory"].startswith("arg0,advisory,MERT:")
+    assert rows["MERT"].startswith("arg0,MERT,2.46464,")
+
+
+def test_analyze_json_reports_the_correlations_error_that_csv_prints():
+    argv = ["analyze", "--table", "10 20 0 20 10 0"]
+    _, csv_out, _ = run_cli(argv)
+    _, json_out, _ = run_cli(argv + ["--format", "json"])
+    csv_errors = [row for row in out_rows(csv_out) if row[1] == "correlations"]
+    json_errors = [r for r in json.loads(json_out)["results"] if r["statistic"] == "correlations"]
+    assert len(csv_errors) == 1 and "zero-variance" in csv_errors[0][5]
+    assert json_errors == [{"record": "arg0", "statistic": "correlations", "value": None,
+                            "p_asymptotic": None, "p_permutation": None,
+                            "error": csv_errors[0][5]}]
+
+
+def out_rows(text: str) -> list[list[str]]:
+    """CSV rows of a CLI output, without the provenance header and the column row."""
+    return list(csv.reader([line for line in text.splitlines() if not line.startswith("#")][1:]))
 
 
 def regenerate() -> None:

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,8 +33,6 @@ from trendmax import (
     penetrances_for_model,
     permutation_pvalue,
     pvalue_crosstab,
-    sample_mixture,
-    sample_table,
     simulate_cells,
 )
 from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, evaluate_battery, evaluate_single
@@ -66,50 +65,50 @@ def alt_scenario(p=0.3, f2=0.02, kind="add", r=250, s=250) -> Scenario:
 # samplers
 # ---------------------------------------------------------------------------
 
+def fixed_strata(case_probs, ctrl_probs, n_cases, n_controls) -> SimpleNamespace:
+    """A one-stratum scenario stand-in with given probabilities and no correction.
+
+    Scenarios only admit allele frequencies and penetrances strictly inside
+    (0, 1); the sampler itself reads just ``strata()`` and ``correction``.
+    """
+    return SimpleNamespace(strata=lambda: [(case_probs, ctrl_probs, n_cases, n_controls)],
+                           correction=False)
+
+
 def test_sample_table_degenerate_probs():
-    probs = CaseControlProbs(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, prevalence=0.1)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        t = sample_table(probs, 50, 30, rng)
-        assert t.case_row == (50, 0, 0)
-        assert t.control_row == (30, 0, 0)
+    cells = simulate_cells(fixed_strata((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 50, 30), 20, seed=0)
+    assert np.array_equal(cells, np.tile([50.0, 0, 0, 30, 0, 0], (20, 1)))
 
 
 def test_sample_table_row_sums():
-    probs = CaseControlProbs(0.2, 0.5, 0.3, 0.4, 0.4, 0.2, prevalence=0.1)
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        t = sample_table(probs, 37, 91, rng)
-        assert t.r == 37 and t.s == 91
+    sc = fixed_strata((0.2, 0.5, 0.3), (0.4, 0.4, 0.2), 37, 91)
+    cells = simulate_cells(sc, 50, seed=1)
+    assert np.all(cells[:, 0:3].sum(axis=1) == 37)
+    assert np.all(cells[:, 3:6].sum(axis=1) == 91)
 
 
 def test_sample_table_frequencies_match_probs():
     probs = CaseControlProbs(0.2, 0.5, 0.3, 0.4, 0.4, 0.2, prevalence=0.1)
-    rng = np.random.default_rng(2)
     b = 100_000
-    rows = np.array([sample_table(probs, 1, 1, rng).case_row for _ in range(b)])
-    freq = rows.mean(axis=0)
-    for f, p in zip(freq, probs.case_probs):
-        assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / b)
+    cells = simulate_cells(fixed_strata(probs.case_probs, probs.control_probs, 1, 1), b, seed=2)
+    for freq, p in zip(cells.mean(axis=0), (*probs.case_probs, *probs.control_probs)):
+        assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / b)
 
 
 def test_sample_mixture_degenerate_equals_single():
     pop = MixturePopulation(0.3, 0.3, 100, 50, 120, 80)
-    rng = np.random.default_rng(3)
-    t = sample_mixture(pop, None, rng)
-    assert t.r == 150 and t.s == 200
+    sc = Scenario(population=pop, penetrances=None, n_cases=150, n_controls=200, correction=False)
+    cells = simulate_cells(sc, 100, seed=3)
+    assert np.all(cells[:, 0:3].sum(axis=1) == 150)
+    assert np.all(cells[:, 3:6].sum(axis=1) == 200)
 
 
 def test_sample_mixture_null_rows_same_distribution():
     pop = MixturePopulation(0.1, 0.5, 100, 100, 100, 100)
-    rng = np.random.default_rng(4)
-    case_means = np.zeros(3)
-    ctrl_means = np.zeros(3)
+    sc = Scenario(population=pop, penetrances=None, n_cases=200, n_controls=200, correction=False)
     b = 3000
-    for _ in range(b):
-        t = sample_mixture(pop, None, rng)
-        case_means += np.array(t.case_row) / b
-        ctrl_means += np.array(t.control_row) / b
+    cells = simulate_cells(sc, b, seed=4)
+    case_means, ctrl_means = cells[:, 0:3].mean(axis=0), cells[:, 3:6].mean(axis=0)
     assert np.allclose(case_means, ctrl_means, atol=4 * math.sqrt(200 * 0.25 / b) + 0.5)
 
 

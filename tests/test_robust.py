@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendmax import (
-    CorrelationOutOfRange,
     DegenerateProportions,
     GenotypeTable,
+    ZeroVariance,
     NotExtremePair,
     check_extreme_pair_condition,
     estimate_correlations,
@@ -16,11 +16,12 @@ from trendmax import (
     maximin_member,
     mert_are,
     mert_certificate,
-    mert_pair,
     mert_rec_add,
     mert_statistic,
     recommend_robust_test,
 )
+
+from trendmax.robust import correlation_values
 
 from conftest import random_interior_simplex, random_tables
 
@@ -57,6 +58,17 @@ def test_correlations_reject_boundary():
         estimate_correlations((0.5, 0.2, 0.2))  # not a distribution
 
 
+def test_correlations_without_heterozygotes_do_not_exceed_one():
+    # p1 = 0: all three closed forms equal 1, and rounding must not push them above it
+    p0 = np.linspace(0.01, 0.99, 981)
+    props = np.stack([p0, np.zeros_like(p0), 1 - p0], axis=1)
+    for rho in correlation_values(props):
+        assert np.all(rho <= 1.0)
+        np.testing.assert_allclose(rho, 1.0, rtol=0, atol=1e-12)
+    rho = correlation_values(random_interior_simplex(2000, seed=205))
+    assert all(np.all((r > 0) & (r <= 1)) for r in rho)
+
+
 def test_extreme_pair_is_minimum_on_interior():
     props = random_interior_simplex(2000, seed=200)
     for p in props[:500]:
@@ -72,12 +84,21 @@ def test_certificate_on_interior_proportions():
         assert check_extreme_pair_condition(c.as_matrix(), 0, 2)
 
 
-def test_mert_pair_values():
-    assert mert_pair(2.0, 2.0, 1.0) == pytest.approx(2.0)
-    assert mert_pair(3.8730, 3.8730, 0.5) == pytest.approx(4.4721, abs=1e-4)
-    assert mert_pair(1.7, -1.7, 0.3) == pytest.approx(0.0)
-    with pytest.raises(CorrelationOutOfRange):
-        mert_pair(1.0, 1.0, -1.0)
+def test_mert_pair_values(worked_table):
+    # (Z_0 + Z_1) / sqrt(2 (1 + rho_0_1)) with Z_0 = Z_1 = 3.8730 and rho_0_1 = 0.5
+    assert mert_statistic(worked_table).value == pytest.approx(4.4721, abs=1e-4)
+    # no heterozygotes: Z_0 = Z_1 and rho_0_1 = 1, so the MERT equals Z_0
+    m = mert_statistic(GenotypeTable(17, 0, 22, 0, 0, 9))
+    assert m.components["rho_0_1"] == 1.0
+    assert m.value == m.components["Z0"] == m.components["Z1"]
+    for row in random_tables(200, seed=204, max_count=8, corrected=False):
+        try:
+            m = mert_statistic(GenotypeTable(*row))
+        except ZeroVariance:
+            continue
+        z0, z1, rho = m.components["Z0"], m.components["Z1"], m.components["rho_0_1"]
+        assert 0.0 <= rho <= 1.0
+        assert m.value == pytest.approx((z0 + z1) / np.sqrt(2 * (1 + rho)), rel=1e-12, abs=1e-12)
 
 
 def test_mert_are():
@@ -128,12 +149,6 @@ def test_max_statistics_worked_example(worked_table):
     swapped = GenotypeTable(30, 20, 10, 10, 20, 30)
     assert max3(swapped).value == pytest.approx(4.4721, abs=1e-4)
     assert max2(swapped).value == pytest.approx(3.8730, abs=1e-4)
-
-
-def test_max3_mert_middle(worked_table):
-    m = max3(worked_table, middle="mert")
-    assert m.value == pytest.approx(4.4721, abs=1e-4)
-    assert "MERT" in m.components
 
 
 def test_max_monotonicity_exact():
@@ -195,10 +210,13 @@ def test_certificate_on_table(worked_table):
     assert mert_certificate(worked_table)
 
 
-@given(st.floats(-0.99, 1.0, allow_nan=False))
-@settings(max_examples=100)
-def test_mert_pair_bounds(rho):
-    # the pair MERT of equal inputs z has value z * sqrt(2 / (1 + rho)) / sqrt(2)
-    z = 1.7
-    value = mert_pair(z, z, rho)
-    assert value >= z  # equals z at rho = 1, grows as rho decreases
+@given(st.lists(st.integers(0, 50), min_size=6, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_mert_pair_bounds(cells):
+    # sqrt(2 (1 + rho)) <= 2, so |MERT| >= |Z_0 + Z_1| / 2, with equality at rho = 1
+    try:
+        m = mert_statistic(GenotypeTable(*cells))
+    except ZeroVariance:
+        return
+    z0, z1 = m.components["Z0"], m.components["Z1"]
+    assert abs(m.value) >= abs(z0 + z1) / 2 * (1 - 1e-12)

@@ -10,7 +10,6 @@ from trendmax import (
     apply_continuity_correction,
     new_genotype_table,
     parse_table_record,
-    to_allele_table,
 )
 
 cell = st.integers(min_value=0, max_value=200)
@@ -39,22 +38,6 @@ def test_empty_row_rejected():
         new_genotype_table(1, 1, 1, 0, 0, 0)
 
 
-def test_allele_collapse_worked_example():
-    a = to_allele_table(new_genotype_table(10, 20, 30, 30, 20, 10))
-    assert (a.case_n, a.case_m, a.ctrl_n, a.ctrl_m) == (40, 80, 80, 40)
-    assert a.grand_total == 240
-
-
-def test_allele_collapse_symmetric():
-    a = to_allele_table(new_genotype_table(25, 50, 25, 25, 50, 25))
-    assert (a.case_n, a.case_m, a.ctrl_n, a.ctrl_m) == (100, 100, 100, 100)
-
-
-def test_allele_collapse_pure_homozygotes():
-    a = to_allele_table(new_genotype_table(1, 0, 0, 0, 0, 1))
-    assert (a.case_n, a.case_m, a.ctrl_n, a.ctrl_m) == (2, 0, 0, 2)
-
-
 def test_correction_shifts_cells():
     t = new_genotype_table(0, 1, 2, 3, 0, 0)
     c = apply_continuity_correction(t)
@@ -80,16 +63,6 @@ def test_correction_composes_additively(r0, r1, r2, s0, s1, s2, a, b):
     once = apply_continuity_correction(t, a + b)
     twice = apply_continuity_correction(apply_continuity_correction(t, a), b)
     assert np.allclose(once.cells(), twice.cells())
-
-
-@given(cell, cell, cell, cell, cell, cell)
-def test_integer_tables_have_even_allele_totals(r0, r1, r2, s0, s1, s2):
-    if r0 + r1 + r2 == 0 or s0 + s1 + s2 == 0:
-        return
-    a = to_allele_table(new_genotype_table(r0, r1, r2, s0, s1, s2))
-    entries = (a.case_n, a.case_m, a.ctrl_n, a.ctrl_m)
-    assert all(e == int(e) for e in entries)
-    assert a.grand_total % 2 == 0
 
 
 def test_parse_record_whitespace_and_csv():
