@@ -14,6 +14,13 @@ Subcommands:
 Simulation subcommands require an explicit --seed; every output carries a
 provenance header (scenario hash, seed, replicate counts, version) from
 which the run can be reproduced exactly.
+
+Each subcommand builds one list of records, one per output row, keyed by
+its column names. CSV prints the header as ``# key=value`` lines, then the
+column row, then one row per record (floats as ``.6g``, an empty cell for
+a missing value). JSON prints ``{"provenance": header, "results":
+records}``: each result carries exactly the CSV columns, in order, numbers
+appear as numbers and an empty cell is ``null``.
 """
 
 from __future__ import annotations
@@ -137,15 +144,22 @@ def _parse_grid(text):
         raise InputError(f"--grid: {exc}") from None
 
 
-def _emit(lines_or_obj, args, header: dict):
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def _emit(columns: tuple[str, ...], records: list[dict], args, header: dict):
     if args.format == "json":
-        payload = {"provenance": header, "results": lines_or_obj}
-        text = json.dumps(payload, indent=2, default=float) + "\n"
+        text = json.dumps({"provenance": header, "results": records}, indent=2) + "\n"
     else:
         buf = io.StringIO()
         for key, value in header.items():
             buf.write(f"# {key}={value}\n")
-        csv.writer(buf, lineterminator="\n").writerows(lines_or_obj)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(record[c]) for c in columns] for record in records)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -175,30 +189,29 @@ def cmd_analyze(args) -> int:
     two_sided = args.sidedness == "two"
     if args.b_perm < 0:
         raise InputError(f"--b-perm must be nonnegative, got {args.b_perm}")
+    if args.b_perm and args.seed is None:
+        print("analyze: --b-perm requires --seed", file=sys.stderr)
+        return 2
 
-    records: list[tuple[str, str]] = []
+    inputs: list[tuple[str, str]] = []
     if args.table:
-        records.extend((f"arg{i}", text) for i, text in enumerate(args.table))
+        inputs.extend((f"arg{i}", text) for i, text in enumerate(args.table))
     if args.input:
         text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line and not line.startswith("#"):
-                records.append((f"line{lineno}", line))
-    if not records:
+                inputs.append((f"line{lineno}", line))
+    if not inputs:
         print("analyze: no input tables (use --table or --input)", file=sys.stderr)
         return 2
 
-    if args.b_perm and args.seed is None:
-        print("analyze: --b-perm requires --seed", file=sys.stderr)
-        return 2
-
-    rows = [["record", "statistic", "value", "p_asymptotic", "p_permutation", "error"]]
-    results = []
+    columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
+    records = []
     parse_failures = 0
     n_tables = 0
     stat_errors = {name: 0 for name in battery}
-    for label, text in records:
+    for label, text in inputs:
         try:
             raw = parse_table_record(text)
         except TrendmaxError as exc:
@@ -209,7 +222,7 @@ def cmd_analyze(args) -> int:
         table = apply_continuity_correction(raw) if args.correction == "on" else raw
         values = evaluate_battery(table.to_array(), battery, two_sided, grid)
         perm: dict[str, float] = {}
-        perm_error = ""
+        perm_error = None
         if args.b_perm:
             try:
                 perm = permutation_pvalue(raw, battery, args.b_perm, seed=args.seed,
@@ -219,50 +232,36 @@ def cmd_analyze(args) -> int:
                 perm_error = str(exc)
         for name in battery:
             value = float(values[name][0])
-            err = ""
-            p_asym = p_perm = ""
+            p_asym = p_perm = err = None
             if np.isnan(value):
-                err = "undefined on this table"
+                value, err = None, "undefined on this table"
                 stat_errors[name] += 1
             else:
-                pa = _asymptotic_pvalue(name, value, two_sided)
-                p_asym = f"{pa:.6g}" if pa is not None else ""
+                p_asym = _asymptotic_pvalue(name, value, two_sided)
                 if perm_error:
                     err = perm_error
                 elif perm and np.isnan(perm[name]):
                     err = UNDEFINED_OBSERVED.format(name)
                 elif perm:
-                    p_perm = f"{perm[name]:.6g}"
-            rows.append([label, name, "" if np.isnan(value) else f"{value:.6g}",
-                         p_asym, p_perm, err])
-            results.append({"record": label, "statistic": name,
-                            "value": None if np.isnan(value) else value,
-                            "p_asymptotic": p_asym or None,
-                            "p_permutation": p_perm or None, "error": err or None})
+                    p_perm = float(perm[name])
+            records.append(dict(zip(columns, (label, name, value, p_asym, p_perm, err))))
         try:
             triple = estimate_correlations(table.pooled_proportions())
             cert = mert_certificate(table)
             choice, note = recommend_robust_test(triple.rho_0_1)
-            extra = [
-                ["rho_0_half", f"{triple.rho_0_half:.6g}"],
-                ["rho_0_1", f"{triple.rho_0_1:.6g}"],
-                ["rho_half_1", f"{triple.rho_half_1:.6g}"],
-                ["mert_certificate", str(cert).lower()],
-                ["advisory", f"{choice}: {note}"],
-            ]
-            for key, value in extra:
-                rows.append([label, key, value, "", "", ""])
-                results.append({"record": label, "statistic": key, "value": value,
-                                "p_asymptotic": None, "p_permutation": None, "error": None})
+            extra = {"rho_0_half": triple.rho_0_half, "rho_0_1": triple.rho_0_1,
+                     "rho_half_1": triple.rho_half_1, "mert_certificate": str(cert).lower(),
+                     "advisory": f"{choice}: {note}"}
+            error = None
         except TrendmaxError as exc:
-            rows.append([label, "correlations", "", "", "", str(exc)])
-            results.append({"record": label, "statistic": "correlations", "value": None,
-                            "p_asymptotic": None, "p_permutation": None, "error": str(exc)})
+            extra, error = {"correlations": None}, str(exc)
+        records.extend(dict(zip(columns, (label, key, value, None, None, error)))
+                       for key, value in extra.items())
 
     header = {"version": __version__, "command": "analyze",
               "sidedness": args.sidedness, "correction": args.correction,
               "b_perm": args.b_perm, "seed": args.seed}
-    _emit(results if args.format == "json" else rows, args, header)
+    _emit(columns, records, args, header)
     all_errored = n_tables > 0 and any(count == n_tables for count in stat_errors.values())
     return 1 if parse_failures or n_tables == 0 or all_errored else 0
 
@@ -274,29 +273,19 @@ def cmd_criticals(args) -> int:
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          battery=",".join(battery),
                          mode="normal_approx" if args.normal_approx else "null_simulation")
-    rows = [["scenario", "statistic", "threshold", "se", "b", "seed"]]
-    results = []
+    columns = ("scenario", "statistic", "threshold", "se", "b", "seed")
+    records = []
     for scenario in scenarios:
         null = scenario.null_scenario()
         if args.normal_approx:
             thresholds = _normal_approx_thresholds(null, battery, args)
-            for name in battery:
-                value = thresholds.get(name)
-                rows.append([null.label, name,
-                             f"{value:.6g}" if value is not None else "", "",
-                             args.b_null, args.seed])
-                results.append({"scenario": null.label, "statistic": name,
-                                "threshold": value, "b": args.b_null, "seed": args.seed})
         else:
-            cvs = estimate_critical_values(null, battery, args.b_null, args.alpha,
-                                           seed=args.seed, grid=grid)
-            for name in battery:
-                rows.append([null.label, name, f"{cvs.thresholds[name]:.6g}", "",
-                             args.b_null, args.seed])
-                results.append({"scenario": null.label, "statistic": name,
-                                "threshold": cvs.thresholds[name],
-                                "b": args.b_null, "seed": args.seed})
-    _emit(results if args.format == "json" else rows, args, header)
+            thresholds = estimate_critical_values(null, battery, args.b_null, args.alpha,
+                                                  seed=args.seed, grid=grid).thresholds
+        records.extend(dict(zip(columns, (null.label, name, thresholds.get(name), None,
+                                          args.b_null, args.seed)))
+                       for name in battery)
+    _emit(columns, records, args, header)
     return 0
 
 
@@ -326,8 +315,8 @@ def cmd_power(args) -> int:
     grid = _parse_grid(args.grid)
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          b_power=args.b_power, battery=",".join(battery))
-    rows = [["scenario", "statistic", "metric", "rate", "se", "b", "seed"]]
-    results = []
+    columns = ("scenario", "statistic", "metric", "rate", "se", "b", "seed")
+    records = []
     criticals_cache: dict[tuple, object] = {}
     exit_code = 0
     for scenario in scenarios:
@@ -340,32 +329,25 @@ def cmd_power(args) -> int:
         row = estimate_power(scenario, battery, criticals_cache[cache_key],
                              args.b_power, seed=args.seed, grid=grid)
         metric = "size" if scenario.is_null else "power"
-        for name in battery:
-            rows.append([scenario.label, name, metric, f"{row.rates[name]:.6g}",
-                         f"{row.standard_errors[name]:.6g}", args.b_power, args.seed])
-            results.append({"scenario": scenario.label, "statistic": name,
-                            "metric": metric, "rate": row.rates[name],
-                            "se": row.standard_errors[name],
-                            "b": args.b_power, "seed": args.seed})
+        records.extend(dict(zip(columns, (scenario.label, name, metric, row.rates[name],
+                                          row.standard_errors[name], args.b_power, args.seed)))
+                       for name in battery)
         if any(rate >= 1.0 for rate in row.error_rates.values()):
             exit_code = 1
-    _emit(results if args.format == "json" else rows, args, header)
+    _emit(columns, records, args, header)
     return exit_code
 
 
 def cmd_corr(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     header = _provenance(args, scenarios, b=args.b_power)
-    rows = [["scenario", "rho_0_half", "rho_0_1", "rho_half_1", "failure_rate", "b", "seed"]]
-    results = []
+    columns = ("scenario", "rho_0_half", "rho_0_1", "rho_half_1", "failure_rate", "b", "seed")
+    records = []
     for scenario in scenarios:
         mc = mean_correlation_matrix(scenario, args.b_power, seed=args.seed)
-        rows.append([scenario.label, f"{mc.rho_0_half:.6g}", f"{mc.rho_0_1:.6g}",
-                     f"{mc.rho_half_1:.6g}", f"{mc.failure_rate:.6g}", args.b_power, args.seed])
-        results.append({"scenario": scenario.label, "rho_0_half": mc.rho_0_half,
-                        "rho_0_1": mc.rho_0_1, "rho_half_1": mc.rho_half_1,
-                        "failure_rate": mc.failure_rate, "b": args.b_power, "seed": args.seed})
-    _emit(results if args.format == "json" else rows, args, header)
+        records.append(dict(zip(columns, (scenario.label, mc.rho_0_half, mc.rho_0_1, mc.rho_half_1,
+                                          mc.failure_rate, args.b_power, args.seed))))
+    _emit(columns, records, args, header)
     return 0
 
 
@@ -375,21 +357,18 @@ def cmd_crosstab(args) -> int:
     bins = _parse_floats(args.bins, "--bins")
     header = _provenance(args, scenarios, stat_a=args.stat_a, stat_b=args.stat_b,
                          b_null=args.b_null, b_reps=args.b_reps, bins=args.bins)
-    rows = [["scenario", "row_bin", "col_bin", "count"]]
-    results = []
+    columns = ("scenario", "row_bin", "col_bin", "count")
+    records = []
     for scenario in scenarios:
         tab = pvalue_crosstab(scenario, args.stat_a, args.stat_b,
                               args.b_null, args.b_reps, bins,
                               seed=args.seed, grid=grid)
         labels = tab.bin_labels()
-        for i, row_label in enumerate(labels):
-            for j, col_label in enumerate(labels):
-                rows.append([scenario.label, row_label, col_label, int(tab.counts[i, j])])
-        results.append({"scenario": scenario.label, "stat_a": tab.stat_a,
-                        "stat_b": tab.stat_b, "bins": labels,
-                        "counts": tab.counts.tolist(),
-                        "b_null": tab.b_null, "b_reps": tab.b_reps, "seed": tab.seed})
-    _emit(results if args.format == "json" else rows, args, header)
+        records.extend(dict(zip(columns, (scenario.label, row_label, col_label,
+                                          int(tab.counts[i, j]))))
+                       for i, row_label in enumerate(labels)
+                       for j, col_label in enumerate(labels))
+    _emit(columns, records, args, header)
     return 0
 
 

@@ -140,6 +140,21 @@ def test_negative_b_perm_is_rejected_before_reading_tables(tmp_path):
     assert "--b-perm" in err and "-5" in err
 
 
+def test_b_perm_without_seed_is_rejected_before_reading_tables(tmp_path, monkeypatch):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(["analyze", "--input", str(missing), "--b-perm", "5"])
+    assert code == 2
+    assert out == ""
+    assert "--b-perm requires --seed" in err
+    stdin = io.StringIO("10 20 30 30 20 10\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(["analyze", "--input", "-", "--b-perm", "5"])
+    assert code == 2
+    assert out == ""
+    assert "--b-perm requires --seed" in err
+    assert stdin.tell() == 0  # stdin is left unread
+
+
 def test_analyze_input_file_is_closed():
     argv = CASES["analyze_perm"]
     proc = run_python(f"import sys; from trendmax.cli import main; sys.exit(main({argv!r}))",
@@ -247,6 +262,41 @@ def test_analyze_json_reports_the_correlations_error_that_csv_prints():
     assert json_errors == [{"record": "arg0", "statistic": "correlations", "value": None,
                             "p_asymptotic": None, "p_permutation": None,
                             "error": csv_errors[0][5]}]
+
+
+def is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_cell(value) -> str:
+    """The CSV cell that a JSON result value stands for."""
+    if value is None:
+        return ""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_json_results_carry_exactly_the_csv_cells(case):
+    argv = CASES[case][:-2] if CASES[case][-2:] == ["--format", "json"] else CASES[case]
+    code, csv_out, err = run_cli(argv)
+    assert code == 0, err
+    code, json_out, err = run_cli(argv + ["--format", "json"])
+    assert code == 0, err
+    payload = json.loads(json_out)
+    lines = csv_out.splitlines()
+    assert [line for line in lines if line.startswith("#")] == [
+        f"# {key}={value}" for key, value in payload["provenance"].items()]
+    columns, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    assert len(payload["results"]) == len(rows)
+    for result, row in zip(payload["results"], rows):
+        assert list(result) == columns
+        assert [csv_cell(value) for value in result.values()] == row
+        # numbers are JSON numbers, never numeric strings
+        assert not any(isinstance(value, str) and is_number(value) for value in result.values())
 
 
 def out_rows(text: str) -> list[list[str]]:
