@@ -56,6 +56,7 @@ from .montecarlo import (
     mean_correlation_matrix,
     normal_approx_critical_max,
     permutation_pvalue,
+    permutation_pvalues,
     pvalue_crosstab,
     simulate_cells,
 )

@@ -5,7 +5,7 @@ Subcommands:
     analyze    statistics, correlation structure and advisory for one
                or more observed tables; with --b-perm, permutation
                p-values of the whole battery from one set of permuted
-               tables per table
+               tables per table, scored in batches that tables share
     criticals  empirical critical values for scenario packs
     power      rejection rates (size for null scenarios) per scenario
     corr       mean plug-in correlation triples per scenario
@@ -42,7 +42,7 @@ from .battery import (
     DEFAULT_GRID,
     NORMAL,
     STATISTICS,
-    evaluate_battery,
+    evaluate_tables,
     max_decided,
     validate_battery,
 )
@@ -53,7 +53,7 @@ from .montecarlo import (
     estimate_power,
     mean_correlation_matrix,
     normal_approx_critical_max,
-    permutation_pvalue,
+    permutation_pvalues,
     pvalue_crosstab,
 )
 from .robust import FAMILY, estimate_correlations, mert_certificate, recommend_robust_test, validate_grid
@@ -156,7 +156,7 @@ def _emit(columns: tuple[str, ...], records: list[dict], args, header: dict):
     else:
         buf = io.StringIO()
         for key, value in header.items():
-            buf.write(f"# {key}={value}\n")
+            buf.write(f"# {key}={'' if value is None else value}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_cell(record[c]) for c in columns] for record in records)
@@ -193,9 +193,7 @@ def cmd_analyze(args) -> int:
         print("analyze: --b-perm requires --seed", file=sys.stderr)
         return 2
 
-    inputs: list[tuple[str, str]] = []
-    if args.table:
-        inputs.extend((f"arg{i}", text) for i, text in enumerate(args.table))
+    inputs = [(f"arg{i}", text) for i, text in enumerate(args.table or ())]
     if args.input:
         text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -206,40 +204,34 @@ def cmd_analyze(args) -> int:
         print("analyze: no input tables (use --table or --input)", file=sys.stderr)
         return 2
 
-    columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
-    records = []
-    parse_failures = 0
-    n_tables = 0
-    stat_errors = {name: 0 for name in battery}
+    parsed = []
     for label, text in inputs:
         try:
-            raw = parse_table_record(text)
+            parsed.append((label, parse_table_record(text)))
         except TrendmaxError as exc:
             print(f"analyze: {label}: {exc}", file=sys.stderr)
-            parse_failures += 1
-            continue
-        n_tables += 1
-        table = apply_continuity_correction(raw) if args.correction == "on" else raw
-        values = evaluate_battery(table.to_array(), battery, two_sided, grid)
-        perm: dict[str, float] = {}
-        perm_error = None
-        if args.b_perm:
-            try:
-                perm = permutation_pvalue(raw, battery, args.b_perm, seed=args.seed,
-                                          two_sided=two_sided, grid=grid,
-                                          observed=values if table is raw else None)
-            except TrendmaxError as exc:
-                perm_error = str(exc)
+    raws = [raw for _, raw in parsed]
+    tables = [apply_continuity_correction(raw) for raw in raws] if args.correction == "on" else raws
+    values = evaluate_tables(tables, battery, two_sided, grid)
+    perms = [{}] * len(raws)
+    if args.b_perm:
+        perms = permutation_pvalues(raws, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
+                                    grid=grid, observed=values if tables is raws else None)
+
+    columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
+    records = []
+    stat_errors = {name: 0 for name in battery}
+    for i, ((label, _), table, perm) in enumerate(zip(parsed, tables, perms)):
         for name in battery:
-            value = float(values[name][0])
+            value = float(values[name][i])
             p_asym = p_perm = err = None
             if np.isnan(value):
                 value, err = None, "undefined on this table"
                 stat_errors[name] += 1
             else:
                 p_asym = _asymptotic_pvalue(name, value, two_sided)
-                if perm_error:
-                    err = perm_error
+                if isinstance(perm, TrendmaxError):
+                    err = str(perm)
                 elif perm and np.isnan(perm[name]):
                     err = UNDEFINED_OBSERVED.format(name)
                 elif perm:
@@ -247,7 +239,7 @@ def cmd_analyze(args) -> int:
             records.append(dict(zip(columns, (label, name, value, p_asym, p_perm, err))))
         try:
             triple = estimate_correlations(table.pooled_proportions())
-            cert = mert_certificate(table)
+            cert = mert_certificate(table, triple)
             choice, note = recommend_robust_test(triple.rho_0_1)
             extra = {"rho_0_half": triple.rho_0_half, "rho_0_1": triple.rho_0_1,
                      "rho_half_1": triple.rho_half_1, "mert_certificate": str(cert).lower(),
@@ -262,8 +254,8 @@ def cmd_analyze(args) -> int:
               "sidedness": args.sidedness, "correction": args.correction,
               "b_perm": args.b_perm, "seed": args.seed}
     _emit(columns, records, args, header)
-    all_errored = n_tables > 0 and any(count == n_tables for count in stat_errors.values())
-    return 1 if parse_failures or n_tables == 0 or all_errored else 0
+    all_errored = any(count == len(raws) for count in stat_errors.values())  # or no table parsed
+    return 1 if len(raws) < len(inputs) or all_errored else 0
 
 
 def cmd_criticals(args) -> int:

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .battery import DEFAULT_GRID, evaluate_battery, validate_battery
+from .battery import BATCH_ROWS, DEFAULT_GRID, evaluate_battery, evaluate_tables, validate_battery
 from .errors import (
     DegenerateTable,
     InputError,
@@ -368,68 +368,82 @@ def pvalue_crosstab(
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 
 
-def _permutation_setup(table: GenotypeTable, battery, two_sided: bool, grid, observed=None):
-    """Column margins, case count and observed decision values of a table."""
+def _permutation_margins(table: GenotypeTable) -> tuple[list[int], int]:
+    """Column margins and case count of a table that can be permuted."""
     if not table.is_integral():
         raise DegenerateTable("permutation requires an integer-valued table")
     margins = [int(round(m)) for m in (table.n0, table.n1, table.n2)]
     n_cases = int(round(table.r))
-    n = sum(margins)
-    if n_cases <= 0 or n_cases >= n:
+    if n_cases <= 0 or n_cases >= sum(margins):
         raise DegenerateTable("both groups must be nonempty for permutation")
-    if observed is None:
-        observed = evaluate_battery(table.to_array(), battery, two_sided, grid)
-    return margins, n_cases, {name: float(observed[name][0]) for name in battery}
+    return margins, n_cases
 
 
-def _permuted_cells(case_rows, margins) -> np.ndarray:
-    """(B, 6) column-major cells from permuted case rows and the fixed column margins."""
-    case_rows = np.asarray(case_rows, dtype=float).T
-    out = np.empty((6, case_rows.shape[1]))
-    out[0:3] = case_rows
-    np.subtract(np.asarray(margins, dtype=float)[:, None], case_rows, out=out[3:6])
+def _permuted_cells(case_rows, margins, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (6, B) from permuted case rows and the fixed column margins; (B, 6) view."""
+    out[0:3] = np.transpose(case_rows)
+    np.subtract(np.asarray(margins, dtype=float)[:, None], out[0:3], out=out[3:6])
     return out.T
 
 
-def permutation_pvalue(
-    table: GenotypeTable,
-    battery,
-    b: int,
-    *,
-    seed: int,
-    two_sided: bool = True,
-    grid=DEFAULT_GRID,
-    observed=None,
-) -> dict[str, float]:
-    """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B).
+def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool = True,
+                        grid=DEFAULT_GRID, observed=None) -> list[dict[str, float] | DegenerateTable]:
+    """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B) for each table.
 
     Case/control labels are permuted holding the genotype column totals
-    fixed, i.e. the case row is resampled from the multivariate
-    hypergeometric given margins. One set of B permuted tables is drawn
-    from ``seed`` and the whole battery is evaluated on it, so every
-    statistic of the table is referred to the same permutations (a
-    matched design) and each p-value equals the one for that statistic
-    alone. Permuted tables on which a statistic is undefined count as
-    non-exceedances; a statistic undefined on the observed table maps to
-    NaN. A table that cannot be permuted raises :class:`DegenerateTable`.
+    fixed: each table's B case rows are drawn from the multivariate
+    hypergeometric with its own ``default_rng(seed)``. The battery is
+    scored on the same permutations (a matched design), so each p-value
+    equals the one for that statistic alone. Undefined permuted values
+    count as non-exceedances, a statistic undefined on the observed table
+    gets NaN, and a table that cannot be permuted gets its
+    :class:`DegenerateTable` instead.
 
-    A caller that has already evaluated the battery on ``table`` (same
-    sidedness and grid) passes the result of :func:`evaluate_battery` as
-    ``observed`` so that it is not evaluated twice.
+    Whole tables share a (6, rows) buffer of at most ``BATCH_ROWS`` rows
+    (one table when B is larger), scored by one :func:`evaluate_battery`
+    call; every kernel works row by row, so batching changes no p-value.
+    ``observed`` is the battery on ``tables`` (one row each, same
+    sidedness and grid), if the caller has it.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
     battery = validate_battery(battery)
-    margins, n_cases, observed = _permutation_setup(table, battery, two_sided, grid, observed)
-    exceed = dict.fromkeys(battery, 0)
-    if b > 0:
-        rng = np.random.default_rng(seed)
-        case_rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
-        values = evaluate_battery(_permuted_cells(case_rows, margins), battery, two_sided, grid)
+    if observed is None:
+        observed = evaluate_tables(tables, battery, two_sided, grid)
+    results: list = []  # per table: its margins or DegenerateTable, then its p-values
+    for table in tables:
+        try:
+            results.append(_permutation_margins(table))
+        except DegenerateTable as exc:
+            results.append(exc)
+    todo = [i for i, result in enumerate(results) if not isinstance(result, DegenerateTable)]
+    per_batch = max(1, BATCH_ROWS // max(b, 1))
+    buffer = np.empty((6, min(per_batch, len(todo)) * b))
+    for lo in range(0, len(todo), per_batch):
+        rows = todo[lo:lo + per_batch]
+        for j, i in enumerate(rows):
+            margins, n_cases = results[i]
+            rng = np.random.default_rng(seed)
+            case_rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
+            _permuted_cells(case_rows, margins, buffer[:, j * b:(j + 1) * b])
+        values = evaluate_battery(buffer[:, :len(rows) * b].T, battery, two_sided, grid)
         # NaN compares False on either side
-        exceed = {name: int(np.sum(values[name] >= observed[name])) for name in battery}
-    return {name: math.nan if math.isnan(observed[name]) else (1 + exceed[name]) / (1 + b)
-            for name in battery}
+        exceed = {name: np.count_nonzero(values[name].reshape(len(rows), b)
+                                         >= observed[name][rows, None], axis=1) for name in battery}
+        for j, i in enumerate(rows):
+            results[i] = {name: math.nan if math.isnan(observed[name][i])
+                          else (1 + int(exceed[name][j])) / (1 + b) for name in battery}
+    return results
+
+
+def permutation_pvalue(table: GenotypeTable, battery, b: int, *, seed: int, two_sided: bool = True,
+                       grid=DEFAULT_GRID, observed=None) -> dict[str, float]:
+    """:func:`permutation_pvalues` of one table; raises its :class:`DegenerateTable`."""
+    [result] = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided,
+                                   grid=grid, observed=observed)
+    if isinstance(result, DegenerateTable):
+        raise result
+    return result
 
 
 def exact_permutation_pvalue(
@@ -444,8 +458,8 @@ def exact_permutation_pvalue(
     P(statistic >= observed) under label permutation; undefined permuted
     statistics count as non-exceedances, matching the Monte Carlo mode.
     """
-    margins, n_cases, observed = _permutation_setup(table, (statistic,), two_sided, grid)
-    observed = observed[statistic]
+    margins, n_cases = _permutation_margins(table)
+    observed = float(evaluate_battery(table.to_array(), (statistic,), two_sided, grid)[statistic][0])
     if math.isnan(observed):
         raise DegenerateTable(UNDEFINED_OBSERVED.format(statistic))
     n0, n1, n2 = margins
@@ -455,7 +469,8 @@ def exact_permutation_pvalue(
             a2 = n_cases - a0 - a1
             if 0 <= a2 <= n2:
                 support.append((a0, a1, a2))
-    values = evaluate_battery(_permuted_cells(support, margins), (statistic,), two_sided, grid)[statistic]
+    cells = _permuted_cells(support, margins, np.empty((6, len(support))))
+    values = evaluate_battery(cells, (statistic,), two_sided, grid)[statistic]
     numer = Fraction(0)
     denom = Fraction(math.comb(n0 + n1 + n2, n_cases))
     for (a0, a1, a2), v in zip(support, values):

@@ -147,13 +147,13 @@ def check_extreme_pair_condition(rho: np.ndarray, s: int, t: int, tol: float = 1
     return bool(np.all(lhs >= 1.0 + rho[s, t] - tol))
 
 
-def mert_certificate(table: GenotypeTable) -> bool:
+def mert_certificate(table: GenotypeTable, triple: CorrelationTriple | None = None) -> bool:
     """Certificate that the (Z_0, Z_1) pair MERT is the family MERT.
 
     Evaluates the extreme-pair condition on the estimated correlation
-    matrix of (Z_0, Z_1/2, Z_1).
+    matrix of (Z_0, Z_1/2, Z_1), or on ``triple`` if the caller has it.
     """
-    triple = estimate_correlations(table.pooled_proportions())
+    triple = triple or estimate_correlations(table.pooled_proportions())
     return check_extreme_pair_condition(triple.as_matrix(), 0, 2)
 
 

@@ -114,7 +114,7 @@ def parse_table_record(text: str) -> GenotypeTable:
             v = float(f)
         except ValueError:
             raise InputError(f"field {i + 1} ({f!r}) is not a number") from None
-        if v != int(v):
-            raise InputError(f"field {i + 1} ({f!r}) is not an integer count")
+        if not v.is_integer():  # also inf and nan
+            raise InputError(f"field {i + 1} ({f!r}) is not a finite integer count")
         values.append(v)
     return new_genotype_table(*values)

@@ -215,8 +215,10 @@ def test_crosstab_rejects_options_it_does_not_use(flag, capsys):
     assert_unrecognized(CASES["crosstab_max3_maxgrid"], flag, capsys)
 
 
-def test_analyze_evaluates_the_observed_battery_once_per_table(monkeypatch):
-    import trendmax.cli
+@pytest.mark.parametrize("b_perm", ["200", "3000"])
+def test_analyze_scores_the_observed_tables_in_one_call_and_no_call_exceeds_the_row_cap(
+        monkeypatch, b_perm):
+    import trendmax.battery
     import trendmax.montecarlo
 
     calls = []
@@ -227,15 +229,34 @@ def test_analyze_evaluates_the_observed_battery_once_per_table(monkeypatch):
             return original(cells, *args, **kwargs)
         return wrapper
 
-    for module in (trendmax.cli, trendmax.montecarlo):
+    for module in (trendmax.battery, trendmax.montecarlo):
         monkeypatch.setattr(module, "evaluate_battery", counting(module.evaluate_battery))
-    code, out, err = run_cli(CASES["analyze_perm"])
+    code, out, err = run_cli(CASES["analyze_perm"][:-4] + ["--b-perm", b_perm, "--seed", "7"])
     assert code == 0, err
+    if b_perm == "200":
+        assert out == (GOLDEN / "analyze_perm.txt").read_text(encoding="utf-8")
     n_tables = sum(1 for line in (GOLDEN / "tables.txt").read_text().splitlines()
                    if line.strip() and not line.startswith("#"))
-    # one observed (one-row) call and at most one permuted batch per table
-    assert calls.count(1) == n_tables
-    assert len(calls) <= 2 * n_tables
+    # the observed tables first, all in one call; then the permuted rows in
+    # shared batches of at most BATCH_ROWS rows, or one table per call above it
+    assert calls[0] == n_tables
+    assert all(rows <= max(trendmax.battery.BATCH_ROWS, int(b_perm)) for rows in calls)
+    assert len(calls) == (2 if b_perm == "200" else 1 + n_tables)
+
+
+def test_analyze_reports_a_non_finite_field_and_still_prints_the_other_tables():
+    for field in ("inf", "nan", "1e400"):
+        code, out, err = run_cli(["analyze", "--table", f"1 2 3 4 5 {field}",
+                                  "--table", "10 20 30 30 20 10"])
+        assert code == 1
+        assert err == f"analyze: arg0: field 6 ({field!r}) is not a finite integer count\n"
+        assert "\narg1,MAX3," in out and "\narg0," not in out
+
+
+def test_csv_provenance_writes_a_missing_value_as_an_empty_value():
+    code, out, err = run_cli(["analyze", "--table", "10 20 30 30 20 10"])
+    assert code == 0, err
+    assert "# seed=\n" in out and "None" not in out
 
 
 def test_analyze_reports_correlations_on_a_table_without_heterozygotes():
@@ -289,7 +310,7 @@ def test_json_results_carry_exactly_the_csv_cells(case):
     payload = json.loads(json_out)
     lines = csv_out.splitlines()
     assert [line for line in lines if line.startswith("#")] == [
-        f"# {key}={value}" for key, value in payload["provenance"].items()]
+        f"# {key}={'' if value is None else value}" for key, value in payload["provenance"].items()]
     columns, *rows = csv.reader(line for line in lines if not line.startswith("#"))
     assert len(payload["results"]) == len(rows)
     for result, row in zip(payload["results"], rows):

@@ -32,10 +32,18 @@ from trendmax import (
     normal_approx_critical_max,
     penetrances_for_model,
     permutation_pvalue,
+    permutation_pvalues,
     pvalue_crosstab,
     simulate_cells,
 )
-from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, evaluate_battery, evaluate_single
+from trendmax.battery import (
+    ALL_STATISTICS,
+    DEFAULT_BATTERY,
+    DEFAULT_GRID,
+    evaluate_battery,
+    evaluate_single,
+    evaluate_tables,
+)
 from trendmax.robust import batch_correlations
 import trendmax.montecarlo
 from trendmax.montecarlo import CHUNK_SIZE
@@ -630,6 +638,59 @@ def test_permutation_battery_agrees_with_exact():
     for name in ALL_STATISTICS:
         exact = float(exact_permutation_pvalue(t, name))
         assert abs(approx[name] - exact) <= 4 * math.sqrt(exact * (1 - exact) / b) + 1e-4, name
+
+
+def one_table_permutation_pvalues(table, battery, b, seed, two_sided=True, grid=DEFAULT_GRID):
+    """Reference: one table's own permutations, drawn and scored on their own, row-major."""
+    observed = evaluate_battery(np.array(table.cells()), battery, two_sided, grid)
+    margins = np.array([table.n0, table.n1, table.n2]).astype(int)
+    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, int(table.r), size=b,
+                                                                  method="marginals")
+    values = evaluate_battery(np.hstack([rows, margins - rows]).astype(float), battery, two_sided, grid)
+    return {name: math.nan if math.isnan(observed[name][0])
+            else (1 + int(np.sum(values[name] >= observed[name][0]))) / (1 + b) for name in battery}
+
+
+def batch_of_tables(count: int, seed: int) -> list[GenotypeTable]:
+    rng = np.random.default_rng(seed)
+    return [GenotypeTable(*(float(c) for c in rng.integers(0, 60, size=6))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("b, two_sided, battery, grid", [
+    (1_237, True, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),  # 4 tables per batch, 1 in the last
+    (1_237, False, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),
+    (6_001, True, DEFAULT_BATTERY, DEFAULT_GRID),  # above the cap: one table per batch
+    (0, True, DEFAULT_BATTERY, DEFAULT_GRID),
+])
+def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery, grid):
+    tables = batch_of_tables(37 if b < 6_000 else 5, seed=b)
+    tables[1] = GenotypeTable(10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
+    tables[2] = GenotypeTable(0, 0, 0, 3, 4, 5)  # no cases: cannot be permuted
+    tables[3] = GenotypeTable(3.5, 1, 2, 3, 4, 5)  # not integral: cannot be permuted
+    got = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, grid=grid)
+    assert len(got) == len(tables)
+    assert str(got[2]) == "both groups must be nonempty for permutation"
+    assert str(got[3]) == "permutation requires an integer-valued table"
+    for i, table in enumerate(tables):
+        if i in (2, 3):
+            assert isinstance(got[i], DegenerateTable)
+            continue
+        want = one_table_permutation_pvalues(table, battery, b, 41, two_sided, grid)
+        assert list(got[i]) == list(want)
+        assert_bit_identical(np.array(list(got[i].values())), np.array(list(want.values())))
+    assert all(math.isnan(p) for p in got[1].values())
+    observed = evaluate_tables(tables, battery, two_sided, grid)
+    again = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, grid=grid,
+                                observed=observed)
+    assert [str(r) for r in again] == [str(r) for r in got]
+
+
+def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
+    # 120 tables x 1,000 permutations: 120,000 rows scored at once peaked
+    # at 31 MB; batches of 5,000 rows peak near 2 MB, and of 10,000 near 3.9 MB
+    tables = batch_of_tables(120, seed=42)
+    peak = traced_peak_mb(lambda: permutation_pvalues(tables, DEFAULT_BATTERY, 1_000, seed=43))
+    assert peak < 3.0
 
 
 # ---------------------------------------------------------------------------

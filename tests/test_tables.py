@@ -77,3 +77,9 @@ def test_parse_record_rejects_short_and_noninteger():
         parse_table_record("1 2 3 4 5 x")
     with pytest.raises(InputError):
         parse_table_record("1.5 2 3 4 5 6")
+
+
+@pytest.mark.parametrize("field", ["inf", "-inf", "nan", "1e400"])
+def test_parse_record_names_a_non_finite_field(field):
+    with pytest.raises(InputError, match=rf"^field 6 \('{field}'\) is not a finite integer count$"):
+        parse_table_record(f"1 2 3 4 5 {field}")
