@@ -55,6 +55,7 @@ from .montecarlo import (
     normal_approx_critical_max,
     permutation_pvalues,
     pvalue_crosstab,
+    validate_replicates,
 )
 from .robust import FAMILY, estimate_correlations, mert_certificate, recommend_robust_test, validate_grid
 from .scenarios import load_scenarios, scenario_hash
@@ -305,6 +306,7 @@ def cmd_power(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery)
     grid = _parse_grid(args.grid)
+    validate_replicates(args.b_power)  # before the first null run, not after it
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          b_power=args.b_power, battery=",".join(battery))
     columns = ("scenario", "statistic", "metric", "rate", "se", "b", "seed")

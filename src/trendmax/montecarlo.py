@@ -16,18 +16,20 @@ Determinism
 Replicates are generated in fixed-size chunks whose random streams are
 spawned from (seed, chunk index). One task per chunk, on one thread per
 usable core, draws the chunk into a buffer of its own, scores it there
-(battery, correlation plug-ins, or the cells themselves) and writes the
-values into its own column slice of the output. Every kernel works row
-by row, so the result does not depend on the core count or the order the
-chunks run in: it is bit-identical for a given (scenario, battery, B, seed).
+(battery, correlation plug-ins, or the cells themselves) and hands the
+values on: into its own column slice of the output, or into each
+statistic's upper tail. Every kernel works row by row, so the result does
+not depend on the core count or the order the chunks run in: it is
+bit-identical for a given (scenario, battery, B, seed).
 
 Layout
 ------
 A chunk's (count, 6) cells are the transpose of a C-ordered (6, count)
-buffer, so each cell column is contiguous for the kernels. What stays in
-memory is a (k, B) array of k values per table (battery size, 3
-correlations, or 6 cells for :func:`simulate_cells`), plus one chunk and
-its kernel temporaries per running task.
+buffer, so each cell column is contiguous for the kernels. A null run
+for critical values keeps each statistic's upper tail, O(alpha B) values
+(:class:`_UpperTails`); every other run keeps a (k, B) array of k values
+per table (battery size, 3 correlations, or 6 cells). Each running task
+adds one chunk and its kernel temporaries.
 
 Quantile convention
 -------------------
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -145,102 +148,159 @@ def _sample_chunk(strata, rng: np.random.Generator, out: np.ndarray) -> None:
         out[3:6] += rng.multinomial(n_controls, ctrl_probs, size=count).T
 
 
-def _score_chunks(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
-    """(width, b) array: ``score`` maps each chunk's (count, 6) cells to width vectors."""
+def validate_alpha(alpha: float) -> None:
+    """Reject a level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha {alpha!r} must lie strictly in (0, 1)")
+
+
+def validate_replicates(b: int) -> None:
+    """Reject a replicate count below 1."""
     if b <= 0:
         raise InputError("replicate count must be positive")
+
+
+def _score_chunks(scenario: Scenario, b: int, seed: int, score, consume) -> None:
+    """Draw b >= 1 tables chunk by chunk; ``consume(lo, values)`` takes each chunk's ``score``."""
     n_chunks = -(-b // CHUNK_SIZE)
     rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_chunks))
     strata = scenario.strata()
-    out = np.empty((width, b))
 
     def run(lo: int, rng: np.random.Generator) -> None:
         cells = np.zeros((6, min(CHUNK_SIZE, b - lo)))
         _sample_chunk(strata, rng, cells)
         if scenario.correction:
             cells += 0.5
-        for row, values in zip(out[:, lo:lo + CHUNK_SIZE], score(cells.T), strict=True):
-            row[:] = values
+        consume(lo, score(cells.T))
 
     with ThreadPoolExecutor(min(_CORES, n_chunks)) as pool:
         # list() re-raises the first chunk's exception
         list(pool.map(run, range(0, b, CHUNK_SIZE), rngs))
+
+
+def _score_array(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
+    """(width, b) array: ``score`` maps each chunk's (count, 6) cells to width vectors."""
+    validate_replicates(b)
+    out = np.empty((width, b))
+
+    def write(lo: int, values) -> None:
+        for row, v in zip(out[:, lo:lo + CHUNK_SIZE], values, strict=True):
+            row[:] = v
+
+    _score_chunks(scenario, b, seed, score, write)
     return out
+
+
+class _UpperTails:
+    """NaN count and top finite values of ``width`` samples streamed in chunks, under a lock.
+
+    m bounds the alpha-level order statistic's rank from the top among b
+    values, or among fewer finite ones. A buffer holds 2m + CHUNK_SIZE (at
+    most b) values; a chunk appends those above the floor, the m-th largest
+    kept so far, and an overflow first partitions the buffer to its top m.
+    So a buffer keeps the sample's top m, ties included, in any chunk order.
+    """
+
+    def __init__(self, width: int, b: int, alpha: float):
+        self.b, self.alpha = b, alpha
+        # two spare ranks absorb rounding in the float products (1 - alpha) n
+        self.m = b - min(max(math.ceil((1.0 - alpha) * b), 1), b) + 3
+        self.buffers = np.empty((width, min(2 * self.m + CHUNK_SIZE, b)))
+        self.sizes, self.nans, self.floors = [0] * width, [0] * width, [None] * width
+        self.lock = threading.Lock()
+
+    def __call__(self, lo: int, values) -> None:
+        # filtered before the lock: floors only rise, so a stale floor only keeps spares
+        chunks = []
+        for v, floor in zip(values, self.floors):
+            nan = np.isnan(v)
+            chunks.append((int(np.count_nonzero(nan)), v[~nan] if floor is None else v[v > floor]))
+        with self.lock:
+            for i, (nans, kept) in enumerate(chunks):
+                buffer, size = self.buffers[i], self.sizes[i]
+                self.nans[i] += nans
+                if size + kept.size > buffer.size:
+                    buffer[:size].partition(size - self.m)
+                    buffer[:self.m] = buffer[size - self.m:size]
+                    size = self.m
+                    floor = self.floors[i] = buffer[0]
+                    kept = kept[kept > floor]
+                buffer[size:size + kept.size] = kept
+                self.sizes[i] = size + kept.size
+
+    def quantile(self, i: int) -> float:
+        """:func:`empirical_upper_quantile` of sample i, picked from its tail."""
+        return empirical_upper_quantile(self.buffers[i, :self.sizes[i]], self.alpha,
+                                        size=self.b - self.nans[i])
+
+
+def _battery_scorer(scenario: Scenario, battery, grid):
+    return lambda cells: evaluate_battery(cells, battery, scenario.two_sided, grid).values()
 
 
 def _battery_values(scenario: Scenario, b: int, seed: int, battery, grid) -> dict[str, np.ndarray]:
     """Decision values of a validated battery on b simulated tables."""
-    def score(cells):
-        return evaluate_battery(cells, battery, scenario.two_sided, grid).values()
-    return dict(zip(battery, _score_chunks(scenario, b, seed, score, len(battery))))
+    score = _battery_scorer(scenario, battery, grid)
+    return dict(zip(battery, _score_array(scenario, b, seed, score, len(battery))))
 
 
 def simulate_cells(scenario: Scenario, b: int, seed: int) -> np.ndarray:
     """(b, 6) table cells for a scenario, column-major (see Layout and Determinism)."""
-    return _score_chunks(scenario, b, seed, np.transpose, 6).T
+    return _score_array(scenario, b, seed, np.transpose, 6).T
 
 
 # ---------------------------------------------------------------------------
 # empirical quantiles, critical values, power
 # ---------------------------------------------------------------------------
 
-def empirical_upper_quantile(values: np.ndarray, alpha: float) -> float:
-    """v(ceil((1-alpha) B)) of the sorted sample, ignoring NaNs; found by selection."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha {alpha!r} must lie strictly in (0, 1)")
+def empirical_upper_quantile(values: np.ndarray, alpha: float, size: int | None = None) -> float:
+    """v(ceil((1-alpha) n)) of the n sorted finite values, ignoring NaNs; found by selection.
+
+    ``values`` may hold just the largest of ``size`` finite values, as
+    long as they reach down to the one picked.
+    """
+    validate_alpha(alpha)
     values = np.asarray(values, dtype=float)
     nan = np.isnan(values)
     values = values[~nan] if nan.any() else values
-    if values.size == 0:
+    n = values.size if size is None else size
+    if n == 0:
         raise InputError("no finite values to take a quantile of")
-    k = math.ceil((1.0 - alpha) * values.size)
-    k = min(max(k, 1), values.size)
-    return float(np.partition(values, k - 1)[k - 1])
+    k = min(max(math.ceil((1.0 - alpha) * n), 1), n)
+    j = k - 1 - (n - values.size)  # its rank among the values given
+    if j < 0:
+        raise ValueError(f"the {values.size} largest of {n} values miss rank {k}")
+    return float(np.partition(values, j)[j])
 
 
-def estimate_critical_values(
-    scenario: Scenario,
-    battery,
-    b: int = 200_000,
-    alpha: float = 0.05,
-    *,
-    seed: int,
-    grid=DEFAULT_GRID,
-) -> CriticalValueSet:
-    """Empirical upper-alpha thresholds of each decision value under the null."""
+def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alpha: float = 0.05, *,
+                             seed: int, grid=DEFAULT_GRID) -> CriticalValueSet:
+    """Empirical upper-alpha thresholds of each decision value under the null.
+
+    Chunks stream into :class:`_UpperTails`, so memory is O(alpha B) per
+    statistic; the thresholds equal :func:`empirical_upper_quantile` of
+    the whole sample bit for bit.
+    """
     if not scenario.is_null:
         raise ScenarioError("critical values must be estimated under a null scenario")
     if b < 1000:
         raise InputError("need at least 1000 null replicates")
+    validate_alpha(alpha)
     battery = validate_battery(battery)
+    tails = _UpperTails(len(battery), b, alpha)
+    _score_chunks(scenario, b, seed, _battery_scorer(scenario, battery, grid), tails)
     thresholds = {}
     error_rates = {}
-    for name, v in _battery_values(scenario, b, seed, battery, grid).items():
-        nan = np.isnan(v)
-        if bad := int(np.count_nonzero(nan)):
-            error_rates[name] = bad / b
-            v = v[~nan]
-        thresholds[name] = empirical_upper_quantile(v, alpha)
-    return CriticalValueSet(
-        thresholds=thresholds,
-        alpha=alpha,
-        b=b,
-        seed=seed,
-        scenario_key=scenario.key(),
-        battery=battery,
-        error_rates=error_rates,
-    )
+    for i, name in enumerate(battery):
+        if tails.nans[i]:
+            error_rates[name] = tails.nans[i] / b
+        thresholds[name] = tails.quantile(i)
+    return CriticalValueSet(thresholds=thresholds, alpha=alpha, b=b, seed=seed,
+                            scenario_key=scenario.key(), battery=battery, error_rates=error_rates)
 
 
-def estimate_power(
-    scenario: Scenario,
-    battery,
-    criticals: CriticalValueSet,
-    b: int = 10_000,
-    *,
-    seed: int,
-    grid=DEFAULT_GRID,
-) -> PowerRow:
+def estimate_power(scenario: Scenario, battery, criticals: CriticalValueSet, b: int = 10_000, *,
+                   seed: int, grid=DEFAULT_GRID) -> PowerRow:
     """Rejection rate of each statistic against matched null thresholds.
 
     The thresholds must come from the matching null scenario (same
@@ -248,6 +308,8 @@ def estimate_power(
     :class:`MismatchedScenario` is raised. Replicates where a statistic
     is undefined never reject and are reported in ``error_rates``.
     """
+    validate_alpha(criticals.alpha)
+    validate_replicates(b)
     battery = validate_battery(battery)
     if scenario.key() != criticals.scenario_key:
         raise MismatchedScenario(
@@ -269,15 +331,8 @@ def estimate_power(
         bad = float(np.isnan(v).mean())
         if bad:
             error_rates[name] = bad
-    return PowerRow(
-        rates=rates,
-        standard_errors=ses,
-        b=b,
-        seed=seed,
-        scenario_label=scenario.label,
-        alpha=criticals.alpha,
-        error_rates=error_rates,
-    )
+    return PowerRow(rates=rates, standard_errors=ses, b=b, seed=seed, scenario_label=scenario.label,
+                    alpha=criticals.alpha, error_rates=error_rates)
 
 
 def mean_correlation_matrix(
@@ -287,7 +342,7 @@ def mean_correlation_matrix(
     seed: int,
 ) -> MeanCorrelations:
     """Replicate average of the plug-in correlation triple at n_i / n."""
-    rho = _score_chunks(scenario, b, seed, batch_correlations, 3)
+    rho = _score_array(scenario, b, seed, batch_correlations, 3)
     bad = np.isnan(rho).any(axis=0)
     if bad.all():
         raise DegenerateTable("correlation estimation failed on every replicate")
@@ -310,17 +365,9 @@ def _empirical_pvalues(null_sorted: np.ndarray, observed: np.ndarray) -> np.ndar
     return np.where(np.isnan(observed), 1.0, (1.0 + n_ge) / (b + 1.0))
 
 
-def pvalue_crosstab(
-    scenario: Scenario,
-    stat_a: str,
-    stat_b: str,
-    b_null: int = 200_000,
-    b_reps: int = 5_000,
-    bins: tuple[float, ...] = (0.01, 0.05, 0.10),
-    *,
-    seed: int,
-    grid=DEFAULT_GRID,
-) -> PValueCrossTab:
+def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 200_000,
+                    b_reps: int = 5_000, bins: tuple[float, ...] = (0.01, 0.05, 0.10), *,
+                    seed: int, grid=DEFAULT_GRID) -> PValueCrossTab:
     """Matched comparison of two statistics' empirical p-values.
 
     Both statistics are evaluated on the same replicates and referred to
@@ -332,6 +379,8 @@ def pvalue_crosstab(
     edges = tuple(float(e) for e in bins)
     if any(not 0.0 < e < 1.0 for e in edges) or list(edges) != sorted(set(edges)):
         raise InputError(f"bin edges {edges!r} must be strictly increasing within (0, 1)")
+    validate_replicates(b_null)
+    validate_replicates(b_reps)
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
     null_values = _battery_values(scenario.null_scenario(), b_null, null_seed, battery, grid)
@@ -350,15 +399,8 @@ def pvalue_crosstab(
     ib = bin_of(stat_b) if stat_b != stat_a else ia
     counts = np.zeros((n_bins, n_bins), dtype=int)
     np.add.at(counts, (ia, ib), 1)
-    return PValueCrossTab(
-        counts=counts,
-        bin_edges=edges,
-        stat_a=stat_a,
-        stat_b=stat_b,
-        b_null=b_null,
-        b_reps=b_reps,
-        seed=seed,
-    )
+    return PValueCrossTab(counts=counts, bin_edges=edges, stat_a=stat_a, stat_b=stat_b,
+                          b_null=b_null, b_reps=b_reps, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +525,8 @@ def exact_permutation_pvalue(
 # multivariate-normal approximation for MAX critical values
 # ---------------------------------------------------------------------------
 
-def normal_approx_critical_max(
-    rho: np.ndarray,
-    alpha: float = 0.05,
-    b: int = 200_000,
-    two_sided: bool = False,
-    *,
-    seed: int,
-) -> float:
+def normal_approx_critical_max(rho: np.ndarray, alpha: float = 0.05, b: int = 200_000,
+                               two_sided: bool = False, *, seed: int) -> float:
     """Approximate upper-alpha threshold for a maximum of correlated normals.
 
     Draws B multivariate normal vectors with the given correlation matrix
@@ -498,6 +534,8 @@ def normal_approx_critical_max(
     (of absolute values when two-sided). This is a labeled approximation:
     the default protocol simulates the statistics from null data instead.
     """
+    validate_alpha(alpha)
+    validate_replicates(b)
     rho = np.atleast_2d(np.asarray(rho, dtype=float))
     k = rho.shape[0]
     if rho.shape != (k, k) or not np.allclose(rho, rho.T, atol=1e-9):

@@ -155,6 +155,28 @@ def test_b_perm_without_seed_is_rejected_before_reading_tables(tmp_path, monkeyp
     assert stdin.tell() == 0  # stdin is left unread
 
 
+@pytest.mark.parametrize("argv, message", [
+    (CASES["criticals_hwe_all"][:-4] + ["--alpha", "1.5"], "alpha 1.5 must lie strictly in (0, 1)"),
+    (CASES["power_recadd"][:-4] + ["--alpha", "0"], "alpha 0.0 must lie strictly in (0, 1)"),
+    (CASES["power_recadd"][:-4] + ["--b-power", "0"], "replicate count must be positive"),
+    (CASES["criticals_normal_approx"][:-3] + ["--normal-approx", "--alpha", "2"],
+     "alpha 2.0 must lie strictly in (0, 1)"),
+    (CASES["crosstab_max3_maxgrid"] + ["--b-reps", "0"], "replicate count must be positive"),
+])
+def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message, monkeypatch):
+    import trendmax.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before validating its arguments")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)  # the MVN draw
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_analyze_input_file_is_closed():
     argv = CASES["analyze_perm"]
     proc = run_python(f"import sys; from trendmax.cli import main; sys.exit(main({argv!r}))",

@@ -169,12 +169,23 @@ def test_simulate_cells_matches_row_major_reference(population, correction, monk
 
 
 def test_critical_values_do_not_depend_on_core_count(monkeypatch):
-    thresholds = []
-    for cores in (1, 4):
+    # uncorrected small tables, so many values are NaN; the tail keepers
+    # merge chunks under a lock, and a lost merge would change a NaN count
+    # or a threshold
+    sc = Scenario(population=HWEPopulation(0.05), penetrances=None, n_cases=20, n_controls=20,
+                  correction=False)
+    results = []
+    interval = sys.getswitchinterval()
+    for cores in (1, 4, 8):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
-        cvs = estimate_critical_values(null_scenario(), BATTERY, b=3 * CHUNK_SIZE + 11, seed=13)
-        thresholds.append(cvs.thresholds)
-    assert thresholds[0] == thresholds[1]
+        sys.setswitchinterval(1e-6 if cores == 8 else interval)
+        try:
+            cvs = estimate_critical_values(sc, BATTERY, b=6 * CHUNK_SIZE + 11, seed=13)
+        finally:
+            sys.setswitchinterval(interval)
+        results.append((cvs.thresholds, cvs.error_rates))
+    assert results[0][1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_simulate_cells_with_more_threads_than_cores_under_frequent_switching(monkeypatch):
@@ -245,14 +256,17 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
         return values
 
     monkeypatch.setattr(trendmax.montecarlo, "_battery_values", recording)
-    whole_batch = {}
+    null_key = (sc.null_scenario(), ENGINE_B, 41, ALL_STATISTICS)
+    null_cells = row_major_reference(sc.null_scenario(), ENGINE_B, 41)
+    # the null run streams its values into the tail keepers, so it leaves no array
+    whole_batch = {null_key: evaluate_battery(null_cells, ALL_STATISTICS, two_sided, GRID)}
     for cores in (1, 2, 3):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         used.clear()
         cvs = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS, b=ENGINE_B, seed=41, grid=GRID)
         row = estimate_power(sc, ALL_STATISTICS, cvs, b=ENGINE_B, seed=42, grid=GRID)
         pvalue_crosstab(sc, "MAXGRID", "T_MAX", b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
-        assert len(used) == 4
+        assert len(used) == 3
         for key, values in used:
             scenario, b, seed, battery = key
             if key not in whole_batch:
@@ -264,7 +278,7 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
                 assert_bit_identical(values[name], want[name])
                 assert values[name].flags.c_contiguous
 
-        null_values, alt_values = used[0][1], used[1][1]
+        null_values, alt_values = whole_batch[null_key], used[0][1]
         for name in ALL_STATISTICS:
             assert cvs.thresholds[name] == empirical_upper_quantile(null_values[name], 0.05)
             assert cvs.error_rates.get(name, 0.0) == float(np.isnan(null_values[name]).mean())
@@ -342,6 +356,72 @@ def test_peak_memory_holds_the_values_and_a_few_chunks(monkeypatch):
     assert peak <= 32.0
     peak = traced_peak_mb(lambda: pvalue_crosstab(alt_scenario(f2=0.02023), "MAX3", "MAXGRID", seed=50))
     assert peak <= 15.0
+
+
+def test_peak_memory_of_a_null_run_does_not_grow_with_all_its_values(monkeypatch):
+    # 13 decision values x 400,000 tables would be 41.6 MB; the tail keepers
+    # hold about 2 x 5% of them plus a chunk, and the pool one chunk per task
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    null = Scenario(population=MixturePopulation(0.1, 0.4, 250, 100, 250, 100), penetrances=None,
+                    n_cases=350, n_controls=350)
+    peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=400_000, seed=49))
+    assert peak <= 14.0
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_upper_tails_pick_what_the_whole_sample_picks(data):
+    b = data.draw(st.integers(1_000, 4 * CHUNK_SIZE), label="b")
+    alpha = data.draw(st.integers(1, b - 1), label="alpha * b") / b
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = np.stack([
+        rng.integers(0, data.draw(st.integers(1, 20), label="distinct"), b).astype(float),  # ties
+        rng.standard_normal(b),
+        np.full(b, math.nan),
+    ])
+    for v in values[:2]:
+        v[rng.random(b) < data.draw(st.sampled_from([0.0, 0.001, 0.3, 0.99]), label="nan")] = math.nan
+    most = data.draw(st.sampled_from([97, 1_000, CHUNK_SIZE]), label="largest chunk")
+    cuts = np.cumsum(rng.integers(1, most + 1, size=b))
+    bounds = np.concatenate([[0], cuts[cuts < b], [b]])
+    tails = trendmax.montecarlo._UpperTails(3, b, alpha)
+    for i in rng.permutation(bounds.size - 1):
+        tails(bounds[i], values[:, bounds[i]:bounds[i + 1]])
+    for i, v in enumerate(values):
+        assert tails.nans[i] == np.isnan(v).sum()
+        assert tails.sizes[i] <= tails.buffers.shape[1]
+        if i == 2:
+            with pytest.raises(InputError, match="no finite values"):
+                tails.quantile(i)
+        else:
+            assert tails.quantile(i) == empirical_upper_quantile(v, alpha)
+
+
+def test_a_partial_tail_names_the_rank_it_misses():
+    # rank 19 of 20 is the second largest
+    with pytest.raises(ValueError, match="miss rank 19"):
+        empirical_upper_quantile(np.array([6.0]), 0.05, size=20)
+    assert empirical_upper_quantile(np.array([6.0, 5.0]), 0.05, size=20) == 5.0
+    assert empirical_upper_quantile(np.array([4.0, 6.0, 5.0]), 0.05, size=20) == 5.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_critical_values(null_scenario(), BATTERY, b=200_000, alpha=1.5, seed=1),
+    lambda: estimate_critical_values(null_scenario(), BATTERY, b=200_000, alpha=math.nan, seed=1),
+    lambda: estimate_power(alt_scenario(), BATTERY, SimpleNamespace(alpha=0.0), b=10_000, seed=1),
+    lambda: estimate_power(alt_scenario(), BATTERY, SimpleNamespace(alpha=0.05), b=0, seed=1),
+    lambda: pvalue_crosstab(alt_scenario(), "MAX3", "Z0", b_reps=0, seed=1),
+    lambda: normal_approx_critical_max(np.eye(3), alpha=2.0, seed=1),
+    lambda: normal_approx_critical_max(np.eye(3), b=-5, seed=1),
+])
+def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before validating its arguments")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
+    with pytest.raises(InputError, match="alpha|replicate count must be positive"):
+        call()
 
 
 def test_mixture_split_must_match_totals():
