@@ -23,7 +23,7 @@ from .battery import (
     tmax,
     validate_battery,
 )
-from .classical import CompositeStatistic, chisq_hwd
+from .classical import CompositeStatistic
 from .errors import (
     CorrelationOutOfRange,
     DegeneratePrevalence,
@@ -36,7 +36,6 @@ from .errors import (
     MonomorphicSample,
     NegativeCell,
     NotExtremePair,
-    NotPSD,
     OrderViolation,
     ScenarioError,
     TrendmaxError,
@@ -52,9 +51,7 @@ from .montecarlo import (
     empirical_upper_quantile,
     estimate_critical_values,
     estimate_power,
-    exact_permutation_pvalue,
     mean_correlation_matrix,
-    normal_approx_critical_max,
     permutation_pvalue,
     permutation_pvalues,
     pvalue_crosstab,
@@ -77,8 +74,6 @@ from .robust import (
     RobustStatistic,
     check_extreme_pair_condition,
     estimate_correlations,
-    maximin_member,
-    mert_are,
     mert_certificate,
     recommend_robust_test,
 )

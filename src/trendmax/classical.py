@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonomorphicSample, ZeroMargin
-
 
 @dataclass(frozen=True)
 class CompositeStatistic:
@@ -88,17 +86,3 @@ def hwd_values(case_cells: np.ndarray) -> np.ndarray:
         ok = (r > 0) & (p > 0) & (p < 1)
         return np.where(ok, stat, np.nan)
 
-
-def chisq_hwd(case_row) -> float:
-    """Hardy-Weinberg disequilibrium chi-square computed in cases only."""
-    rr = np.asarray(case_row, dtype=float)
-    if rr.shape != (3,):
-        raise ZeroMargin("expected a case row of three genotype counts")
-    if rr.sum() <= 0:
-        raise ZeroMargin("case total must be positive")
-    value = float(hwd_values(rr))
-    if np.isnan(value):
-        raise MonomorphicSample(
-            f"case row {tuple(rr)!r} is monomorphic: estimated allele frequency is 0 or 1"
-        )
-    return value

@@ -6,14 +6,20 @@ Subcommands:
                or more observed tables; with --b-perm, permutation
                p-values of the whole battery from one set of permuted
                tables per table, scored in batches that tables share
-    criticals  empirical critical values for scenario packs
+    criticals  empirical critical values for scenario packs; with
+               --normal-approx, closed-form asymptotic thresholds instead
     power      rejection rates (size for null scenarios) per scenario
     corr       mean plug-in correlation triples per scenario
     crosstab   matched p-value cross-tabulation of two statistics
 
 Simulation subcommands require an explicit --seed; every output carries a
 provenance header (scenario hash, seed, replicate counts, version) from
-which the run can be reproduced exactly.
+which the run can be reproduced exactly. ``criticals --normal-approx``
+draws nothing: each threshold is the upper-alpha point of the statistic's
+asymptotic null law at the pooled genotype proportions (normal, chi-square,
+or the closed form of a maximum of trend statistics), so it does not
+depend on the seed or B, and its rows leave ``b`` and ``seed`` empty.
+T_P and T_MAX have no such law and stay empty.
 
 Each subcommand builds one list of records, one per output row, keyed by
 its column names. CSV prints the header as ``# key=value`` lines, then the
@@ -33,7 +39,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
+from scipy.special import chdtrc, chdtri, ndtr, ndtri
 
 from . import __version__
 from .battery import (
@@ -52,12 +58,19 @@ from .montecarlo import (
     estimate_critical_values,
     estimate_power,
     mean_correlation_matrix,
-    normal_approx_critical_max,
     permutation_pvalues,
     pvalue_crosstab,
+    validate_alpha,
     validate_replicates,
 )
-from .robust import FAMILY, estimate_correlations, mert_certificate, recommend_robust_test, validate_grid
+from .robust import (
+    estimate_correlations,
+    max_threshold,
+    mert_certificate,
+    recommend_robust_test,
+    trend_angles,
+    validate_grid,
+)
 from .scenarios import load_scenarios, scenario_hash
 from .tables import apply_continuity_correction, parse_table_record
 
@@ -102,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_sim_args(sp, battery=True, grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--normal-approx", action="store_true",
-                    help="approximate normal-type thresholds from the analytic "
-                         "null correlations instead of null-data simulation")
+                    help="closed-form thresholds from each statistic's asymptotic null law "
+                         "instead of null-data simulation; seedless and independent of "
+                         "--b-null (T_P and T_MAX are left empty)")
 
     sp = sub.add_parser("power", help="rejection rates per scenario and statistic")
     _add_common_sim_args(sp, battery=True, grid=True)
@@ -263,42 +277,40 @@ def cmd_criticals(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery)
     grid = _parse_grid(args.grid)
+    validate_alpha(args.alpha)
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          battery=",".join(battery),
                          mode="normal_approx" if args.normal_approx else "null_simulation")
     columns = ("scenario", "statistic", "threshold", "se", "b", "seed")
+    b, seed = (None, None) if args.normal_approx else (args.b_null, args.seed)
     records = []
     for scenario in scenarios:
         null = scenario.null_scenario()
         if args.normal_approx:
-            thresholds = _normal_approx_thresholds(null, battery, args)
+            thresholds = _normal_approx_thresholds(null, battery, grid, args.alpha)
         else:
             thresholds = estimate_critical_values(null, battery, args.b_null, args.alpha,
                                                   seed=args.seed, grid=grid).thresholds
-        records.extend(dict(zip(columns, (null.label, name, thresholds.get(name), None,
-                                          args.b_null, args.seed)))
+        records.extend(dict(zip(columns, (null.label, name, thresholds.get(name), None, b, seed)))
                        for name in battery)
     _emit(columns, records, args, header)
     return 0
 
 
-def _normal_approx_thresholds(null, battery, args) -> dict[str, float]:
-    """Thresholds of the maxima of trend statistics from the analytic correlations."""
-    strata = null.strata()
-    total = sum(nc + ns for _, _, nc, ns in strata)
-    pooled = np.zeros(3)
-    for case_probs, ctrl_probs, n_cases, n_controls in strata:
-        pooled += np.asarray(case_probs) * n_cases + np.asarray(ctrl_probs) * n_controls
-    pooled /= total
-    triple = estimate_correlations(tuple(pooled))
-    rho = triple.as_matrix()
+def _normal_approx_thresholds(null, battery, grid, alpha: float) -> dict[str, float]:
+    """Upper-alpha points of the registry laws; maxima of trend statistics at the pooled proportions."""
+    pooled = sum(np.multiply(case_probs, n_cases) + np.multiply(ctrl_probs, n_controls)
+                 for case_probs, ctrl_probs, n_cases, n_controls in null.strata())
     out: dict[str, float] = {}
     for name in battery:
-        xs = STATISTICS[name].scores
-        if STATISTICS[name].combine is max_decided and xs:
-            idx = [FAMILY.index(x) for x in xs]
-            out[name] = normal_approx_critical_max(rho[np.ix_(idx, idx)], args.alpha, args.b_null,
-                                                   two_sided=null.two_sided, seed=args.seed)
+        spec = STATISTICS[name]
+        if spec.law == NORMAL:
+            out[name] = float(-ndtri(alpha / 2 if null.two_sided else alpha))
+        elif spec.law is not None:
+            out[name] = float(chdtri(spec.law, alpha))
+        elif spec.combine is max_decided:
+            xs = grid if spec.scores is None else spec.scores
+            out[name] = max_threshold(trend_angles(pooled / pooled.sum(), xs), alpha, null.two_sided)
     return out
 
 

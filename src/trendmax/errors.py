@@ -68,10 +68,6 @@ class NotExtremePair(InputError):
     """The designated pair does not achieve the minimum correlation."""
 
 
-class NotPSD(InputError):
-    """A correlation matrix is not positive semidefinite."""
-
-
 # ---- simulation engine ----
 
 class ScenarioError(InputError):

@@ -46,18 +46,11 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .battery import BATCH_ROWS, DEFAULT_GRID, evaluate_battery, evaluate_tables, validate_battery
-from .errors import (
-    DegenerateTable,
-    InputError,
-    MismatchedScenario,
-    NotPSD,
-    ScenarioError,
-)
+from .errors import DegenerateTable, InputError, MismatchedScenario, ScenarioError
 from .robust import batch_correlations
 from .scenarios import Scenario
 from .tables import GenotypeTable
@@ -486,66 +479,3 @@ def permutation_pvalue(table: GenotypeTable, battery, b: int, *, seed: int, two_
     if isinstance(result, DegenerateTable):
         raise result
     return result
-
-
-def exact_permutation_pvalue(
-    table: GenotypeTable,
-    statistic: str,
-    two_sided: bool = True,
-    grid=DEFAULT_GRID,
-) -> Fraction:
-    """Exact permutation p-value by enumerating the hypergeometric support.
-
-    Feasible for small tables. Returns the exact rational
-    P(statistic >= observed) under label permutation; undefined permuted
-    statistics count as non-exceedances, matching the Monte Carlo mode.
-    """
-    margins, n_cases = _permutation_margins(table)
-    observed = float(evaluate_battery(table.to_array(), (statistic,), two_sided, grid)[statistic][0])
-    if math.isnan(observed):
-        raise DegenerateTable(UNDEFINED_OBSERVED.format(statistic))
-    n0, n1, n2 = margins
-    support = []
-    for a0 in range(min(n0, n_cases) + 1):
-        for a1 in range(min(n1, n_cases - a0) + 1):
-            a2 = n_cases - a0 - a1
-            if 0 <= a2 <= n2:
-                support.append((a0, a1, a2))
-    cells = _permuted_cells(support, margins, np.empty((6, len(support))))
-    values = evaluate_battery(cells, (statistic,), two_sided, grid)[statistic]
-    numer = Fraction(0)
-    denom = Fraction(math.comb(n0 + n1 + n2, n_cases))
-    for (a0, a1, a2), v in zip(support, values):
-        if not math.isnan(v) and v >= observed:
-            numer += Fraction(math.comb(n0, a0) * math.comb(n1, a1) * math.comb(n2, a2))
-    return numer / denom
-
-
-# ---------------------------------------------------------------------------
-# multivariate-normal approximation for MAX critical values
-# ---------------------------------------------------------------------------
-
-def normal_approx_critical_max(rho: np.ndarray, alpha: float = 0.05, b: int = 200_000,
-                               two_sided: bool = False, *, seed: int) -> float:
-    """Approximate upper-alpha threshold for a maximum of correlated normals.
-
-    Draws B multivariate normal vectors with the given correlation matrix
-    and returns the empirical quantile of the coordinate maximum
-    (of absolute values when two-sided). This is a labeled approximation:
-    the default protocol simulates the statistics from null data instead.
-    """
-    validate_alpha(alpha)
-    validate_replicates(b)
-    rho = np.atleast_2d(np.asarray(rho, dtype=float))
-    k = rho.shape[0]
-    if rho.shape != (k, k) or not np.allclose(rho, rho.T, atol=1e-9):
-        raise NotPSD("correlation matrix must be square and symmetric")
-    if not np.allclose(np.diag(rho), 1.0, atol=1e-9):
-        raise NotPSD("correlation matrix must have a unit diagonal")
-    eigmin = float(np.linalg.eigvalsh(rho).min())
-    if eigmin < -1e-9:
-        raise NotPSD(f"correlation matrix has negative eigenvalue {eigmin!r}")
-    rng = np.random.default_rng(seed)
-    draws = rng.multivariate_normal(np.zeros(k), rho, size=b, method="eigh", check_valid="ignore")
-    decided = np.abs(draws) if two_sided else draws
-    return empirical_upper_quantile(decided.max(axis=1), alpha)

@@ -8,13 +8,29 @@ and dominant models, this module provides
   * the necessary-and-sufficient certificate rho_si + rho_it >= 1 + rho_st
     that the extreme-pair MERT (Z_s + Z_t) / sqrt(2 (1 + rho_st)) is the
     MERT of the whole family,
-  * helpers for maximin selection inside a family and for choosing
-    between MERT and MAX from the minimum correlation.
+  * the advisory choice between MERT and MAX from the minimum correlation,
+  * closed-form asymptotic null thresholds of maxima of trend statistics
+    (:func:`max_threshold`).
 
 The MERT and MAX statistics themselves are registry entries in
 :mod:`trendmax.battery`. For jointly normal statistics the Pitman
 efficiency of Z_j relative to Z_i equals rho_ij^2, which is what makes
 the null correlation matrix the whole story.
+
+Null geometry
+-------------
+The numerator x u1 + u2 of Z_x (see :mod:`trendmax.trend`) is linear in
+(u1, u2), which under the null is asymptotically normal with the
+covariance S of the NM and MM indicators at the pooled genotype
+proportions. Whitened, every Z_x is <d_x, W> for one W ~ N(0, I2) and a
+unit direction d_x; :func:`trend_angles` gives the angles of the d_x.
+The ray from the origin at angle phi leaves {max_i <d_i, W> <= t}
+(t > 0) through the constraint of the nearest direction, at radius
+t / cos(phi - theta_i), and never if no direction lies within pi/2. So a
+gap g between neighbouring directions adds Owen's T(t, tan min(g/2, pi/2))
+to the exceedance probability once for each neighbour (Owen 1956, *Ann
+Math Stat* 27:1075-1090; Freidlin, Zheng, Li & Gastwirth 2002, *Hum
+Hered* 53:146-152). Maxima of |Z_x| add the negated directions.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri, owens_t
 
 from .errors import (
     CorrelationOutOfRange,
@@ -33,9 +50,8 @@ from .tables import GenotypeTable
 
 DEFAULT_GRID = tuple(i / 10 for i in range(11))
 
-# Scores of (Z_0, Z_1/2, Z_1), and the score pairs in the order of the
-# correlation triple (rho_0_half, rho_0_1, rho_half_1).
-FAMILY = (0.0, 0.5, 1.0)
+# The score pairs of (Z_0, Z_1/2, Z_1) in the order of the correlation
+# triple (rho_0_half, rho_0_1, rho_half_1).
 FAMILY_PAIRS = ((0.0, 0.5), (0.0, 1.0), (0.5, 1.0))
 
 # Advisory thresholds on the minimum null correlation of the family.
@@ -116,13 +132,6 @@ def estimate_correlations(props) -> CorrelationTriple:
     return CorrelationTriple(float(r0h), float(r01), float(rh1))
 
 
-def mert_are(rho_st: float) -> float:
-    """Minimum asymptotic relative efficiency of the pair MERT: (1 + rho_st) / 2."""
-    if not -1.0 < rho_st <= 1.0:
-        raise CorrelationOutOfRange(f"pair correlation {rho_st!r} not in (-1, 1]")
-    return (1.0 + rho_st) / 2.0
-
-
 def check_extreme_pair_condition(rho: np.ndarray, s: int, t: int, tol: float = 1e-12) -> bool:
     """True iff rho_si + rho_it >= 1 + rho_st for every family member i.
 
@@ -168,21 +177,6 @@ def validate_grid(grid) -> tuple[float, ...]:
     return grid
 
 
-def maximin_member(rho: np.ndarray) -> tuple[int, float]:
-    """Family member maximizing its minimum squared correlation (= minimum ARE).
-
-    Ties break toward the lowest index. Returns (index, min ARE).
-    """
-    rho = np.asarray(rho, dtype=float)
-    k = rho.shape[0]
-    if rho.shape != (k, k) or k < 1:
-        raise InputError("correlation matrix must be square")
-    ares = rho**2
-    min_are = ares.min(axis=0)
-    j = int(np.argmax(min_are))
-    return j, float(min_are[j])
-
-
 def recommend_robust_test(rho_st: float) -> tuple[str, str]:
     """Advisory choice between MERT and MAX from the minimum correlation.
 
@@ -209,3 +203,40 @@ def batch_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     with np.errstate(invalid="ignore"):  # an empty table gives NaN proportions
         props = nn / nn.sum(axis=-1, keepdims=True)
     return correlation_values(props)
+
+
+def trend_angles(props, xs) -> np.ndarray:
+    """Angles of the whitened directions d_x of Z_x, from d_0, at genotype proportions (p0, p1, p2).
+
+    With c = (x, 1) and S the covariance of the NM and MM indicators,
+    cos = c0' S c / sqrt(S22 c' S c) and sin = x sqrt(det S) / sqrt(S22 c' S c),
+    where det S = p0 p1 p2; the angle grows with x, from 0 at x = 0.
+    """
+    p0, p1, p2 = (float(p) for p in props)
+    if min(p0, p2) <= 0:
+        raise DegenerateProportions(f"proportions {(p0, p1, p2)} give a zero-variance Z_0 or Z_1")
+    xs = np.asarray(xs, dtype=float)
+    return np.arctan2(xs * np.sqrt(p0 * p1 * p2), p2 * (1 - p2) - xs * p1 * p2)
+
+
+def max_exceedance(angles, t: float, two_sided: bool) -> float:
+    """P(max_i <d_i, W> > t) for t > 0, W ~ N(0, I2) and unit d_i at ``angles`` (of |.| if two-sided)."""
+    theta = np.asarray(angles, dtype=float)
+    theta = np.sort(np.concatenate([theta, theta + np.pi]) if two_sided else theta)
+    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
+    return float(2 * owens_t(t, np.tan(np.minimum(gaps / 2, np.pi / 2))).sum())
+
+
+def max_threshold(angles, alpha: float, two_sided: bool) -> float:
+    """Upper-alpha point of the maximum in :func:`max_exceedance`, by bisection to 1e-12.
+
+    It lies between the one-direction quantile and the Bonferroni bound.
+    """
+    sides = 2 if two_sided else 1
+    lo, hi = -ndtri(alpha / sides), -ndtri(alpha / (sides * len(angles)))
+    if not lo > 0:
+        raise InputError(f"alpha {alpha!r}: a one-sided maximum's closed form needs alpha < 0.5")
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if max_exceedance(angles, mid, two_sided) > alpha else (lo, mid)
+    return float((lo + hi) / 2)

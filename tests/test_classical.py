@@ -10,7 +10,6 @@ from trendmax import (
     ZeroVariance,
     chisq_2df,
     chisq_allele,
-    chisq_hwd,
     max2,
     max3,
     max_grid,
@@ -20,7 +19,7 @@ from trendmax import (
     tmax,
     trend_statistic,
 )
-from trendmax.battery import ALL_STATISTICS, evaluate_battery
+from trendmax.battery import ALL_STATISTICS, STATISTICS, evaluate_battery
 from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
 
 from conftest import assert_bit_identical, random_tables
@@ -117,26 +116,31 @@ def test_chisq_allele_matches_bruteforce_pearson():
         assert expected == pytest.approx(pearson_2x2_oracle(t), abs=1e-10)
 
 
+def hwd(case_row) -> float:
+    """The registry's HWD chi-square of one table with these cases."""
+    return float(evaluate_battery(np.array([*case_row, 1, 1, 1], dtype=float), ("HWD",))["HWD"][0])
+
+
 def test_chisq_hwd_exact_proportions():
-    assert chisq_hwd((25, 50, 25)) == pytest.approx(0.0)
+    assert hwd((25, 50, 25)) == pytest.approx(0.0)
 
 
 def test_chisq_hwd_worked_example():
-    assert chisq_hwd((10, 20, 30)) == pytest.approx(3.75)
+    assert hwd((10, 20, 30)) == pytest.approx(3.75)
 
 
 def test_chisq_hwd_monomorphic():
+    assert np.isnan(hwd((0, 0, 60))) and np.isnan(hwd((60, 0, 0)))
+    assert STATISTICS["HWD"].undefined is MonomorphicSample
     with pytest.raises(MonomorphicSample):
-        chisq_hwd((0, 0, 60))
-    with pytest.raises(MonomorphicSample):
-        chisq_hwd((60, 0, 0))
+        tmax(GenotypeTable(0, 0, 60, 20, 20, 20))
 
 
 def test_chisq_hwd_zero_iff_hwe_identity():
     rng = np.random.default_rng(302)
     for _ in range(200):
         row = rng.integers(1, 80, size=3).astype(float)
-        stat = chisq_hwd(tuple(row))
+        stat = hwd(row)
         identity = abs(row[1] ** 2 - 4 * row[0] * row[2])
         if stat < 1e-9:
             assert identity < 1e-6 * max(1.0, row.prod())
@@ -177,7 +181,7 @@ SCALAR_WRAPPERS = {
         "Z1": lambda t: trend_statistic(t, 1.0),
         "CHI2_2DF": chisq_2df,
         "AA": chisq_allele,
-        "HWD": lambda t: chisq_hwd(t.case_row),
+        "HWD": lambda t: float(hwd_values(t.to_array())),
         "T_P": product_test,
         "T_MAX": tmax,
     },

@@ -112,9 +112,11 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    proc = run_python("import sys, trendmax.cli; print('scipy.stats' in sys.modules)")
+    # each of these adds about 0.24 s to the import, against a benchmark setup_s of 0.30 s
+    modules = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+    proc = run_python(f"import sys, trendmax.cli; print([m for m in {modules!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("two_sided", [True, False])
@@ -162,6 +164,8 @@ def test_b_perm_without_seed_is_rejected_before_reading_tables(tmp_path, monkeyp
     (CASES["criticals_normal_approx"][:-3] + ["--normal-approx", "--alpha", "2"],
      "alpha 2.0 must lie strictly in (0, 1)"),
     (CASES["crosstab_max3_maxgrid"] + ["--b-reps", "0"], "replicate count must be positive"),
+    (CASES["criticals_normal_approx"] + ["--battery", "CHI2_2DF,HWD", "--alpha", "2"],
+     "alpha 2.0 must lie strictly in (0, 1)"),
 ])
 def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message, monkeypatch):
     import trendmax.montecarlo
@@ -170,11 +174,30 @@ def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message,
         raise AssertionError("drew before validating its arguments")
 
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
-    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)  # the MVN draw
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_normal_approx_rows_do_not_depend_on_seed_or_b_and_draw_nothing(monkeypatch):
+    import trendmax.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the closed form drew random numbers")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
+    base = CASES["criticals_normal_approx"][:3]
+    runs = [run_cli(base + ["--seed", seed, "--b-null", b, "--normal-approx", "--battery", ALL,
+                            "--grid", "0,0.3,0.5,1"])
+            for seed, b in (("3", "2000"), ("11", "500000"))]
+    assert [code for code, _, _ in runs] == [0, 0], runs[0][2]
+    rows = out_rows(runs[0][1])
+    assert rows == out_rows(runs[1][1])
+    assert all(row[4:] == ["", ""] for row in rows)
+    assert {row[1] for row in rows if row[2] == ""} == {"T_P", "T_MAX"}
 
 
 def test_analyze_input_file_is_closed():

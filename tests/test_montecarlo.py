@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy import stats as spstats
+from scipy.special import ndtr, ndtri
 
 from trendmax import (
     CaseControlProbs,
@@ -18,18 +20,16 @@ from trendmax import (
     HWEPopulation,
     MismatchedScenario,
     MixturePopulation,
-    NotPSD,
     PenetranceModel,
     Scenario,
     ScenarioError,
+    DegenerateProportions,
     DegenerateTable,
     InputError,
     empirical_upper_quantile,
     estimate_critical_values,
     estimate_power,
-    exact_permutation_pvalue,
     mean_correlation_matrix,
-    normal_approx_critical_max,
     penetrances_for_model,
     permutation_pvalue,
     permutation_pvalues,
@@ -44,9 +44,10 @@ from trendmax.battery import (
     evaluate_single,
     evaluate_tables,
 )
-from trendmax.robust import batch_correlations
+from trendmax.population import hwe_genotype_freqs
+from trendmax.robust import batch_correlations, max_exceedance, max_threshold, trend_angles
 import trendmax.montecarlo
-from trendmax.montecarlo import CHUNK_SIZE
+from trendmax.montecarlo import CHUNK_SIZE, UNDEFINED_OBSERVED, _permutation_margins, _permuted_cells
 from trendmax.tables import parse_table_record
 
 from conftest import assert_bit_identical
@@ -411,8 +412,8 @@ def test_a_partial_tail_names_the_rank_it_misses():
     lambda: estimate_power(alt_scenario(), BATTERY, SimpleNamespace(alpha=0.0), b=10_000, seed=1),
     lambda: estimate_power(alt_scenario(), BATTERY, SimpleNamespace(alpha=0.05), b=0, seed=1),
     lambda: pvalue_crosstab(alt_scenario(), "MAX3", "Z0", b_reps=0, seed=1),
-    lambda: normal_approx_critical_max(np.eye(3), alpha=2.0, seed=1),
-    lambda: normal_approx_critical_max(np.eye(3), b=-5, seed=1),
+    lambda: pvalue_crosstab(alt_scenario(), "MAX3", "Z0", b_null=0, seed=1),
+    lambda: mean_correlation_matrix(alt_scenario(), b=-5, seed=1),
 ])
 def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monkeypatch):
     def no_draw(*args, **kwargs):
@@ -645,6 +646,27 @@ def subset_permutation_oracle(table: GenotypeTable, statistic: str) -> Fraction:
     return Fraction(exceed, total)
 
 
+def exact_permutation_pvalue(table: GenotypeTable, statistic: str, two_sided=True,
+                             grid=DEFAULT_GRID) -> Fraction:
+    """Exact permutation p-value P(statistic >= observed), by enumerating the hypergeometric support.
+
+    The permutation oracle for small tables: undefined permuted values
+    count as non-exceedances, as in the Monte Carlo mode.
+    """
+    margins, n_cases = _permutation_margins(table)
+    observed = evaluate_single(table.to_array(), statistic, two_sided, grid)
+    if math.isnan(observed):
+        raise DegenerateTable(UNDEFINED_OBSERVED.format(statistic))
+    n0, n1, n2 = margins
+    support = [(a0, a1, n_cases - a0 - a1) for a0 in range(min(n0, n_cases) + 1)
+               for a1 in range(min(n1, n_cases - a0) + 1) if n_cases - a0 - a1 <= n2]
+    cells = _permuted_cells(support, margins, np.empty((6, len(support))))
+    values = evaluate_battery(cells, (statistic,), two_sided, grid)[statistic]
+    numer = sum(math.comb(n0, a0) * math.comb(n1, a1) * math.comb(n2, a2)
+                for (a0, a1, a2), v in zip(support, values) if not math.isnan(v) and v >= observed)
+    return Fraction(numer, math.comb(n0 + n1 + n2, n_cases))
+
+
 @pytest.mark.parametrize("statistic", ["Z_HALF", "CHI2_2DF", "T_MAX", "MAX3"])
 def test_exact_permutation_matches_subset_enumeration(statistic):
     tables = [
@@ -774,30 +796,86 @@ def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
 
 
 # ---------------------------------------------------------------------------
-# normal approximation for MAX thresholds
+# closed-form normal approximation for MAX thresholds
 # ---------------------------------------------------------------------------
 
 def test_normal_approx_single_coordinate():
-    value = normal_approx_critical_max(np.eye(1), 0.05, 200_000, seed=35)
-    assert value == pytest.approx(1.645, abs=0.02)
+    for alpha in (0.01, 0.05, 0.2):
+        assert max_threshold([0.7], alpha, True) == pytest.approx(ndtri(1 - alpha / 2), abs=1e-9)
+        assert max_threshold([0.7], alpha, False) == pytest.approx(ndtri(1 - alpha), abs=1e-9)
+    angles = trend_angles(hwe_genotype_freqs(0.3).as_tuple(), (0.5,))
+    assert max_threshold(angles, 0.05, True) == pytest.approx(ndtri(0.975), abs=1e-9)
 
 
 def test_normal_approx_perfect_correlation_collapses():
-    rho = np.ones((2, 2))
-    value = normal_approx_critical_max(rho, 0.05, 200_000, seed=36)
-    single = normal_approx_critical_max(np.eye(1), 0.05, 200_000, seed=36)
-    assert value == pytest.approx(single, abs=0.02)
+    for two_sided in (True, False):
+        single = max_threshold([0.4], 0.05, two_sided)
+        assert max_threshold([0.4, 0.4, 0.4], 0.05, two_sided) == pytest.approx(single, abs=1e-9)
 
 
 def test_normal_approx_threshold_decreases_with_correlation():
-    thresholds = []
-    for rho in (0.0, 0.5, 0.9):
-        m = np.array([[1.0, rho], [rho, 1.0]])
-        thresholds.append(normal_approx_critical_max(m, 0.05, 200_000, seed=37))
-    assert thresholds[0] > thresholds[1] > thresholds[2]
+    for two_sided in (True, False):
+        thresholds = [max_threshold([0.0, math.acos(rho)], 0.05, two_sided) for rho in (0.0, 0.5, 0.9)]
+        assert thresholds[0] > thresholds[1] > thresholds[2]
+    # independent pair: P(max > t) = 1 - (1 - sf(t))^2
+    assert max_threshold([0.0, math.pi / 2], 0.05, False) == pytest.approx(ndtri(math.sqrt(0.95)), abs=1e-9)
 
 
-def test_normal_approx_rejects_non_psd():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(NotPSD):
-        normal_approx_critical_max(bad, 0.05, 1_000, seed=38)
+def test_normal_approx_rejects_degenerate_proportions():
+    with pytest.raises(DegenerateProportions):
+        trend_angles((0.0, 0.5, 0.5), (0.0, 1.0))
+    with pytest.raises(DegenerateProportions):
+        trend_angles((0.5, 0.5, 0.0), (0.0, 1.0))
+    with pytest.raises(InputError, match="alpha < 0.5"):
+        max_threshold([0.0, 1.0], 0.6, False)
+
+
+def conditioning_integral(angles, t: float, two_sided: bool) -> float:
+    """P(max_i <d_i, W> > t) as 1 - int phi(w1) [Phi(hi) - Phi(lo)] dw1, by quad between the kinks."""
+    cos, sin = np.cos(angles), np.sin(angles)
+
+    def inside(w1: float) -> float:
+        if np.any((sin == 0) & (cos * w1 > t)) or two_sided and np.any((sin == 0) & (cos * w1 < -t)):
+            return 0.0
+        slanted = sin > 0
+        hi = np.min((t - cos[slanted] * w1) / sin[slanted], initial=np.inf)
+        lo = np.max((-t - cos[slanted] * w1) / sin[slanted], initial=-np.inf) if two_sided else -np.inf
+        return math.exp(-w1 * w1 / 2) / math.sqrt(2 * math.pi) * max(ndtr(hi) - ndtr(lo), 0.0)
+
+    # the integrand has a kink wherever two boundary lines <d_i, w> = +-t cross
+    kinks = [t, -t]
+    for i, j in itertools.combinations(range(len(angles)), 2):
+        if abs(math.sin(angles[j] - angles[i])) > 1e-12:
+            kinks += [(ti * sin[j] - tj * sin[i]) / math.sin(angles[j] - angles[i])
+                      for ti in (t, -t) for tj in (t, -t)]
+    edges = [-12.0, *sorted(x for x in kinks if -12 < x < 12), 12.0]
+    return 1.0 - sum(integrate.quad(inside, a, b, limit=200, epsabs=1e-14, epsrel=1e-13)[0]
+                     for a, b in zip(edges[:-1], edges[1:]) if b > a)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("xs", [(0.0, 1.0), (0.0, 0.5), (0.0, 0.5, 1.0), DEFAULT_GRID])
+def test_normal_approx_exceedance_matches_the_conditioning_integral(p, xs):
+    angles = trend_angles(hwe_genotype_freqs(p).as_tuple(), xs)
+    for two_sided in (True, False):
+        for t in (1.5, 2.2, 3.0):
+            want = conditioning_integral(angles, t, two_sided)
+            assert max_exceedance(angles, t, two_sided) == pytest.approx(want, abs=1e-9), (two_sided, t)
+
+
+@pytest.mark.parametrize("two_sided", [True, False])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+def test_normal_approx_threshold_has_level_alpha_under_mvn_draws(p, two_sided):
+    # the oracle draws the numerators (u1, u2) with the NM/MM indicator covariance,
+    # standardizes each Z_x on its own and takes the maximum: no angles involved
+    props = hwe_genotype_freqs(p).as_tuple()
+    p0, p1, p2 = props
+    cov = np.array([[p1 * (1 - p1), -p1 * p2], [-p1 * p2, p2 * (1 - p2)]])
+    b, alpha = 200_000, 0.05
+    u = np.random.default_rng(int(p * 10) + 2 * two_sided).multivariate_normal(np.zeros(2), cov, size=b)
+    for xs in [(0.0, 1.0), (0.0, 0.5), (0.0, 0.5, 1.0), DEFAULT_GRID]:
+        c = np.array([xs, np.ones(len(xs))])
+        z = (u @ c) / np.sqrt(np.einsum("ik,ij,jk->k", c, cov, c))
+        decided = (np.abs(z) if two_sided else z).max(axis=1)
+        rate = np.mean(decided > max_threshold(trend_angles(props, xs), alpha, two_sided))
+        assert abs(rate - alpha) <= 3 * math.sqrt(alpha * (1 - alpha) / b), (xs, rate)
