@@ -60,10 +60,8 @@ from .montecarlo import (
 from .population import (
     CaseControlProbs,
     GenotypeFreqs,
-    HWEPopulation,
-    MixturePopulation,
     PenetranceModel,
-    PopulationSpec,
+    Stratum,
     case_control_probs,
     hwe_genotype_freqs,
     penetrances_for_model,

@@ -132,19 +132,22 @@ def evaluate_battery(
     specs = {name: STATISTICS[name] for name in validate_battery(battery)}
     scores = {name: validate_grid(grid) if spec.scores is None else spec.scores
               for name, spec in specs.items()}
-    cells = np.atleast_2d(np.asarray(cells, dtype=float))
-
-    # One pass over the cells gives the sums behind every Z_x; they are
-    # released before the classical kernels allocate their temporaries.
-    needed = dict.fromkeys(x for xs in scores.values() for x in xs)
-    z: dict[float, np.ndarray] = {}
-    if needed:
-        sums = trend_sums(cells)
-        z = {x: trend_values(sums, x) for x in needed}
-        del sums
-
-    parts = _Parts(cells, z, two_sided)
+    parts = _parts(cells, dict.fromkeys(x for xs in scores.values() for x in xs), two_sided)
     return {name: spec.combine(parts, scores[name]) for name, spec in specs.items()}
+
+
+def _parts(cells, xs, two_sided: bool) -> _Parts:
+    """The shared components of ``cells``, with Z_x for each score in ``xs``.
+
+    One pass over the cells gives the sums behind every Z_x; they are
+    released before the classical kernels allocate their temporaries.
+    """
+    cells = np.atleast_2d(np.asarray(cells, dtype=float))
+    z: dict[float, np.ndarray] = {}
+    if xs:
+        sums = trend_sums(cells)
+        z = {x: trend_values(sums, x) for x in xs}
+    return _Parts(cells, z, two_sided)
 
 
 # Rows per evaluate_battery call where many small tables are pooled: the cost
@@ -184,14 +187,16 @@ def _defined(table: GenotypeTable, names, two_sided=True, grid=DEFAULT_GRID) -> 
 
 def _trend_family(table: GenotypeTable, name, two_sided, grid=DEFAULT_GRID, kind=None) -> RobustStatistic:
     """A trend-family statistic with its signed Z_x components (and a MERT's rho)."""
-    value = _defined(table, (name,), two_sided, grid)[0]
-    spec, cells = STATISTICS[name], table.to_array()[None]
+    spec = STATISTICS[name]
     xs = validate_grid(grid) if spec.scores is None else spec.scores
-    sums = trend_sums(cells)
-    components = {_Z_NAMES.get(x, f"Z@{x:g}"): float(trend_values(sums, x)[0]) for x in xs}
+    parts = _parts(table.to_array(), xs, two_sided)
+    value = float(spec.combine(parts, xs)[0])
+    if np.isnan(value):
+        raise spec.undefined(f"{name} is undefined on {table}")
+    components = {_Z_NAMES.get(x, f"Z@{x:g}"): float(parts.z[x][0]) for x in xs}
     if spec.combine is pair_mert:
         i = FAMILY_PAIRS.index(xs)
-        components[_RHO_NAMES[i]] = float(batch_correlations(cells)[i][0])
+        components[_RHO_NAMES[i]] = float(parts[batch_correlations][i][0])
     return RobustStatistic(value, components, kind or name, two_sided)
 
 

@@ -7,14 +7,17 @@ Bayes' rule, the genotype distributions seen in cases and controls:
     p_i = f_i g_i / D        (cases)
     q_i = (1 - f_i) g_i / (1 - D)   (controls)
 
-Populations are either a single random-mating population with allele
-frequency p (genotype frequencies (q^2, 2pq, p^2), q = 1 - p) or a fixed
-mixture of two such populations with per-stratum sample sizes.
+A sampled population is one or two :class:`Stratum` records, each a
+random-mating population with allele frequency p (genotype frequencies
+(q^2, 2pq, p^2), q = 1 - p) that contributes a fixed number of cases and
+controls. Two strata with different p give a pooled sample out of
+Hardy-Weinberg equilibrium.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegeneratePrevalence,
@@ -106,51 +109,12 @@ class CaseControlProbs:
         return (self.q0, self.q1, self.q2)
 
 
-@dataclass(frozen=True)
-class HWEPopulation:
-    """Single random-mating population; p is the frequency of allele M."""
+class Stratum(NamedTuple):
+    """One random-mating stratum: allele frequency p of M and its case and control counts."""
 
     p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise FrequencyOutOfRange(f"allele frequency {self.p!r} not in (0, 1)")
-
-
-@dataclass(frozen=True)
-class MixturePopulation:
-    """Fixed mixture of two random-mating strata.
-
-    Stratum A contributes (cases_a, controls_a) individuals at allele
-    frequency pa, stratum B the rest at pb. Pooled samples are generally
-    out of Hardy-Weinberg equilibrium.
-    """
-
-    pa: float
-    pb: float
-    cases_a: int
-    cases_b: int
-    controls_a: int
-    controls_b: int
-
-    def __post_init__(self):
-        for p in (self.pa, self.pb):
-            if not 0.0 < p < 1.0:
-                raise FrequencyOutOfRange(f"allele frequency {p!r} not in (0, 1)")
-        for k in (self.cases_a, self.cases_b, self.controls_a, self.controls_b):
-            if int(k) != k or k <= 0:
-                raise InputError(f"stratum size {k!r} must be a positive integer")
-
-    @property
-    def n_cases(self) -> int:
-        return self.cases_a + self.cases_b
-
-    @property
-    def n_controls(self) -> int:
-        return self.controls_a + self.controls_b
-
-
-PopulationSpec = HWEPopulation | MixturePopulation
+    cases: int
+    controls: int
 
 
 def hwe_genotype_freqs(p: float) -> GenotypeFreqs:

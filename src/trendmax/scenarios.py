@@ -1,9 +1,9 @@
 """Simulation scenarios and their file format.
 
-A scenario fixes everything a simulation needs: the population (single
-HWE population or two-population mixture), the penetrances (or the null
-hypothesis), case/control sample sizes, whether the +1/2 continuity
-correction is applied, and sidedness.
+A scenario fixes everything a simulation needs: the population (one HWE
+stratum, or a mixture of two), the penetrances (or the null hypothesis),
+case/control sample sizes, whether the +1/2 continuity correction is
+applied, and sidedness.
 
 Scenario files are JSON: either a list of records or a single record.
 Recognized keys per record:
@@ -16,13 +16,16 @@ Recognized keys per record:
     pA, pB      stratum allele frequencies (mixture)
     R1, R2      per-stratum case counts (mixture)
     S1, S2      per-stratum control counts (mixture)
-    r, s        total cases / controls
+    r, s        total cases / controls; optional for a mixture, where
+                they must equal R1 + R2 and S1 + S2
     correction  JSON boolean, default true
     sidedness   "one" | "two", default "two"
 
-Counts must be integral (250 or 250.0, not 2.7 or "250") and
-``correction`` must be a JSON boolean; anything else raises
-:class:`ScenarioError` naming the key.
+Frequencies and penetrances must be JSON numbers (0.3, not "0.3", null
+or true). Counts must be integral (250 or 250.0, not 2.7 or "250").
+``id``, ``model`` and ``sidedness`` must be strings and ``correction`` a
+JSON boolean. Anything else raises :class:`ScenarioError` naming the key
+and the record's position in the file.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 
-from .errors import ScenarioError
+from .errors import FrequencyOutOfRange, ScenarioError, TrendmaxError
 from .population import (
-    HWEPopulation,
-    MixturePopulation,
     PenetranceModel,
-    PopulationSpec,
-    canonical_model_kind,
+    Stratum,
     case_control_probs,
     hwe_genotype_freqs,
     penetrances_for_model,
@@ -46,28 +46,38 @@ from .population import (
 
 @dataclass(frozen=True)
 class Scenario:
-    population: PopulationSpec
+    """A simulated case-control study.
+
+    ``population`` holds one or two :class:`Stratum` records, as in the
+    file format: one for a single HWE population (``p``, ``r``, ``s``),
+    two for a mixture (``pA``, ``R1``, ``S1`` and ``pB``, ``R2``, ``S2``).
+    The case and control totals are derived from the strata.
+    ``penetrances`` is None for the null hypothesis.
+    """
+
+    population: tuple[Stratum, ...]
     penetrances: PenetranceModel | None
-    n_cases: int
-    n_controls: int
     correction: bool = True
     two_sided: bool = True
     label: str = ""
 
     def __post_init__(self):
-        if self.n_cases <= 0 or self.n_controls <= 0:
-            raise ScenarioError("case and control counts must be positive")
-        if isinstance(self.population, MixturePopulation):
-            if self.population.n_cases != self.n_cases:
-                raise ScenarioError(
-                    f"mixture case split {self.population.cases_a}+{self.population.cases_b} "
-                    f"does not sum to r={self.n_cases}"
-                )
-            if self.population.n_controls != self.n_controls:
-                raise ScenarioError(
-                    f"mixture control split {self.population.controls_a}+"
-                    f"{self.population.controls_b} does not sum to s={self.n_controls}"
-                )
+        if len(self.population) not in (1, 2):
+            raise ScenarioError(f"a scenario has one or two strata, got {len(self.population)}")
+        for p, cases, controls in self.population:
+            if not 0.0 < p < 1.0:
+                raise FrequencyOutOfRange(f"allele frequency {p!r} not in (0, 1)")
+            for k in (cases, controls):
+                if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
+                    raise ScenarioError(f"case and control counts must be positive integers, got {k!r}")
+
+    @property
+    def n_cases(self) -> int:
+        return sum(stratum.cases for stratum in self.population)
+
+    @property
+    def n_controls(self) -> int:
+        return sum(stratum.controls for stratum in self.population)
 
     @property
     def is_null(self) -> bool:
@@ -81,7 +91,7 @@ class Scenario:
 
     def key(self) -> tuple:
         """Fingerprint of everything the null distribution depends on."""
-        return (self.population, self.n_cases, self.n_controls, self.correction, self.two_sided)
+        return (self.population, self.correction, self.two_sided)
 
     def strata(self) -> list[tuple[tuple[float, float, float], tuple[float, float, float], int, int]]:
         """Per-stratum (case probs, control probs, cases, controls).
@@ -90,44 +100,29 @@ class Scenario:
         under the null both rows are the stratum's genotype frequencies.
         """
         out = []
-        if isinstance(self.population, HWEPopulation):
-            groups = [(self.population.p, self.n_cases, self.n_controls)]
-        else:
-            pop = self.population
-            groups = [
-                (pop.pa, pop.cases_a, pop.controls_a),
-                (pop.pb, pop.cases_b, pop.controls_b),
-            ]
-        for p, n_cases, n_controls in groups:
+        for p, cases, controls in self.population:
             g = hwe_genotype_freqs(p)
             if self.penetrances is None:
-                probs = g.as_tuple(), g.as_tuple()
+                out.append((g.as_tuple(), g.as_tuple(), cases, controls))
             else:
                 cc = case_control_probs(self.penetrances, g)
-                probs = cc.case_probs, cc.control_probs
-            out.append((probs[0], probs[1], n_cases, n_controls))
+                out.append((cc.case_probs, cc.control_probs, cases, controls))
         return out
 
     def describe(self) -> dict:
         """JSON-serializable record (round-trips through parse_scenario_record)."""
-        rec: dict = {"r": self.n_cases, "s": self.n_controls}
+        rec: dict = {"r": self.n_cases, "s": self.n_controls, "model": "null", "correction": self.correction,
+                     "sidedness": "two" if self.two_sided else "one"}
         if self.label:
             rec["id"] = self.label
-        if isinstance(self.population, HWEPopulation):
-            rec["p"] = self.population.p
+        if len(self.population) == 1:
+            rec["p"] = self.population[0].p
         else:
-            pop = self.population
-            rec.update(pA=pop.pa, pB=pop.pb, R1=pop.cases_a, R2=pop.cases_b,
-                       S1=pop.controls_a, S2=pop.controls_b)
-        if self.penetrances is None:
-            rec["model"] = "null"
-        else:
-            rec["model"] = self.penetrances.kind
-            rec["f0"] = self.penetrances.f0
-            rec["f1"] = self.penetrances.f1
-            rec["f2"] = self.penetrances.f2
-        rec["correction"] = self.correction
-        rec["sidedness"] = "two" if self.two_sided else "one"
+            (pa, r1, s1), (pb, r2, s2) = self.population
+            rec.update(pA=pa, pB=pb, R1=r1, R2=r2, S1=s1, S2=s2)
+        if self.penetrances is not None:
+            pen = self.penetrances
+            rec.update(model=pen.kind, f0=pen.f0, f1=pen.f1, f2=pen.f2)
         return rec
 
 
@@ -163,56 +158,53 @@ def parse_scenario_record(rec: dict, where: str = "scenario") -> Scenario:
             return int(value)
         raise ScenarioError(f"{where}: {key!r} must be an integer count, got {value!r}")
 
-    mixture = any(k in rec for k in ("pA", "pB", "R1", "R2", "S1", "S2"))
-    if mixture:
+    def number(key):
+        value = need(key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise ScenarioError(f"{where}: {key!r} must be a number, got {value!r}")
+
+    def string(key, default):
+        value = rec.get(key, default)
+        if isinstance(value, str):
+            return value
+        raise ScenarioError(f"{where}: {key!r} must be a string, got {value!r}")
+
+    if any(k in rec for k in ("pA", "pB", "R1", "R2", "S1", "S2")):
         if "p" in rec:
             raise ScenarioError(f"{where}: give either p or the mixture keys, not both")
-        pop = MixturePopulation(
-            pa=float(need("pA")), pb=float(need("pB")),
-            cases_a=count("R1"), cases_b=count("R2"),
-            controls_a=count("S1"), controls_b=count("S2"),
-        )
-        r = count("r") if "r" in rec else pop.n_cases
-        s = count("s") if "s" in rec else pop.n_controls
+        population = (Stratum(number("pA"), count("R1"), count("S1")),
+                      Stratum(number("pB"), count("R2"), count("S2")))
+        (_, r1, s1), (_, r2, s2) = population
+        if "r" in rec and count("r") != r1 + r2:
+            raise ScenarioError(f"{where}: mixture case split {r1}+{r2} does not sum to r={count('r')}")
+        if "s" in rec and count("s") != s1 + s2:
+            raise ScenarioError(f"{where}: mixture control split {s1}+{s2} does not sum to s={count('s')}")
     else:
-        pop = HWEPopulation(p=float(need("p")))
-        r = count("r")
-        s = count("s")
+        population = (Stratum(number("p"), count("r"), count("s")),)
 
-    model = canonical_model_kind(str(rec.get("model", "null"))) if rec.get("model", "null") != "null" else "null"
-    if model == "null":
-        pen = None
-    elif model == "custom":
-        pen = PenetranceModel(float(need("f0")), float(need("f1")), float(need("f2")), kind="custom")
-    else:
-        f0 = float(need("f0"))
-        f2 = float(need("f2"))
-        if "f1" in rec:
-            pen = PenetranceModel(f0, float(rec["f1"]), f2, kind=model)
-        else:
-            pen = penetrances_for_model(model, f0, f2)
+    model = string("model", "null")
+    explicit_f1 = model == "custom" or "f1" in rec
+    f = () if model == "null" else tuple(number(k) for k in ("f0", "f1", "f2") if k != "f1" or explicit_f1)
+    label = string("id", "")
 
     correction = rec.get("correction", True)
     if not isinstance(correction, bool):
         raise ScenarioError(f"{where}: 'correction' must be true or false, got {correction!r}")
 
-    sided = str(rec.get("sidedness", "two"))
+    sided = string("sidedness", "two")
     if sided not in ("one", "two"):
         raise ScenarioError(f"{where}: sidedness must be 'one' or 'two', got {sided!r}")
 
-    try:
-        return Scenario(
-            population=pop,
-            penetrances=pen,
-            n_cases=r,
-            n_controls=s,
-            correction=correction,
-            two_sided=(sided == "two"),
-            label=str(rec.get("id", "")),
-        )
-    except ScenarioError:
-        raise
-    except Exception as exc:  # wrap population validation errors with context
+    try:  # the model's and the strata's own checks, prefixed with the record's position
+        if model == "null":
+            pen = None
+        elif explicit_f1:
+            pen = PenetranceModel(*f, kind=model)
+        else:
+            pen = penetrances_for_model(model, *f)
+        return Scenario(population, pen, correction, two_sided=(sided == "two"), label=label)
+    except TrendmaxError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 

@@ -241,6 +241,27 @@ def test_grid_is_validated_without_maxgrid_in_the_battery(argv):
     assert "--grid" in err and "grid scores must lie in [0, 1]" in err
 
 
+NULL_P30 = {"model": "null", "p": 0.3, "r": 250, "s": 250}
+
+
+@pytest.mark.parametrize("rec, message", [
+    ({**NULL_P30, "p": "abc"}, "'p' must be a number, got 'abc'"),
+    ({**NULL_P30, "p": None}, "'p' must be a number, got None"),
+    ({**NULL_P30, "model": "add", "f0": "x", "f2": 0.2}, "'f0' must be a number, got 'x'"),
+    ({**NULL_P30, "p": 0.0}, "allele frequency 0.0 not in (0, 1)"),
+    ({**NULL_P30, "model": "add", "f0": 0.3, "f2": 0.2}, "f2 (0.2) must not be smaller than f0 (0.3)"),
+    ({"model": "null", "pA": 0.1, "pB": 0.4, "R1": 30, "S1": 150, "R2": 20, "S2": 100, "r": 60},
+     "mixture case split 30+20 does not sum to r=60"),
+])
+def test_invalid_scenario_exits_2_with_one_line_naming_the_record(rec, message, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([rec]), encoding="utf-8")
+    code, out, err = run_cli(["criticals", "--scenarios", str(path), "--seed", "1", "--b-null", "100"])
+    assert code == 2
+    assert out == ""
+    assert err == f"trendmax criticals: {path}[0]: {message}\n"
+
+
 def assert_unrecognized(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + flag)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -17,12 +18,11 @@ from scipy.special import ndtr, ndtri
 from trendmax import (
     CaseControlProbs,
     GenotypeTable,
-    HWEPopulation,
     MismatchedScenario,
-    MixturePopulation,
     PenetranceModel,
     Scenario,
     ScenarioError,
+    Stratum,
     DegenerateProportions,
     DegenerateTable,
     InputError,
@@ -33,6 +33,7 @@ from trendmax import (
     penetrances_for_model,
     permutation_pvalue,
     permutation_pvalues,
+    parse_scenarios,
     pvalue_crosstab,
     simulate_cells,
 )
@@ -58,16 +59,11 @@ BATTERY = ("Z0", "Z_HALF", "Z1", "MERT", "MAX2", "MAX3", "CHI2_2DF", "T_P", "T_M
 
 
 def null_scenario(p=0.3, r=250, s=250) -> Scenario:
-    return Scenario(population=HWEPopulation(p), penetrances=None, n_cases=r, n_controls=s)
+    return Scenario(population=(Stratum(p, r, s),), penetrances=None)
 
 
 def alt_scenario(p=0.3, f2=0.02, kind="add", r=250, s=250) -> Scenario:
-    return Scenario(
-        population=HWEPopulation(p),
-        penetrances=penetrances_for_model(kind, 0.01, f2),
-        n_cases=r,
-        n_controls=s,
-    )
+    return Scenario(population=(Stratum(p, r, s),), penetrances=penetrances_for_model(kind, 0.01, f2))
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +101,16 @@ def test_sample_table_frequencies_match_probs():
 
 
 def test_sample_mixture_degenerate_equals_single():
-    pop = MixturePopulation(0.3, 0.3, 100, 50, 120, 80)
-    sc = Scenario(population=pop, penetrances=None, n_cases=150, n_controls=200, correction=False)
+    pop = (Stratum(0.3, 100, 120), Stratum(0.3, 50, 80))
+    sc = Scenario(population=pop, penetrances=None, correction=False)
     cells = simulate_cells(sc, 100, seed=3)
     assert np.all(cells[:, 0:3].sum(axis=1) == 150)
     assert np.all(cells[:, 3:6].sum(axis=1) == 200)
 
 
 def test_sample_mixture_null_rows_same_distribution():
-    pop = MixturePopulation(0.1, 0.5, 100, 100, 100, 100)
-    sc = Scenario(population=pop, penetrances=None, n_cases=200, n_controls=200, correction=False)
+    pop = (Stratum(0.1, 100, 100), Stratum(0.5, 100, 100))
+    sc = Scenario(population=pop, penetrances=None, correction=False)
     b = 3000
     cells = simulate_cells(sc, b, seed=4)
     case_means, ctrl_means = cells[:, 0:3].mean(axis=0), cells[:, 3:6].mean(axis=0)
@@ -126,8 +122,7 @@ def test_simulate_cells_correction_flag():
     cells = simulate_cells(sc, 100, seed=5)
     assert np.all(cells % 1 == 0.5)
     raw = simulate_cells(
-        Scenario(population=HWEPopulation(0.3), penetrances=None,
-                 n_cases=250, n_controls=250, correction=False),
+        Scenario(population=(Stratum(0.3, 250, 250),), penetrances=None, correction=False),
         100, seed=5)
     assert np.all(raw % 1 == 0)
 
@@ -152,12 +147,12 @@ def row_major_reference(scenario: Scenario, b: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("correction", [True, False])
 @pytest.mark.parametrize("population", [
-    HWEPopulation(0.3),
-    MixturePopulation(0.1, 0.4, 150, 100, 120, 130),
+    (Stratum(0.3, 250, 250),),
+    (Stratum(0.1, 150, 120), Stratum(0.4, 100, 130)),
 ])
 def test_simulate_cells_matches_row_major_reference(population, correction, monkeypatch):
     sc = Scenario(population=population, penetrances=penetrances_for_model("add", 0.01, 0.03),
-                  n_cases=250, n_controls=250, correction=correction)
+                  correction=correction)
     b = 2 * CHUNK_SIZE + 137  # three chunks, the last one short
     reference = row_major_reference(sc, b, seed=11)
     for cores in (1, 2, 3):
@@ -173,8 +168,7 @@ def test_critical_values_do_not_depend_on_core_count(monkeypatch):
     # uncorrected small tables, so many values are NaN; the tail keepers
     # merge chunks under a lock, and a lost merge would change a NaN count
     # or a threshold
-    sc = Scenario(population=HWEPopulation(0.05), penetrances=None, n_cases=20, n_controls=20,
-                  correction=False)
+    sc = Scenario(population=(Stratum(0.05, 20, 20),), penetrances=None, correction=False)
     results = []
     interval = sys.getswitchinterval()
     for cores in (1, 4, 8):
@@ -190,8 +184,7 @@ def test_critical_values_do_not_depend_on_core_count(monkeypatch):
 
 
 def test_simulate_cells_with_more_threads_than_cores_under_frequent_switching(monkeypatch):
-    sc = Scenario(population=MixturePopulation(0.1, 0.4, 150, 100, 120, 130), penetrances=None,
-                  n_cases=250, n_controls=250)
+    sc = Scenario(population=(Stratum(0.1, 150, 120), Stratum(0.4, 100, 130)), penetrances=None)
     b = 8 * CHUNK_SIZE
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 1)
     serial = simulate_cells(sc, b, seed=17)
@@ -231,15 +224,15 @@ GRID = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
 ENGINE_B = 2 * CHUNK_SIZE + 137  # three chunks, the last one short
 
 
-def engine_scenario(population, size, two_sided, correction) -> Scenario:
+def engine_scenario(population, two_sided, correction) -> Scenario:
     return Scenario(population=population, penetrances=penetrances_for_model("add", 0.01, 0.03),
-                    n_cases=size, n_controls=size, correction=correction, two_sided=two_sided)
+                    correction=correction, two_sided=two_sided)
 
 
 ENGINE_CASES = pytest.mark.parametrize("population, size, two_sided", [
-    (HWEPopulation(0.3), 250, True),
-    (MixturePopulation(0.1, 0.4, 150, 100, 120, 130), 250, False),
-    (HWEPopulation(0.05), 20, True),  # uncorrected, many statistics are undefined
+    ((Stratum(0.3, 250, 250),), 250, True),
+    ((Stratum(0.1, 150, 120), Stratum(0.4, 100, 130)), 250, False),
+    ((Stratum(0.05, 20, 20),), 20, True),  # uncorrected, many statistics are undefined
 ])
 
 
@@ -247,7 +240,7 @@ ENGINE_CASES = pytest.mark.parametrize("population, size, two_sided", [
 @ENGINE_CASES
 def test_entry_points_score_what_the_whole_batch_scores(population, size, two_sided, correction,
                                                         monkeypatch):
-    sc = engine_scenario(population, size, two_sided, correction)
+    sc = engine_scenario(population, two_sided, correction)
     used = []
     battery_values = trendmax.montecarlo._battery_values
 
@@ -294,7 +287,7 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
 @ENGINE_CASES
 def test_mean_correlations_equal_the_whole_batch_mean(population, size, two_sided, correction,
                                                       monkeypatch):
-    sc = engine_scenario(population, size, two_sided, correction)
+    sc = engine_scenario(population, two_sided, correction)
     rho = np.array(batch_correlations(row_major_reference(sc, ENGINE_B, seed=44)))
     bad = np.isnan(rho).any(axis=0)
     for cores in (1, 2, 3):
@@ -351,8 +344,7 @@ def test_peak_memory_holds_the_values_and_a_few_chunks(monkeypatch):
     # 13 decision values x 200,000 tables are 20.8 MB; sampling the whole
     # batch before scoring it peaked at 52 MB here, and at 42 MB on the crosstab
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
-    null = Scenario(population=MixturePopulation(0.1, 0.4, 250, 100, 250, 100), penetrances=None,
-                    n_cases=350, n_controls=350)
+    null = Scenario(population=(Stratum(0.1, 250, 250), Stratum(0.4, 100, 100)), penetrances=None)
     peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=200_000, seed=49))
     assert peak <= 32.0
     peak = traced_peak_mb(lambda: pvalue_crosstab(alt_scenario(f2=0.02023), "MAX3", "MAXGRID", seed=50))
@@ -363,8 +355,7 @@ def test_peak_memory_of_a_null_run_does_not_grow_with_all_its_values(monkeypatch
     # 13 decision values x 400,000 tables would be 41.6 MB; the tail keepers
     # hold about 2 x 5% of them plus a chunk, and the pool one chunk per task
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
-    null = Scenario(population=MixturePopulation(0.1, 0.4, 250, 100, 250, 100), penetrances=None,
-                    n_cases=350, n_controls=350)
+    null = Scenario(population=(Stratum(0.1, 250, 250), Stratum(0.4, 100, 100)), penetrances=None)
     peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=400_000, seed=49))
     assert peak <= 14.0
 
@@ -426,9 +417,9 @@ def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monk
 
 
 def test_mixture_split_must_match_totals():
+    mixture = {"pA": 0.1, "pB": 0.4, "R1": 250, "R2": 100, "S1": 250, "S2": 100}
     with pytest.raises(ScenarioError):
-        Scenario(population=MixturePopulation(0.1, 0.4, 250, 100, 250, 100),
-                 penetrances=None, n_cases=300, n_controls=350)
+        parse_scenarios(json.dumps({**mixture, "r": 300, "s": 350}))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +549,7 @@ def test_mean_correlations_null_reference_values():
 
 def test_mean_correlations_failure_rate_without_correction():
     # tiny uncorrected samples at a rare allele frequently miss MM entirely
-    sc = Scenario(population=HWEPopulation(0.05), penetrances=None,
-                  n_cases=10, n_controls=10, correction=False)
+    sc = Scenario(population=(Stratum(0.05, 10, 10),), penetrances=None, correction=False)
     mc = mean_correlation_matrix(sc, b=2_000, seed=22)
     assert mc.failure_rate > 0.5
 
@@ -604,8 +594,7 @@ def test_crosstab_directional_claim_for_max3_vs_chi2():
 def test_crosstab_undefined_replicates_are_not_significant():
     # HWD is undefined on ~43% of these uncorrected null replicates and
     # Z_HALF on ~20%; they must land in the p = 1 bin, not in [0, 0.01).
-    sc = Scenario(population=HWEPopulation(0.02), penetrances=None,
-                  n_cases=20, n_controls=20, correction=False)
+    sc = Scenario(population=(Stratum(0.02, 20, 20),), penetrances=None, correction=False)
     tab = pvalue_crosstab(sc, "HWD", "Z_HALF", b_null=2_000, b_reps=2_000, seed=1)
     assert tab.counts.shape == (4, 4)
     assert tab.counts.sum() == 2_000

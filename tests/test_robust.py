@@ -21,7 +21,7 @@ from trendmax import (
 
 from trendmax.battery import evaluate_battery
 from trendmax.montecarlo import simulate_cells
-from trendmax.population import HWEPopulation
+from trendmax.population import Stratum
 from trendmax.robust import correlation_values, trend_angles
 from trendmax.scenarios import Scenario
 
@@ -75,7 +75,7 @@ def test_correlations_without_heterozygotes_do_not_exceed_one():
 def simulated_family_correlations():
     """Correlations (Z_0 with Z_1/2, Z_0 with Z_1, Z_1/2 with Z_1) of the signed statistics
     over 200,000 null tables at p = 0.1, r = s = 1000, no correction, and the proportions."""
-    scenario = Scenario(HWEPopulation(0.1), None, 1000, 1000, correction=False)
+    scenario = Scenario((Stratum(0.1, 1000, 1000),), None, correction=False)
     z = evaluate_battery(simulate_cells(scenario, 200_000, seed=206), ("Z0", "Z_HALF", "Z1"), False)
     z = np.array(list(z.values()))
     rho = np.corrcoef(z[:, ~np.isnan(z).any(axis=0)])

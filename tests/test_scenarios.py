@@ -1,11 +1,18 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from trendmax import ScenarioError, parse_scenarios
+from trendmax import FrequencyOutOfRange, Scenario, ScenarioError, Stratum, parse_scenarios
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 HWE = {"id": "h", "model": "null", "p": 0.3, "r": 250, "s": 250}
 MIX = {"id": "m", "model": "null", "pA": 0.1, "pB": 0.4, "R1": 30, "S1": 150, "R2": 20, "S2": 100}
+ADD = {**HWE, "model": "add", "f0": 0.01, "f2": 0.02}
+CUSTOM = {**HWE, "model": "custom", "f0": 0.01, "f1": 0.015, "f2": 0.02}
+PACKED = [rec for path in sorted(SCENARIOS.glob("*.json"))
+          for rec in json.loads(path.read_text(encoding="utf-8"))]
 
 
 def parse(rec: dict):
@@ -35,11 +42,70 @@ def test_counts_must_be_integral(base, key, value):
 def test_integral_float_counts_accepted():
     sc = parse({**MIX, "R1": 30.0, "r": 50.0})
     assert sc.n_cases == 50 and isinstance(sc.n_cases, int)
-    assert sc.population.cases_a == 30 and isinstance(sc.population.cases_a, int)
+    assert sc.population[0].cases == 30 and isinstance(sc.population[0].cases, int)
 
 
-@pytest.mark.parametrize("rec", [HWE, MIX, {**HWE, "model": "add", "f0": 0.01, "f2": 0.02,
-                                            "correction": False, "sidedness": "one"}])
+@pytest.mark.parametrize("base,key", [(HWE, "p"), (MIX, "pA"), (MIX, "pB"), (ADD, "f0"), (ADD, "f2"),
+                                      (ADD, "f1"), (CUSTOM, "f0"), (CUSTOM, "f1"), (CUSTOM, "f2")])
+@pytest.mark.parametrize("value", ["0.3", "abc", True, None, [0.3]])
+def test_numbers_must_be_json_numbers(base, key, value):
+    with pytest.raises(ScenarioError, match=f"'{key}' must be a number"):
+        parse({**base, key: value})
+
+
+@pytest.mark.parametrize("key", ["id", "model", "sidedness"])
+@pytest.mark.parametrize("value", [None, 1, True])
+def test_names_must_be_strings(key, value):
+    with pytest.raises(ScenarioError, match=f"'{key}' must be a string"):
+        parse({**HWE, key: value})
+
+
+@pytest.mark.parametrize("rec, message", [
+    ({**HWE, "p": 0.0}, "allele frequency 0.0 not in (0, 1)"),
+    ({**MIX, "pB": 1.0}, "allele frequency 1.0 not in (0, 1)"),
+    ({**HWE, "r": 0}, "counts must be positive integers, got 0"),
+    ({**ADD, "f0": 0.3, "f2": 0.2}, "f2 (0.2) must not be smaller than f0 (0.3)"),
+    ({**CUSTOM, "f1": 0.03}, "penetrances must satisfy f0 <= f1 <= f2"),
+    ({**ADD, "model": "bogus"}, "unknown genetic model kind 'bogus'"),
+    ({**MIX, "r": 60}, "mixture case split 30+20 does not sum to r=60"),
+    ({**MIX, "s": 200}, "mixture control split 150+100 does not sum to s=200"),
+])
+def test_invalid_values_name_the_record(rec, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenarios(json.dumps([HWE, rec]), source="pack.json")
+    assert str(info.value).startswith("pack.json[1]: ")
+    assert message in str(info.value)
+
+
+def test_mixture_totals_are_optional_and_derived():
+    sc = parse({**MIX, "r": 50})
+    assert (sc.n_cases, sc.n_controls) == (50, 250)
+    assert sc.population == (Stratum(0.1, 30, 150), Stratum(0.4, 20, 100))
+
+
+@pytest.mark.parametrize("rec", [HWE, MIX, {**ADD, "correction": False, "sidedness": "one"}, *PACKED])
 def test_describe_round_trips(rec):
     sc = parse(rec)
     assert parse(sc.describe()) == sc
+
+
+def test_directly_built_two_stratum_scenario_round_trips():
+    sc = Scenario((Stratum(0.1, 30, 150), Stratum(0.4, 20, 100)), None, correction=False, label="m")
+    assert (sc.n_cases, sc.n_controls) == (50, 250)
+    assert parse(sc.describe()) == sc
+    assert sc.describe() == {**MIX, "r": 50, "s": 250, "correction": False, "sidedness": "two"}
+
+
+@pytest.mark.parametrize("population, error", [
+    ((), ScenarioError),
+    ((Stratum(0.1, 30, 150),) * 3, ScenarioError),
+    ((Stratum(0.1, 30.0, 150),), ScenarioError),
+    ((Stratum(0.1, 30, True),), ScenarioError),
+    ((Stratum(0.1, 30, 150), Stratum(0.4, 20, 0)), ScenarioError),
+    ((Stratum(0.0, 30, 150),), FrequencyOutOfRange),
+    ((Stratum(0.1, 30, 150), Stratum(1.0, 20, 100)), FrequencyOutOfRange),
+    ((Stratum(float("nan"), 30, 150),), FrequencyOutOfRange),
+])
+def test_directly_built_scenario_checks_its_strata(population, error):
+    with pytest.raises(error):
+        Scenario(population, None)
