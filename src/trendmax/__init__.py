@@ -21,9 +21,9 @@ from .battery import (
     mert_statistic,
     product_test,
     tmax,
+    trend_statistic,
     validate_battery,
 )
-from .classical import CompositeStatistic
 from .errors import (
     CorrelationOutOfRange,
     DegeneratePrevalence,
@@ -58,8 +58,6 @@ from .montecarlo import (
     simulate_cells,
 )
 from .population import (
-    CaseControlProbs,
-    GenotypeFreqs,
     PenetranceModel,
     Stratum,
     case_control_probs,
@@ -82,6 +80,6 @@ from .tables import (
     new_genotype_table,
     parse_table_record,
 )
-from .trend import TrendStatistic, optimal_score, trend_statistic
+from .trend import optimal_score
 
 __version__ = "0.1.0"

@@ -3,8 +3,12 @@
 :data:`STATISTICS` is the one description of every statistic: the trend
 scores it combines, its combiner, its asymptotic null law and the
 exception that means "undefined". The battery, the CLI and the scalar API
-(:func:`max3`, :func:`mert_statistic`, :func:`chisq_2df`, ...) all read
-it, so each statistic has exactly one numeric implementation.
+(:func:`trend_statistic`, :func:`max3`, :func:`mert_statistic`,
+:func:`chisq_2df`, ...) all read it, so each statistic has exactly one
+numeric implementation. Every scalar function goes through one one-table
+helper; it returns a float (the chi-squares and Z_x) or a
+:class:`~trendmax.robust.RobustStatistic` whose components are the
+registry values the statistic combines.
 
 A battery is an ordered list of statistic identifiers, all evaluated on
 the same tables so that comparisons between tests are matched. For each
@@ -22,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .classical import CompositeStatistic, allele_chisq_values, chi2df_values, hwd_values
+from .classical import allele_chisq_values, chi2df_values, hwd_values
 from .errors import InputError, MonomorphicSample, TrendmaxError, UnknownStatistic, ZeroMargin, ZeroVariance
 from .robust import DEFAULT_GRID, FAMILY_PAIRS, RobustStatistic, batch_correlations, validate_grid
 from .tables import GenotypeTable
@@ -63,13 +67,15 @@ class Statistic:
 
     ``scores`` are the x of the Z_x it combines (None: the MAXGRID grid);
     ``law`` is NORMAL, a chi-square df, or None (simulation or permutation
-    only); the scalar API raises ``undefined`` where the value is NaN.
+    only); the scalar API raises ``undefined`` where the value is NaN and
+    reports the statistics named in ``components`` beside the value.
     """
 
     combine: Callable[[_Parts, tuple[float, ...]], np.ndarray]
     scores: tuple[float, ...] | None = ()
     law: str | int | None = None
     undefined: type[TrendmaxError] = ZeroVariance
+    components: tuple[str, ...] = ()
 
 
 # Combiners look kernels up as module globals when called, so wrappers set on the module see every call.
@@ -86,9 +92,10 @@ STATISTICS = {
     "CHI2_2DF": Statistic(lambda p, xs: p[chi2df_values], law=2, undefined=ZeroMargin),
     "AA": Statistic(lambda p, xs: p[allele_chisq_values], law=1, undefined=ZeroMargin),
     "HWD": Statistic(lambda p, xs: p[hwd_values], law=1, undefined=MonomorphicSample),
-    "T_P": Statistic(lambda p, xs: p[allele_chisq_values] * p[hwd_values], undefined=MonomorphicSample),
+    "T_P": Statistic(lambda p, xs: p[allele_chisq_values] * p[hwd_values],
+                     undefined=MonomorphicSample, components=("AA", "HWD")),
     "T_MAX": Statistic(lambda p, xs: np.maximum(p[allele_chisq_values], p[hwd_values]),
-                       undefined=MonomorphicSample),
+                       undefined=MonomorphicSample, components=("AA", "HWD")),
 }
 
 ALL_STATISTICS = tuple(STATISTICS)
@@ -98,6 +105,7 @@ DEFAULT_BATTERY = tuple(name for name, spec in STATISTICS.items() if spec.scores
 
 
 def validate_battery(battery) -> tuple[str, ...]:
+    """The battery as a tuple of known, distinct statistic names; at least one."""
     battery = tuple(battery)
     if not battery:
         raise InputError("battery must contain at least one statistic")
@@ -132,6 +140,7 @@ def evaluate_battery(
     specs = {name: STATISTICS[name] for name in validate_battery(battery)}
     scores = {name: validate_grid(grid) if spec.scores is None else spec.scores
               for name, spec in specs.items()}
+    cells = np.atleast_2d(np.asarray(cells, dtype=float))
     parts = _parts(cells, dict.fromkeys(x for xs in scores.values() for x in xs), two_sided)
     return {name: spec.combine(parts, scores[name]) for name, spec in specs.items()}
 
@@ -142,12 +151,8 @@ def _parts(cells, xs, two_sided: bool) -> _Parts:
     One pass over the cells gives the sums behind every Z_x; they are
     released before the classical kernels allocate their temporaries.
     """
-    cells = np.atleast_2d(np.asarray(cells, dtype=float))
-    z: dict[float, np.ndarray] = {}
-    if xs:
-        sums = trend_sums(cells)
-        z = {x: trend_values(sums, x) for x in xs}
-    return _Parts(cells, z, two_sided)
+    sums = trend_sums(cells) if xs else None
+    return _Parts(cells, {x: trend_values(sums, x) for x in xs}, two_sided)
 
 
 # Rows per evaluate_battery call where many small tables are pooled: the cost
@@ -171,78 +176,78 @@ def evaluate_single(table_cells, name: str, two_sided: bool = True, grid=DEFAULT
     return float(values[name][0])
 
 
-# The scalar API: one table through evaluate_battery; NaN raises the registry's exception.
+# The scalar API: one table through the registry; NaN raises the registry's exception.
 
 _Z_NAMES = {spec.scores[0]: name for name, spec in STATISTICS.items() if len(spec.scores or ()) == 1}
 _RHO_NAMES = ("rho_0_half", "rho_0_1", "rho_half_1")  # CorrelationTriple order
 
 
-def _defined(table: GenotypeTable, names, two_sided=True, grid=DEFAULT_GRID) -> list[float]:
-    """Values of ``names`` on one table; the first one's exception if it is undefined."""
-    values = [float(v[0]) for v in evaluate_battery(table.to_array(), names, two_sided, grid).values()]
-    if np.isnan(values[0]):
-        raise STATISTICS[names[0]].undefined(f"{names[0]} is undefined on {table}")
-    return values
+def _one_table(table: GenotypeTable, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> RobustStatistic:
+    """Statistic ``name`` on one table, with the registry values it combines as components.
 
-
-def _trend_family(table: GenotypeTable, name, two_sided, grid=DEFAULT_GRID, kind=None) -> RobustStatistic:
-    """A trend-family statistic with its signed Z_x components (and a MERT's rho)."""
+    The table goes through the kernels as one 1-D row, so they do scalar
+    arithmetic; the values are bit-identical to the batch's.
+    """
     spec = STATISTICS[name]
     xs = validate_grid(grid) if spec.scores is None else spec.scores
     parts = _parts(table.to_array(), xs, two_sided)
-    value = float(spec.combine(parts, xs)[0])
+    value = float(spec.combine(parts, xs))
     if np.isnan(value):
         raise spec.undefined(f"{name} is undefined on {table}")
-    components = {_Z_NAMES.get(x, f"Z@{x:g}"): float(parts.z[x][0]) for x in xs}
+    components = {_Z_NAMES.get(x, f"Z@{x:g}"): float(parts.z[x]) for x in xs}
     if spec.combine is pair_mert:
         i = FAMILY_PAIRS.index(xs)
-        components[_RHO_NAMES[i]] = float(parts[batch_correlations][i][0])
-    return RobustStatistic(value, components, kind or name, two_sided)
+        components[_RHO_NAMES[i]] = float(parts[batch_correlations][i])
+    components.update((part, float(STATISTICS[part].combine(parts, ()))) for part in spec.components)
+    return RobustStatistic(value, components)
+
+
+def trend_statistic(table: GenotypeTable, x: float) -> float:
+    """Signed trend statistic Z_x for one table, scores (0, x, 1) with x in [0, 1]."""
+    return _one_table(table, "MAXGRID", False, (x,)).value
 
 
 def mert_statistic(table: GenotypeTable) -> RobustStatistic:
     """Signed MERT of the extreme pair (Z_0, Z_1), at the plug-in correlation from n_i / n."""
-    return _trend_family(table, "MERT", False)
+    return _one_table(table, "MERT", False)
 
 
 def mert_rec_add(table: GenotypeTable) -> RobustStatistic:
     """Signed extreme-pair MERT for the restricted recessive-additive family."""
-    return _trend_family(table, "MERT_REC_ADD", False)
+    return _one_table(table, "MERT_REC_ADD", False)
 
 
 def max2(table: GenotypeTable, two_sided: bool = True,
          pair: tuple[float, float] = (0.0, 1.0)) -> RobustStatistic:
     """Maximum over a pair of trend statistics: (Z_0, Z_1), or (0, 0.5) for rec-add."""
-    return _trend_family(table, "MAXGRID", two_sided, pair, "MAX2")
+    return _one_table(table, "MAXGRID", two_sided, pair)
 
 
 def max3(table: GenotypeTable, two_sided: bool = True) -> RobustStatistic:
     """Maximum over (Z_0, Z_1/2, Z_1)."""
-    return _trend_family(table, "MAX3", two_sided)
+    return _one_table(table, "MAX3", two_sided)
 
 
 def max_grid(table: GenotypeTable, grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
     """Maximum of (|)Z_x(|) over a score grid, approximating the continuum maximum."""
-    return _trend_family(table, "MAXGRID", two_sided, grid)
+    return _one_table(table, "MAXGRID", two_sided, grid)
 
 
 def chisq_2df(table: GenotypeTable) -> float:
     """Pearson chi-square over the six genotype cells (2 df)."""
-    return _defined(table, ("CHI2_2DF",))[0]
+    return _one_table(table, "CHI2_2DF").value
 
 
 def chisq_allele(table: GenotypeTable) -> float:
     """Allele-association chi-square on the collapsed allele table (1 df)."""
-    return _defined(table, ("AA",))[0]
+    return _one_table(table, "AA").value
 
 
-def product_test(table: GenotypeTable) -> CompositeStatistic:
-    """Product of the allele-association and HWD chi-squares."""
-    value, aa, hwd = _defined(table, ("T_P", "AA", "HWD"))
-    return CompositeStatistic(value, {"AA": aa, "HWD": hwd}, "PRODUCT")
+def product_test(table: GenotypeTable) -> RobustStatistic:
+    """Product T_P of the allele-association and HWD chi-squares, with both as components."""
+    return _one_table(table, "T_P")
 
 
-def tmax(table: GenotypeTable) -> CompositeStatistic:
-    """Maximum of the allele-association and HWD chi-squares."""
-    value, aa, hwd = _defined(table, ("T_MAX", "AA", "HWD"))
-    return CompositeStatistic(value, {"AA": aa, "HWD": hwd}, "TMAX")
+def tmax(table: GenotypeTable) -> RobustStatistic:
+    """Maximum T_MAX of the allele-association and HWD chi-squares, with both as components."""
+    return _one_table(table, "T_MAX")

@@ -8,21 +8,15 @@
 Their product T_P and maximum T_MAX have no usable asymptotic null
 distribution, so significance comes from permutation or simulation. The
 registry in :mod:`trendmax.battery` builds the statistics and their
-scalar functions from these kernels.
+scalar functions from these kernels. Each kernel takes a batch (..., 6)
+or one 1-D row; squares are products throughout, because a float64
+scalar's ``** 2`` calls pow(), which can differ in the last bit from an
+array's square, and the one-row values must match the batch bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CompositeStatistic:
-    value: float
-    parts: dict
-    kind: str
 
 
 def chi2df_values(cells: np.ndarray) -> np.ndarray:
@@ -61,7 +55,7 @@ def allele_chisq_values(cells: np.ndarray) -> np.ndarray:
     det = (2 * r0 + r1) * (s1 + 2 * s2) - (2 * s0 + s1) * (r1 + 2 * r2)
     denom = 4 * r * s * (2 * n0 + n1) * (n1 + 2 * n2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stat = 2 * n * det**2 / denom
+        stat = 2 * n * (det * det) / denom
         return np.where(denom > 0, stat, np.nan)
 
 
@@ -80,8 +74,6 @@ def hwd_values(case_cells: np.ndarray) -> np.ndarray:
         e1 = 2 * r * p * q
         e2 = r * p * p
         d0, d1, d2 = rr[..., 0] - e0, rr[..., 1] - e1, rr[..., 2] - e2
-        # squares are products: a float64 scalar's ** 2 calls pow(), which
-        # can differ in the last bit from an array's square
         stat = d0 * d0 / e0 + d1 * d1 / e1 + d2 * d2 / e2
         ok = (r > 0) & (p > 0) & (p < 1)
         return np.where(ok, stat, np.nan)

@@ -1,17 +1,21 @@
 """Genetic population model.
 
-Penetrances f_i = Pr(case | genotype i) together with population genotype
-frequencies g_i determine the disease prevalence D = sum f_i g_i and, via
-Bayes' rule, the genotype distributions seen in cases and controls:
+A sampled population is one or two :class:`Stratum` records, each a
+random-mating population with allele frequency p, genotype frequencies
+g = (q^2, 2pq, p^2) with q = 1 - p, that contributes a fixed number of
+cases and controls. Two strata with different p give a pooled sample out
+of Hardy-Weinberg equilibrium.
+
+Penetrances f_i = Pr(case | genotype i) together with g determine the
+disease prevalence D = sum f_i g_i and, via Bayes' rule, the genotype
+distributions seen in cases and controls:
 
     p_i = f_i g_i / D        (cases)
     q_i = (1 - f_i) g_i / (1 - D)   (controls)
 
-A sampled population is one or two :class:`Stratum` records, each a
-random-mating population with allele frequency p (genotype frequencies
-(q^2, 2pq, p^2), q = 1 - p) that contributes a fixed number of cases and
-controls. Two strata with different p give a pooled sample out of
-Hardy-Weinberg equilibrium.
+The functions take the allele frequency p and return plain tuples, so a
+frequency triple is always one that :func:`hwe_genotype_freqs` built
+from a checked p.
 """
 
 from __future__ import annotations
@@ -68,47 +72,6 @@ class PenetranceModel:
         return (self.f0, self.f1, self.f2)
 
 
-@dataclass(frozen=True)
-class GenotypeFreqs:
-    """Population genotype frequencies (g0, g1, g2), summing to one."""
-
-    g0: float
-    g1: float
-    g2: float
-
-    def __post_init__(self):
-        for g in (self.g0, self.g1, self.g2):
-            if g < 0:
-                raise InputError(f"genotype frequency {g!r} is negative")
-        total = self.g0 + self.g1 + self.g2
-        if abs(total - 1.0) > 1e-9:
-            raise InputError(f"genotype frequencies sum to {total!r}, not 1")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.g0, self.g1, self.g2)
-
-
-@dataclass(frozen=True)
-class CaseControlProbs:
-    """Genotype distributions in cases (p) and controls (q), with prevalence D."""
-
-    p0: float
-    p1: float
-    p2: float
-    q0: float
-    q1: float
-    q2: float
-    prevalence: float
-
-    @property
-    def case_probs(self) -> tuple[float, float, float]:
-        return (self.p0, self.p1, self.p2)
-
-    @property
-    def control_probs(self) -> tuple[float, float, float]:
-        return (self.q0, self.q1, self.q2)
-
-
 class Stratum(NamedTuple):
     """One random-mating stratum: allele frequency p of M and its case and control counts."""
 
@@ -117,27 +80,27 @@ class Stratum(NamedTuple):
     controls: int
 
 
-def hwe_genotype_freqs(p: float) -> GenotypeFreqs:
+def hwe_genotype_freqs(p: float) -> tuple[float, float, float]:
     """Genotype frequencies (q^2, 2pq, p^2) under random mating, q = 1 - p."""
     if not 0.0 < p < 1.0:
         raise FrequencyOutOfRange(f"allele frequency {p!r} not in (0, 1)")
     q = 1.0 - p
-    return GenotypeFreqs(q * q, 2.0 * p * q, p * p)
+    return (q * q, 2.0 * p * q, p * p)
 
 
-def prevalence(f: PenetranceModel, g: GenotypeFreqs) -> float:
-    """Marginal disease probability D = f0 g0 + f1 g1 + f2 g2."""
-    return f.f0 * g.g0 + f.f1 * g.g1 + f.f2 * g.g2
+def prevalence(f: PenetranceModel, p: float) -> float:
+    """Marginal disease probability D = f0 g0 + f1 g1 + f2 g2 at allele frequency p."""
+    g0, g1, g2 = hwe_genotype_freqs(p)
+    return f.f0 * g0 + f.f1 * g1 + f.f2 * g2
 
 
-def case_control_probs(f: PenetranceModel, g: GenotypeFreqs) -> CaseControlProbs:
-    """Genotype distributions in cases and controls implied by (f, g)."""
-    d = prevalence(f, g)
+def case_control_probs(f: PenetranceModel, p: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Genotype distributions (case probs, control probs) implied by f at allele frequency p."""
+    d = prevalence(f, p)
     if not 0.0 < d < 1.0:
         raise DegeneratePrevalence(f"prevalence {d!r} not strictly in (0, 1)")
-    p = tuple(fi * gi / d for fi, gi in zip(f.as_tuple(), g.as_tuple()))
-    q = tuple((1.0 - fi) * gi / (1.0 - d) for fi, gi in zip(f.as_tuple(), g.as_tuple()))
-    return CaseControlProbs(*p, *q, prevalence=d)
+    pairs = tuple(zip(f.as_tuple(), hwe_genotype_freqs(p)))
+    return tuple(fi * gi / d for fi, gi in pairs), tuple((1.0 - fi) * gi / (1.0 - d) for fi, gi in pairs)
 
 
 def penetrances_for_model(kind: str, f0: float, f2: float) -> PenetranceModel:

@@ -80,12 +80,10 @@ class CorrelationTriple:
 
 @dataclass(frozen=True)
 class RobustStatistic:
-    """A robust combination value plus the component statistics behind it."""
+    """A statistic's value on one table plus the named values it combines."""
 
     value: float
     components: dict
-    kind: str
-    two_sided: bool = True
 
 
 def correlation_values(props: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

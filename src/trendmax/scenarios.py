@@ -34,6 +34,8 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import FrequencyOutOfRange, ScenarioError, TrendmaxError
 from .population import (
     PenetranceModel,
@@ -42,6 +44,9 @@ from .population import (
     hwe_genotype_freqs,
     penetrances_for_model,
 )
+
+# The multinomial sampler takes counts as int64.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,8 @@ class Scenario:
             for k in (cases, controls):
                 if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
                     raise ScenarioError(f"case and control counts must be positive integers, got {k!r}")
+                if k > _MAX_COUNT:
+                    raise ScenarioError(f"case and control counts must not exceed {_MAX_COUNT}, got {k!r}")
 
     @property
     def n_cases(self) -> int:
@@ -101,12 +108,8 @@ class Scenario:
         """
         out = []
         for p, cases, controls in self.population:
-            g = hwe_genotype_freqs(p)
-            if self.penetrances is None:
-                out.append((g.as_tuple(), g.as_tuple(), cases, controls))
-            else:
-                cc = case_control_probs(self.penetrances, g)
-                out.append((cc.case_probs, cc.control_probs, cases, controls))
+            probs = (hwe_genotype_freqs(p),) * 2 if self.is_null else case_control_probs(self.penetrances, p)
+            out.append((*probs, cases, controls))
         return out
 
     def describe(self) -> dict:
@@ -228,5 +231,6 @@ def parse_scenarios(text: str, source: str = "<scenarios>") -> list[Scenario]:
 
 
 def load_scenarios(path) -> list[Scenario]:
+    """Parse the scenario file at ``path`` (UTF-8 JSON, see the module docstring)."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenarios(fh.read(), source=str(path))

@@ -25,28 +25,21 @@ are formed with the same operations in the same order, the x_0 = 0 terms
 of the general sums are exact zeros, and the remaining two-term sums are
 rounded once either way, as (x*x)*n1 + n2, x*n1 + n2 and x*u1 + u2.
 Tables whose variance term is not positive come back as NaN.
+
+These are the kernels; the scalar Z_x of one table is
+:func:`trendmax.battery.trend_statistic`, a one-score MAXGRID.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ZeroVariance
+from .errors import InputError
 from .population import canonical_model_kind
-from .tables import GenotypeTable
 
 OPTIMAL_SCORES = {"recessive": 0.0, "additive": 0.5, "dominant": 1.0}
-
-
-@dataclass(frozen=True)
-class TrendStatistic:
-    """Signed trend statistic together with the middle-genotype score used."""
-
-    value: float
-    score: float
 
 
 class TrendSums(NamedTuple):
@@ -88,25 +81,11 @@ def trend_values(cells, x: float) -> np.ndarray:
     """
     sums = cells if isinstance(cells, TrendSums) else trend_sums(cells)
     x = float(x)
-    var = sums.rs * (sums.n * ((x * x) * sums.n1 + sums.n2) - (x * sums.n1 + sums.n2) ** 2)
+    total = x * sums.n1 + sums.n2  # squared as a product: a float64 scalar's ** 2 calls pow()
+    var = sums.rs * (sums.n * ((x * x) * sums.n1 + sums.n2) - total * total)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = sums.sqrt_n * (x * sums.u1 + sums.u2) / np.sqrt(var)
         return np.where(var > 0, out, np.nan)
-
-
-def trend_statistic(table: GenotypeTable, score: float) -> TrendStatistic:
-    """Trend statistic Z_x for one table, scores (0, x, 1) with x in [0, 1]."""
-    x = float(score)
-    if not 0.0 <= x <= 1.0:
-        raise InputError(f"middle genotype score {x!r} must lie in [0, 1]")
-    if table.r <= 0 or table.s <= 0:
-        raise ZeroVariance("both case and control totals must be positive")
-    value = float(trend_values(table.to_array(), x))
-    if np.isnan(value):
-        raise ZeroVariance(
-            f"variance term vanishes for score x={x!r}: all weight sits on one score value"
-        )
-    return TrendStatistic(value=value, score=x)
 
 
 def optimal_score(kind: str) -> float:

@@ -21,6 +21,7 @@ from trendmax import (
 )
 from trendmax.battery import ALL_STATISTICS, STATISTICS, evaluate_battery
 from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
+from trendmax.robust import batch_correlations
 
 from conftest import assert_bit_identical, random_tables
 
@@ -208,12 +209,46 @@ def test_scalar_composites_bit_identical_to_batch():
             assert_bit_identical(scalar, batch[name])
 
 
+RHO_NAMES = ("rho_0_half", "rho_0_1", "rho_half_1")  # the order of batch_correlations
+Z_SCORES = {"Z0": 0.0, "Z_HALF": 0.5, "Z1": 1.0}
+
+
+def test_scalar_components_are_bit_identical_to_the_registry_values_they_name():
+    # each component is the value its name stands for: Z_x from trend_statistic
+    # (MAXGRID's off-family scores are named Z@x), AA and HWD from the one-row
+    # battery, a MERT's rho from the batch correlations
+    rng = np.random.default_rng(12)
+    cells = rng.integers(0, 40, size=(400, 6)).astype(float)
+    cells[rng.random(400) < 0.5] += 0.5
+    rhos = batch_correlations(cells)
+    scalars = (max2, lambda t: max2(t, False, pair=(0.0, 0.5)), max3, lambda t: max_grid(t, GRID),
+               mert_statistic, mert_rec_add, product_test, tmax)
+    seen = set()
+    for i, row in enumerate(cells):
+        t = GenotypeTable(*row)
+        for fn in scalars:
+            try:
+                components = fn(t).components
+            except (ZeroVariance, MonomorphicSample):
+                continue
+            for name, got in components.items():
+                if name in ("AA", "HWD"):
+                    want = evaluate_battery(row, (name,))[name][0]
+                elif name in RHO_NAMES:
+                    want = rhos[RHO_NAMES.index(name)][i]
+                else:
+                    want = trend_statistic(t, Z_SCORES[name] if name in Z_SCORES else float(name[2:]))
+                seen.add(name)
+                assert got == want and np.signbit(got) == np.signbit(want), (name, row)
+    assert seen == {*Z_SCORES, "Z@0.2", "Z@0.7", "AA", "HWD", "rho_0_half", "rho_0_1"}
+
+
 def test_composites_worked_example(worked_table):
     tp = product_test(worked_table)
     tm_ = tmax(worked_table)
     assert tp.value == pytest.approx(100.0, abs=1e-3)
     assert tm_.value == pytest.approx(26.6667, abs=5e-5)
-    assert tp.parts["AA"] == tm_.parts["AA"]
+    assert tp.components["AA"] == tm_.components["AA"]
 
 
 def test_product_zero_when_cases_in_hwe():

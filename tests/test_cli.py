@@ -252,6 +252,8 @@ NULL_P30 = {"model": "null", "p": 0.3, "r": 250, "s": 250}
     ({**NULL_P30, "model": "add", "f0": 0.3, "f2": 0.2}, "f2 (0.2) must not be smaller than f0 (0.3)"),
     ({"model": "null", "pA": 0.1, "pB": 0.4, "R1": 30, "S1": 150, "R2": 20, "S2": 100, "r": 60},
      "mixture case split 30+20 does not sum to r=60"),
+    # beyond the sampler's int64 counts: an error line, not an OverflowError traceback
+    ({**NULL_P30, "r": 1e20}, "case and control counts must not exceed 9223372036854775807, got 100000000000000000000"),
 ])
 def test_invalid_scenario_exits_2_with_one_line_naming_the_record(rec, message, tmp_path):
     path = tmp_path / "bad.json"

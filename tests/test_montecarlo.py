@@ -16,7 +16,6 @@ from scipy import stats as spstats
 from scipy.special import ndtr, ndtri
 
 from trendmax import (
-    CaseControlProbs,
     GenotypeTable,
     MismatchedScenario,
     PenetranceModel,
@@ -93,10 +92,10 @@ def test_sample_table_row_sums():
 
 
 def test_sample_table_frequencies_match_probs():
-    probs = CaseControlProbs(0.2, 0.5, 0.3, 0.4, 0.4, 0.2, prevalence=0.1)
+    case_probs, control_probs = (0.2, 0.5, 0.3), (0.4, 0.4, 0.2)
     b = 100_000
-    cells = simulate_cells(fixed_strata(probs.case_probs, probs.control_probs, 1, 1), b, seed=2)
-    for freq, p in zip(cells.mean(axis=0), (*probs.case_probs, *probs.control_probs)):
+    cells = simulate_cells(fixed_strata(case_probs, control_probs, 1, 1), b, seed=2)
+    for freq, p in zip(cells.mean(axis=0), (*case_probs, *control_probs)):
         assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / b)
 
 
@@ -792,7 +791,7 @@ def test_normal_approx_single_coordinate():
     for alpha in (0.01, 0.05, 0.2):
         assert max_threshold([0.7], alpha, True) == pytest.approx(ndtri(1 - alpha / 2), abs=1e-9)
         assert max_threshold([0.7], alpha, False) == pytest.approx(ndtri(1 - alpha), abs=1e-9)
-    angles = trend_angles(hwe_genotype_freqs(0.3).as_tuple(), (0.5,))
+    angles = trend_angles(hwe_genotype_freqs(0.3), (0.5,))
     assert max_threshold(angles, 0.05, True) == pytest.approx(ndtri(0.975), abs=1e-9)
 
 
@@ -845,7 +844,7 @@ def conditioning_integral(angles, t: float, two_sided: bool) -> float:
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
 @pytest.mark.parametrize("xs", [(0.0, 1.0), (0.0, 0.5), (0.0, 0.5, 1.0), DEFAULT_GRID])
 def test_normal_approx_exceedance_matches_the_conditioning_integral(p, xs):
-    angles = trend_angles(hwe_genotype_freqs(p).as_tuple(), xs)
+    angles = trend_angles(hwe_genotype_freqs(p), xs)
     for two_sided in (True, False):
         for t in (1.5, 2.2, 3.0):
             want = conditioning_integral(angles, t, two_sided)
@@ -857,7 +856,7 @@ def test_normal_approx_exceedance_matches_the_conditioning_integral(p, xs):
 def test_normal_approx_threshold_has_level_alpha_under_mvn_draws(p, two_sided):
     # the oracle draws the numerators (u1, u2) with the NM/MM indicator covariance,
     # standardizes each Z_x on its own and takes the maximum: no angles involved
-    props = hwe_genotype_freqs(p).as_tuple()
+    props = hwe_genotype_freqs(p)
     p0, p1, p2 = props
     cov = np.array([[p1 * (1 - p1), -p1 * p2], [-p1 * p2, p2 * (1 - p2)]])
     b, alpha = 200_000, 0.05

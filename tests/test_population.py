@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from trendmax import (
     FrequencyOutOfRange,
-    GenotypeFreqs,
     OrderViolation,
     PenetranceModel,
     case_control_probs,
@@ -24,7 +23,7 @@ pen = st.floats(0.001, 0.999, allow_nan=False)
 )
 def test_hwe_freqs(p, expected):
     g = hwe_genotype_freqs(p)
-    assert np.allclose(g.as_tuple(), expected)
+    assert np.allclose(g, expected)
 
 
 def test_hwe_rejects_boundary():
@@ -35,39 +34,36 @@ def test_hwe_rejects_boundary():
 
 @given(freq)
 def test_hwe_identity(p):
-    g = hwe_genotype_freqs(p)
-    assert abs(sum(g.as_tuple()) - 1) < 1e-12
-    assert abs(g.g1**2 - 4 * g.g0 * g.g2) < 1e-12
+    g0, g1, g2 = hwe_genotype_freqs(p)
+    assert abs(g0 + g1 + g2 - 1) < 1e-12
+    assert abs(g1**2 - 4 * g0 * g2) < 1e-12
 
 
 def test_prevalence_constant_penetrance():
     f = PenetranceModel(0.01, 0.01, 0.01)
-    assert prevalence(f, hwe_genotype_freqs(0.3)) == pytest.approx(0.01)
+    assert prevalence(f, 0.3) == pytest.approx(0.01)
 
 
 def test_prevalence_worked_values():
     f = PenetranceModel(0.01, 0.01, 0.04)
-    g = GenotypeFreqs(0.25, 0.5, 0.25)
-    assert prevalence(f, g) == pytest.approx(0.0175)
+    assert prevalence(f, 0.5) == pytest.approx(0.0175)  # g = (0.25, 0.5, 0.25)
     f2 = PenetranceModel(0.01, 0.019, 0.019)
-    g2 = GenotypeFreqs(0.81, 0.18, 0.01)
-    assert prevalence(f2, g2) == pytest.approx(0.01171)
+    assert prevalence(f2, 0.1) == pytest.approx(0.01171)  # g = (0.81, 0.18, 0.01)
 
 
 def test_case_control_probs_worked_example():
     f = PenetranceModel(0.01, 0.01, 0.04)
-    g = GenotypeFreqs(0.25, 0.5, 0.25)
-    cc = case_control_probs(f, g)
-    assert np.allclose(cc.case_probs, (1 / 7, 2 / 7, 4 / 7))
-    assert sum(cc.control_probs) == pytest.approx(1.0, abs=1e-12)
+    case_probs, control_probs = case_control_probs(f, 0.5)  # g = (0.25, 0.5, 0.25)
+    assert np.allclose(case_probs, (1 / 7, 2 / 7, 4 / 7))
+    assert sum(control_probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_null_penetrances_give_population_freqs():
     g = hwe_genotype_freqs(0.3)
     f = PenetranceModel(0.02, 0.02, 0.02)
-    cc = case_control_probs(f, g)
-    assert np.allclose(cc.case_probs, g.as_tuple())
-    assert np.allclose(cc.control_probs, g.as_tuple())
+    case_probs, control_probs = case_control_probs(f, 0.3)
+    assert np.allclose(case_probs, g)
+    assert np.allclose(control_probs, g)
 
 
 @given(pen, pen, freq)
@@ -75,23 +71,22 @@ def test_mixture_identity(f0, f2, p):
     # D p_i + (1 - D) q_i recovers g_i for any valid model
     lo, hi = min(f0, f2), max(f0, f2)
     f = PenetranceModel(lo, (lo + hi) / 2, hi)
-    g = hwe_genotype_freqs(p)
-    cc = case_control_probs(f, g)
-    d = cc.prevalence
-    for pi, qi, gi in zip(cc.case_probs, cc.control_probs, g.as_tuple()):
+    case_probs, control_probs = case_control_probs(f, p)
+    d = prevalence(f, p)
+    for pi, qi, gi in zip(case_probs, control_probs, hwe_genotype_freqs(p)):
         assert abs(d * pi + (1 - d) * qi - gi) < 1e-12
-    assert abs(sum(cc.case_probs) - 1) < 1e-12
-    assert abs(sum(cc.control_probs) - 1) < 1e-12
+    assert abs(sum(case_probs) - 1) < 1e-12
+    assert abs(sum(control_probs) - 1) < 1e-12
 
 
 @given(pen, pen, freq)
 def test_monotone_penetrances_give_stochastic_dominance(f0, f2, p):
     lo, hi = min(f0, f2), max(f0, f2)
     f = PenetranceModel(lo, (lo + hi) / 2, hi)
-    cc = case_control_probs(f, hwe_genotype_freqs(p))
+    case_probs, control_probs = case_control_probs(f, p)
     # survival function of the case genotype dominates the control one
     for k in (1, 2):
-        assert sum(cc.case_probs[k:]) >= sum(cc.control_probs[k:]) - 1e-12
+        assert sum(case_probs[k:]) >= sum(control_probs[k:]) - 1e-12
 
 
 @pytest.mark.parametrize(

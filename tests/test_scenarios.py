@@ -69,6 +69,7 @@ def test_names_must_be_strings(key, value):
     ({**ADD, "model": "bogus"}, "unknown genetic model kind 'bogus'"),
     ({**MIX, "r": 60}, "mixture case split 30+20 does not sum to r=60"),
     ({**MIX, "s": 200}, "mixture control split 150+100 does not sum to s=200"),
+    ({**HWE, "s": 1e20}, "counts must not exceed 9223372036854775807, got 100000000000000000000"),
 ])
 def test_invalid_values_name_the_record(rec, message):
     with pytest.raises(ScenarioError) as info:
