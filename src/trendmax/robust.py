@@ -31,6 +31,11 @@ gap g between neighbouring directions adds Owen's T(t, tan min(g/2, pi/2))
 to the exceedance probability once for each neighbour (Owen 1956, *Ann
 Math Stat* 27:1075-1090; Freidlin, Zheng, Li & Gastwirth 2002, *Hum
 Hered* 53:146-152). Maxima of |Z_x| add the negated directions.
+
+Owen's T and ``ndtri`` come from ``scipy.special``, imported inside
+:func:`max_exceedance` and :func:`max_threshold`, so importing this module
+does not load scipy; only closed-form thresholds (``criticals
+--normal-approx``) do.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, owens_t
 
 from .errors import (
     CorrelationOutOfRange,
@@ -219,6 +223,7 @@ def trend_angles(props, xs) -> np.ndarray:
 
 def max_exceedance(angles, t: float, two_sided: bool) -> float:
     """P(max_i <d_i, W> > t) for t > 0, W ~ N(0, I2) and unit d_i at ``angles`` (of |.| if two-sided)."""
+    from scipy.special import owens_t
     theta = np.asarray(angles, dtype=float)
     theta = np.sort(np.concatenate([theta, theta + np.pi]) if two_sided else theta)
     gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
@@ -230,6 +235,7 @@ def max_threshold(angles, alpha: float, two_sided: bool) -> float:
 
     It lies between the one-direction quantile and the Bonferroni bound.
     """
+    from scipy.special import ndtri
     sides = 2 if two_sided else 1
     lo, hi = -ndtri(alpha / sides), -ndtri(alpha / (sides * len(angles)))
     if not lo > 0:

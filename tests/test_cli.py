@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from trendmax.battery import ALL_STATISTICS
+from trendmax.battery import ALL_STATISTICS, NORMAL, STATISTICS
 from trendmax.cli import _asymptotic_pvalue, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,34 +106,64 @@ def test_cli_golden_output(case):
     assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
 
 
-def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter with ``src/`` on the path."""
+def run_python(code: str, *flags: str, args=()) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``sys.argv[1:] == args`` in a fresh interpreter with ``src/`` on the path."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # each of these adds about 0.24 s to the import, against a benchmark setup_s of 0.30 s
-    modules = ("scipy.stats", "scipy.integrate", "scipy.optimize")
-    proc = run_python(f"import sys, trendmax.cli; print([m for m in {modules!r} if m in sys.modules])")
+    # scipy.special alone added about 0.2 s and 19 MB to every request, against a benchmark
+    # setup_s of about 0.1 s without it; only criticals --normal-approx loads it
+    for module in ("trendmax", "trendmax.cli"):
+        proc = run_python(f"import sys, {module}; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", module
+
+
+# every request but --normal-approx takes its tails from the stdlib
+@pytest.mark.parametrize("case, loads_scipy", [
+    ("power_recadd", False), ("criticals_hwe_all", False), ("crosstab_max3_maxgrid", False),
+    ("corr_stratified", False), ("analyze_perm", False), ("criticals_normal_approx", True),
+])
+def test_only_normal_approx_loads_scipy(case, loads_scipy):
+    proc = run_python("import sys; from trendmax.cli import main; rc = main(sys.argv[1:]); "
+                      "print('scipy' in sys.modules, file=sys.stderr); sys.exit(rc)", args=CASES[case])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stderr == f"{loads_scipy}\n"
+    assert proc.stdout == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("two_sided", [True, False])
 def test_asymptotic_pvalue_matches_scipy_stats(two_sided):
+    # the stdlib's erfc and exp differ from scipy.stats in the last few bits (at most 3.6e-14
+    # relative here), and are no less accurate: against 40-digit mpmath they err at most
+    # 2.3e-14 (normal) and 6.5e-15 (chi-square df 1), scipy.stats 2.9e-14 and 2.6e-14
+    def close(got, want):
+        return math.isclose(got, want, rel_tol=1e-13)
+
     normal = ("Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD")
     for x in np.linspace(-12.0, 12.0, 481):
         want = 2.0 * spstats.norm.sf(abs(x)) if two_sided else spstats.norm.sf(x)
         for name in normal:
-            assert _asymptotic_pvalue(name, x, two_sided) == want
+            assert close(_asymptotic_pvalue(name, x, two_sided), want)
     for x in np.linspace(0.0, 120.0, 481):
-        assert _asymptotic_pvalue("CHI2_2DF", x, two_sided) == spstats.chi2.sf(x, df=2)
+        assert close(_asymptotic_pvalue("CHI2_2DF", x, two_sided), spstats.chi2.sf(x, df=2))
         for name in ("AA", "HWD"):
-            assert _asymptotic_pvalue(name, x, two_sided) == spstats.chi2.sf(x, df=1)
+            assert close(_asymptotic_pvalue(name, x, two_sided), spstats.chi2.sf(x, df=1))
     for name in ("MAX2", "MAX2_REC_ADD", "MAX3", "MAXGRID", "T_P", "T_MAX"):
         assert _asymptotic_pvalue(name, 2.0, two_sided) is None
+
+
+def test_every_registry_law_has_a_closed_form_tail():
+    assert {spec.law for spec in STATISTICS.values()} <= {NORMAL, 1, 2, None}
+
+
+def test_asymptotic_pvalue_rejects_a_law_it_has_no_tail_for(monkeypatch):
+    monkeypatch.setitem(STATISTICS, "AA", dataclasses.replace(STATISTICS["AA"], law=3))
+    with pytest.raises(ValueError, match="AA: no closed-form tail for asymptotic law 3"):
+        _asymptotic_pvalue("AA", 2.0, True)
 
 
 def test_negative_b_perm_is_rejected_before_reading_tables(tmp_path):
