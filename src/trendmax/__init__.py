@@ -35,7 +35,6 @@ from .errors import (
     MismatchedScenario,
     MonomorphicSample,
     NegativeCell,
-    NotExtremePair,
     OrderViolation,
     ScenarioError,
     TrendmaxError,
@@ -68,7 +67,6 @@ from .population import (
 from .robust import (
     CorrelationTriple,
     RobustStatistic,
-    check_extreme_pair_condition,
     estimate_correlations,
     mert_certificate,
     recommend_robust_test,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .classical import allele_chisq_values, chi2df_values, hwd_values
 from .errors import InputError, MonomorphicSample, TrendmaxError, UnknownStatistic, ZeroMargin, ZeroVariance
-from .robust import DEFAULT_GRID, FAMILY_PAIRS, RobustStatistic, batch_correlations, validate_grid
+from .robust import DEFAULT_GRID, FAMILY_PAIRS, CorrelationTriple, RobustStatistic, batch_correlations, validate_grid
 from .tables import GenotypeTable
 from .trend import trend_sums, trend_values
 
@@ -179,7 +179,6 @@ def evaluate_single(table_cells, name: str, two_sided: bool = True, grid=DEFAULT
 # The scalar API: one table through the registry; NaN raises the registry's exception.
 
 _Z_NAMES = {spec.scores[0]: name for name, spec in STATISTICS.items() if len(spec.scores or ()) == 1}
-_RHO_NAMES = ("rho_0_half", "rho_0_1", "rho_half_1")  # CorrelationTriple order
 
 
 def _one_table(table: GenotypeTable, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> RobustStatistic:
@@ -197,7 +196,7 @@ def _one_table(table: GenotypeTable, name: str, two_sided: bool = True, grid=DEF
     components = {_Z_NAMES.get(x, f"Z@{x:g}"): float(parts.z[x]) for x in xs}
     if spec.combine is pair_mert:
         i = FAMILY_PAIRS.index(xs)
-        components[_RHO_NAMES[i]] = float(parts[batch_correlations][i])
+        components[CorrelationTriple._fields[i]] = float(parts[batch_correlations][i])
     components.update((part, float(STATISTICS[part].combine(parts, ()))) for part in spec.components)
     return RobustStatistic(value, components)
 

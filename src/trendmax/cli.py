@@ -71,6 +71,7 @@ from .montecarlo import (
     validate_replicates,
 )
 from .robust import (
+    CorrelationTriple,
     estimate_correlations,
     max_threshold,
     mert_certificate,
@@ -84,7 +85,7 @@ from .tables import apply_continuity_correction, parse_table_record
 
 def _add_common_sim_args(sp, *, battery: bool = False, grid: bool = False):
     sp.add_argument("--scenarios", required=True, help="path to a JSON scenario file")
-    sp.add_argument("--seed", type=int, required=True, help="random seed (required)")
+    sp.add_argument("--seed", type=int, required=True, help="nonnegative random seed (required)")
     if battery:
         sp.add_argument("--alpha", type=float, default=0.05)
         sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY),
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b-perm", type=int, default=0,
                     help="permutation replicates for per-statistic p-values")
     sp.add_argument("--seed", type=int, default=None,
-                    help="seed for permutation p-values")
+                    help="nonnegative seed for permutation p-values")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
 
@@ -159,7 +160,7 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _parse_grid(text):
-    grid = _parse_floats(text, "--grid") if text else DEFAULT_GRID
+    grid = DEFAULT_GRID if text is None else _parse_floats(text, "--grid")
     try:
         return validate_grid(grid)
     except InputError as exc:
@@ -263,10 +264,8 @@ def cmd_analyze(args) -> int:
             records.append(dict(zip(columns, (label, name, value, p_asym, p_perm, err))))
         try:
             triple = estimate_correlations(table.pooled_proportions())
-            cert = mert_certificate(table, triple)
             choice, note = recommend_robust_test(triple.rho_0_1)
-            extra = {"rho_0_half": triple.rho_0_half, "rho_0_1": triple.rho_0_1,
-                     "rho_half_1": triple.rho_half_1, "mert_certificate": str(cert).lower(),
+            extra = {**triple._asdict(), "mert_certificate": str(mert_certificate(triple)).lower(),
                      "advisory": f"{choice}: {note}"}
             error = None
         except TrendmaxError as exc:
@@ -357,12 +356,12 @@ def cmd_power(args) -> int:
 def cmd_corr(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     header = _provenance(args, scenarios, b=args.b_power)
-    columns = ("scenario", "rho_0_half", "rho_0_1", "rho_half_1", "failure_rate", "b", "seed")
+    columns = ("scenario", *CorrelationTriple._fields, "failure_rate", "b", "seed")
     records = []
     for scenario in scenarios:
         mc = mean_correlation_matrix(scenario, args.b_power, seed=args.seed)
-        records.append(dict(zip(columns, (scenario.label, mc.rho_0_half, mc.rho_0_1, mc.rho_half_1,
-                                          mc.failure_rate, args.b_power, args.seed))))
+        records.append(dict(zip(columns, (scenario.label, *mc.triple, mc.failure_rate,
+                                          args.b_power, args.seed))))
     _emit(columns, records, args, header)
     return 0
 
@@ -394,6 +393,8 @@ def main(argv=None) -> int:
     handlers = {"analyze": cmd_analyze, "criticals": cmd_criticals, "power": cmd_power,
                 "corr": cmd_corr, "crosstab": cmd_crosstab}
     try:
+        if args.seed is not None and args.seed < 0:  # before any draw; numpy would raise a ValueError
+            raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
         return handlers[args.command](args)
     except (TrendmaxError, OSError) as exc:
         print(f"trendmax {args.command}: {exc}", file=sys.stderr)

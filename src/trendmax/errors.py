@@ -64,10 +64,6 @@ class CorrelationOutOfRange(InputError):
     """A pairwise null correlation lies outside (-1, 1]."""
 
 
-class NotExtremePair(InputError):
-    """The designated pair does not achieve the minimum correlation."""
-
-
 # ---- simulation engine ----
 
 class ScenarioError(InputError):

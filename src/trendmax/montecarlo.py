@@ -51,7 +51,7 @@ import numpy as np
 
 from .battery import BATCH_ROWS, DEFAULT_GRID, evaluate_battery, evaluate_tables, validate_battery
 from .errors import DegenerateTable, InputError, MismatchedScenario, ScenarioError
-from .robust import batch_correlations
+from .robust import CorrelationTriple, batch_correlations
 from .scenarios import Scenario
 from .tables import GenotypeTable
 
@@ -91,17 +91,12 @@ class PowerRow:
 
 @dataclass(frozen=True)
 class MeanCorrelations:
-    """Replicate averages of the plug-in correlation triple."""
+    """Replicate averages of the plug-in correlation triple, over the replicates where it exists."""
 
-    rho_0_half: float
-    rho_0_1: float
-    rho_half_1: float
+    triple: CorrelationTriple
     b: int
     seed: int
     failure_rate: float = 0.0
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.rho_0_half, self.rho_0_1, self.rho_half_1)
 
 
 @dataclass(frozen=True)
@@ -339,8 +334,8 @@ def mean_correlation_matrix(
     bad = np.isnan(rho).any(axis=0)
     if bad.all():
         raise DegenerateTable("correlation estimation failed on every replicate")
-    r0h, r01, rh1 = (float(r[~bad].mean()) for r in rho)
-    return MeanCorrelations(r0h, r01, rh1, b=b, seed=seed, failure_rate=float(bad.mean()))
+    triple = CorrelationTriple(*(float(r[~bad].mean()) for r in rho))
+    return MeanCorrelations(triple, b=b, seed=seed, failure_rate=float(bad.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +363,7 @@ def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 
     are binned closed-on-the-left at ``bins``; replicates on which a
     statistic is undefined get p = 1 and land in the last bin.
     """
-    battery = validate_battery((stat_a, stat_b)) if stat_a != stat_b else validate_battery((stat_a,))
+    battery = validate_battery(dict.fromkeys((stat_a, stat_b)))
     edges = tuple(float(e) for e in bins)
     if any(not 0.0 < e < 1.0 for e in edges) or list(edges) != sorted(set(edges)):
         raise InputError(f"bin edges {edges!r} must be strictly increasing within (0, 1)")
@@ -382,16 +377,14 @@ def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 
     all_edges = np.array([*edges, 1.0 + 1e-12])
     n_bins = len(edges) + 1
 
-    def bin_of(name: str) -> np.ndarray:
+    bin_of = {}
+    for name in battery:
         null_sorted = np.sort(null_values[name])
         null_sorted = null_sorted[~np.isnan(null_sorted)]
         pvals = _empirical_pvalues(null_sorted, rep_values[name])
-        return np.searchsorted(all_edges, pvals, side="right")
-
-    ia = bin_of(stat_a)
-    ib = bin_of(stat_b) if stat_b != stat_a else ia
+        bin_of[name] = np.searchsorted(all_edges, pvals, side="right")
     counts = np.zeros((n_bins, n_bins), dtype=int)
-    np.add.at(counts, (ia, ib), 1)
+    np.add.at(counts, (bin_of[stat_a], bin_of[stat_b]), 1)
     return PValueCrossTab(counts=counts, bin_edges=edges, stat_a=stat_a, stat_b=stat_b,
                           b_null=b_null, b_reps=b_reps, seed=seed)
 

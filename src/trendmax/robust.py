@@ -4,10 +4,11 @@ Given the optimal trend tests Z_0, Z_1/2, Z_1 for the recessive, additive
 and dominant models, this module provides
 
   * closed-form null correlations between pairs of trend statistics,
-    evaluated at (estimated) genotype proportions,
-  * the necessary-and-sufficient certificate rho_si + rho_it >= 1 + rho_st
-    that the extreme-pair MERT (Z_s + Z_t) / sqrt(2 (1 + rho_st)) is the
-    MERT of the whole family,
+    evaluated at (estimated) genotype proportions, as one
+    :class:`CorrelationTriple`,
+  * the certificate rho_0,1/2 + rho_1/2,1 >= 1 + rho_0,1 that the
+    extreme-pair MERT (Z_0 + Z_1) / sqrt(2 (1 + rho_0,1)) is the MERT of
+    the whole family (Gastwirth 1966, *JASA* 61:929-948),
   * the advisory choice between MERT and MAX from the minimum correlation,
   * closed-form asymptotic null thresholds of maxima of trend statistics
     (:func:`max_threshold`).
@@ -32,6 +33,13 @@ to the exceedance probability once for each neighbour (Owen 1956, *Ann
 Math Stat* 27:1075-1090; Freidlin, Zheng, Li & Gastwirth 2002, *Hum
 Hered* 53:146-152). Maxima of |Z_x| add the negated directions.
 
+The same geometry makes the certificate hold wherever the triple exists.
+Each rho is the cosine of the angle between two directions, and the
+angles grow with x from theta_0 = 0 to theta_1 = atan2(sqrt(p0 p1 p2),
+p0 p2) < pi/2. So with a the angle of Z_1/2 and b = theta_1 - a, rho_0,1 =
+cos(a + b) is the smallest rho, and cos a + cos b - 1 - cos(a + b) =
+sin a sin b - (1 - cos a)(1 - cos b) >= 0, as tan(a/2) tan(b/2) <= 1.
+
 Owen's T and ``ndtri`` come from ``scipy.special``, imported inside
 :func:`max_exceedance` and :func:`max_threshold`, so importing this module
 does not load scipy; only closed-form thresholds (``criticals
@@ -40,22 +48,18 @@ does not load scipy; only closed-form thresholds (``criticals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CorrelationOutOfRange,
-    DegenerateProportions,
-    InputError,
-    NotExtremePair,
-)
-from .tables import GenotypeTable
+from .errors import CorrelationOutOfRange, DegenerateProportions, InputError
 
 DEFAULT_GRID = tuple(i / 10 for i in range(11))
 
-# The score pairs of (Z_0, Z_1/2, Z_1) in the order of the correlation
-# triple (rho_0_half, rho_0_1, rho_half_1).
+# The score pairs of (Z_0, Z_1/2, Z_1) in the order of the fields of
+# CorrelationTriple, as those fields are labelled.
 FAMILY_PAIRS = ((0.0, 0.5), (0.0, 1.0), (0.5, 1.0))
 
 # Advisory thresholds on the minimum null correlation of the family.
@@ -63,23 +67,18 @@ MERT_PREFERRED_ABOVE = 0.75
 MAX_PREFERRED_BELOW = 0.50
 
 
-@dataclass(frozen=True)
-class CorrelationTriple:
-    """Null correlations among (Z_0, Z_1/2, Z_1) at given genotype proportions."""
+class CorrelationTriple(NamedTuple):
+    """Null correlations among (Z_0, Z_1/2, Z_1): three floats, or three arrays over tables.
 
-    rho_0_half: float
-    rho_0_1: float
-    rho_half_1: float
+    The labels assume Z_0 scores NN, but the kernels' Z_0 scores MM, so
+    ``rho_0_half`` holds rho(Z_1/2, Z_1) and ``rho_half_1`` rho(Z_0, Z_1/2);
+    the strict-xfail ``test_correlation_values_give_the_simulated_null_correlations``
+    states the right property. ``rho_0_1`` and the certificate are symmetric in the swap.
+    """
 
-    def as_matrix(self) -> np.ndarray:
-        """3x3 correlation matrix in family order (Z_0, Z_1/2, Z_1)."""
-        return np.array(
-            [
-                [1.0, self.rho_0_half, self.rho_0_1],
-                [self.rho_0_half, 1.0, self.rho_half_1],
-                [self.rho_0_1, self.rho_half_1, 1.0],
-            ]
-        )
+    rho_0_half: float | np.ndarray
+    rho_0_1: float | np.ndarray
+    rho_half_1: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,10 @@ class RobustStatistic:
     components: dict
 
 
-def correlation_values(props: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def correlation_values(props: np.ndarray) -> CorrelationTriple:
     """Vectorized closed-form correlations at proportions with shape (..., 3).
 
-    Returns (rho_0_half, rho_0_1, rho_half_1). Entries whose denominators
+    Each field of the triple has shape (...). Entries whose denominators
     are not positive (a boundary proportion) come back as NaN. Values are
     clamped at 1: with no heterozygotes (p1 = 0) all three equal 1
     exactly, but rounding can give 1 + 4e-16.
@@ -110,8 +109,8 @@ def correlation_values(props: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         rho_half_1 = p2 * (p1 + 2 * p0) / (d2 * dm)
         ok = (p0 > 0) & (p0 < 1) & (p2 > 0) & (p2 < 1) & (mid_var > 0)
         nan = np.full_like(rho_0_1, np.nan)
-        return tuple(np.where(ok, np.minimum(rho, 1.0), nan)
-                     for rho in (rho_0_half, rho_0_1, rho_half_1))
+        return CorrelationTriple(*(np.where(ok, np.minimum(rho, 1.0), nan)
+                                   for rho in (rho_0_half, rho_0_1, rho_half_1)))
 
 
 def estimate_correlations(props) -> CorrelationTriple:
@@ -126,46 +125,20 @@ def estimate_correlations(props) -> CorrelationTriple:
         raise InputError("expected three genotype proportions")
     if np.any(props < 0) or abs(props.sum() - 1.0) > 1e-9:
         raise DegenerateProportions(f"proportions {props!r} are not a distribution")
-    r0h, r01, rh1 = correlation_values(props)
-    if np.isnan(r01) or np.isnan(r0h) or np.isnan(rh1):
+    triple = CorrelationTriple(*map(float, correlation_values(props)))
+    if any(math.isnan(rho) for rho in triple):
         raise DegenerateProportions(
             f"proportions {tuple(props)!r} give a zero-variance component"
         )
-    return CorrelationTriple(float(r0h), float(r01), float(rh1))
+    return triple
 
 
-def check_extreme_pair_condition(rho: np.ndarray, s: int, t: int, tol: float = 1e-12) -> bool:
-    """True iff rho_si + rho_it >= 1 + rho_st for every family member i.
+def mert_certificate(triple: CorrelationTriple) -> bool:
+    """True iff rho_0,1/2 + rho_1/2,1 >= 1 + rho_0,1 (to 1e-12): the (Z_0, Z_1) pair MERT is the family MERT.
 
-    (s, t) must achieve the minimum off-diagonal correlation; otherwise
-    :class:`NotExtremePair` is raised. When the condition holds, the pair
-    MERT is the MERT of the whole family.
+    It holds wherever the triple exists (see the module docstring).
     """
-    rho = np.asarray(rho, dtype=float)
-    k = rho.shape[0]
-    if rho.shape != (k, k) or not np.allclose(rho, rho.T, atol=1e-9):
-        raise InputError("correlation matrix must be square and symmetric")
-    if not np.allclose(np.diag(rho), 1.0, atol=1e-9):
-        raise InputError("correlation matrix must have a unit diagonal")
-    if not (0 <= s < k and 0 <= t < k and s != t):
-        raise InputError(f"invalid pair indices ({s}, {t}) for a {k}-member family")
-    off = rho[~np.eye(k, dtype=bool)]
-    if rho[s, t] > off.min() + tol:
-        raise NotExtremePair(
-            f"rho[{s},{t}]={rho[s, t]!r} is not the minimum off-diagonal correlation"
-        )
-    lhs = rho[s, :] + rho[:, t]
-    return bool(np.all(lhs >= 1.0 + rho[s, t] - tol))
-
-
-def mert_certificate(table: GenotypeTable, triple: CorrelationTriple | None = None) -> bool:
-    """Certificate that the (Z_0, Z_1) pair MERT is the family MERT.
-
-    Evaluates the extreme-pair condition on the estimated correlation
-    matrix of (Z_0, Z_1/2, Z_1), or on ``triple`` if the caller has it.
-    """
-    triple = triple or estimate_correlations(table.pooled_proportions())
-    return check_extreme_pair_condition(triple.as_matrix(), 0, 2)
+    return triple.rho_0_half + triple.rho_half_1 >= 1.0 + triple.rho_0_1 - 1e-12
 
 
 def validate_grid(grid) -> tuple[float, ...]:
@@ -198,7 +171,7 @@ def recommend_robust_test(rho_st: float) -> tuple[str, str]:
     )
 
 
-def batch_correlations(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_correlations(cells: np.ndarray) -> CorrelationTriple:
     """Correlation triples from pooled proportions of a batch of tables."""
     cells = np.asarray(cells, dtype=float)
     nn = cells[..., 0:3] + cells[..., 3:6]

@@ -21,7 +21,7 @@ from trendmax import (
 )
 from trendmax.battery import ALL_STATISTICS, STATISTICS, evaluate_battery
 from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
-from trendmax.robust import batch_correlations
+from trendmax.robust import CorrelationTriple, batch_correlations
 
 from conftest import assert_bit_identical, random_tables
 
@@ -209,7 +209,7 @@ def test_scalar_composites_bit_identical_to_batch():
             assert_bit_identical(scalar, batch[name])
 
 
-RHO_NAMES = ("rho_0_half", "rho_0_1", "rho_half_1")  # the order of batch_correlations
+RHO_NAMES = CorrelationTriple._fields  # the order of batch_correlations
 Z_SCORES = {"Z0": 0.0, "Z_HALF": 0.5, "Z1": 1.0}
 
 

@@ -31,8 +31,9 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from trendmax.battery import ALL_STATISTICS, NORMAL, STATISTICS
+from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, NORMAL, STATISTICS
 from trendmax.cli import _asymptotic_pvalue, main
+from trendmax.robust import CorrelationTriple
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -213,6 +214,28 @@ def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message,
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--table", "1 2 3 4 5 6", "--b-perm", "10", "--seed", "-5"],
+    CASES["criticals_hwe_all"] + ["--seed", "-5"],
+    CASES["power_recadd"] + ["--seed", "-5"],
+    CASES["corr_stratified"] + ["--seed", "-5"],
+    CASES["crosstab_max3_maxgrid"] + ["--seed", "-5"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2_with_one_line_before_any_draw(argv, monkeypatch):
+    # numpy's SeedSequence and default_rng would end in a ValueError traceback
+    import trendmax.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before validating the seed")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"trendmax {argv[0]}: --seed must be a nonnegative integer, got -5\n"
+
+
 def test_normal_approx_rows_do_not_depend_on_seed_or_b_and_draw_nothing(monkeypatch):
     import trendmax.montecarlo
 
@@ -245,12 +268,16 @@ def test_analyze_input_file_is_closed():
     (["analyze", "--table", "10 20 30 30 20 10", "--battery", "MAXGRID", "--grid", "0,abc"], "--grid"),
     (CASES["power_maxgrid_json"][:-4] + ["--grid", "0,0.5,x"], "--grid"),
     (CASES["crosstab_chi2_tmax_json"][:-4] + ["--bins", "0.05,x"], "--bins"),
+    # an empty --grid is not the default grid: only a missing flag is, as for --bins
+    (["analyze", "--table", "10 20 30 30 20 10", "--battery", "MAXGRID", "--grid", ""], "--grid"),
+    (CASES["power_maxgrid_json"][:-4] + ["--grid", ""], "--grid"),
+    (CASES["crosstab_max3_maxgrid"] + ["--grid", ""], "--grid"),
 ])
 def test_unparsable_numbers_name_their_flag(argv, flag):
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
-    assert flag in err and "Traceback" not in err
+    assert err == f"trendmax {argv[0]}: {flag} must be comma-separated numbers, got {argv[-1]!r}\n"
 
 
 @pytest.mark.parametrize("grid", ["0,1.5", "0,nan", "-0.5,1", "0,inf"])
@@ -371,6 +398,17 @@ def test_analyze_reports_correlations_on_a_table_without_heterozygotes():
     assert rows["mert_certificate"] == "arg0,mert_certificate,true,,,"
     assert rows["advisory"].startswith("arg0,advisory,MERT:")
     assert rows["MERT"].startswith("arg0,MERT,2.46464,")
+
+
+def test_correlation_columns_and_rows_are_the_fields_of_the_triple():
+    code, out, err = run_cli(CASES["corr_stratified"])
+    assert code == 0, err
+    columns = next(line for line in out.splitlines() if not line.startswith("#")).split(",")
+    assert tuple(columns[1:4]) == CorrelationTriple._fields
+    code, out, err = run_cli(["analyze", "--table", "10 20 30 30 20 10"])
+    assert code == 0, err
+    names = [row[1] for row in out_rows(out) if row[1] not in DEFAULT_BATTERY]
+    assert names == [*CorrelationTriple._fields, "mert_certificate", "advisory"]
 
 
 def test_analyze_json_reports_the_correlations_error_that_csv_prints():

@@ -292,7 +292,7 @@ def test_mean_correlations_equal_the_whole_batch_mean(population, size, two_side
     for cores in (1, 2, 3):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         mc = mean_correlation_matrix(sc, ENGINE_B, seed=44)
-        assert mc.as_tuple() == tuple(float(r[~bad].mean()) for r in rho)
+        assert mc.triple == tuple(float(r[~bad].mean()) for r in rho)
         assert mc.failure_rate == float(bad.mean())
 
 
@@ -542,7 +542,7 @@ def test_power_reports_se():
 def test_mean_correlations_null_reference_values():
     for p, expected in ((0.5, (0.82, 0.33, 0.82)), (0.1, (0.97, 0.22, 0.45))):
         mc = mean_correlation_matrix(null_scenario(p=p), b=10_000, seed=21)
-        assert np.allclose(mc.as_tuple(), expected, atol=0.02)
+        assert np.allclose(mc.triple, expected, atol=0.02)
         assert mc.failure_rate == 0.0
 
 

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendmax import (
+    CorrelationTriple,
     DegenerateProportions,
     GenotypeTable,
     ZeroVariance,
-    NotExtremePair,
-    check_extreme_pair_condition,
     estimate_correlations,
     max2,
     max3,
@@ -22,7 +21,7 @@ from trendmax import (
 from trendmax.battery import evaluate_battery
 from trendmax.montecarlo import simulate_cells
 from trendmax.population import Stratum
-from trendmax.robust import correlation_values, trend_angles
+from trendmax.robust import batch_correlations, correlation_values, trend_angles
 from trendmax.scenarios import Scenario
 
 from conftest import random_interior_simplex, random_tables
@@ -108,7 +107,26 @@ def test_certificate_on_interior_proportions():
     props = random_interior_simplex(2000, seed=201)
     for p in props[:500]:
         c = estimate_correlations(tuple(p))
-        assert check_extreme_pair_condition(c.as_matrix(), 0, 2)
+        assert mert_certificate(c)
+
+
+def test_certificate_holds_on_every_estimable_table():
+    # rho_0_1 is the cosine of the widest gap between the whitened directions,
+    # which is below pi/2, so it is the smallest rho and the certificate holds
+    # (robust module docstring); random integer tables with many zero cells
+    rng = np.random.default_rng(207)
+    for max_count in (3, 8, 40, 500):
+        cells = rng.integers(0, max_count + 1, size=(20_000, 6)).astype(float)
+        triple = batch_correlations(cells)
+        ok = ~np.isnan(np.array(triple)).any(axis=0)
+        assert ok.mean() > 0.5 and np.count_nonzero(cells[ok] == 0) > 100
+        r0h, r01, rh1 = (rho[ok] for rho in triple)
+        assert np.all(r01 <= np.minimum(r0h, rh1) + 1e-12)
+        assert np.all(mert_certificate(CorrelationTriple(r0h, r01, rh1)))
+        # the scalar path that analyze takes, on the tables whose triple exists
+        for row in cells[ok][:500]:
+            triple = estimate_correlations(GenotypeTable(*row).pooled_proportions())
+            assert mert_certificate(triple) is True
 
 
 def test_mert_pair_values(worked_table):
@@ -129,15 +147,9 @@ def test_mert_pair_values(worked_table):
 
 
 def test_extreme_pair_condition_examples():
-    rho = np.array([[1.0, 0.8660, 0.5], [0.8660, 1.0, 0.8660], [0.5, 0.8660, 1.0]])
-    assert check_extreme_pair_condition(rho, 0, 2)
-    rho_bad = np.array([[1.0, 0.5, 0.9], [0.5, 1.0, 0.5], [0.9, 0.5, 1.0]])
-    with pytest.raises(NotExtremePair):
-        check_extreme_pair_condition(rho_bad, 0, 2)
-    # same matrix, genuinely extreme pair, but failing certificate
-    assert not check_extreme_pair_condition(rho_bad, 0, 1)
-    # two-member family: vacuously true
-    assert check_extreme_pair_condition(np.array([[1.0, 0.4], [0.4, 1.0]]), 0, 1)
+    assert mert_certificate(CorrelationTriple(0.8660, 0.5, 0.8660))
+    # rho_0_1 is the minimum, but 0.6 + 0.6 < 1 + 0.5
+    assert not mert_certificate(CorrelationTriple(0.6, 0.5, 0.6))
 
 
 def test_mert_statistic_worked_example(worked_table):
@@ -203,7 +215,7 @@ def test_recommendation_thresholds():
 
 
 def test_certificate_on_table(worked_table):
-    assert mert_certificate(worked_table)
+    assert mert_certificate(estimate_correlations(worked_table.pooled_proportions()))
 
 
 @given(st.lists(st.integers(0, 50), min_size=6, max_size=6))
