@@ -20,6 +20,7 @@ composite statistics, which reject for large values either way.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
@@ -32,7 +33,19 @@ from .robust import DEFAULT_GRID, FAMILY_PAIRS, CorrelationTriple, RobustStatist
 from .tables import GenotypeTable
 from .trend import trend_sums, trend_values
 
-NORMAL = "normal"
+
+# The registry's asymptotic null tails, law(value, two_sided); a chi-square's is upper either way.
+def normal_tail(value: float, two_sided: bool) -> float:
+    """P(|N| > |value|) two-sided, P(N > value) one-sided, for N standard normal."""
+    return math.erfc(abs(value) / math.sqrt(2)) if two_sided else math.erfc(value / math.sqrt(2)) / 2
+
+
+def chi2_1_tail(value: float, two_sided: bool) -> float:
+    return math.erfc(math.sqrt(value / 2))
+
+
+def chi2_2_tail(value: float, two_sided: bool) -> float:
+    return math.exp(-value / 2)
 
 
 class _Parts(dict):
@@ -66,32 +79,32 @@ class Statistic:
     """How one statistic is built: ``combine(parts, scores)`` gives its decision values.
 
     ``scores`` are the x of the Z_x it combines (None: the MAXGRID grid);
-    ``law`` is NORMAL, a chi-square df, or None (simulation or permutation
-    only); the scalar API raises ``undefined`` where the value is NaN and
-    reports the statistics named in ``components`` beside the value.
+    ``law(value, two_sided)`` is its asymptotic null tail, or None
+    (simulation or permutation only); the scalar API raises ``undefined``
+    where the value is NaN and reports ``components`` beside the value.
     """
 
     combine: Callable[[_Parts, tuple[float, ...]], np.ndarray]
     scores: tuple[float, ...] | None = ()
-    law: str | int | None = None
+    law: Callable[[float, bool], float] | None = None
     undefined: type[TrendmaxError] = ZeroVariance
     components: tuple[str, ...] = ()
 
 
 # Combiners look kernels up as module globals when called, so wrappers set on the module see every call.
 STATISTICS = {
-    "Z0": Statistic(max_decided, (0.0,), NORMAL),
-    "Z_HALF": Statistic(max_decided, (0.5,), NORMAL),
-    "Z1": Statistic(max_decided, (1.0,), NORMAL),
-    "MERT": Statistic(pair_mert, (0.0, 1.0), NORMAL),
-    "MERT_REC_ADD": Statistic(pair_mert, (0.0, 0.5), NORMAL),
+    "Z0": Statistic(max_decided, (0.0,), normal_tail),
+    "Z_HALF": Statistic(max_decided, (0.5,), normal_tail),
+    "Z1": Statistic(max_decided, (1.0,), normal_tail),
+    "MERT": Statistic(pair_mert, (0.0, 1.0), normal_tail),
+    "MERT_REC_ADD": Statistic(pair_mert, (0.0, 0.5), normal_tail),
     "MAX2": Statistic(max_decided, (0.0, 1.0)),
     "MAX2_REC_ADD": Statistic(max_decided, (0.0, 0.5)),
     "MAX3": Statistic(max_decided, (0.0, 0.5, 1.0)),
     "MAXGRID": Statistic(max_decided, None),
-    "CHI2_2DF": Statistic(lambda p, xs: p[chi2df_values], law=2, undefined=ZeroMargin),
-    "AA": Statistic(lambda p, xs: p[allele_chisq_values], law=1, undefined=ZeroMargin),
-    "HWD": Statistic(lambda p, xs: p[hwd_values], law=1, undefined=MonomorphicSample),
+    "CHI2_2DF": Statistic(lambda p, xs: p[chi2df_values], law=chi2_2_tail, undefined=ZeroMargin),
+    "AA": Statistic(lambda p, xs: p[allele_chisq_values], law=chi2_1_tail, undefined=ZeroMargin),
+    "HWD": Statistic(lambda p, xs: p[hwd_values], law=chi2_1_tail, undefined=MonomorphicSample),
     "T_P": Statistic(lambda p, xs: p[allele_chisq_values] * p[hwd_values],
                      undefined=MonomorphicSample, components=("AA", "HWD")),
     "T_MAX": Statistic(lambda p, xs: np.maximum(p[allele_chisq_values], p[hwd_values]),

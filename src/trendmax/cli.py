@@ -19,14 +19,14 @@ draws nothing: each threshold is the upper-alpha point of the statistic's
 asymptotic null law at the pooled genotype proportions (normal, chi-square,
 or the closed form of a maximum of trend statistics), so it does not
 depend on the seed or B, and its rows leave ``b`` and ``seed`` empty.
-T_P and T_MAX have no such law and stay empty.
-
-Only ``--normal-approx`` loads ``scipy.special``: its thresholds need
-``ndtri``, ``chdtri`` and Owen's T, which the functions that use them
-import when called. The asymptotic p-values of ``analyze`` follow the
-registry's three laws, the normal and the chi-square at 1 and 2 df, whose
-tails are ``math.erfc`` and ``math.exp`` in closed form. So no other
-request imports scipy, which would add about 0.2 s and 19 MB to each.
+T_P and T_MAX have no such law and stay empty. Each law is a tail
+``law(value, two_sided)`` in the registry: ``analyze`` reads asymptotic
+p-values from it and ``--normal-approx`` bisects it (``robust.upper_point``),
+with nothing but the stdlib and numpy. Every law assumes
+Hardy-Weinberg equilibrium in one sampled population, so it is off on
+two-stratum nulls (the Wahlund effect): on ``null_stratified.json`` the
+simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those of
+Z_1/2 near 1.6 to 1.8, not 1.96. Simulate such nulls.
 
 Each subcommand builds one list of records, one per output row, keyed by
 its column names. CSV prints the header as ``# key=value`` lines, then the
@@ -42,7 +42,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -53,7 +52,6 @@ from .battery import (
     ALL_STATISTICS,
     DEFAULT_BATTERY,
     DEFAULT_GRID,
-    NORMAL,
     STATISTICS,
     evaluate_tables,
     max_decided,
@@ -73,10 +71,11 @@ from .montecarlo import (
 from .robust import (
     CorrelationTriple,
     estimate_correlations,
-    max_threshold,
+    max_exceedance,
     mert_certificate,
     recommend_robust_test,
     trend_angles,
+    upper_point,
     validate_grid,
 )
 from .scenarios import load_scenarios, scenario_hash
@@ -125,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--normal-approx", action="store_true",
                     help="closed-form thresholds from each statistic's asymptotic null law "
                          "instead of null-data simulation; seedless and independent of "
-                         "--b-null (T_P and T_MAX are left empty)")
+                         "--b-null (T_P and T_MAX are left empty); every law assumes HWE "
+                         "in one sampled population and is off on two-stratum nulls")
 
     sp = sub.add_parser("power", help="rejection rates per scenario and statistic")
     _add_common_sim_args(sp, battery=True, grid=True)
@@ -196,18 +196,6 @@ def _provenance(args, scenarios, **extra) -> dict:
             "scenario_hash": scenario_hash(scenarios), "seed": args.seed, **extra}
 
 
-def _asymptotic_pvalue(name: str, value: float, two_sided: bool) -> float | None:
-    """Normal and chi-square (df 1 or 2) tail p-values; None where no asymptotic law exists."""
-    law = STATISTICS[name].law
-    if law is None:  # simulation or permutation only
-        return None
-    if law == NORMAL:
-        return math.erfc(abs(value) / math.sqrt(2)) if two_sided else math.erfc(value / math.sqrt(2)) / 2
-    if law in (1, 2):
-        return math.erfc(math.sqrt(value / 2)) if law == 1 else math.exp(-value / 2)
-    raise ValueError(f"{name}: no closed-form tail for asymptotic law {law!r}")
-
-
 def cmd_analyze(args) -> int:
     battery = _parse_battery(args.battery)
     grid = _parse_grid(args.grid)
@@ -254,7 +242,7 @@ def cmd_analyze(args) -> int:
                 value, err = None, "undefined on this table"
                 stat_errors[name] += 1
             else:
-                p_asym = _asymptotic_pvalue(name, value, two_sided)
+                p_asym = law(value, two_sided) if (law := STATISTICS[name].law) else None
                 if isinstance(perm, TrendmaxError):
                     err = str(perm)
                 elif perm and np.isnan(perm[name]):
@@ -307,19 +295,16 @@ def cmd_criticals(args) -> int:
 
 def _normal_approx_thresholds(null, battery, grid, alpha: float) -> dict[str, float]:
     """Upper-alpha points of the registry laws; maxima of trend statistics at the pooled proportions."""
-    from scipy.special import chdtri, ndtri
     pooled = sum(np.multiply(case_probs, n_cases) + np.multiply(ctrl_probs, n_controls)
                  for case_probs, ctrl_probs, n_cases, n_controls in null.strata())
     out: dict[str, float] = {}
     for name in battery:
         spec = STATISTICS[name]
-        if spec.law == NORMAL:
-            out[name] = float(-ndtri(alpha / 2 if null.two_sided else alpha))
-        elif spec.law is not None:
-            out[name] = float(chdtri(spec.law, alpha))
+        if spec.law is not None:
+            out[name] = upper_point(lambda t: spec.law(t, null.two_sided), alpha)
         elif spec.combine is max_decided:
-            xs = grid if spec.scores is None else spec.scores
-            out[name] = max_threshold(trend_angles(pooled / pooled.sum(), xs), alpha, null.two_sided)
+            angles = trend_angles(pooled / pooled.sum(), grid if spec.scores is None else spec.scores)
+            out[name] = upper_point(lambda t: max_exceedance(angles, t, null.two_sided), alpha)
     return out
 
 

@@ -53,10 +53,6 @@ class GenotypeTable:
     def n(self) -> float:
         return self.r + self.s
 
-    @property
-    def case_row(self) -> tuple[float, float, float]:
-        return (self.r0, self.r1, self.r2)
-
     def cells(self) -> tuple[float, ...]:
         return (self.r0, self.r1, self.r2, self.s0, self.s1, self.s2)
 

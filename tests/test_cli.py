@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -31,8 +30,8 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, NORMAL, STATISTICS
-from trendmax.cli import _asymptotic_pvalue, main
+from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS
+from trendmax.cli import main
 from trendmax.robust import CorrelationTriple
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,25 +113,21 @@ def run_python(code: str, *flags: str, args=()) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_cli_import_leaves_scipy_out():
     # scipy.special alone added about 0.2 s and 19 MB to every request, against a benchmark
-    # setup_s of about 0.1 s without it; only criticals --normal-approx loads it
+    # setup_s of about 0.1 s without it; no request loads scipy
     for module in ("trendmax", "trendmax.cli"):
         proc = run_python(f"import sys, {module}; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False", module
 
 
-# every request but --normal-approx takes its tails from the stdlib
-@pytest.mark.parametrize("case, loads_scipy", [
-    ("power_recadd", False), ("criticals_hwe_all", False), ("crosstab_max3_maxgrid", False),
-    ("corr_stratified", False), ("analyze_perm", False), ("criticals_normal_approx", True),
-])
-def test_only_normal_approx_loads_scipy(case, loads_scipy):
-    proc = run_python("import sys; from trendmax.cli import main; rc = main(sys.argv[1:]); "
-                      "print('scipy' in sys.modules, file=sys.stderr); sys.exit(rc)", args=CASES[case])
+# scipy is a test dependency only: with None in sys.modules, any import of it raises
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_no_request_loads_scipy(case):
+    proc = run_python("import sys; sys.modules['scipy'] = None; from trendmax.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", args=CASES[case])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == f"{loads_scipy}\n"
     assert proc.stdout == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
 
 
@@ -148,23 +143,17 @@ def test_asymptotic_pvalue_matches_scipy_stats(two_sided):
     for x in np.linspace(-12.0, 12.0, 481):
         want = 2.0 * spstats.norm.sf(abs(x)) if two_sided else spstats.norm.sf(x)
         for name in normal:
-            assert close(_asymptotic_pvalue(name, x, two_sided), want)
+            assert close(STATISTICS[name].law(x, two_sided), want)
     for x in np.linspace(0.0, 120.0, 481):
-        assert close(_asymptotic_pvalue("CHI2_2DF", x, two_sided), spstats.chi2.sf(x, df=2))
+        assert close(STATISTICS["CHI2_2DF"].law(x, two_sided), spstats.chi2.sf(x, df=2))
         for name in ("AA", "HWD"):
-            assert close(_asymptotic_pvalue(name, x, two_sided), spstats.chi2.sf(x, df=1))
+            assert close(STATISTICS[name].law(x, two_sided), spstats.chi2.sf(x, df=1))
     for name in ("MAX2", "MAX2_REC_ADD", "MAX3", "MAXGRID", "T_P", "T_MAX"):
-        assert _asymptotic_pvalue(name, 2.0, two_sided) is None
+        assert STATISTICS[name].law is None
 
 
 def test_every_registry_law_has_a_closed_form_tail():
-    assert {spec.law for spec in STATISTICS.values()} <= {NORMAL, 1, 2, None}
-
-
-def test_asymptotic_pvalue_rejects_a_law_it_has_no_tail_for(monkeypatch):
-    monkeypatch.setitem(STATISTICS, "AA", dataclasses.replace(STATISTICS["AA"], law=3))
-    with pytest.raises(ValueError, match="AA: no closed-form tail for asymptotic law 3"):
-        _asymptotic_pvalue("AA", 2.0, True)
+    assert all(spec.law is None or callable(spec.law) for spec in STATISTICS.values())
 
 
 def test_negative_b_perm_is_rejected_before_reading_tables(tmp_path):
@@ -253,6 +242,22 @@ def test_normal_approx_rows_do_not_depend_on_seed_or_b_and_draw_nothing(monkeypa
     assert rows == out_rows(runs[1][1])
     assert all(row[4:] == ["", ""] for row in rows)
     assert {row[1] for row in rows if row[2] == ""} == {"T_P", "T_MAX"}
+
+
+@pytest.mark.parametrize("battery, alpha", [("Z0", "0.5"), ("MERT", "0.6"), ("MAX2", "0.75")])
+def test_normal_approx_one_sided_alpha_above_the_tail_at_zero_exits_2(tmp_path, battery, alpha):
+    # a one-sided normal tail is 1/2 at 0, and that of MAX2 at p = 0.3 is 1/2 + theta_1 / (2 pi) = 0.700
+    pack = tmp_path / "one_sided.json"
+    pack.write_text('[{"id": "one", "model": "null", "p": 0.3, "r": 250, "s": 250, "sidedness": "one"}]')
+    argv = ["criticals", "--scenarios", str(pack), "--seed", "1", "--normal-approx",
+            "--battery", battery, "--alpha", alpha]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"trendmax criticals: alpha {float(alpha)!r} must lie below the null tail at 0, ")
+    code, out, err = run_cli(argv[:-1] + ["0.45"])
+    assert code == 0, err
+    assert float(out_rows(out)[0][2]) > 0
 
 
 def test_analyze_input_file_is_closed():

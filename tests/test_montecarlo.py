@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as spstats
-from scipy.special import ndtr, ndtri
+from scipy.special import chdtri, ndtr, ndtri, owens_t
 
 from trendmax import (
     GenotypeTable,
@@ -40,12 +40,16 @@ from trendmax.battery import (
     ALL_STATISTICS,
     DEFAULT_BATTERY,
     DEFAULT_GRID,
+    chi2_1_tail,
+    chi2_2_tail,
     evaluate_battery,
     evaluate_single,
     evaluate_tables,
+    normal_tail,
 )
 from trendmax.population import hwe_genotype_freqs
-from trendmax.robust import batch_correlations, max_exceedance, max_threshold, trend_angles
+from trendmax.robust import batch_correlations, max_exceedance, trend_angles, upper_point
+from trendmax.scenarios import load_scenarios
 import trendmax.montecarlo
 from trendmax.montecarlo import CHUNK_SIZE, UNDEFINED_OBSERVED, _permutation_margins, _permuted_cells
 from trendmax.tables import parse_table_record
@@ -53,6 +57,7 @@ from trendmax.tables import parse_table_record
 from conftest import assert_bit_identical
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 BATTERY = ("Z0", "Z_HALF", "Z1", "MERT", "MAX2", "MAX3", "CHI2_2DF", "T_P", "T_MAX")
 
@@ -787,26 +792,31 @@ def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
 # closed-form normal approximation for MAX thresholds
 # ---------------------------------------------------------------------------
 
+def max_point(angles, alpha: float, two_sided: bool) -> float:
+    """Upper-alpha point of the maximum of trend statistics at ``angles``."""
+    return upper_point(lambda t: max_exceedance(angles, t, two_sided), alpha)
+
+
 def test_normal_approx_single_coordinate():
     for alpha in (0.01, 0.05, 0.2):
-        assert max_threshold([0.7], alpha, True) == pytest.approx(ndtri(1 - alpha / 2), abs=1e-9)
-        assert max_threshold([0.7], alpha, False) == pytest.approx(ndtri(1 - alpha), abs=1e-9)
+        assert max_point([0.7], alpha, True) == pytest.approx(ndtri(1 - alpha / 2), abs=1e-9)
+        assert max_point([0.7], alpha, False) == pytest.approx(ndtri(1 - alpha), abs=1e-9)
     angles = trend_angles(hwe_genotype_freqs(0.3), (0.5,))
-    assert max_threshold(angles, 0.05, True) == pytest.approx(ndtri(0.975), abs=1e-9)
+    assert max_point(angles, 0.05, True) == pytest.approx(ndtri(0.975), abs=1e-9)
 
 
 def test_normal_approx_perfect_correlation_collapses():
     for two_sided in (True, False):
-        single = max_threshold([0.4], 0.05, two_sided)
-        assert max_threshold([0.4, 0.4, 0.4], 0.05, two_sided) == pytest.approx(single, abs=1e-9)
+        single = max_point([0.4], 0.05, two_sided)
+        assert max_point([0.4, 0.4, 0.4], 0.05, two_sided) == pytest.approx(single, abs=1e-9)
 
 
 def test_normal_approx_threshold_decreases_with_correlation():
     for two_sided in (True, False):
-        thresholds = [max_threshold([0.0, math.acos(rho)], 0.05, two_sided) for rho in (0.0, 0.5, 0.9)]
+        thresholds = [max_point([0.0, math.acos(rho)], 0.05, two_sided) for rho in (0.0, 0.5, 0.9)]
         assert thresholds[0] > thresholds[1] > thresholds[2]
     # independent pair: P(max > t) = 1 - (1 - sf(t))^2
-    assert max_threshold([0.0, math.pi / 2], 0.05, False) == pytest.approx(ndtri(math.sqrt(0.95)), abs=1e-9)
+    assert max_point([0.0, math.pi / 2], 0.05, False) == pytest.approx(ndtri(math.sqrt(0.95)), abs=1e-9)
 
 
 def test_normal_approx_rejects_degenerate_proportions():
@@ -814,8 +824,61 @@ def test_normal_approx_rejects_degenerate_proportions():
         trend_angles((0.0, 0.5, 0.5), (0.0, 1.0))
     with pytest.raises(DegenerateProportions):
         trend_angles((0.5, 0.5, 0.0), (0.0, 1.0))
-    with pytest.raises(InputError, match="alpha < 0.5"):
-        max_threshold([0.0, 1.0], 0.6, False)
+    # a one-sided maximum over directions spread by 1 radian exceeds 0 with probability 1/2 + 1/(2 pi)
+    with pytest.raises(InputError, match=r"alpha 0\.7 must lie below the null tail at 0, 0\.659155"):
+        max_point([0.0, 1.0], 0.7, False)
+
+
+def test_one_sided_maximum_has_level_alpha_above_one_half():
+    # below sf(0) = 0.659 the one-sided maximum has a threshold, here 0.1443 at alpha = 0.6
+    t = max_point([0.0, 1.0], 0.6, False)
+    assert t == pytest.approx(0.1443, abs=1e-4)
+    b = 200_000
+    w = np.random.default_rng(60).standard_normal((b, 2))
+    rate = np.mean(np.maximum(w[:, 0], w @ [math.cos(1.0), math.sin(1.0)]) > t)
+    assert abs(rate - 0.6) <= 3 * math.sqrt(0.6 * 0.4 / b), rate
+
+
+@pytest.mark.parametrize("two_sided", [True, False])
+def test_upper_point_inverts_the_normal_and_chi_square_tails(two_sided):
+    for alpha in np.geomspace(1e-12, 0.3, 41):
+        want = -ndtri(alpha / 2 if two_sided else alpha)
+        assert upper_point(lambda t: normal_tail(t, two_sided), alpha) == pytest.approx(want, rel=1e-11)
+        for df, law in ((1, chi2_1_tail), (2, chi2_2_tail)):
+            want = chdtri(df, alpha)
+            assert upper_point(lambda t: law(t, two_sided), alpha) == pytest.approx(want, rel=1e-11), df
+
+
+def owens_t_exceedance(angles, t: float, two_sided: bool) -> float:
+    """The gap sum of :func:`max_exceedance` with scipy's Owen's T: 2 T(t, tan min(g/2, pi/2)) per gap."""
+    theta = np.asarray(angles, dtype=float)
+    theta = np.sort(np.concatenate([theta, theta + np.pi]) if two_sided else theta)
+    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
+    return float(2 * owens_t(t, np.tan(np.minimum(gaps / 2, np.pi / 2))).sum())
+
+
+def test_max_exceedance_matches_owens_t():
+    rng = np.random.default_rng(61)
+    sets = [trend_angles(hwe_genotype_freqs(p), xs)
+            for p in (0.1, 0.3, 0.5) for xs in [(0.0, 1.0), (0.0, 0.5), (0.0, 0.5, 1.0), DEFAULT_GRID]]
+    sets += [[0.0], [0.0, 1.0], [0.0, math.pi / 2], [0.4, 0.4, 0.4]]
+    sets += [np.sort(rng.uniform(0.0, 3.0, size=k)) for k in (1, 2, 3, 5, 8, 13)]
+    for angles in sets:
+        for two_sided in (True, False):
+            for t in np.linspace(0.3, 8.0, 40):
+                want = owens_t_exceedance(angles, t, two_sided)
+                assert max_exceedance(angles, t, two_sided) == pytest.approx(want, rel=1e-9), (angles, t)
+
+
+def test_closed_form_laws_miss_the_two_stratum_null():
+    # the laws assume HWE in one sampled population. Pooling two allele frequencies (the Wahlund
+    # effect) leaves fewer heterozygotes than HWE predicts, so HWD's null is heavier; and with each
+    # stratum's counts fixed, the pooled variance behind Z_1/2 has a between-stratum part that the
+    # draws lack, so its null is narrower. Simulated: HWD 5.8 to 30, Z_1/2 1.60 to 1.79.
+    for scenario in load_scenarios(SCENARIOS / "null_stratified.json"):
+        cvs = estimate_critical_values(scenario, ("HWD", "Z_HALF"), b=20_000, seed=7)
+        assert cvs.thresholds["HWD"] > 5.0, scenario.label  # the chi-square law's 3.84
+        assert cvs.thresholds["Z_HALF"] < 1.96, scenario.label  # the normal law's 1.96
 
 
 def conditioning_integral(angles, t: float, two_sided: bool) -> float:
@@ -865,5 +928,5 @@ def test_normal_approx_threshold_has_level_alpha_under_mvn_draws(p, two_sided):
         c = np.array([xs, np.ones(len(xs))])
         z = (u @ c) / np.sqrt(np.einsum("ik,ij,jk->k", c, cov, c))
         decided = (np.abs(z) if two_sided else z).max(axis=1)
-        rate = np.mean(decided > max_threshold(trend_angles(props, xs), alpha, two_sided))
+        rate = np.mean(decided > max_point(trend_angles(props, xs), alpha, two_sided))
         assert abs(rate - alpha) <= 3 * math.sqrt(alpha * (1 - alpha) / b), (xs, rate)
