@@ -283,7 +283,7 @@ def cmd_criticals(args) -> int:
     for scenario in scenarios:
         null = scenario.null_scenario()
         if args.normal_approx:
-            thresholds = _normal_approx_thresholds(null, battery, grid, args.alpha)
+            thresholds = _normal_approx_thresholds(null, battery, grid, args.alpha, scenario.label)
         else:
             thresholds = estimate_critical_values(null, battery, args.b_null, args.alpha,
                                                   seed=args.seed, grid=grid).thresholds
@@ -293,18 +293,21 @@ def cmd_criticals(args) -> int:
     return 0
 
 
-def _normal_approx_thresholds(null, battery, grid, alpha: float) -> dict[str, float]:
+def _normal_approx_thresholds(null, battery, grid, alpha: float, label: str) -> dict[str, float]:
     """Upper-alpha points of the registry laws; maxima of trend statistics at the pooled proportions."""
     pooled = sum(np.multiply(case_probs, n_cases) + np.multiply(ctrl_probs, n_controls)
                  for case_probs, ctrl_probs, n_cases, n_controls in null.strata())
     out: dict[str, float] = {}
     for name in battery:
         spec = STATISTICS[name]
-        if spec.law is not None:
-            out[name] = upper_point(lambda t: spec.law(t, null.two_sided), alpha)
-        elif spec.combine is max_decided:
-            angles = trend_angles(pooled / pooled.sum(), grid if spec.scores is None else spec.scores)
-            out[name] = upper_point(lambda t: max_exceedance(angles, t, null.two_sided), alpha)
+        try:
+            if spec.law is not None:
+                out[name] = upper_point(lambda t: spec.law(t, null.two_sided), alpha)
+            elif spec.combine is max_decided:
+                angles = trend_angles(pooled / pooled.sum(), grid if spec.scores is None else spec.scores)
+                out[name] = upper_point(lambda t: max_exceedance(angles, t, null.two_sided), alpha)
+        except InputError as exc:
+            raise InputError(f"{exc} ({name}, scenario {label})") from None
     return out
 
 
@@ -316,26 +319,18 @@ def cmd_power(args) -> int:
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          b_power=args.b_power, battery=",".join(battery))
     columns = ("scenario", "statistic", "metric", "rate", "se", "b", "seed")
-    records = []
-    criticals_cache: dict[tuple, object] = {}
-    exit_code = 0
-    for scenario in scenarios:
-        null = scenario.null_scenario()
-        cache_key = null.key()
-        if cache_key not in criticals_cache:
-            criticals_cache[cache_key] = estimate_critical_values(
-                null, battery, args.b_null, args.alpha,
-                seed=args.seed, grid=grid)
-        row = estimate_power(scenario, battery, criticals_cache[cache_key],
-                             args.b_power, seed=args.seed, grid=grid)
-        metric = "size" if scenario.is_null else "power"
-        records.extend(dict(zip(columns, (scenario.label, name, metric, row.rates[name],
-                                          row.standard_errors[name], args.b_power, args.seed)))
-                       for name in battery)
-        if any(rate >= 1.0 for rate in row.error_rates.values()):
-            exit_code = 1
+    criticals: dict[tuple, object] = {}
+    for null in (scenario.null_scenario() for scenario in scenarios):
+        if null.key() not in criticals:
+            criticals[null.key()] = estimate_critical_values(null, battery, args.b_null, args.alpha,
+                                                             seed=args.seed, grid=grid)
+    rows = estimate_power([(scenario, criticals[scenario.key()]) for scenario in scenarios],
+                          battery, args.b_power, seed=args.seed, grid=grid)
+    records = [dict(zip(columns, (scenario.label, name, "size" if scenario.is_null else "power",
+                                  row.rates[name], row.standard_errors[name], args.b_power, args.seed)))
+               for scenario, row in zip(scenarios, rows) for name in battery]
     _emit(columns, records, args, header)
-    return exit_code
+    return 1 if any(rate >= 1.0 for row in rows for rate in row.error_rates.values()) else 0
 
 
 def cmd_corr(args) -> int:

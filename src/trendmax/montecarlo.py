@@ -17,9 +17,11 @@ Replicates are generated in fixed-size chunks whose random streams are
 spawned from (seed, chunk index). One task per chunk, on one thread per
 usable core, draws the chunk into a buffer of its own, scores it there
 (battery, correlation plug-ins, or the cells themselves) and hands the
-values on: into its own column slice of the output, or into each
-statistic's upper tail. Every kernel works row by row, so the result does
-not depend on the core count or the order the chunks run in: it is
+values on: into its own column slice of the output, into each
+statistic's upper tail, or into its counts. One pool runs the chunks of
+several runs (a power call's scenarios), each run with its own streams.
+Every kernel works row by row, so the result does not depend on the core
+count, the order the chunks run in or the runs beside it: it is
 bit-identical for a given (scenario, battery, B, seed).
 
 Layout
@@ -27,9 +29,10 @@ Layout
 A chunk's (count, 6) cells are the transpose of a C-ordered (6, count)
 buffer, so each cell column is contiguous for the kernels. A null run
 for critical values keeps each statistic's upper tail, O(alpha B) values
-(:class:`_UpperTails`); every other run keeps a (k, B) array of k values
-per table (battery size, 3 correlations, or 6 cells). Each running task
-adds one chunk and its kernel temporaries.
+(:class:`_UpperTails`); a power run keeps each statistic's counts of
+exceedances and NaNs, not a (k, B) array; every other run keeps a (k, B)
+array of k values per table (battery size, 3 correlations, or 6 cells).
+Each running task adds one chunk and its kernel temporaries.
 
 Quantile convention
 -------------------
@@ -148,22 +151,28 @@ def validate_replicates(b: int) -> None:
         raise InputError("replicate count must be positive")
 
 
-def _score_chunks(scenario: Scenario, b: int, seed: int, score, consume) -> None:
-    """Draw b >= 1 tables chunk by chunk; ``consume(lo, values)`` takes each chunk's ``score``."""
-    n_chunks = -(-b // CHUNK_SIZE)
-    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_chunks))
-    strata = scenario.strata()
+def _score_chunks(runs) -> None:
+    """Draw runs of b >= 1 tables chunk by chunk on one pool.
 
-    def run(lo: int, rng: np.random.Generator) -> None:
+    Each run is ``(scenario, b, seed, score, consume)``; ``consume(lo, values)``
+    takes the ``score`` of each of its chunks.
+    """
+    tasks = []
+    for scenario, b, seed, score, consume in runs:
+        seeds = np.random.SeedSequence(seed).spawn(-(-b // CHUNK_SIZE))
+        tasks += [(scenario, b, score, consume, lo, s) for lo, s in zip(range(0, b, CHUNK_SIZE), seeds)]
+
+    def run(task) -> None:
+        scenario, b, score, consume, lo, seed = task
         cells = np.zeros((6, min(CHUNK_SIZE, b - lo)))
-        _sample_chunk(strata, rng, cells)
+        _sample_chunk(scenario.strata(), np.random.default_rng(seed), cells)
         if scenario.correction:
             cells += 0.5
         consume(lo, score(cells.T))
 
-    with ThreadPoolExecutor(min(_CORES, n_chunks)) as pool:
+    with ThreadPoolExecutor(max(1, min(_CORES, len(tasks)))) as pool:
         # list() re-raises the first chunk's exception
-        list(pool.map(run, range(0, b, CHUNK_SIZE), rngs))
+        list(pool.map(run, tasks))
 
 
 def _score_array(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
@@ -175,7 +184,7 @@ def _score_array(scenario: Scenario, b: int, seed: int, score, width: int) -> np
         for row, v in zip(out[:, lo:lo + CHUNK_SIZE], values, strict=True):
             row[:] = v
 
-    _score_chunks(scenario, b, seed, score, write)
+    _score_chunks([(scenario, b, seed, score, write)])
     return out
 
 
@@ -276,7 +285,7 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
     validate_alpha(alpha)
     battery = validate_battery(battery)
     tails = _UpperTails(len(battery), b, alpha)
-    _score_chunks(scenario, b, seed, _battery_scorer(scenario, battery, grid), tails)
+    _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery, grid), tails)])
     thresholds = {}
     error_rates = {}
     for i, name in enumerate(battery):
@@ -287,40 +296,51 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
                             scenario_key=scenario.key(), battery=battery, error_rates=error_rates)
 
 
-def estimate_power(scenario: Scenario, battery, criticals: CriticalValueSet, b: int = 10_000, *,
-                   seed: int, grid=DEFAULT_GRID) -> PowerRow:
-    """Rejection rate of each statistic against matched null thresholds.
+def estimate_power(runs, battery, b: int = 10_000, *, seed: int,
+                   grid=DEFAULT_GRID) -> list[PowerRow]:
+    """Rejection rates of each statistic, one :class:`PowerRow` per ``(scenario, criticals)`` pair.
 
-    The thresholds must come from the matching null scenario (same
-    population, sample sizes, correction and sidedness); otherwise
-    :class:`MismatchedScenario` is raised. Replicates where a statistic
-    is undefined never reject and are reported in ``error_rates``.
+    Each pair's thresholds must come from the matching null scenario (same
+    population, sample sizes, correction and sidedness); every pair is checked
+    before any draw, and a mismatch raises :class:`MismatchedScenario`. A pair
+    scores b tables from ``seed``, as a call with it alone would; the chunks of
+    all pairs share one pool and leave only counts, O(k) per scenario.
+    Replicates where a statistic is undefined never reject and are reported in
+    ``error_rates``.
     """
-    validate_alpha(criticals.alpha)
     validate_replicates(b)
     battery = validate_battery(battery)
-    if scenario.key() != criticals.scenario_key:
-        raise MismatchedScenario(
-            "critical values were estimated under a different null scenario "
-            f"({criticals.scenario_key} vs {scenario.key()})"
-        )
-    missing = [name for name in battery if name not in criticals.thresholds]
-    if missing:
-        raise MismatchedScenario(f"no thresholds for {missing}")
-    values = _battery_values(scenario, b, seed, battery, grid)
-    rates = {}
-    ses = {}
-    error_rates = {}
-    for name in battery:
-        v = values[name]
-        rate = float(np.sum(v > criticals.thresholds[name]) / b)
-        rates[name] = rate
-        ses[name] = math.sqrt(rate * (1.0 - rate) / b)
-        bad = float(np.isnan(v).mean())
-        if bad:
-            error_rates[name] = bad
-    return PowerRow(rates=rates, standard_errors=ses, b=b, seed=seed, scenario_label=scenario.label,
-                    alpha=criticals.alpha, error_rates=error_rates)
+    for scenario, criticals in runs:
+        validate_alpha(criticals.alpha)
+        if scenario.key() != criticals.scenario_key:
+            raise MismatchedScenario(
+                "critical values were estimated under a different null scenario "
+                f"({criticals.scenario_key} vs {scenario.key()})"
+            )
+        missing = [name for name in battery if name not in criticals.thresholds]
+        if missing:
+            raise MismatchedScenario(f"no thresholds for {missing}")
+    # per pair, chunk and statistic: exceedances and NaNs; each chunk writes its own row
+    counts = np.zeros((len(runs), -(-b // CHUNK_SIZE), len(battery), 2), dtype=np.int64)
+
+    def counter(i: int, thresholds):
+        def count(lo: int, values) -> None:
+            # NaN compares False
+            counts[i, lo // CHUNK_SIZE] = [(np.count_nonzero(v > t), np.count_nonzero(np.isnan(v)))
+                                           for v, t in zip(values, thresholds, strict=True)]
+        return count
+
+    _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery, grid),
+                    counter(i, [criticals.thresholds[name] for name in battery]))
+                   for i, (scenario, criticals) in enumerate(runs)])
+    rows = []
+    for (scenario, criticals), totals in zip(runs, counts.sum(axis=1).tolist()):
+        rates = {name: exceed / b for name, (exceed, _) in zip(battery, totals)}
+        ses = {name: math.sqrt(rate * (1.0 - rate) / b) for name, rate in rates.items()}
+        errors = {name: nans / b for name, (_, nans) in zip(battery, totals) if nans}
+        rows.append(PowerRow(rates=rates, standard_errors=ses, b=b, seed=seed, scenario_label=scenario.label,
+                             alpha=criticals.alpha, error_rates=errors))
+    return rows
 
 
 def mean_correlation_matrix(

@@ -255,6 +255,7 @@ def test_normal_approx_one_sided_alpha_above_the_tail_at_zero_exits_2(tmp_path, 
     assert code == 2
     assert out == ""
     assert err.startswith(f"trendmax criticals: alpha {float(alpha)!r} must lie below the null tail at 0, ")
+    assert err.endswith(f" ({battery}, scenario one)\n")  # the first statistic whose tail falls short
     code, out, err = run_cli(argv[:-1] + ["0.45"])
     assert code == 0, err
     assert float(out_rows(out)[0][2]) > 0

@@ -2,7 +2,9 @@ import itertools
 import json
 import math
 import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -258,13 +260,16 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
     null_cells = row_major_reference(sc.null_scenario(), ENGINE_B, 41)
     # the null run streams its values into the tail keepers, so it leaves no array
     whole_batch = {null_key: evaluate_battery(null_cells, ALL_STATISTICS, two_sided, GRID)}
+    alt_cells = row_major_reference(sc, ENGINE_B, 42)
+    alt_values = evaluate_battery(alt_cells, ALL_STATISTICS, two_sided, GRID)
     for cores in (1, 2, 3):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         used.clear()
         cvs = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS, b=ENGINE_B, seed=41, grid=GRID)
-        row = estimate_power(sc, ALL_STATISTICS, cvs, b=ENGINE_B, seed=42, grid=GRID)
+        [row] = estimate_power([(sc, cvs)], ALL_STATISTICS, b=ENGINE_B, seed=42, grid=GRID)
         pvalue_crosstab(sc, "MAXGRID", "T_MAX", b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
-        assert len(used) == 3
+        # power keeps counts, not values, so only the crosstab's two runs come through here
+        assert len(used) == 2
         for key, values in used:
             scenario, b, seed, battery = key
             if key not in whole_batch:
@@ -276,7 +281,7 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
                 assert_bit_identical(values[name], want[name])
                 assert values[name].flags.c_contiguous
 
-        null_values, alt_values = whole_batch[null_key], used[0][1]
+        null_values = whole_batch[null_key]
         for name in ALL_STATISTICS:
             assert cvs.thresholds[name] == empirical_upper_quantile(null_values[name], 0.05)
             assert cvs.error_rates.get(name, 0.0) == float(np.isnan(null_values[name]).mean())
@@ -326,13 +331,97 @@ def test_a_scorer_error_on_chunk_1_reaches_every_caller(monkeypatch):
                             failing_on_chunk_1(getattr(trendmax.montecarlo, kernel)))
     calls = [
         lambda: estimate_critical_values(sc.null_scenario(), ("MAX3",), b=ENGINE_B, seed=46),
-        lambda: estimate_power(sc, ("MAX3",), cvs, b=ENGINE_B, seed=47),
+        lambda: estimate_power([(sc, cvs)], ("MAX3",), b=ENGINE_B, seed=47),
         lambda: mean_correlation_matrix(sc, ENGINE_B, seed=47),
         lambda: pvalue_crosstab(sc, "MAX3", "Z0", b_null=ENGINE_B, b_reps=1_000, seed=48),
     ]
     for call in calls:
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
             call()
+
+
+def power_pack() -> list:
+    """(alternative, null thresholds) pairs; the last one is uncorrected, with undefined values."""
+    scenarios = [replace(sc, label=f"pair{i}") for i, sc in enumerate([
+        alt_scenario(),
+        alt_scenario(p=0.1, kind="rec", f2=0.05),
+        null_scenario(p=0.5),
+        engine_scenario((Stratum(0.1, 150, 120), Stratum(0.4, 100, 130)), False, True),
+        engine_scenario((Stratum(0.05, 20, 20),), True, False),
+    ])]
+    criticals = {}
+    for sc in scenarios:
+        if sc.key() not in criticals:
+            criticals[sc.key()] = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS,
+                                                           b=2_000, seed=61, grid=GRID)
+    return [(sc, criticals[sc.key()]) for sc in scenarios]
+
+
+def test_power_pairs_in_one_call_equal_the_one_pair_calls(monkeypatch):
+    pairs = power_pack()
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 1)
+    alone = [row for pair in pairs
+             for row in estimate_power([pair], ALL_STATISTICS, b=ENGINE_B, seed=62, grid=GRID)]
+    assert alone[-1].error_rates
+    interval = sys.getswitchinterval()
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        # more threads than cores, switching often: a lost count would change a rate
+        sys.setswitchinterval(1e-6 if cores == 8 else interval)
+        try:
+            rows = estimate_power(pairs, ALL_STATISTICS, b=ENGINE_B, seed=62, grid=GRID)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == alone, f"{cores} cores"
+        assert [row.scenario_label for row in rows] == [sc.label for sc, _ in pairs]
+    assert estimate_power([], ALL_STATISTICS, b=ENGINE_B, seed=62, grid=GRID) == []
+
+
+def test_the_chunks_of_two_pairs_run_side_by_side(monkeypatch):
+    pairs = power_pack()[:2]
+    sample_chunk = trendmax.montecarlo._sample_chunk
+    barrier = threading.Barrier(2, timeout=5)
+
+    def meeting(strata, rng, out):
+        barrier.wait()  # each pair is one chunk, so this returns only if both run at once
+        sample_chunk(strata, rng, out)
+
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", meeting)
+    rows = estimate_power(pairs, ("MAX3", "Z0"), b=1_000, seed=63)
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", sample_chunk)
+    assert rows == [row for pair in pairs
+                    for row in estimate_power([pair], ("MAX3", "Z0"), b=1_000, seed=63)]
+
+
+def test_a_mismatched_last_pair_is_rejected_before_any_draw(monkeypatch):
+    pairs = power_pack()
+    only_max3 = estimate_critical_values(null_scenario(), ("MAX3",), b=1_000, seed=64)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking every pair")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    with pytest.raises(MismatchedScenario, match="different null scenario"):
+        estimate_power([*pairs, (alt_scenario(p=0.5), pairs[0][1])], BATTERY, b=1_000, seed=64)
+    with pytest.raises(MismatchedScenario, match=r"no thresholds for \['Z0'\]"):
+        estimate_power([*pairs, (alt_scenario(), only_max3)], ("MAX3", "Z0"), b=1_000, seed=64)
+
+
+def test_an_error_in_one_pairs_chunk_reaches_the_caller(monkeypatch):
+    pairs = power_pack()
+    failing = pairs[1][0].strata()
+    sample_chunk = trendmax.montecarlo._sample_chunk
+
+    def failing_on_pair_1(strata, rng, out):
+        if strata == failing:
+            raise RuntimeError("pair 1 failed")
+        sample_chunk(strata, rng, out)
+
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", failing_on_pair_1)
+    with pytest.raises(RuntimeError, match="pair 1 failed"):
+        estimate_power(pairs, ("MAX3",), b=ENGINE_B, seed=65)
 
 
 def traced_peak_mb(call) -> float:
@@ -362,6 +451,23 @@ def test_peak_memory_of_a_null_run_does_not_grow_with_all_its_values(monkeypatch
     null = Scenario(population=(Stratum(0.1, 250, 250), Stratum(0.4, 100, 100)), penetrances=None)
     peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=400_000, seed=49))
     assert peak <= 14.0
+
+
+def test_power_over_twelve_alternatives_keeps_counts_not_values(monkeypatch):
+    # the (13, 10,000) decision values of one alternative are 1.04 MB; keeping
+    # them peaked 1.0 MB above scoring one chunk on one core, and keeping all
+    # twelve alternatives' would add 12.5 MB
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 1)
+    scenarios = load_scenarios(SCENARIOS / "recadd_subfamily.json")
+    nulls = {sc.key(): sc.null_scenario() for sc in scenarios}
+    criticals = {key: estimate_critical_values(null, DEFAULT_BATTERY, b=2_000, seed=66)
+                 for key, null in nulls.items()}
+    pairs = [(sc, criticals[sc.key()]) for sc in scenarios]
+    cells = simulate_cells(scenarios[-1], CHUNK_SIZE, seed=67)  # one chunk, laid out as the pool's
+    chunk_peak = traced_peak_mb(lambda: evaluate_battery(cells, DEFAULT_BATTERY, True, DEFAULT_GRID))
+    peak = traced_peak_mb(lambda: estimate_power(pairs, DEFAULT_BATTERY, b=CHUNK_SIZE, seed=67))
+    assert len(pairs) == 12
+    assert peak <= chunk_peak + cells.nbytes / 1e6 + 0.5
 
 
 @given(st.data())
@@ -404,8 +510,8 @@ def test_a_partial_tail_names_the_rank_it_misses():
 @pytest.mark.parametrize("call", [
     lambda: estimate_critical_values(null_scenario(), BATTERY, b=200_000, alpha=1.5, seed=1),
     lambda: estimate_critical_values(null_scenario(), BATTERY, b=200_000, alpha=math.nan, seed=1),
-    lambda: estimate_power(alt_scenario(), BATTERY, SimpleNamespace(alpha=0.0), b=10_000, seed=1),
-    lambda: estimate_power(alt_scenario(), BATTERY, SimpleNamespace(alpha=0.05), b=0, seed=1),
+    lambda: estimate_power([(alt_scenario(), SimpleNamespace(alpha=0.0))], BATTERY, b=10_000, seed=1),
+    lambda: estimate_power([(alt_scenario(), SimpleNamespace(alpha=0.05))], BATTERY, b=0, seed=1),
     lambda: pvalue_crosstab(alt_scenario(), "MAX3", "Z0", b_reps=0, seed=1),
     lambda: pvalue_crosstab(alt_scenario(), "MAX3", "Z0", b_null=0, seed=1),
     lambda: mean_correlation_matrix(alt_scenario(), b=-5, seed=1),
@@ -433,7 +539,7 @@ def test_mixture_split_must_match_totals():
 def test_estimate_power_bitwise_reproducible():
     sc = alt_scenario()
     cvs = estimate_critical_values(sc.null_scenario(), BATTERY, b=20_000, seed=7)
-    rows = [estimate_power(sc, BATTERY, cvs, b=5_000, seed=8) for _ in range(2)]
+    rows = [row for _ in range(2) for row in estimate_power([(sc, cvs)], BATTERY, b=5_000, seed=8)]
     assert rows[0].rates == rows[1].rates
 
 
@@ -508,7 +614,7 @@ def test_criticals_require_null_scenario():
 def test_size_matches_level_when_null_is_alternative():
     sc = null_scenario(p=0.5)
     cvs = estimate_critical_values(sc, BATTERY, b=100_000, seed=13)
-    row = estimate_power(sc, BATTERY, cvs, b=10_000, seed=14)
+    [row] = estimate_power([(sc, cvs)], BATTERY, b=10_000, seed=14)
     se = math.sqrt(0.05 * 0.95 / 10_000)
     for name in BATTERY:
         assert abs(row.rates[name] - 0.05) <= 3 * se + 0.003
@@ -517,9 +623,9 @@ def test_size_matches_level_when_null_is_alternative():
 def test_power_mismatched_scenario_rejected():
     cvs = estimate_critical_values(null_scenario(p=0.3), BATTERY, b=2_000, seed=15)
     with pytest.raises(MismatchedScenario):
-        estimate_power(alt_scenario(p=0.5), BATTERY, cvs, b=1_000, seed=16)
+        estimate_power([(alt_scenario(p=0.5), cvs)], BATTERY, b=1_000, seed=16)
     with pytest.raises(MismatchedScenario):
-        estimate_power(alt_scenario(r=100, s=250), BATTERY, cvs, b=1_000, seed=16)
+        estimate_power([(alt_scenario(r=100, s=250), cvs)], BATTERY, b=1_000, seed=16)
 
 
 def test_power_nondecreasing_in_effect_size():
@@ -527,7 +633,7 @@ def test_power_nondecreasing_in_effect_size():
     cvs = estimate_critical_values(sc0, ("Z_HALF",), b=50_000, seed=17)
     powers = []
     for f2 in (0.013, 0.016, 0.020):
-        row = estimate_power(alt_scenario(f2=f2), ("Z_HALF",), cvs, b=6_000, seed=18)
+        [row] = estimate_power([(alt_scenario(f2=f2), cvs)], ("Z_HALF",), b=6_000, seed=18)
         powers.append(row.rates["Z_HALF"])
     assert powers[0] < powers[1] < powers[2]
 
@@ -535,7 +641,7 @@ def test_power_nondecreasing_in_effect_size():
 def test_power_reports_se():
     sc = alt_scenario()
     cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=5_000, seed=19)
-    row = estimate_power(sc, ("MAX3",), cvs, b=2_500, seed=20)
+    [row] = estimate_power([(sc, cvs)], ("MAX3",), b=2_500, seed=20)
     rate = row.rates["MAX3"]
     assert row.standard_errors["MAX3"] == pytest.approx(math.sqrt(rate * (1 - rate) / 2_500))
 
@@ -581,7 +687,7 @@ def test_crosstab_margin_matches_power():
     sc = alt_scenario(f2=0.02)
     tab = pvalue_crosstab(sc, "MAX3", "CHI2_2DF", b_null=50_000, b_reps=4_000, seed=25)
     cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=50_000, seed=26)
-    row = estimate_power(sc, ("MAX3",), cvs, b=4_000, seed=27)
+    [row] = estimate_power([(sc, cvs)], ("MAX3",), b=4_000, seed=27)
     frac_below_05 = tab.counts[:2, :].sum() / 4_000
     assert abs(frac_below_05 - row.rates["MAX3"]) <= 0.025
 
