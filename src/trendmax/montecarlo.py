@@ -27,12 +27,13 @@ bit-identical for a given (scenario, battery, B, seed).
 Layout
 ------
 A chunk's (count, 6) cells are the transpose of a C-ordered (6, count)
-buffer, so each cell column is contiguous for the kernels. A null run
-for critical values keeps each statistic's upper tail, O(alpha B) values
-(:class:`_UpperTails`); a power run keeps each statistic's counts of
-exceedances and NaNs, not a (k, B) array; every other run keeps a (k, B)
-array of k values per table (battery size, 3 correlations, or 6 cells).
-Each running task adds one chunk and its kernel temporaries.
+buffer, so each cell column is contiguous for the kernels. Every null
+run, for critical values and for the crosstab, keeps each statistic's
+upper tail, O(alpha B) values (:class:`_UpperTails`); a power run keeps
+each statistic's counts of exceedances and NaNs. Only the crosstab's
+replicates, the correlations and the cells keep a (k, B) array of k
+values per table (2 statistics, 3 correlations, or 6 cells). Each
+running task adds one chunk and its kernel temporaries.
 
 Quantile convention
 -------------------
@@ -72,10 +73,7 @@ class CriticalValueSet:
 
     thresholds: dict[str, float]
     alpha: float
-    b: int
-    seed: int
     scenario_key: tuple
-    battery: tuple[str, ...]
     error_rates: dict[str, float] = field(default_factory=dict)
 
 
@@ -85,10 +83,6 @@ class PowerRow:
 
     rates: dict[str, float]
     standard_errors: dict[str, float]
-    b: int
-    seed: int
-    scenario_label: str
-    alpha: float
     error_rates: dict[str, float] = field(default_factory=dict)
 
 
@@ -97,8 +91,6 @@ class MeanCorrelations:
     """Replicate averages of the plug-in correlation triple, over the replicates where it exists."""
 
     triple: CorrelationTriple
-    b: int
-    seed: int
     failure_rate: float = 0.0
 
 
@@ -106,18 +98,13 @@ class MeanCorrelations:
 class PValueCrossTab:
     """Cross-classified empirical p-values of two statistics on shared data.
 
-    ``counts[i, j]`` is the number of replicates whose p-value for
-    ``stat_a`` falls in bin i and for ``stat_b`` in bin j. Bins are
+    ``counts[i, j]`` is the number of replicates whose p-value for the
+    first statistic falls in bin i and for the second in bin j. Bins are
     closed on the left: [0, e1), [e1, e2), ..., [ek, 1].
     """
 
     counts: np.ndarray
     bin_edges: tuple[float, ...]
-    stat_a: str
-    stat_b: str
-    b_null: int
-    b_reps: int
-    seed: int
 
     def bin_labels(self) -> list[str]:
         edges = (0.0, *self.bin_edges, 1.0)
@@ -196,6 +183,10 @@ class _UpperTails:
     most b) values; a chunk appends those above the floor, the m-th largest
     kept so far, and an overflow first partitions the buffer to its top m.
     So a buffer keeps the sample's top m, ties included, in any chunk order.
+
+    m also makes :meth:`pvalues` exact below alpha: an observation that at
+    most m of the n finite values reach is counted among the top m, and one
+    that more reach has p >= (1 + m) / (n + 1) > alpha, as m >= alpha b + 2.
     """
 
     def __init__(self, width: int, b: int, alpha: float):
@@ -230,15 +221,19 @@ class _UpperTails:
         return empirical_upper_quantile(self.buffers[i, :self.sizes[i]], self.alpha,
                                         size=self.b - self.nans[i])
 
+    def pvalues(self, i: int, observed: np.ndarray) -> np.ndarray:
+        """(1 + #null >= obs) / (n + 1) over the n finite values of sample i, exact below alpha.
+
+        An undefined (NaN) observation gets p = 1, so it is never counted as
+        significant, as in power and permutation.
+        """
+        tail = np.sort(self.buffers[i, :self.sizes[i]])
+        n_ge = tail.size - np.searchsorted(tail, observed, side="left")
+        return np.where(np.isnan(observed), 1.0, (1.0 + n_ge) / (self.b - self.nans[i] + 1.0))
+
 
 def _battery_scorer(scenario: Scenario, battery, grid):
     return lambda cells: evaluate_battery(cells, battery, scenario.two_sided, grid).values()
-
-
-def _battery_values(scenario: Scenario, b: int, seed: int, battery, grid) -> dict[str, np.ndarray]:
-    """Decision values of a validated battery on b simulated tables."""
-    score = _battery_scorer(scenario, battery, grid)
-    return dict(zip(battery, _score_array(scenario, b, seed, score, len(battery))))
 
 
 def simulate_cells(scenario: Scenario, b: int, seed: int) -> np.ndarray:
@@ -292,8 +287,8 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
         if tails.nans[i]:
             error_rates[name] = tails.nans[i] / b
         thresholds[name] = tails.quantile(i)
-    return CriticalValueSet(thresholds=thresholds, alpha=alpha, b=b, seed=seed,
-                            scenario_key=scenario.key(), battery=battery, error_rates=error_rates)
+    return CriticalValueSet(thresholds=thresholds, alpha=alpha, scenario_key=scenario.key(),
+                            error_rates=error_rates)
 
 
 def estimate_power(runs, battery, b: int = 10_000, *, seed: int,
@@ -338,8 +333,7 @@ def estimate_power(runs, battery, b: int = 10_000, *, seed: int,
         rates = {name: exceed / b for name, (exceed, _) in zip(battery, totals)}
         ses = {name: math.sqrt(rate * (1.0 - rate) / b) for name, rate in rates.items()}
         errors = {name: nans / b for name, (_, nans) in zip(battery, totals) if nans}
-        rows.append(PowerRow(rates=rates, standard_errors=ses, b=b, seed=seed, scenario_label=scenario.label,
-                             alpha=criticals.alpha, error_rates=errors))
+        rows.append(PowerRow(rates=rates, standard_errors=ses, error_rates=errors))
     return rows
 
 
@@ -355,23 +349,12 @@ def mean_correlation_matrix(
     if bad.all():
         raise DegenerateTable("correlation estimation failed on every replicate")
     triple = CorrelationTriple(*(float(r[~bad].mean()) for r in rho))
-    return MeanCorrelations(triple, b=b, seed=seed, failure_rate=float(bad.mean()))
+    return MeanCorrelations(triple, failure_rate=float(bad.mean()))
 
 
 # ---------------------------------------------------------------------------
 # matched p-value cross-tabulation
 # ---------------------------------------------------------------------------
-
-def _empirical_pvalues(null_sorted: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """(1 + #null >= obs) / (B + 1), vectorized over observations.
-
-    An undefined (NaN) observation gets p = 1, so it is never counted as
-    significant, as in power and permutation.
-    """
-    b = null_sorted.size
-    n_ge = b - np.searchsorted(null_sorted, observed, side="left")
-    return np.where(np.isnan(observed), 1.0, (1.0 + n_ge) / (b + 1.0))
-
 
 def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 200_000,
                     b_reps: int = 5_000, bins: tuple[float, ...] = (0.01, 0.05, 0.10), *,
@@ -382,31 +365,30 @@ def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 
     the same shared null sample, preserving the matched design. P-values
     are binned closed-on-the-left at ``bins``; replicates on which a
     statistic is undefined get p = 1 and land in the last bin.
+
+    Only p-values below the largest edge tell bins apart, so the null
+    streams into :class:`_UpperTails` at that level: memory is O(max(bins) B_null).
     """
     battery = validate_battery(dict.fromkeys((stat_a, stat_b)))
     edges = tuple(float(e) for e in bins)
-    if any(not 0.0 < e < 1.0 for e in edges) or list(edges) != sorted(set(edges)):
-        raise InputError(f"bin edges {edges!r} must be strictly increasing within (0, 1)")
+    if not edges or any(not 0.0 < e < 1.0 for e in edges) or list(edges) != sorted(set(edges)):
+        raise InputError(f"bin edges {edges!r} must be one or more strictly increasing values within (0, 1)")
     validate_replicates(b_null)
     validate_replicates(b_reps)
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-    null_values = _battery_values(scenario.null_scenario(), b_null, null_seed, battery, grid)
-    rep_values = _battery_values(scenario, b_reps, rep_seed, battery, grid)
+    null = scenario.null_scenario()
+    tails = _UpperTails(len(battery), b_null, edges[-1])
+    _score_chunks([(null, b_null, null_seed, _battery_scorer(null, battery, grid), tails)])
+    reps = _score_array(scenario, b_reps, rep_seed, _battery_scorer(scenario, battery, grid), len(battery))
 
     all_edges = np.array([*edges, 1.0 + 1e-12])
-    n_bins = len(edges) + 1
-
-    bin_of = {}
-    for name in battery:
-        null_sorted = np.sort(null_values[name])
-        null_sorted = null_sorted[~np.isnan(null_sorted)]
-        pvals = _empirical_pvalues(null_sorted, rep_values[name])
-        bin_of[name] = np.searchsorted(all_edges, pvals, side="right")
-    counts = np.zeros((n_bins, n_bins), dtype=int)
-    np.add.at(counts, (bin_of[stat_a], bin_of[stat_b]), 1)
-    return PValueCrossTab(counts=counts, bin_edges=edges, stat_a=stat_a, stat_b=stat_b,
-                          b_null=b_null, b_reps=b_reps, seed=seed)
+    # with stat_a == stat_b the battery is that one statistic
+    bin_a, bin_b = (np.searchsorted(all_edges, tails.pvalues(i, reps[i]), side="right")
+                    for i in (0, len(battery) - 1))
+    counts = np.zeros((all_edges.size, all_edges.size), dtype=int)
+    np.add.at(counts, (bin_a, bin_b), 1)
+    return PValueCrossTab(counts=counts, bin_edges=edges)
 
 
 # ---------------------------------------------------------------------------

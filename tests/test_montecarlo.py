@@ -242,46 +242,65 @@ ENGINE_CASES = pytest.mark.parametrize("population, size, two_sided", [
 ])
 
 
+def whole_sample_pvalues(null: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """(1 + #null >= obs) / (n + 1) from the n sorted non-NaN null values; p = 1 for a NaN observation."""
+    null_sorted = np.sort(null)
+    null_sorted = null_sorted[~np.isnan(null_sorted)]
+    n_ge = null_sorted.size - np.searchsorted(null_sorted, observed, side="left")
+    return np.where(np.isnan(observed), 1.0, (1.0 + n_ge) / (null_sorted.size + 1.0))
+
+
+def whole_sample_counts(null_values, rep_values, stat_a: str, stat_b: str, bins) -> np.ndarray:
+    """Crosstab counts of the replicates' p-values against the whole null sample."""
+    all_edges = np.array([*bins, 1.0 + 1e-12])
+    bin_of = {name: np.searchsorted(all_edges, whole_sample_pvalues(null_values[name], rep_values[name]),
+                                    side="right") for name in (stat_a, stat_b)}
+    counts = np.zeros((all_edges.size, all_edges.size), dtype=int)
+    np.add.at(counts, (bin_of[stat_a], bin_of[stat_b]), 1)
+    return counts
+
+
 @pytest.mark.parametrize("correction", [True, False])
 @ENGINE_CASES
 def test_entry_points_score_what_the_whole_batch_scores(population, size, two_sided, correction,
                                                         monkeypatch):
     sc = engine_scenario(population, two_sided, correction)
     used = []
-    battery_values = trendmax.montecarlo._battery_values
+    score_array = trendmax.montecarlo._score_array
 
-    def recording(scenario, b, seed, battery, grid):
-        values = battery_values(scenario, b, seed, battery, grid)
-        used.append(((scenario, b, seed, battery), values))
+    def recording(scenario, b, seed, score, width):
+        values = score_array(scenario, b, seed, score, width)
+        used.append(((scenario, b, seed), values))
         return values
 
-    monkeypatch.setattr(trendmax.montecarlo, "_battery_values", recording)
-    null_key = (sc.null_scenario(), ENGINE_B, 41, ALL_STATISTICS)
+    monkeypatch.setattr(trendmax.montecarlo, "_score_array", recording)
     null_cells = row_major_reference(sc.null_scenario(), ENGINE_B, 41)
-    # the null run streams its values into the tail keepers, so it leaves no array
-    whole_batch = {null_key: evaluate_battery(null_cells, ALL_STATISTICS, two_sided, GRID)}
+    # the null runs stream their values into the tail keepers, so they leave no array
+    null_values = evaluate_battery(null_cells, ALL_STATISTICS, two_sided, GRID)
     alt_cells = row_major_reference(sc, ENGINE_B, 42)
     alt_values = evaluate_battery(alt_cells, ALL_STATISTICS, two_sided, GRID)
+    crosstab_battery = ("MAXGRID", "T_MAX")
+    null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(43).generate_state(2))
+    rep_values = evaluate_battery(row_major_reference(sc, ENGINE_B, rep_seed),
+                                  crosstab_battery, two_sided, GRID)
+    crosstab_null = evaluate_battery(row_major_reference(sc.null_scenario(), ENGINE_B, null_seed),
+                                     crosstab_battery, two_sided, GRID)
     for cores in (1, 2, 3):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         used.clear()
         cvs = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS, b=ENGINE_B, seed=41, grid=GRID)
         [row] = estimate_power([(sc, cvs)], ALL_STATISTICS, b=ENGINE_B, seed=42, grid=GRID)
-        pvalue_crosstab(sc, "MAXGRID", "T_MAX", b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
-        # power keeps counts, not values, so only the crosstab's two runs come through here
-        assert len(used) == 2
-        for key, values in used:
-            scenario, b, seed, battery = key
-            if key not in whole_batch:
-                cells = row_major_reference(scenario, b, seed)
-                whole_batch[key] = evaluate_battery(cells, battery, scenario.two_sided, GRID)
-            want = whole_batch[key]
-            assert list(values) == list(want) == list(battery)
-            for name in battery:
-                assert_bit_identical(values[name], want[name])
-                assert values[name].flags.c_contiguous
-
-        null_values = whole_batch[null_key]
+        tab = pvalue_crosstab(sc, *crosstab_battery, b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
+        # power keeps counts and the nulls keep tails, so only the crosstab's replicates come through here
+        assert len(used) == 1
+        [(key, values)] = used
+        assert key == (sc, ENGINE_B, rep_seed)
+        assert values.shape == (len(crosstab_battery), ENGINE_B)
+        for name, row_values in zip(crosstab_battery, values, strict=True):
+            assert_bit_identical(row_values, rep_values[name])
+            assert row_values.flags.c_contiguous
+        assert np.array_equal(tab.counts, whole_sample_counts(crosstab_null, rep_values, *crosstab_battery,
+                                                              (0.01, 0.05, 0.10)))
         for name in ALL_STATISTICS:
             assert cvs.thresholds[name] == empirical_upper_quantile(null_values[name], 0.05)
             assert cvs.error_rates.get(name, 0.0) == float(np.isnan(null_values[name]).mean())
@@ -373,7 +392,8 @@ def test_power_pairs_in_one_call_equal_the_one_pair_calls(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         assert rows == alone, f"{cores} cores"
-        assert [row.scenario_label for row in rows] == [sc.label for sc, _ in pairs]
+        # distinct rows, so the equality pins their order
+        assert all(a != b for a, b in itertools.combinations(rows, 2))
     assert estimate_power([], ALL_STATISTICS, b=ENGINE_B, seed=62, grid=GRID) == []
 
 
@@ -435,13 +455,15 @@ def traced_peak_mb(call) -> float:
 
 def test_peak_memory_holds_the_values_and_a_few_chunks(monkeypatch):
     # 13 decision values x 200,000 tables are 20.8 MB; sampling the whole
-    # batch before scoring it peaked at 52 MB here, and at 42 MB on the crosstab
+    # batch before scoring it peaked at 52 MB here, and at 42 MB on the
+    # crosstab. The crosstab's null keeps about 2 x 10% of its 2 x 200,000
+    # values plus a chunk: it peaked at 8.4 MB holding them all, 5.8 MB now
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
     null = Scenario(population=(Stratum(0.1, 250, 250), Stratum(0.4, 100, 100)), penetrances=None)
     peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=200_000, seed=49))
     assert peak <= 32.0
     peak = traced_peak_mb(lambda: pvalue_crosstab(alt_scenario(f2=0.02023), "MAX3", "MAXGRID", seed=50))
-    assert peak <= 15.0
+    assert peak <= 7.0
 
 
 def test_peak_memory_of_a_null_run_does_not_grow_with_all_its_values(monkeypatch):
@@ -497,6 +519,12 @@ def test_upper_tails_pick_what_the_whole_sample_picks(data):
                 tails.quantile(i)
         else:
             assert tails.quantile(i) == empirical_upper_quantile(v, alpha)
+        # observations tie with the sample's own values
+        observed = np.concatenate([rng.choice(v, 200), [math.nan, math.inf, -math.inf]])
+        got, want = tails.pvalues(i, observed), whole_sample_pvalues(v, observed)
+        below = want < alpha
+        assert np.array_equal(got[below], want[below])
+        assert np.all(got[~below] >= alpha)
 
 
 def test_a_partial_tail_names_the_rank_it_misses():
@@ -713,10 +741,38 @@ def test_crosstab_undefined_replicates_are_not_significant():
     assert rows[-1] >= 700 and cols[-1] >= 300  # the undefined replicates
 
 
-def test_crosstab_rejects_bad_bins():
-    with pytest.raises(Exception):
-        pvalue_crosstab(null_scenario(), "Z0", "Z1", b_null=2_000, b_reps=100,
-                        bins=(0.5, 0.1), seed=29)
+def test_crosstab_rejects_bad_bins(monkeypatch):
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", None)  # rejected before any draw
+    for bins in ((0.5, 0.1), ()):
+        with pytest.raises(InputError, match="must be one or more strictly increasing values"):
+            pvalue_crosstab(null_scenario(), "Z0", "Z1", b_null=2_000, b_reps=100,
+                            bins=bins, seed=29)
+
+
+CROSSTAB_CASES = {
+    "two-sided": (alt_scenario(), "MAX3", "CHI2_2DF"),
+    # HWD is undefined on many of these uncorrected tables, Z_HALF on some
+    "uncorrected 20+20": (Scenario(population=(Stratum(0.02, 20, 20),), penetrances=None, correction=False),
+                          "HWD", "Z_HALF"),
+    "one statistic": (alt_scenario(), "MAX3", "MAX3"),
+    "one-sided": (replace(alt_scenario(kind="rec", f2=0.05), two_sided=False), "Z_HALF", "MAX2"),
+}
+
+
+@pytest.mark.parametrize("case", CROSSTAB_CASES)
+@pytest.mark.parametrize("bins", [(0.01, 0.05, 0.10), (0.5, 0.9, 0.99), (0.2,)])
+@pytest.mark.parametrize("b_null", [1, 7, 999, 23_456])
+def test_crosstab_counts_equal_the_whole_sample_reference(case, bins, b_null):
+    sc, stat_a, stat_b = CROSSTAB_CASES[case]
+    b_reps = 1_500
+    battery = tuple(dict.fromkeys((stat_a, stat_b)))
+    null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(30).generate_state(2))
+    null_values = evaluate_battery(row_major_reference(sc.null_scenario(), b_null, null_seed),
+                                   battery, sc.two_sided)
+    rep_values = evaluate_battery(row_major_reference(sc, b_reps, rep_seed), battery, sc.two_sided)
+    tab = pvalue_crosstab(sc, stat_a, stat_b, b_null=b_null, b_reps=b_reps, bins=bins, seed=30)
+    assert tab.bin_edges == bins
+    assert np.array_equal(tab.counts, whole_sample_counts(null_values, rep_values, stat_a, stat_b, bins))
 
 
 # ---------------------------------------------------------------------------
