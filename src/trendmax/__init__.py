@@ -46,7 +46,6 @@ from .montecarlo import (
     CriticalValueSet,
     MeanCorrelations,
     PowerRow,
-    PValueCrossTab,
     empirical_upper_quantile,
     estimate_critical_values,
     estimate_power,

@@ -5,7 +5,10 @@ Subcommands:
     analyze    statistics, correlation structure and advisory for one
                or more observed tables; with --b-perm, permutation
                p-values of the whole battery from one set of permuted
-               tables per table, scored in batches that tables share
+               tables per table, scored in batches that tables share;
+               they always permute the raw counts, so with --correction on
+               a statistic can have a value on the corrected table and
+               still be undefined on the observed one
     criticals  empirical critical values for scenario packs; with
                --normal-approx, closed-form asymptotic thresholds instead
     power      rejection rates (size for null scenarios) per scenario
@@ -59,7 +62,6 @@ from .battery import (
 )
 from .errors import InputError, TrendmaxError
 from .montecarlo import (
-    UNDEFINED_OBSERVED,
     estimate_critical_values,
     estimate_power,
     mean_correlation_matrix,
@@ -80,6 +82,8 @@ from .robust import (
 )
 from .scenarios import load_scenarios, scenario_hash
 from .tables import apply_continuity_correction, parse_table_record
+
+UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 
 
 def _add_common_sim_args(sp, *, battery: bool = False, grid: bool = False):
@@ -110,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", default=None)
     sp.add_argument("--sidedness", choices=("one", "two"), default="two")
     sp.add_argument("--correction", choices=("on", "off"), default="off",
-                    help="+1/2 per cell before computing statistics (default off)")
+                    help="+1/2 per cell before computing statistics (default off); "
+                         "permutation p-values always permute the raw counts")
     sp.add_argument("--b-perm", type=int, default=0,
                     help="permutation replicates for per-statistic p-values")
     sp.add_argument("--seed", type=int, default=None,
@@ -226,29 +231,25 @@ def cmd_analyze(args) -> int:
     raws = [raw for _, raw in parsed]
     tables = [apply_continuity_correction(raw) for raw in raws] if args.correction == "on" else raws
     values = evaluate_tables(tables, battery, two_sided, grid)
-    perms = [{}] * len(raws)
+    perms = None
     if args.b_perm:
         perms = permutation_pvalues(raws, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
                                     grid=grid, observed=values if tables is raws else None)
 
     columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
     records = []
-    stat_errors = {name: 0 for name in battery}
-    for i, ((label, _), table, perm) in enumerate(zip(parsed, tables, perms)):
+    for i, ((label, _), table) in enumerate(zip(parsed, tables)):
         for name in battery:
             value = float(values[name][i])
             p_asym = p_perm = err = None
             if np.isnan(value):
                 value, err = None, "undefined on this table"
-                stat_errors[name] += 1
             else:
                 p_asym = law(value, two_sided) if (law := STATISTICS[name].law) else None
-                if isinstance(perm, TrendmaxError):
-                    err = str(perm)
-                elif perm and np.isnan(perm[name]):
-                    err = UNDEFINED_OBSERVED.format(name)
-                elif perm:
-                    p_perm = float(perm[name])
+                if perms is not None:
+                    p_perm = float(perms[name][i])
+                    if np.isnan(p_perm):
+                        p_perm, err = None, UNDEFINED_OBSERVED.format(name)
             records.append(dict(zip(columns, (label, name, value, p_asym, p_perm, err))))
         try:
             triple = estimate_correlations(table.pooled_proportions())
@@ -265,7 +266,7 @@ def cmd_analyze(args) -> int:
               "sidedness": args.sidedness, "correction": args.correction,
               "b_perm": args.b_perm, "seed": args.seed}
     _emit(columns, records, args, header)
-    all_errored = any(count == len(raws) for count in stat_errors.values())  # or no table parsed
+    all_errored = any(np.isnan(v).all() for v in values.values())  # or no table parsed
     return 1 if len(raws) < len(inputs) or all_errored else 0
 
 
@@ -350,17 +351,16 @@ def cmd_crosstab(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     grid = _parse_grid(args.grid)
     bins = _parse_floats(args.bins, "--bins")
+    # bins are closed on the left; the last one holds p = 1
+    labels = [f"[{lo:g},{hi:g})" for lo, hi in zip((0.0, *bins), bins)] + [f"[{bins[-1]:g},1]"]
     header = _provenance(args, scenarios, stat_a=args.stat_a, stat_b=args.stat_b,
                          b_null=args.b_null, b_reps=args.b_reps, bins=args.bins)
     columns = ("scenario", "row_bin", "col_bin", "count")
     records = []
     for scenario in scenarios:
-        tab = pvalue_crosstab(scenario, args.stat_a, args.stat_b,
-                              args.b_null, args.b_reps, bins,
-                              seed=args.seed, grid=grid)
-        labels = tab.bin_labels()
-        records.extend(dict(zip(columns, (scenario.label, row_label, col_label,
-                                          int(tab.counts[i, j]))))
+        counts = pvalue_crosstab(scenario, args.stat_a, args.stat_b, args.b_null, args.b_reps, bins,
+                                 seed=args.seed, grid=grid)
+        records.extend(dict(zip(columns, (scenario.label, row_label, col_label, int(counts[i, j]))))
                        for i, row_label in enumerate(labels)
                        for j, col_label in enumerate(labels))
     _emit(columns, records, args, header)

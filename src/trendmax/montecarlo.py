@@ -94,26 +94,6 @@ class MeanCorrelations:
     failure_rate: float = 0.0
 
 
-@dataclass(frozen=True)
-class PValueCrossTab:
-    """Cross-classified empirical p-values of two statistics on shared data.
-
-    ``counts[i, j]`` is the number of replicates whose p-value for the
-    first statistic falls in bin i and for the second in bin j. Bins are
-    closed on the left: [0, e1), [e1, e2), ..., [ek, 1].
-    """
-
-    counts: np.ndarray
-    bin_edges: tuple[float, ...]
-
-    def bin_labels(self) -> list[str]:
-        edges = (0.0, *self.bin_edges, 1.0)
-        labels = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            labels.append(f"[{lo:g},{hi:g})" if hi != 1.0 else f"[{lo:g},1]")
-        return labels
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -282,11 +262,12 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
     tails = _UpperTails(len(battery), b, alpha)
     _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery, grid), tails)])
     thresholds = {}
-    error_rates = {}
     for i, name in enumerate(battery):
-        if tails.nans[i]:
-            error_rates[name] = tails.nans[i] / b
-        thresholds[name] = tails.quantile(i)
+        try:
+            thresholds[name] = tails.quantile(i)
+        except InputError as exc:
+            raise InputError(f"{exc} ({name}, scenario {scenario.label})") from None
+    error_rates = {name: nans / b for name, nans in zip(battery, tails.nans) if nans}
     return CriticalValueSet(thresholds=thresholds, alpha=alpha, scenario_key=scenario.key(),
                             error_rates=error_rates)
 
@@ -347,7 +328,7 @@ def mean_correlation_matrix(
     rho = _score_array(scenario, b, seed, batch_correlations, 3)
     bad = np.isnan(rho).any(axis=0)
     if bad.all():
-        raise DegenerateTable("correlation estimation failed on every replicate")
+        raise DegenerateTable(f"correlation estimation failed on every replicate (scenario {scenario.label})")
     triple = CorrelationTriple(*(float(r[~bad].mean()) for r in rho))
     return MeanCorrelations(triple, failure_rate=float(bad.mean()))
 
@@ -358,13 +339,14 @@ def mean_correlation_matrix(
 
 def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 200_000,
                     b_reps: int = 5_000, bins: tuple[float, ...] = (0.01, 0.05, 0.10), *,
-                    seed: int, grid=DEFAULT_GRID) -> PValueCrossTab:
-    """Matched comparison of two statistics' empirical p-values.
+                    seed: int, grid=DEFAULT_GRID) -> np.ndarray:
+    """Matched comparison of two statistics' empirical p-values, as a (k+1, k+1) count table.
 
     Both statistics are evaluated on the same replicates and referred to
-    the same shared null sample, preserving the matched design. P-values
-    are binned closed-on-the-left at ``bins``; replicates on which a
-    statistic is undefined get p = 1 and land in the last bin.
+    the same shared null sample, preserving the matched design. The k
+    edges of ``bins`` give bins closed on the left, [0, e1), ..., [ek, 1];
+    entry [i, j] counts the replicates whose ``stat_a`` p-value falls in
+    bin i and ``stat_b`` p-value in bin j. An undefined statistic gets p = 1.
 
     Only p-values below the largest edge tell bins apart, so the null
     streams into :class:`_UpperTails` at that level: memory is O(max(bins) B_null).
@@ -388,15 +370,12 @@ def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 
                     for i in (0, len(battery) - 1))
     counts = np.zeros((all_edges.size, all_edges.size), dtype=int)
     np.add.at(counts, (bin_a, bin_b), 1)
-    return PValueCrossTab(counts=counts, bin_edges=edges)
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # permutation p-values
 # ---------------------------------------------------------------------------
-
-UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
-
 
 def _permutation_margins(table: GenotypeTable) -> tuple[list[int], int]:
     """Column margins and case count of a table that can be permuted."""
@@ -417,17 +396,18 @@ def _permuted_cells(case_rows, margins, out: np.ndarray) -> np.ndarray:
 
 
 def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool = True,
-                        grid=DEFAULT_GRID, observed=None) -> list[dict[str, float] | DegenerateTable]:
-    """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B) for each table.
+                        grid=DEFAULT_GRID, observed=None) -> dict[str, np.ndarray]:
+    """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B): an array per statistic.
 
     Case/control labels are permuted holding the genotype column totals
     fixed: each table's B case rows are drawn from the multivariate
     hypergeometric with its own ``default_rng(seed)``. The battery is
     scored on the same permutations (a matched design), so each p-value
     equals the one for that statistic alone. Undefined permuted values
-    count as non-exceedances, a statistic undefined on the observed table
-    gets NaN, and a table that cannot be permuted gets its
-    :class:`DegenerateTable` instead.
+    count as non-exceedances. Each array holds one p-value per table, NaN
+    where the statistic is undefined on the observed table. Before any
+    draw, the first table that cannot be permuted raises its
+    :class:`DegenerateTable`, with `` (table i)`` appended.
 
     Whole tables share a (6, rows) buffer of at most ``BATCH_ROWS`` rows
     (one table when B is larger), scored by one :func:`evaluate_battery`
@@ -438,39 +418,35 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
     if b < 0:
         raise InputError("permutation count must be nonnegative")
     battery = validate_battery(battery)
+    margins = []
+    for i, table in enumerate(tables):
+        try:
+            margins.append(_permutation_margins(table))
+        except DegenerateTable as exc:
+            raise DegenerateTable(f"{exc} (table {i})") from None
     if observed is None:
         observed = evaluate_tables(tables, battery, two_sided, grid)
-    results: list = []  # per table: its margins or DegenerateTable, then its p-values
-    for table in tables:
-        try:
-            results.append(_permutation_margins(table))
-        except DegenerateTable as exc:
-            results.append(exc)
-    todo = [i for i, result in enumerate(results) if not isinstance(result, DegenerateTable)]
+    pvalues = {name: np.empty(len(tables)) for name in battery}
     per_batch = max(1, BATCH_ROWS // max(b, 1))
-    buffer = np.empty((6, min(per_batch, len(todo)) * b))
-    for lo in range(0, len(todo), per_batch):
-        rows = todo[lo:lo + per_batch]
-        for j, i in enumerate(rows):
-            margins, n_cases = results[i]
+    buffer = np.empty((6, min(per_batch, len(tables)) * b))
+    for lo in range(0, len(tables), per_batch):
+        batch = margins[lo:lo + per_batch]
+        for j, (table_margins, n_cases) in enumerate(batch):
             rng = np.random.default_rng(seed)
-            case_rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
-            _permuted_cells(case_rows, margins, buffer[:, j * b:(j + 1) * b])
-        values = evaluate_battery(buffer[:, :len(rows) * b].T, battery, two_sided, grid)
-        # NaN compares False on either side
-        exceed = {name: np.count_nonzero(values[name].reshape(len(rows), b)
-                                         >= observed[name][rows, None], axis=1) for name in battery}
-        for j, i in enumerate(rows):
-            results[i] = {name: math.nan if math.isnan(observed[name][i])
-                          else (1 + int(exceed[name][j])) / (1 + b) for name in battery}
-    return results
+            case_rows = rng.multivariate_hypergeometric(table_margins, n_cases, size=b, method="marginals")
+            _permuted_cells(case_rows, table_margins, buffer[:, j * b:(j + 1) * b])
+        values = evaluate_battery(buffer[:, :len(batch) * b].T, battery, two_sided, grid)
+        for name in battery:
+            obs = observed[name][lo:lo + len(batch)]
+            # NaN compares False on either side
+            exceed = np.count_nonzero(values[name].reshape(len(batch), b) >= obs[:, None], axis=1)
+            pvalues[name][lo:lo + len(batch)] = np.where(np.isnan(obs), np.nan, (1 + exceed) / (1 + b))
+    return pvalues
 
 
 def permutation_pvalue(table: GenotypeTable, battery, b: int, *, seed: int, two_sided: bool = True,
                        grid=DEFAULT_GRID, observed=None) -> dict[str, float]:
     """:func:`permutation_pvalues` of one table; raises its :class:`DegenerateTable`."""
-    [result] = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided,
-                                   grid=grid, observed=observed)
-    if isinstance(result, DegenerateTable):
-        raise result
-    return result
+    pvalues = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided,
+                                  grid=grid, observed=observed)
+    return {name: float(p[0]) for name, p in pvalues.items()}

@@ -261,6 +261,39 @@ def test_normal_approx_one_sided_alpha_above_the_tail_at_zero_exits_2(tmp_path, 
     assert float(out_rows(out)[0][2]) > 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["criticals", "--b-null", "1000"], "no finite values to take a quantile of (Z0, scenario rare)"),
+    (["power", "--b-null", "1000"], "no finite values to take a quantile of (Z0, scenario rare)"),
+    (["corr", "--b-power", "1000"], "correlation estimation failed on every replicate (scenario rare)"),
+], ids=["criticals", "power", "corr"])
+def test_a_run_without_a_finite_value_names_the_statistic_and_the_scenario(tmp_path, argv, message):
+    # at p = 1e-6 every uncorrected 5 + 5 table is all MM: no statistic and no correlation is defined
+    pack = tmp_path / "rare.json"
+    pack.write_text('[{"id": "rare", "model": "null", "p": 1e-6, "r": 5, "s": 5, "correction": false}]')
+    code, out, err = run_cli([argv[0], "--scenarios", str(pack), "--seed", "1", *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err == f"trendmax {argv[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_out_writes_the_golden_to_the_file_and_nothing_to_stdout(case, tmp_path):
+    path = tmp_path / f"{case}.txt"
+    code, out, err = run_cli(CASES[case] + ["--out", str(path)])
+    assert code == 0, err
+    assert out == ""
+    assert path.read_bytes() == (GOLDEN / f"{case}.txt").read_bytes()
+
+
+def test_crosstab_labels_its_bins_from_the_parsed_bins():
+    code, out, err = run_cli(CASES["crosstab_max3_maxgrid"] + ["--bins", "0.2"])
+    assert code == 0, err
+    rows = out_rows(out)
+    assert [row[1:3] for row in rows] == [["[0,0.2)", "[0,0.2)"], ["[0,0.2)", "[0.2,1]"],
+                                          ["[0.2,1]", "[0,0.2)"], ["[0.2,1]", "[0.2,1]"]]
+    assert sum(int(row[3]) for row in rows) == 500
+
+
 def test_analyze_input_file_is_closed():
     argv = CASES["analyze_perm"]
     proc = run_python(f"import sys; from trendmax.cli import main; sys.exit(main({argv!r}))",

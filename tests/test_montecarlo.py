@@ -53,7 +53,8 @@ from trendmax.population import hwe_genotype_freqs
 from trendmax.robust import batch_correlations, max_exceedance, trend_angles, upper_point
 from trendmax.scenarios import load_scenarios
 import trendmax.montecarlo
-from trendmax.montecarlo import CHUNK_SIZE, UNDEFINED_OBSERVED, _permutation_margins, _permuted_cells
+from trendmax.cli import UNDEFINED_OBSERVED
+from trendmax.montecarlo import CHUNK_SIZE, _permutation_margins, _permuted_cells
 from trendmax.tables import parse_table_record
 
 from conftest import assert_bit_identical
@@ -290,7 +291,7 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
         used.clear()
         cvs = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS, b=ENGINE_B, seed=41, grid=GRID)
         [row] = estimate_power([(sc, cvs)], ALL_STATISTICS, b=ENGINE_B, seed=42, grid=GRID)
-        tab = pvalue_crosstab(sc, *crosstab_battery, b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
+        counts = pvalue_crosstab(sc, *crosstab_battery, b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
         # power keeps counts and the nulls keep tails, so only the crosstab's replicates come through here
         assert len(used) == 1
         [(key, values)] = used
@@ -299,8 +300,8 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
         for name, row_values in zip(crosstab_battery, values, strict=True):
             assert_bit_identical(row_values, rep_values[name])
             assert row_values.flags.c_contiguous
-        assert np.array_equal(tab.counts, whole_sample_counts(crosstab_null, rep_values, *crosstab_battery,
-                                                              (0.01, 0.05, 0.10)))
+        assert np.array_equal(counts, whole_sample_counts(crosstab_null, rep_values, *crosstab_battery,
+                                                          (0.01, 0.05, 0.10)))
         for name in ALL_STATISTICS:
             assert cvs.thresholds[name] == empirical_upper_quantile(null_values[name], 0.05)
             assert cvs.error_rates.get(name, 0.0) == float(np.isnan(null_values[name]).mean())
@@ -697,35 +698,35 @@ def test_mean_correlations_failure_rate_without_correction():
 # ---------------------------------------------------------------------------
 
 def test_crosstab_identical_statistics_diagonal():
-    tab = pvalue_crosstab(alt_scenario(), "MAX3", "MAX3", b_null=5_000, b_reps=500, seed=23)
-    assert tab.counts.sum() == 500
-    assert np.all(tab.counts == np.diag(np.diag(tab.counts)))
+    counts = pvalue_crosstab(alt_scenario(), "MAX3", "MAX3", b_null=5_000, b_reps=500, seed=23)
+    assert counts.sum() == 500
+    assert np.all(counts == np.diag(np.diag(counts)))
 
 
 def test_crosstab_grand_total_and_uniform_null():
-    tab = pvalue_crosstab(null_scenario(p=0.5), "Z_HALF", "CHI2_2DF",
-                          b_null=100_000, b_reps=5_000, seed=24)
-    assert tab.counts.sum() == 5_000
-    for margin in (tab.counts.sum(axis=1), tab.counts.sum(axis=0)):
+    counts = pvalue_crosstab(null_scenario(p=0.5), "Z_HALF", "CHI2_2DF",
+                             b_null=100_000, b_reps=5_000, seed=24)
+    assert counts.sum() == 5_000
+    for margin in (counts.sum(axis=1), counts.sum(axis=0)):
         frac_below_01 = margin[0] / 5_000
         assert abs(frac_below_01 - 0.01) <= 3 * math.sqrt(0.01 * 0.99 / 5_000) + 0.001
 
 
 def test_crosstab_margin_matches_power():
     sc = alt_scenario(f2=0.02)
-    tab = pvalue_crosstab(sc, "MAX3", "CHI2_2DF", b_null=50_000, b_reps=4_000, seed=25)
+    counts = pvalue_crosstab(sc, "MAX3", "CHI2_2DF", b_null=50_000, b_reps=4_000, seed=25)
     cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=50_000, seed=26)
     [row] = estimate_power([(sc, cvs)], ("MAX3",), b=4_000, seed=27)
-    frac_below_05 = tab.counts[:2, :].sum() / 4_000
+    frac_below_05 = counts[:2, :].sum() / 4_000
     assert abs(frac_below_05 - row.rates["MAX3"]) <= 0.025
 
 
 def test_crosstab_directional_claim_for_max3_vs_chi2():
     # under a trend alternative the 1-parameter maximum earns smaller p-values
     sc = alt_scenario(f2=0.02023, kind="add", p=0.3)
-    tab = pvalue_crosstab(sc, "MAX3", "CHI2_2DF", b_null=50_000, b_reps=4_000, seed=28)
-    upper_right = np.triu(tab.counts, k=1).sum()
-    lower_left = np.tril(tab.counts, k=-1).sum()
+    counts = pvalue_crosstab(sc, "MAX3", "CHI2_2DF", b_null=50_000, b_reps=4_000, seed=28)
+    upper_right = np.triu(counts, k=1).sum()
+    lower_left = np.tril(counts, k=-1).sum()
     assert upper_right > lower_left
 
 
@@ -733,10 +734,10 @@ def test_crosstab_undefined_replicates_are_not_significant():
     # HWD is undefined on ~43% of these uncorrected null replicates and
     # Z_HALF on ~20%; they must land in the p = 1 bin, not in [0, 0.01).
     sc = Scenario(population=(Stratum(0.02, 20, 20),), penetrances=None, correction=False)
-    tab = pvalue_crosstab(sc, "HWD", "Z_HALF", b_null=2_000, b_reps=2_000, seed=1)
-    assert tab.counts.shape == (4, 4)
-    assert tab.counts.sum() == 2_000
-    rows, cols = tab.counts.sum(axis=1), tab.counts.sum(axis=0)
+    counts = pvalue_crosstab(sc, "HWD", "Z_HALF", b_null=2_000, b_reps=2_000, seed=1)
+    assert counts.shape == (4, 4)
+    assert counts.sum() == 2_000
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
     assert rows[0] <= 40 and cols[0] <= 40  # about 1% under the null, was 911 and 403
     assert rows[-1] >= 700 and cols[-1] >= 300  # the undefined replicates
 
@@ -770,9 +771,9 @@ def test_crosstab_counts_equal_the_whole_sample_reference(case, bins, b_null):
     null_values = evaluate_battery(row_major_reference(sc.null_scenario(), b_null, null_seed),
                                    battery, sc.two_sided)
     rep_values = evaluate_battery(row_major_reference(sc, b_reps, rep_seed), battery, sc.two_sided)
-    tab = pvalue_crosstab(sc, stat_a, stat_b, b_null=b_null, b_reps=b_reps, bins=bins, seed=30)
-    assert tab.bin_edges == bins
-    assert np.array_equal(tab.counts, whole_sample_counts(null_values, rep_values, stat_a, stat_b, bins))
+    counts = pvalue_crosstab(sc, stat_a, stat_b, b_null=b_null, b_reps=b_reps, bins=bins, seed=30)
+    assert counts.shape == (len(bins) + 1, len(bins) + 1)
+    assert np.array_equal(counts, whole_sample_counts(null_values, rep_values, stat_a, stat_b, bins))
 
 
 # ---------------------------------------------------------------------------
@@ -922,24 +923,33 @@ def batch_of_tables(count: int, seed: int) -> list[GenotypeTable]:
 def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery, grid):
     tables = batch_of_tables(37 if b < 6_000 else 5, seed=b)
     tables[1] = GenotypeTable(10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
-    tables[2] = GenotypeTable(0, 0, 0, 3, 4, 5)  # no cases: cannot be permuted
-    tables[3] = GenotypeTable(3.5, 1, 2, 3, 4, 5)  # not integral: cannot be permuted
     got = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, grid=grid)
-    assert len(got) == len(tables)
-    assert str(got[2]) == "both groups must be nonempty for permutation"
-    assert str(got[3]) == "permutation requires an integer-valued table"
-    for i, table in enumerate(tables):
-        if i in (2, 3):
-            assert isinstance(got[i], DegenerateTable)
-            continue
-        want = one_table_permutation_pvalues(table, battery, b, 41, two_sided, grid)
-        assert list(got[i]) == list(want)
-        assert_bit_identical(np.array(list(got[i].values())), np.array(list(want.values())))
-    assert all(math.isnan(p) for p in got[1].values())
+    assert list(got) == list(battery)
+    wants = [one_table_permutation_pvalues(table, battery, b, 41, two_sided, grid) for table in tables]
+    for name, pvalues in got.items():
+        assert pvalues.shape == (len(tables),)
+        assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
+    assert all(math.isnan(p[1]) for p in got.values())
     observed = evaluate_tables(tables, battery, two_sided, grid)
     again = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, grid=grid,
                                 observed=observed)
-    assert [str(r) for r in again] == [str(r) for r in got]
+    assert list(again) == list(got)
+    for name in got:
+        assert_bit_identical(again[name], got[name])
+
+
+@pytest.mark.parametrize("i, table, message", [
+    (0, GenotypeTable(0, 0, 0, 3, 4, 5), "both groups must be nonempty for permutation"),  # no cases
+    (2, GenotypeTable(3.5, 1, 2, 3, 4, 5), "permutation requires an integer-valued table"),
+])
+def test_an_unpermutable_table_raises_with_its_index_before_any_draw(i, table, message, monkeypatch):
+    monkeypatch.setattr(trendmax.montecarlo, "_permuted_cells", None)  # nothing may be filled first
+    tables = batch_of_tables(4, seed=44)
+    tables[i] = table
+    tables[3] = GenotypeTable(1, 2, 3, 0, 0, 0)  # no controls; only the first bad table is named
+    with pytest.raises(DegenerateTable) as raised:
+        permutation_pvalues(tables, DEFAULT_BATTERY, 100, seed=45)
+    assert str(raised.value) == f"{message} (table {i})"
 
 
 def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
