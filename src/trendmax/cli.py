@@ -5,7 +5,7 @@ Subcommands:
     analyze    statistics, correlation structure and advisory for one
                or more observed tables; with --b-perm, permutation
                p-values of the whole battery from one set of permuted
-               tables per table, scored in batches that tables share;
+               tables per table, each distinct permuted table scored once;
                they always permute the raw counts, so with --correction on
                a statistic can have a value on the corrected table and
                still be undefined on the observed one
@@ -31,19 +31,21 @@ two-stratum nulls (the Wahlund effect): on ``null_stratified.json`` the
 simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those of
 Z_1/2 near 1.6 to 1.8, not 1.96. Simulate such nulls.
 
-Each subcommand builds one list of records, one per output row, keyed by
-its column names. CSV prints the header as ``# key=value`` lines, then the
-column row, then one row per record (floats as ``.6g``, an empty cell for
-a missing value). JSON prints ``{"provenance": header, "results":
-records}``: each result carries exactly the CSV columns, in order, numbers
+Each subcommand hands its records, one per output row and keyed by its
+column names, to one writer. CSV prints the header as ``# key=value``
+lines, then the column row, then one row per record as it comes (floats
+as ``.6g``, an empty cell for a missing value); ``analyze`` yields its
+records table by table, so its CSV is written as it is built. JSON prints
+``{"provenance": header, "results": records}`` once all records are
+built: each result carries exactly the CSV columns, in order, numbers
 appear as numbers and an empty cell is ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -72,6 +74,7 @@ from .montecarlo import (
 )
 from .robust import (
     CorrelationTriple,
+    batch_correlations,
     estimate_correlations,
     max_exceedance,
     mert_certificate,
@@ -178,22 +181,23 @@ def _cell(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
-def _emit(columns: tuple[str, ...], records: list[dict], args, header: dict):
-    if args.format == "json":
-        text = json.dumps({"provenance": header, "results": records}, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        for key, value in header.items():
-            buf.write(f"# {key}={'' if value is None else value}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_cell(record[c]) for c in columns] for record in records)
-        text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(columns: tuple[str, ...], records, args, header: dict):
+    """Write ``records``, an iterable of dicts keyed by ``columns``, to ``--out`` or stdout.
+
+    CSV writes each row as its record comes; JSON builds the list of all
+    records and the whole document first.
+    """
+    document = (json.dumps({"provenance": header, "results": list(records)}, indent=2) + "\n"
+                if args.format == "json" else None)
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if document is not None:
+            fh.write(document)
+        else:
+            for key, value in header.items():
+                fh.write(f"# {key}={'' if value is None else value}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_cell(record[c]) for c in columns] for record in records)
 
 
 def _provenance(args, scenarios, **extra) -> dict:
@@ -231,41 +235,45 @@ def cmd_analyze(args) -> int:
     raws = [raw for _, raw in parsed]
     tables = [apply_continuity_correction(raw) for raw in raws] if args.correction == "on" else raws
     values = evaluate_tables(tables, battery, two_sided, grid)
+    triples = batch_correlations(np.array([table.cells() for table in tables]).reshape(-1, 6))
     perms = None
     if args.b_perm:
         perms = permutation_pvalues(raws, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
                                     grid=grid, observed=values if tables is raws else None)
 
     columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
-    records = []
-    for i, ((label, _), table) in enumerate(zip(parsed, tables)):
-        for name in battery:
-            value = float(values[name][i])
-            p_asym = p_perm = err = None
-            if np.isnan(value):
-                value, err = None, "undefined on this table"
-            else:
-                p_asym = law(value, two_sided) if (law := STATISTICS[name].law) else None
-                if perms is not None:
-                    p_perm = float(perms[name][i])
-                    if np.isnan(p_perm):
-                        p_perm, err = None, UNDEFINED_OBSERVED.format(name)
-            records.append(dict(zip(columns, (label, name, value, p_asym, p_perm, err))))
-        try:
-            triple = estimate_correlations(table.pooled_proportions())
-            choice, note = recommend_robust_test(triple.rho_0_1)
-            extra = {**triple._asdict(), "mert_certificate": str(mert_certificate(triple)).lower(),
-                     "advisory": f"{choice}: {note}"}
-            error = None
-        except TrendmaxError as exc:
-            extra, error = {"correlations": None}, str(exc)
-        records.extend(dict(zip(columns, (label, key, value, None, None, error)))
-                       for key, value in extra.items())
+
+    def records():
+        for i, ((label, _), table) in enumerate(zip(parsed, tables)):
+            for name in battery:
+                value = float(values[name][i])
+                p_asym = p_perm = err = None
+                if np.isnan(value):
+                    value, err = None, "undefined on this table"
+                else:
+                    p_asym = law(value, two_sided) if (law := STATISTICS[name].law) else None
+                    if perms is not None:
+                        p_perm = float(perms[name][i])
+                        if np.isnan(p_perm):
+                            p_perm, err = None, UNDEFINED_OBSERVED.format(name)
+                yield dict(zip(columns, (label, name, value, p_asym, p_perm, err)))
+            triple = CorrelationTriple(*(float(rho[i]) for rho in triples))
+            try:
+                if np.isnan(triple).any():  # the scalar estimate raises, naming the proportions
+                    triple = estimate_correlations(table.pooled_proportions())
+                choice, note = recommend_robust_test(triple.rho_0_1)
+                extra = {**triple._asdict(), "mert_certificate": str(mert_certificate(triple)).lower(),
+                         "advisory": f"{choice}: {note}"}
+                error = None
+            except TrendmaxError as exc:
+                extra, error = {"correlations": None}, str(exc)
+            for key, value in extra.items():
+                yield dict(zip(columns, (label, key, value, None, None, error)))
 
     header = {"version": __version__, "command": "analyze",
               "sidedness": args.sidedness, "correction": args.correction,
               "b_perm": args.b_perm, "seed": args.seed}
-    _emit(columns, records, args, header)
+    _emit(columns, records(), args, header)
     all_errored = any(np.isnan(v).all() for v in values.values())  # or no table parsed
     return 1 if len(raws) < len(inputs) or all_errored else 0
 

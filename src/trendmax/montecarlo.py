@@ -33,7 +33,11 @@ upper tail, O(alpha B) values (:class:`_UpperTails`); a power run keeps
 each statistic's counts of exceedances and NaNs. Only the crosstab's
 replicates, the correlations and the cells keep a (k, B) array of k
 values per table (2 statistics, 3 correlations, or 6 cells). Each
-running task adds one chunk and its kernel temporaries.
+running task adds one chunk and its kernel temporaries. Permutation
+p-values reduce each table's B draws to its distinct rows and their
+multiplicities, and score whole tables' distinct rows in batches of at
+most ``BATCH_ROWS`` rows, drawn batch by batch: memory is O(``BATCH_ROWS``)
+besides one table's draws, whatever the number of tables.
 
 Quantile convention
 -------------------
@@ -395,6 +399,21 @@ def _permuted_cells(case_rows, margins, out: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A table's b >= 1 permuted case rows from ``default_rng(seed)``: distinct (k, 3) rows, multiplicities.
+
+    Each row is keyed by r1 (n2 + 1) + r2, as r0 follows from the case
+    count; the sorted keys split where they change.
+    """
+    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
+                                                                  method="marginals")
+    width = margins[2] + 1
+    keys = np.sort(rows[:, 1] * width + rows[:, 2])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    r1, r2 = np.divmod(keys[starts], width)
+    return np.column_stack((n_cases - r1 - r2, r1, r2)), np.diff(starts, append=b)
+
+
 def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool = True,
                         grid=DEFAULT_GRID, observed=None) -> dict[str, np.ndarray]:
     """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B): an array per statistic.
@@ -407,13 +426,17 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
     count as non-exceedances. Each array holds one p-value per table, NaN
     where the statistic is undefined on the observed table. Before any
     draw, the first table that cannot be permuted raises its
-    :class:`DegenerateTable`, with `` (table i)`` appended.
+    :class:`DegenerateTable`, with `` (table i)`` appended. B = 0 draws
+    nothing and gives p = 1.
 
-    Whole tables share a (6, rows) buffer of at most ``BATCH_ROWS`` rows
-    (one table when B is larger), scored by one :func:`evaluate_battery`
-    call; every kernel works row by row, so batching changes no p-value.
-    ``observed`` is the battery on ``tables`` (one row each, same
-    sidedness and grid), if the caller has it.
+    Margins fixed, a table's B draws repeat: each table's distinct permuted
+    tables are scored once and their exceedances counted with the number of
+    times each was drawn, an exact integer. Whole tables' distinct rows
+    share one :func:`evaluate_battery` call of at most ``BATCH_ROWS`` rows
+    (a table with more is scored alone), drawn batch by batch, so memory is
+    O(``BATCH_ROWS``) besides one table's B draws. Every kernel works row
+    by row, so neither changes a p-value. ``observed`` is the battery on
+    ``tables`` (one row each, same sidedness and grid), if the caller has it.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
@@ -426,21 +449,36 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
             raise DegenerateTable(f"{exc} (table {i})") from None
     if observed is None:
         observed = evaluate_tables(tables, battery, two_sided, grid)
+    if b == 0:
+        return {name: np.where(np.isnan(observed[name]), np.nan, 1.0) for name in battery}
     pvalues = {name: np.empty(len(tables)) for name in battery}
-    per_batch = max(1, BATCH_ROWS // max(b, 1))
-    buffer = np.empty((6, min(per_batch, len(tables)) * b))
-    for lo in range(0, len(tables), per_batch):
-        batch = margins[lo:lo + per_batch]
-        for j, (table_margins, n_cases) in enumerate(batch):
-            rng = np.random.default_rng(seed)
-            case_rows = rng.multivariate_hypergeometric(table_margins, n_cases, size=b, method="marginals")
-            _permuted_cells(case_rows, table_margins, buffer[:, j * b:(j + 1) * b])
-        values = evaluate_battery(buffer[:, :len(batch) * b].T, battery, two_sided, grid)
+
+    def score(batch, lo: int) -> None:
+        """Tables lo, lo + 1, ... as (margins, distinct rows, multiplicities), in one call."""
+        sizes = [weights.size for _, _, weights in batch]
+        starts = np.cumsum([0, *sizes[:-1]])
+        cells = np.empty((6, sum(sizes)))
+        for start, (table_margins, distinct, _) in zip(starts.tolist(), batch):
+            _permuted_cells(distinct, table_margins, cells[:, start:start + len(distinct)])
+        weights = np.concatenate([weights for _, _, weights in batch])
+        values = evaluate_battery(cells.T, battery, two_sided, grid)
         for name in battery:
             obs = observed[name][lo:lo + len(batch)]
             # NaN compares False on either side
-            exceed = np.count_nonzero(values[name].reshape(len(batch), b) >= obs[:, None], axis=1)
+            exceed = np.add.reduceat(weights * (values[name] >= np.repeat(obs, sizes)), starts)
             pvalues[name][lo:lo + len(batch)] = np.where(np.isnan(obs), np.nan, (1 + exceed) / (1 + b))
+
+    batch, rows, lo = [], 0, 0
+    for table_margins, n_cases in margins:
+        distinct, weights = _distinct_case_rows(table_margins, n_cases, b, seed)
+        if batch and rows + weights.size > BATCH_ROWS:
+            score(batch, lo)
+            lo += len(batch)
+            batch, rows = [], 0
+        batch.append((table_margins, distinct, weights))
+        rows += weights.size
+    if batch:
+        score(batch, lo)
     return pvalues
 
 

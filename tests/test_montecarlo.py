@@ -915,9 +915,9 @@ def batch_of_tables(count: int, seed: int) -> list[GenotypeTable]:
 
 
 @pytest.mark.parametrize("b, two_sided, battery, grid", [
-    (1_237, True, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),  # 4 tables per batch, 1 in the last
+    (1_237, True, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),  # several tables' distinct rows per batch
     (1_237, False, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),
-    (6_001, True, DEFAULT_BATTERY, DEFAULT_GRID),  # above the cap: one table per batch
+    (6_001, True, DEFAULT_BATTERY, DEFAULT_GRID),  # B above the cap, yet tables share batches
     (0, True, DEFAULT_BATTERY, DEFAULT_GRID),
 ])
 def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery, grid):
@@ -950,6 +950,77 @@ def test_an_unpermutable_table_raises_with_its_index_before_any_draw(i, table, m
     with pytest.raises(DegenerateTable) as raised:
         permutation_pvalues(tables, DEFAULT_BATTERY, 100, seed=45)
     assert str(raised.value) == f"{message} (table {i})"
+
+
+def count_permuted_rows(monkeypatch) -> list[int]:
+    """Rows of each permuted battery call that :func:`permutation_pvalues` makes, from now on."""
+    calls = []
+    original = trendmax.montecarlo.evaluate_battery
+
+    def counting(cells, *args, **kwargs):
+        calls.append(len(cells))
+        return original(cells, *args, **kwargs)
+
+    monkeypatch.setattr(trendmax.montecarlo, "evaluate_battery", counting)
+    return calls
+
+
+def distinct_permuted_rows(table, b, seed) -> int:
+    """Distinct case rows among a table's b draws from ``default_rng(seed)``, by np.unique."""
+    margins = np.array([table.n0, table.n1, table.n2]).astype(int)
+    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, int(table.r), size=b,
+                                                                  method="marginals")
+    return len(np.unique(rows, axis=0))
+
+
+def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatch):
+    # margins (12, 0, 0): every permutation gives the observed table back
+    alike = GenotypeTable(5, 0, 0, 7, 0, 0)
+    rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, 41)
+    assert rows.tolist() == [[5, 0, 0]] and weights.tolist() == [1_000]
+    tables = [batch_of_tables(1, seed=48)[0], alike, GenotypeTable(0, 4, 0, 0, 9, 0)]
+    calls = count_permuted_rows(monkeypatch)
+    got = permutation_pvalues(tables, ALL_STATISTICS, 1_000, seed=41)
+    assert calls == [distinct_permuted_rows(tables[0], 1_000, 41) + 2]
+    for i, table in enumerate(tables):
+        want = one_table_permutation_pvalues(table, ALL_STATISTICS, 1_000, 41)
+        assert_bit_identical(np.array([got[name][i] for name in ALL_STATISTICS]),
+                             np.array([want[name] for name in ALL_STATISTICS]))
+
+
+def test_a_table_with_more_distinct_rows_than_the_cap_is_scored_alone(monkeypatch):
+    big = GenotypeTable(2000, 2000, 2000, 2000, 2000, 2000)
+    assert distinct_permuted_rows(big, 12_000, 41) == 6_479 > trendmax.montecarlo.BATCH_ROWS
+    small = batch_of_tables(2, seed=49)
+    tables = [small[0], big, small[1]]
+    calls = count_permuted_rows(monkeypatch)
+    got = permutation_pvalues(tables, DEFAULT_BATTERY, 12_000, seed=41)
+    assert calls == [distinct_permuted_rows(table, 12_000, 41) for table in tables]
+    assert max(calls) <= 12_000
+    for i, table in enumerate(tables):
+        want = one_table_permutation_pvalues(table, DEFAULT_BATTERY, 12_000, 41)
+        assert_bit_identical(np.array([got[name][i] for name in DEFAULT_BATTERY]),
+                             np.array([want[name] for name in DEFAULT_BATTERY]))
+
+
+def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
+    b = 1_237
+    tables = batch_of_tables(37, seed=47)
+    distinct = [distinct_permuted_rows(table, b, 41) for table in tables]
+    calls = count_permuted_rows(monkeypatch)
+    got = permutation_pvalues(tables, DEFAULT_BATTERY, b, seed=41)
+    assert sum(calls) == sum(distinct) < len(tables) * b
+    assert all(rows <= max(trendmax.montecarlo.BATCH_ROWS, b) for rows in calls)
+    # whole tables in order, a batch closed only when the next table would overflow it
+    packed = [0]
+    for rows in distinct:
+        if packed[-1] and packed[-1] + rows > trendmax.montecarlo.BATCH_ROWS:
+            packed.append(0)
+        packed[-1] += rows
+    assert calls == packed and len(calls) > 1
+    wants = [one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 41) for table in tables]
+    for name, pvalues in got.items():
+        assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
 
 
 def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
