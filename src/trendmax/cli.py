@@ -31,14 +31,15 @@ two-stratum nulls (the Wahlund effect): on ``null_stratified.json`` the
 simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those of
 Z_1/2 near 1.6 to 1.8, not 1.96. Simulate such nulls.
 
-Each subcommand hands its records, one per output row and keyed by its
-column names, to one writer. CSV prints the header as ``# key=value``
+Each subcommand hands its records, one per output row and each a tuple
+in column order, to one writer. CSV prints the header as ``# key=value``
 lines, then the column row, then one row per record as it comes (floats
 as ``.6g``, an empty cell for a missing value); ``analyze`` yields its
-records table by table, so its CSV is written as it is built. JSON prints
-``{"provenance": header, "results": records}`` once all records are
-built: each result carries exactly the CSV columns, in order, numbers
-appear as numbers and an empty cell is ``null``.
+records table by table, so its CSV is written as it is built. JSON zips
+each record with the columns and prints ``{"provenance": header,
+"results": records}`` once all records are built: each result carries
+exactly the CSV columns, in order, numbers appear as numbers and an empty
+cell is ``null``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import contextlib
 import csv
 import json
 import sys
+from math import isnan
 from pathlib import Path
 
 import numpy as np
@@ -175,20 +177,17 @@ def _parse_grid(text):
         raise InputError(f"--grid: {exc}") from None
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.6g}" if isinstance(value, float) else str(value)
-
-
 def _emit(columns: tuple[str, ...], records, args, header: dict):
-    """Write ``records``, an iterable of dicts keyed by ``columns``, to ``--out`` or stdout.
+    """Write ``records``, an iterable of tuples in ``columns`` order, to ``--out`` or stdout.
 
-    CSV writes each row as its record comes; JSON builds the list of all
-    records and the whole document first.
+    CSV writes each row as its record comes: an empty cell for ``None``,
+    ``.6g`` for a float, ``str`` for anything else. JSON zips every record
+    with the columns and builds the whole document first.
     """
-    document = (json.dumps({"provenance": header, "results": list(records)}, indent=2) + "\n"
-                if args.format == "json" else None)
+    document = None
+    if args.format == "json":
+        results = [dict(zip(columns, record)) for record in records]
+        document = json.dumps({"provenance": header, "results": results}, indent=2) + "\n"
     with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if document is not None:
             fh.write(document)
@@ -197,7 +196,8 @@ def _emit(columns: tuple[str, ...], records, args, header: dict):
                 fh.write(f"# {key}={'' if value is None else value}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows([_cell(record[c]) for c in columns] for record in records)
+            writer.writerows(["" if value is None else f"{value:.6g}" if isinstance(value, float)
+                              else str(value) for value in record] for record in records)
 
 
 def _provenance(args, scenarios, **extra) -> dict:
@@ -242,33 +242,38 @@ def cmd_analyze(args) -> int:
                                     grid=grid, observed=values if tables is raws else None)
 
     columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
+    # per statistic: its law, its values and its p-values, one Python float per table
+    stats = [(name, STATISTICS[name].law, values[name].tolist(),
+              None if perms is None else perms[name].tolist()) for name in battery]
+    rhos = [rho.tolist() for rho in triples]
 
     def records():
         for i, ((label, _), table) in enumerate(zip(parsed, tables)):
-            for name in battery:
-                value = float(values[name][i])
-                p_asym = p_perm = err = None
-                if np.isnan(value):
-                    value, err = None, "undefined on this table"
-                else:
-                    p_asym = law(value, two_sided) if (law := STATISTICS[name].law) else None
-                    if perms is not None:
-                        p_perm = float(perms[name][i])
-                        if np.isnan(p_perm):
-                            p_perm, err = None, UNDEFINED_OBSERVED.format(name)
-                yield dict(zip(columns, (label, name, value, p_asym, p_perm, err)))
-            triple = CorrelationTriple(*(float(rho[i]) for rho in triples))
+            for name, law, column, pvalues in stats:
+                value = column[i]
+                if isnan(value):
+                    yield label, name, None, None, None, "undefined on this table"
+                    continue
+                p_asym = law(value, two_sided) if law else None
+                p_perm = err = None
+                if pvalues is not None:
+                    p_perm = pvalues[i]
+                    if isnan(p_perm):
+                        p_perm, err = None, UNDEFINED_OBSERVED.format(name)
+                yield label, name, value, p_asym, p_perm, err
+            triple = CorrelationTriple(*(rho[i] for rho in rhos))
             try:
-                if np.isnan(triple).any():  # the scalar estimate raises, naming the proportions
+                if any(map(isnan, triple)):  # the scalar estimate raises, naming the proportions
                     triple = estimate_correlations(table.pooled_proportions())
                 choice, note = recommend_robust_test(triple.rho_0_1)
-                extra = {**triple._asdict(), "mert_certificate": str(mert_certificate(triple)).lower(),
-                         "advisory": f"{choice}: {note}"}
+                extra = [*zip(CorrelationTriple._fields, triple),
+                         ("mert_certificate", str(mert_certificate(triple)).lower()),
+                         ("advisory", f"{choice}: {note}")]
                 error = None
             except TrendmaxError as exc:
-                extra, error = {"correlations": None}, str(exc)
-            for key, value in extra.items():
-                yield dict(zip(columns, (label, key, value, None, None, error)))
+                extra, error = [("correlations", None)], str(exc)
+            for key, value in extra:
+                yield label, key, value, None, None, error
 
     header = {"version": __version__, "command": "analyze",
               "sidedness": args.sidedness, "correction": args.correction,
@@ -289,14 +294,16 @@ def cmd_criticals(args) -> int:
     columns = ("scenario", "statistic", "threshold", "se", "b", "seed")
     b, seed = (None, None) if args.normal_approx else (args.b_null, args.seed)
     records = []
+    thresholds: dict[tuple, dict[str, float]] = {}  # per distinct null, as in cmd_power
     for scenario in scenarios:
         null = scenario.null_scenario()
-        if args.normal_approx:
-            thresholds = _normal_approx_thresholds(null, battery, grid, args.alpha, scenario.label)
-        else:
-            thresholds = estimate_critical_values(null, battery, args.b_null, args.alpha,
-                                                  seed=args.seed, grid=grid).thresholds
-        records.extend(dict(zip(columns, (null.label, name, thresholds.get(name), None, b, seed)))
+        if null.key() not in thresholds:
+            thresholds[null.key()] = (
+                _normal_approx_thresholds(null, battery, grid, args.alpha, scenario.label)
+                if args.normal_approx else
+                estimate_critical_values(null, battery, args.b_null, args.alpha,
+                                         seed=args.seed, grid=grid).thresholds)
+        records.extend((null.label, name, thresholds[null.key()].get(name), None, b, seed)
                        for name in battery)
     _emit(columns, records, args, header)
     return 0
@@ -335,8 +342,8 @@ def cmd_power(args) -> int:
                                                              seed=args.seed, grid=grid)
     rows = estimate_power([(scenario, criticals[scenario.key()]) for scenario in scenarios],
                           battery, args.b_power, seed=args.seed, grid=grid)
-    records = [dict(zip(columns, (scenario.label, name, "size" if scenario.is_null else "power",
-                                  row.rates[name], row.standard_errors[name], args.b_power, args.seed)))
+    records = [(scenario.label, name, "size" if scenario.is_null else "power",
+                row.rates[name], row.standard_errors[name], args.b_power, args.seed)
                for scenario, row in zip(scenarios, rows) for name in battery]
     _emit(columns, records, args, header)
     return 1 if any(rate >= 1.0 for row in rows for rate in row.error_rates.values()) else 0
@@ -349,8 +356,7 @@ def cmd_corr(args) -> int:
     records = []
     for scenario in scenarios:
         mc = mean_correlation_matrix(scenario, args.b_power, seed=args.seed)
-        records.append(dict(zip(columns, (scenario.label, *mc.triple, mc.failure_rate,
-                                          args.b_power, args.seed))))
+        records.append((scenario.label, *mc.triple, mc.failure_rate, args.b_power, args.seed))
     _emit(columns, records, args, header)
     return 0
 
@@ -368,7 +374,7 @@ def cmd_crosstab(args) -> int:
     for scenario in scenarios:
         counts = pvalue_crosstab(scenario, args.stat_a, args.stat_b, args.b_null, args.b_reps, bins,
                                  seed=args.seed, grid=grid)
-        records.extend(dict(zip(columns, (scenario.label, row_label, col_label, int(counts[i, j]))))
+        records.extend((scenario.label, row_label, col_label, int(counts[i, j]))
                        for i, row_label in enumerate(labels)
                        for j, col_label in enumerate(labels))
     _emit(columns, records, args, header)

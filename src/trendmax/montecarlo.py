@@ -36,8 +36,10 @@ values per table (2 statistics, 3 correlations, or 6 cells). Each
 running task adds one chunk and its kernel temporaries. Permutation
 p-values reduce each table's B draws to its distinct rows and their
 multiplicities, and score whole tables' distinct rows in batches of at
-most ``BATCH_ROWS`` rows, drawn batch by batch: memory is O(``BATCH_ROWS``)
-besides one table's draws, whatever the number of tables.
+most ``BATCH_ROWS`` rows, drawn batch by batch; each batch counts every
+statistic's weighted exceedances in one pass over a (statistics, rows)
+array. Memory is O(``BATCH_ROWS``) besides one table's draws, whatever
+the number of tables.
 
 Quantile convention
 -------------------
@@ -408,10 +410,18 @@ def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.nd
     rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
                                                                   method="marginals")
     width = margins[2] + 1
-    keys = np.sort(rows[:, 1] * width + rows[:, 2])
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    r1, r2 = np.divmod(keys[starts], width)
-    return np.column_stack((n_cases - r1 - r2, r1, r2)), np.diff(starts, append=b)
+    keys = rows[:, 1] * width
+    keys += rows[:, 2]
+    keys.sort()
+    # change[i]: key i starts a run; the last entry closes the final run
+    change = np.empty(b + 1, dtype=bool)
+    change[0] = change[b] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:b])
+    bounds = np.flatnonzero(change)
+    distinct = np.empty((bounds.size - 1, 3), dtype=np.int64)
+    np.divmod(keys[bounds[:-1]], width, out=(distinct[:, 1], distinct[:, 2]))
+    np.subtract(n_cases - distinct[:, 1], distinct[:, 2], out=distinct[:, 0])
+    return distinct, bounds[1:] - bounds[:-1]
 
 
 def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool = True,
@@ -434,9 +444,11 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
     times each was drawn, an exact integer. Whole tables' distinct rows
     share one :func:`evaluate_battery` call of at most ``BATCH_ROWS`` rows
     (a table with more is scored alone), drawn batch by batch, so memory is
-    O(``BATCH_ROWS``) besides one table's B draws. Every kernel works row
-    by row, so neither changes a p-value. ``observed`` is the battery on
-    ``tables`` (one row each, same sidedness and grid), if the caller has it.
+    O(``BATCH_ROWS``) besides one table's B draws. Each batch counts every
+    statistic's exceedances in one pass: one (statistics, rows) comparison
+    and one sum per table. Every kernel works row by row, so none of this
+    changes a p-value. ``observed`` is the battery on ``tables`` (one row
+    each, same sidedness and grid), if the caller has it.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
@@ -451,22 +463,23 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
         observed = evaluate_tables(tables, battery, two_sided, grid)
     if b == 0:
         return {name: np.where(np.isnan(observed[name]), np.nan, 1.0) for name in battery}
-    pvalues = {name: np.empty(len(tables)) for name in battery}
+    obs = np.array([observed[name] for name in battery])  # (statistics, tables)
+    pvalues = np.empty(obs.shape)
 
     def score(batch, lo: int) -> None:
         """Tables lo, lo + 1, ... as (margins, distinct rows, multiplicities), in one call."""
+        hi = lo + len(batch)
         sizes = [weights.size for _, _, weights in batch]
-        starts = np.cumsum([0, *sizes[:-1]])
         cells = np.empty((6, sum(sizes)))
-        for start, (table_margins, distinct, _) in zip(starts.tolist(), batch):
-            _permuted_cells(distinct, table_margins, cells[:, start:start + len(distinct)])
-        weights = np.concatenate([weights for _, _, weights in batch])
-        values = evaluate_battery(cells.T, battery, two_sided, grid)
-        for name in battery:
-            obs = observed[name][lo:lo + len(batch)]
-            # NaN compares False on either side
-            exceed = np.add.reduceat(weights * (values[name] >= np.repeat(obs, sizes)), starts)
-            pvalues[name][lo:lo + len(batch)] = np.where(np.isnan(obs), np.nan, (1 + exceed) / (1 + b))
+        cells[0:3] = np.concatenate([distinct for _, distinct, _ in batch]).T
+        np.subtract(np.repeat([m for m, _, _ in batch], sizes, axis=0).T, cells[0:3], out=cells[3:6])
+        values = np.array(list(evaluate_battery(cells.T, battery, two_sided, grid).values()))
+        # every statistic at once (NaN compares False on either side); the weighted
+        # hits overwrite the values, and as whole numbers their float sums are exact
+        np.multiply(values >= np.repeat(obs[:, lo:hi], sizes, axis=1),
+                    np.concatenate([weights for _, _, weights in batch]), out=values)
+        exceed = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=1)
+        pvalues[:, lo:hi] = np.where(np.isnan(obs[:, lo:hi]), np.nan, (1 + exceed) / (1 + b))
 
     batch, rows, lo = [], 0, 0
     for table_margins, n_cases in margins:
@@ -479,7 +492,7 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
         rows += weights.size
     if batch:
         score(batch, lo)
-    return pvalues
+    return dict(zip(battery, pvalues))
 
 
 def permutation_pvalue(table: GenotypeTable, battery, b: int, *, seed: int, two_sided: bool = True,

@@ -8,6 +8,7 @@ checks integrality separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def new_genotype_table(r0, r1, r2, s0, s1, s2) -> GenotypeTable:
     cells = (r0, r1, r2, s0, s1, s2)
     for c in cells:
         c = float(c)
-        if not np.isfinite(c):
+        if not math.isfinite(c):
             raise InputError(f"cell value {c!r} is not finite")
         if c < 0:
             raise NegativeCell(f"negative cell value {c!r}")

@@ -16,6 +16,7 @@ and review the diff before committing it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -31,7 +32,7 @@ import pytest
 from scipy import stats as spstats
 
 from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS
-from trendmax.cli import main
+from trendmax.cli import _emit, main
 from trendmax.robust import CorrelationTriple
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,6 +61,10 @@ CASES = {
     "criticals_stratified_json": [
         "criticals", "--scenarios", str(SCENARIOS / "null_stratified.json"), "--seed", "3",
         "--b-null", "2000", "--format", "json",
+    ],
+    "criticals_recadd": [  # 12 scenarios on 3 distinct nulls
+        "criticals", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"), "--seed", "3",
+        "--b-null", "2000",
     ],
     "criticals_normal_approx": [
         "criticals", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"), "--seed", "3",
@@ -410,6 +415,46 @@ def test_analyze_scores_the_observed_tables_in_one_call_and_no_call_exceeds_the_
     assert calls[0] == n_tables
     assert all(rows <= max(trendmax.battery.BATCH_ROWS, int(b_perm)) for rows in calls)
     assert len(calls) == 2
+
+
+def test_criticals_simulates_each_distinct_null_once(monkeypatch):
+    import trendmax.cli
+
+    calls = []
+    original = trendmax.cli.estimate_critical_values
+
+    def counting(null, *args, **kwargs):
+        calls.append(null.key())
+        return original(null, *args, **kwargs)
+
+    monkeypatch.setattr(trendmax.cli, "estimate_critical_values", counting)
+    code, out, err = run_cli(CASES["criticals_recadd"])
+    assert code == 0, err
+    assert len(calls) == len(set(calls)) == 3
+    # the golden was captured when every scenario ran its own null; each
+    # scenario's rows keep its own null label
+    assert out == (GOLDEN / "criticals_recadd.txt").read_text(encoding="utf-8")
+    assert len({row[0] for row in out_rows(out)}) == 12
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_writes_each_cell_of_a_tuple_record_by_type(fmt, capsys):
+    columns = ("f64", "float", "int", "bool", "text", "missing")
+    record = (np.float64(0.123456789), 2.5e-07, 7, True, "MAX: a, b", None)
+    _emit(columns, iter([record]), argparse.Namespace(format=fmt, out=None), {"seed": None, "b": 3})
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out == ("# seed=\n# b=3\n"
+                       "f64,float,int,bool,text,missing\n"
+                       '0.123457,2.5e-07,7,True,"MAX: a, b",\n')
+    else:
+        payload = json.loads(out)
+        assert payload == {"provenance": {"seed": None, "b": 3},
+                           "results": [{"f64": 0.123456789, "float": 2.5e-07, "int": 7, "bool": True,
+                                        "text": "MAX: a, b", "missing": None}]}
+        assert list(payload["results"][0]) == list(columns)
+        # 7 == 7.0 and True == 1 in Python, so pin the printed forms too
+        assert '"int": 7,' in out and '"bool": true,' in out and '"missing": null' in out
 
 
 def test_analyze_reports_a_non_finite_field_and_still_prints_the_other_tables():

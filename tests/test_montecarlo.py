@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import stats as spstats
@@ -971,6 +971,28 @@ def distinct_permuted_rows(table, b, seed) -> int:
     rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, int(table.r), size=b,
                                                                   method="marginals")
     return len(np.unique(rows, axis=0))
+
+
+@given(margins=st.lists(st.integers(0, 40), min_size=3, max_size=3).filter(lambda m: sum(m) >= 2),
+       cases=st.floats(0.0, 1.0), b=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@example(margins=[9, 14, 0], cases=0.4, b=300, seed=3)  # n2 = 0: keys r1 (n2 + 1) + r2 of width 1
+@example(margins=[12, 0, 0], cases=0.5, b=50, seed=4)  # a single distinct row
+@example(margins=[0, 0, 9], cases=0.5, b=50, seed=4)
+@example(margins=[7, 5, 3], cases=0.5, b=1, seed=5)
+@settings(max_examples=150, deadline=None)
+def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases, b, seed):
+    n_cases = min(max(round(cases * sum(margins)), 1), sum(margins) - 1)
+    rows, weights = trendmax.montecarlo._distinct_case_rows(margins, n_cases, b, seed)
+    draws = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
+                                                                   method="marginals")
+    unique, counts = np.unique(draws, axis=0, return_counts=True)
+    assert rows.dtype == weights.dtype == np.int64
+    assert rows.shape == (len(weights), 3)
+    assert dict(zip(map(tuple, rows.tolist()), weights.tolist())) == dict(
+        zip(map(tuple, unique.tolist()), counts.tolist()))
+    # one row per key, in increasing key order
+    keys = rows[:, 1] * (margins[2] + 1) + rows[:, 2]
+    assert (np.diff(keys) > 0).all()
 
 
 def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatch):
