@@ -93,6 +93,24 @@ CASES = {
         "--stat-a", "CHI2_2DF", "--stat-b", "T_MAX", "--seed", "5",
         "--b-null", "2000", "--b-reps", "500", "--bins", "0.05,0.5", "--format", "json",
     ],
+    # a custom grid through every path that takes one; each differs from its default-grid output
+    "criticals_custom_grid": [
+        "criticals", "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "3",
+        "--b-null", "2000", "--battery", "MAX3,MAXGRID", "--grid", "0,0.3,0.5,1",
+    ],
+    "criticals_normal_approx_custom_grid": [
+        "criticals", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"), "--seed", "3",
+        "--b-null", "2000", "--battery", "MAX3,MAXGRID", "--grid", "0,0.3,0.5,1", "--normal-approx",
+    ],
+    "crosstab_recadd_custom_grid": [  # 12 scenarios on 3 distinct nulls
+        "crosstab", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"),
+        "--stat-a", "MAX3", "--stat-b", "MAXGRID", "--grid", "0,0.3,0.5,1", "--seed", "3",
+        "--b-null", "2000", "--b-reps", "500",
+    ],
+    "analyze_perm_custom_grid": [
+        "analyze", "--input", str(GOLDEN / "tables.txt"), "--battery", "MAX3,MAXGRID",
+        "--grid", "0,0.3,0.5,1", "--b-perm", "200", "--seed", "7",
+    ],
 }
 
 
