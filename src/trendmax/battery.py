@@ -11,7 +11,9 @@ helper; it returns a float (the chi-squares and Z_x) or a
 registry values the statistic combines.
 
 A battery is an ordered list of statistic identifiers, all evaluated on
-the same tables so that comparisons between tests are matched. For each
+the same tables so that comparisons between tests are matched;
+:func:`validate_battery` resolves it once to ``{name: scores}``, so nothing
+past it needs to know that MAXGRID's scores are a grid. For each
 identifier the battery produces the *decision value*: |Z| for two-sided
 normal-type statistics (signed Z when one-sided, with absolute values
 taken inside MAX statistics), and the raw value for the chi-square and
@@ -78,7 +80,7 @@ def pair_mert(parts: _Parts, xs: tuple[float, ...]) -> np.ndarray:
 class Statistic:
     """How one statistic is built: ``combine(parts, scores)`` gives its decision values.
 
-    ``scores`` are the x of the Z_x it combines (None: the MAXGRID grid);
+    ``scores`` are the x of the Z_x it combines (None: a grid, see :func:`validate_battery`);
     ``law(value, two_sided)`` is its asymptotic null tail, or None
     (simulation or permutation only); the scalar API raises ``undefined``
     where the value is NaN and reports ``components`` beside the value.
@@ -117,8 +119,14 @@ ALL_STATISTICS = tuple(STATISTICS)
 DEFAULT_BATTERY = tuple(name for name, spec in STATISTICS.items() if spec.scores is not None)
 
 
-def validate_battery(battery) -> tuple[str, ...]:
-    """The battery as a tuple of known, distinct statistic names; at least one."""
+def validate_battery(battery, grid=DEFAULT_GRID) -> dict[str, tuple[float, ...]]:
+    """The battery resolved to ``{name: scores}`` in order: known, distinct names, at least one.
+
+    MAXGRID gets ``validate_grid(grid)``, every other statistic its registry
+    scores. A mapping this returned passes through again with its MAXGRID
+    scores, checked again; ``grid`` applies only to a sequence of names.
+    """
+    grid = battery.get("MAXGRID", grid) if isinstance(battery, dict) else grid
     battery = tuple(battery)
     if not battery:
         raise InputError("battery must contain at least one statistic")
@@ -131,15 +139,11 @@ def validate_battery(battery) -> tuple[str, ...]:
         if name in seen:
             raise InputError(f"duplicate statistic {name!r} in battery")
         seen.add(name)
-    return battery
+    return {name: validate_grid(grid) if STATISTICS[name].scores is None else STATISTICS[name].scores
+            for name in battery}
 
 
-def evaluate_battery(
-    cells: np.ndarray,
-    battery,
-    two_sided: bool = True,
-    grid=DEFAULT_GRID,
-) -> dict[str, np.ndarray]:
+def evaluate_battery(cells: np.ndarray, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
     """Decision values for every battery statistic on a batch of tables.
 
     ``cells`` has shape (B, 6) with columns r0, r1, r2, s0, s1, s2, in
@@ -150,12 +154,10 @@ def evaluate_battery(
     composite parts. Undefined entries are NaN; with the +1/2 continuity
     correction applied they never occur.
     """
-    specs = {name: STATISTICS[name] for name in validate_battery(battery)}
-    scores = {name: validate_grid(grid) if spec.scores is None else spec.scores
-              for name, spec in specs.items()}
+    battery = validate_battery(battery)
     cells = np.atleast_2d(np.asarray(cells, dtype=float))
-    parts = _parts(cells, dict.fromkeys(x for xs in scores.values() for x in xs), two_sided)
-    return {name: spec.combine(parts, scores[name]) for name, spec in specs.items()}
+    parts = _parts(cells, dict.fromkeys(x for xs in battery.values() for x in xs), two_sided)
+    return {name: STATISTICS[name].combine(parts, xs) for name, xs in battery.items()}
 
 
 def _parts(cells, xs, two_sided: bool) -> _Parts:
@@ -173,19 +175,20 @@ def _parts(cells, xs, two_sided: bool) -> _Parts:
 BATCH_ROWS = 5_000
 
 
-def evaluate_tables(tables, battery, two_sided: bool = True, grid=DEFAULT_GRID) -> dict[str, np.ndarray]:
+def evaluate_tables(tables, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
     """:func:`evaluate_battery` on a list of tables, one value per table, BATCH_ROWS rows per call."""
-    out = {name: np.empty(len(tables)) for name in validate_battery(battery)}
+    battery = validate_battery(battery)
+    out = {name: np.empty(len(tables)) for name in battery}
     for lo in range(0, len(tables), BATCH_ROWS):
         cells = np.array([table.cells() for table in tables[lo:lo + BATCH_ROWS]])
-        for name, values in evaluate_battery(cells, battery, two_sided, grid).items():
+        for name, values in evaluate_battery(cells, battery, two_sided).items():
             out[name][lo:lo + len(values)] = values
     return out
 
 
 def evaluate_single(table_cells, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> float:
     """Decision value of one statistic on one table (NaN if undefined)."""
-    values = evaluate_battery(np.asarray(table_cells, dtype=float), (name,), two_sided, grid)
+    values = evaluate_battery(np.asarray(table_cells, dtype=float), validate_battery((name,), grid), two_sided)
     return float(values[name][0])
 
 
@@ -200,8 +203,7 @@ def _one_table(table: GenotypeTable, name: str, two_sided: bool = True, grid=DEF
     The table goes through the kernels as one 1-D row, so they do scalar
     arithmetic; the values are bit-identical to the batch's.
     """
-    spec = STATISTICS[name]
-    xs = validate_grid(grid) if spec.scores is None else spec.scores
+    spec, xs = STATISTICS[name], validate_battery((name,), grid)[name]
     parts = _parts(table.to_array(), xs, two_sided)
     value = float(spec.combine(parts, xs))
     if np.isnan(value):

@@ -13,7 +13,8 @@ Subcommands:
                --normal-approx, closed-form asymptotic thresholds instead
     power      rejection rates (size for null scenarios) per scenario
     corr       mean plug-in correlation triples per scenario
-    crosstab   matched p-value cross-tabulation of two statistics
+    crosstab   matched p-value cross-tabulation of two statistics; each
+               distinct null of the pack is simulated once
 
 Simulation subcommands require an explicit --seed; every output carries a
 provenance header (scenario hash, seed, replicate counts, version) from
@@ -91,14 +92,14 @@ from .tables import apply_continuity_correction, parse_table_record
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 
 
-def _add_common_sim_args(sp, *, battery: bool = False, grid: bool = False):
+def _add_common_sim_args(sp, *, battery: bool = False, with_grid: bool = False):
     sp.add_argument("--scenarios", required=True, help="path to a JSON scenario file")
     sp.add_argument("--seed", type=int, required=True, help="nonnegative random seed (required)")
     if battery:
         sp.add_argument("--alpha", type=float, default=0.05)
         sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY),
                         help="comma-separated statistic ids (default: all but MAXGRID)")
-    if grid:
+    if with_grid:
         sp.add_argument("--grid", default=None, help="comma-separated scores in [0,1] for MAXGRID")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("criticals", help="empirical critical values per scenario")
-    _add_common_sim_args(sp, battery=True, grid=True)
+    _add_common_sim_args(sp, battery=True, with_grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--normal-approx", action="store_true",
                     help="closed-form thresholds from each statistic's asymptotic null law "
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "in one sampled population and is off on two-stratum nulls")
 
     sp = sub.add_parser("power", help="rejection rates per scenario and statistic")
-    _add_common_sim_args(sp, battery=True, grid=True)
+    _add_common_sim_args(sp, battery=True, with_grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--b-power", type=int, default=10_000)
 
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replicates per scenario")
 
     sp = sub.add_parser("crosstab", help="matched p-value cross-tabulation")
-    _add_common_sim_args(sp, grid=True)
+    _add_common_sim_args(sp, with_grid=True)
     sp.add_argument("--stat-a", required=True, choices=ALL_STATISTICS)
     sp.add_argument("--stat-b", required=True, choices=ALL_STATISTICS)
     sp.add_argument("--b-null", type=int, default=200_000)
@@ -158,8 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_battery(text: str):
-    return validate_battery(tuple(name.strip() for name in text.split(",") if name.strip()))
+def _parse_battery(text: str, grid_text) -> dict[str, tuple[float, ...]]:
+    """The --battery names resolved with the --grid scores; the names are checked before the grid."""
+    names = tuple(name.strip() for name in text.split(",") if name.strip())
+    validate_battery(names)
+    return validate_battery(names, _parse_grid(grid_text))
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -206,8 +210,7 @@ def _provenance(args, scenarios, **extra) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    battery = _parse_battery(args.battery)
-    grid = _parse_grid(args.grid)
+    battery = _parse_battery(args.battery, args.grid)
     two_sided = args.sidedness == "two"
     if args.b_perm < 0:
         raise InputError(f"--b-perm must be nonnegative, got {args.b_perm}")
@@ -234,12 +237,12 @@ def cmd_analyze(args) -> int:
             print(f"analyze: {label}: {exc}", file=sys.stderr)
     raws = [raw for _, raw in parsed]
     tables = [apply_continuity_correction(raw) for raw in raws] if args.correction == "on" else raws
-    values = evaluate_tables(tables, battery, two_sided, grid)
+    values = evaluate_tables(tables, battery, two_sided)
     triples = batch_correlations(np.array([table.cells() for table in tables]).reshape(-1, 6))
     perms = None
     if args.b_perm:
         perms = permutation_pvalues(raws, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
-                                    grid=grid, observed=values if tables is raws else None)
+                                    observed=values if tables is raws else None)
 
     columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
     # per statistic: its law, its values and its p-values, one Python float per table
@@ -285,8 +288,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_criticals(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    battery = _parse_battery(args.battery)
-    grid = _parse_grid(args.grid)
+    battery = _parse_battery(args.battery, args.grid)
     validate_alpha(args.alpha)
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          battery=",".join(battery),
@@ -299,17 +301,16 @@ def cmd_criticals(args) -> int:
         null = scenario.null_scenario()
         if null.key() not in thresholds:
             thresholds[null.key()] = (
-                _normal_approx_thresholds(null, battery, grid, args.alpha, scenario.label)
+                _normal_approx_thresholds(null, battery, args.alpha, scenario.label)
                 if args.normal_approx else
-                estimate_critical_values(null, battery, args.b_null, args.alpha,
-                                         seed=args.seed, grid=grid).thresholds)
+                estimate_critical_values(null, battery, args.b_null, args.alpha, seed=args.seed).thresholds)
         records.extend((null.label, name, thresholds[null.key()].get(name), None, b, seed)
                        for name in battery)
     _emit(columns, records, args, header)
     return 0
 
 
-def _normal_approx_thresholds(null, battery, grid, alpha: float, label: str) -> dict[str, float]:
+def _normal_approx_thresholds(null, battery, alpha: float, label: str) -> dict[str, float]:
     """Upper-alpha points of the registry laws; maxima of trend statistics at the pooled proportions."""
     pooled = sum(np.multiply(case_probs, n_cases) + np.multiply(ctrl_probs, n_controls)
                  for case_probs, ctrl_probs, n_cases, n_controls in null.strata())
@@ -320,7 +321,7 @@ def _normal_approx_thresholds(null, battery, grid, alpha: float, label: str) -> 
             if spec.law is not None:
                 out[name] = upper_point(lambda t: spec.law(t, null.two_sided), alpha)
             elif spec.combine is max_decided:
-                angles = trend_angles(pooled / pooled.sum(), grid if spec.scores is None else spec.scores)
+                angles = trend_angles(pooled / pooled.sum(), battery[name])
                 out[name] = upper_point(lambda t: max_exceedance(angles, t, null.two_sided), alpha)
         except InputError as exc:
             raise InputError(f"{exc} ({name}, scenario {label})") from None
@@ -329,8 +330,7 @@ def _normal_approx_thresholds(null, battery, grid, alpha: float, label: str) -> 
 
 def cmd_power(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    battery = _parse_battery(args.battery)
-    grid = _parse_grid(args.grid)
+    battery = _parse_battery(args.battery, args.grid)
     validate_replicates(args.b_power)  # before the first null run, not after it
     header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
                          b_power=args.b_power, battery=",".join(battery))
@@ -339,9 +339,9 @@ def cmd_power(args) -> int:
     for null in (scenario.null_scenario() for scenario in scenarios):
         if null.key() not in criticals:
             criticals[null.key()] = estimate_critical_values(null, battery, args.b_null, args.alpha,
-                                                             seed=args.seed, grid=grid)
+                                                             seed=args.seed)
     rows = estimate_power([(scenario, criticals[scenario.key()]) for scenario in scenarios],
-                          battery, args.b_power, seed=args.seed, grid=grid)
+                          battery, args.b_power, seed=args.seed)
     records = [(scenario.label, name, "size" if scenario.is_null else "power",
                 row.rates[name], row.standard_errors[name], args.b_power, args.seed)
                for scenario, row in zip(scenarios, rows) for name in battery]
@@ -363,20 +363,18 @@ def cmd_corr(args) -> int:
 
 def cmd_crosstab(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    grid = _parse_grid(args.grid)
+    pair = validate_battery(tuple(dict.fromkeys((args.stat_a, args.stat_b))), _parse_grid(args.grid))
     bins = _parse_floats(args.bins, "--bins")
     # bins are closed on the left; the last one holds p = 1
     labels = [f"[{lo:g},{hi:g})" for lo, hi in zip((0.0, *bins), bins)] + [f"[{bins[-1]:g},1]"]
     header = _provenance(args, scenarios, stat_a=args.stat_a, stat_b=args.stat_b,
                          b_null=args.b_null, b_reps=args.b_reps, bins=args.bins)
     columns = ("scenario", "row_bin", "col_bin", "count")
-    records = []
-    for scenario in scenarios:
-        counts = pvalue_crosstab(scenario, args.stat_a, args.stat_b, args.b_null, args.b_reps, bins,
-                                 seed=args.seed, grid=grid)
-        records.extend((scenario.label, row_label, col_label, int(counts[i, j]))
-                       for i, row_label in enumerate(labels)
-                       for j, col_label in enumerate(labels))
+    tables = pvalue_crosstab(scenarios, pair, args.b_null, args.b_reps, bins, seed=args.seed)
+    records = [(scenario.label, row_label, col_label, int(counts[i, j]))
+               for scenario, counts in zip(scenarios, tables)
+               for i, row_label in enumerate(labels)
+               for j, col_label in enumerate(labels)]
     _emit(columns, records, args, header)
     return 0
 

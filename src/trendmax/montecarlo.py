@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import BATCH_ROWS, DEFAULT_GRID, evaluate_battery, evaluate_tables, validate_battery
+from .battery import BATCH_ROWS, evaluate_battery, evaluate_tables, validate_battery
 from .errors import DegenerateTable, InputError, MismatchedScenario, ScenarioError
 from .robust import CorrelationTriple, batch_correlations
 from .scenarios import Scenario
@@ -218,8 +218,8 @@ class _UpperTails:
         return np.where(np.isnan(observed), 1.0, (1.0 + n_ge) / (self.b - self.nans[i] + 1.0))
 
 
-def _battery_scorer(scenario: Scenario, battery, grid):
-    return lambda cells: evaluate_battery(cells, battery, scenario.two_sided, grid).values()
+def _battery_scorer(scenario: Scenario, battery):
+    return lambda cells: evaluate_battery(cells, battery, scenario.two_sided).values()
 
 
 def simulate_cells(scenario: Scenario, b: int, seed: int) -> np.ndarray:
@@ -252,7 +252,7 @@ def empirical_upper_quantile(values: np.ndarray, alpha: float, size: int | None 
 
 
 def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alpha: float = 0.05, *,
-                             seed: int, grid=DEFAULT_GRID) -> CriticalValueSet:
+                             seed: int) -> CriticalValueSet:
     """Empirical upper-alpha thresholds of each decision value under the null.
 
     Chunks stream into :class:`_UpperTails`, so memory is O(alpha B) per
@@ -266,7 +266,7 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
     validate_alpha(alpha)
     battery = validate_battery(battery)
     tails = _UpperTails(len(battery), b, alpha)
-    _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery, grid), tails)])
+    _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery), tails)])
     thresholds = {}
     for i, name in enumerate(battery):
         try:
@@ -278,8 +278,7 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
                             error_rates=error_rates)
 
 
-def estimate_power(runs, battery, b: int = 10_000, *, seed: int,
-                   grid=DEFAULT_GRID) -> list[PowerRow]:
+def estimate_power(runs, battery, b: int = 10_000, *, seed: int) -> list[PowerRow]:
     """Rejection rates of each statistic, one :class:`PowerRow` per ``(scenario, criticals)`` pair.
 
     Each pair's thresholds must come from the matching null scenario (same
@@ -312,7 +311,7 @@ def estimate_power(runs, battery, b: int = 10_000, *, seed: int,
                                            for v, t in zip(values, thresholds, strict=True)]
         return count
 
-    _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery, grid),
+    _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery),
                     counter(i, [criticals.thresholds[name] for name in battery]))
                    for i, (scenario, criticals) in enumerate(runs)])
     rows = []
@@ -343,21 +342,24 @@ def mean_correlation_matrix(
 # matched p-value cross-tabulation
 # ---------------------------------------------------------------------------
 
-def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 200_000,
-                    b_reps: int = 5_000, bins: tuple[float, ...] = (0.01, 0.05, 0.10), *,
-                    seed: int, grid=DEFAULT_GRID) -> np.ndarray:
-    """Matched comparison of two statistics' empirical p-values, as a (k+1, k+1) count table.
+def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
+                    bins: tuple[float, ...] = (0.01, 0.05, 0.10), *, seed: int) -> list[np.ndarray]:
+    """Matched comparison of two statistics' empirical p-values: a (k+1, k+1) count table per scenario.
 
-    Both statistics are evaluated on the same replicates and referred to
-    the same shared null sample, preserving the matched design. The k
-    edges of ``bins`` give bins closed on the left, [0, e1), ..., [ek, 1];
-    entry [i, j] counts the replicates whose ``stat_a`` p-value falls in
-    bin i and ``stat_b`` p-value in bin j. An undefined statistic gets p = 1.
+    ``pair`` is a battery of one or two statistics, ``stat_a`` first and
+    ``stat_b`` last, evaluated on the same replicates and referred to the
+    same shared null sample, preserving the matched design. The k edges of
+    ``bins`` give bins closed on the left, [0, e1), ..., [ek, 1]; entry [i, j]
+    counts the replicates whose ``stat_a`` p-value falls in bin i and
+    ``stat_b`` p-value in bin j. An undefined statistic gets p = 1.
 
     Only p-values below the largest edge tell bins apart, so the null
     streams into :class:`_UpperTails` at that level: memory is O(max(bins) B_null).
+    Each distinct null (``key()``) is simulated once and its scenarios'
+    replicates are scored against it, one null's tails at a time; every null
+    draws from one seed, so a scenario's table is the one it gets alone.
     """
-    battery = validate_battery(dict.fromkeys((stat_a, stat_b)))
+    pair = validate_battery(pair)
     edges = tuple(float(e) for e in bins)
     if not edges or any(not 0.0 < e < 1.0 for e in edges) or list(edges) != sorted(set(edges)):
         raise InputError(f"bin edges {edges!r} must be one or more strictly increasing values within (0, 1)")
@@ -365,17 +367,20 @@ def pvalue_crosstab(scenario: Scenario, stat_a: str, stat_b: str, b_null: int = 
     validate_replicates(b_reps)
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-    null = scenario.null_scenario()
-    tails = _UpperTails(len(battery), b_null, edges[-1])
-    _score_chunks([(null, b_null, null_seed, _battery_scorer(null, battery, grid), tails)])
-    reps = _score_array(scenario, b_reps, rep_seed, _battery_scorer(scenario, battery, grid), len(battery))
-
     all_edges = np.array([*edges, 1.0 + 1e-12])
-    # with stat_a == stat_b the battery is that one statistic
-    bin_a, bin_b = (np.searchsorted(all_edges, tails.pvalues(i, reps[i]), side="right")
-                    for i in (0, len(battery) - 1))
-    counts = np.zeros((all_edges.size, all_edges.size), dtype=int)
-    np.add.at(counts, (bin_a, bin_b), 1)
+    keys = [scenario.key() for scenario in scenarios]
+    counts = [np.zeros((all_edges.size, all_edges.size), dtype=int) for _ in scenarios]
+    for key in dict.fromkeys(keys):
+        members = [i for i, other in enumerate(keys) if other == key]
+        null = scenarios[members[0]].null_scenario()
+        tails = _UpperTails(len(pair), b_null, edges[-1])
+        _score_chunks([(null, b_null, null_seed, _battery_scorer(null, pair), tails)])
+        for i in members:
+            reps = _score_array(scenarios[i], b_reps, rep_seed, _battery_scorer(scenarios[i], pair), len(pair))
+            # with stat_a == stat_b the pair is that one statistic
+            bin_a, bin_b = (np.searchsorted(all_edges, tails.pvalues(j, reps[j]), side="right")
+                            for j in (0, len(pair) - 1))
+            np.add.at(counts[i], (bin_a, bin_b), 1)
     return counts
 
 
@@ -392,13 +397,6 @@ def _permutation_margins(table: GenotypeTable) -> tuple[list[int], int]:
     if n_cases <= 0 or n_cases >= sum(margins):
         raise DegenerateTable("both groups must be nonempty for permutation")
     return margins, n_cases
-
-
-def _permuted_cells(case_rows, margins, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (6, B) from permuted case rows and the fixed column margins; (B, 6) view."""
-    out[0:3] = np.transpose(case_rows)
-    np.subtract(np.asarray(margins, dtype=float)[:, None], out[0:3], out=out[3:6])
-    return out.T
 
 
 def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,7 +423,7 @@ def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.nd
 
 
 def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool = True,
-                        grid=DEFAULT_GRID, observed=None) -> dict[str, np.ndarray]:
+                        observed=None) -> dict[str, np.ndarray]:
     """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B): an array per statistic.
 
     Case/control labels are permuted holding the genotype column totals
@@ -448,7 +446,7 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
     statistic's exceedances in one pass: one (statistics, rows) comparison
     and one sum per table. Every kernel works row by row, so none of this
     changes a p-value. ``observed`` is the battery on ``tables`` (one row
-    each, same sidedness and grid), if the caller has it.
+    each, same battery and sidedness), if the caller has it.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
@@ -460,7 +458,7 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
         except DegenerateTable as exc:
             raise DegenerateTable(f"{exc} (table {i})") from None
     if observed is None:
-        observed = evaluate_tables(tables, battery, two_sided, grid)
+        observed = evaluate_tables(tables, battery, two_sided)
     if b == 0:
         return {name: np.where(np.isnan(observed[name]), np.nan, 1.0) for name in battery}
     obs = np.array([observed[name] for name in battery])  # (statistics, tables)
@@ -473,7 +471,7 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
         cells = np.empty((6, sum(sizes)))
         cells[0:3] = np.concatenate([distinct for _, distinct, _ in batch]).T
         np.subtract(np.repeat([m for m, _, _ in batch], sizes, axis=0).T, cells[0:3], out=cells[3:6])
-        values = np.array(list(evaluate_battery(cells.T, battery, two_sided, grid).values()))
+        values = np.array(list(evaluate_battery(cells.T, battery, two_sided).values()))
         # every statistic at once (NaN compares False on either side); the weighted
         # hits overwrite the values, and as whole numbers their float sums are exact
         np.multiply(values >= np.repeat(obs[:, lo:hi], sizes, axis=1),
@@ -496,8 +494,7 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
 
 
 def permutation_pvalue(table: GenotypeTable, battery, b: int, *, seed: int, two_sided: bool = True,
-                       grid=DEFAULT_GRID, observed=None) -> dict[str, float]:
+                       observed=None) -> dict[str, float]:
     """:func:`permutation_pvalues` of one table; raises its :class:`DegenerateTable`."""
-    pvalues = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided,
-                                  grid=grid, observed=observed)
+    pvalues = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided, observed=observed)
     return {name: float(p[0]) for name, p in pvalues.items()}

@@ -143,7 +143,10 @@ def mert_certificate(triple: CorrelationTriple) -> bool:
 
 def validate_grid(grid) -> tuple[float, ...]:
     """The grid as floats; it must be nonempty with every score in [0, 1] (NaN fails)."""
-    grid = tuple(float(x) for x in grid)
+    try:
+        grid = tuple(float(x) for x in grid)
+    except (TypeError, ValueError):
+        raise InputError(f"score grid must be a sequence of numbers, got {grid!r}") from None
     if not grid:
         raise InputError("score grid must be nonempty")
     bad = [x for x in grid if not 0.0 <= x <= 1.0]

@@ -15,7 +15,8 @@ from trendmax import (
     mert_rec_add,
     tmax,
 )
-from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS, evaluate_battery
+from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS, evaluate_battery, validate_battery
+from trendmax.robust import DEFAULT_GRID
 
 from conftest import random_tables
 
@@ -30,10 +31,10 @@ def raw_tables(n: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("two_sided", [True, False])
 def test_statistic_alone_equals_statistic_in_full_battery(two_sided):
     cells = np.concatenate([random_tables(300, seed=201), raw_tables(300, seed=202)])
-    full = evaluate_battery(cells, ALL_STATISTICS, two_sided, GRID)
+    full = evaluate_battery(cells, validate_battery(ALL_STATISTICS, GRID), two_sided)
     assert np.isnan(full["MAX3"]).any()
     for name in ALL_STATISTICS:
-        alone = evaluate_battery(cells, (name,), two_sided, GRID)[name]
+        alone = evaluate_battery(cells, validate_battery((name,), GRID), two_sided)[name]
         np.testing.assert_array_equal(alone, full[name], err_msg=name)
 
 
@@ -46,7 +47,7 @@ def test_statistic_alone_equals_statistic_in_full_battery(two_sided):
 def test_maxgrid_dominates_max3_when_grid_contains_its_scores(extra, two_sided, seed):
     grid = tuple(extra) + (1.0, 0.5, 0.0)
     cells = np.concatenate([random_tables(50, seed=seed), raw_tables(50, seed=seed + 1)])
-    values = evaluate_battery(cells, ("MAX3", "MAXGRID"), two_sided, grid)
+    values = evaluate_battery(cells, validate_battery(("MAX3", "MAXGRID"), grid), two_sided)
     max3, maxgrid = values["MAX3"], values["MAXGRID"]
     defined = ~np.isnan(max3)
     assert np.all(maxgrid[defined] >= max3[defined])
@@ -55,7 +56,7 @@ def test_maxgrid_dominates_max3_when_grid_contains_its_scores(extra, two_sided, 
 
 def test_empty_grid_rejected():
     with pytest.raises(InputError):
-        evaluate_battery(random_tables(5, seed=203), ("MAXGRID",), grid=())
+        evaluate_battery(random_tables(5, seed=203), {"MAXGRID": ()})
 
 
 def assert_bit_identical(a: np.ndarray, b: np.ndarray, name: str) -> None:
@@ -72,9 +73,10 @@ def assert_bit_identical(a: np.ndarray, b: np.ndarray, name: str) -> None:
 @settings(max_examples=100, deadline=None)
 def test_battery_is_bit_identical_across_memory_layouts(rows, corrected, two_sided):
     cells = np.array(rows, dtype=float) + (0.5 if corrected else 0.0)
-    c_values = evaluate_battery(np.ascontiguousarray(cells), ALL_STATISTICS, two_sided, GRID)
-    f_values = evaluate_battery(np.asfortranarray(cells), ALL_STATISTICS, two_sided, GRID)
-    single = [evaluate_battery(row, ALL_STATISTICS, two_sided, GRID) for row in cells]
+    battery = validate_battery(ALL_STATISTICS, GRID)
+    c_values = evaluate_battery(np.ascontiguousarray(cells), battery, two_sided)
+    f_values = evaluate_battery(np.asfortranarray(cells), battery, two_sided)
+    single = [evaluate_battery(row, battery, two_sided) for row in cells]
     for name in ALL_STATISTICS:
         assert_bit_identical(c_values[name], f_values[name], name)
         assert_bit_identical(c_values[name], np.concatenate([v[name] for v in single]), name)
@@ -83,7 +85,30 @@ def test_battery_is_bit_identical_across_memory_layouts(rows, corrected, two_sid
 @pytest.mark.parametrize("grid", [(0.0, 1.5), (0.0, np.nan), (-0.1,), (np.inf,)])
 def test_grid_scores_outside_unit_interval_rejected(grid):
     with pytest.raises(InputError, match="grid scores"):
-        evaluate_battery(random_tables(5, seed=204), ("MAXGRID",), grid=grid)
+        evaluate_battery(random_tables(5, seed=204), {"MAXGRID": grid})
+
+
+def test_validate_battery_resolves_names_to_their_scores():
+    battery = validate_battery(("MAX3", "MAXGRID", "CHI2_2DF"))
+    assert list(battery) == ["MAX3", "MAXGRID", "CHI2_2DF"]
+    assert battery == {"MAX3": (0.0, 0.5, 1.0), "MAXGRID": DEFAULT_GRID, "CHI2_2DF": ()}
+    assert validate_battery(("MAXGRID",), [0, 0.5, 1]) == {"MAXGRID": (0.0, 0.5, 1.0)}
+
+
+def test_a_resolved_battery_keeps_its_grid():
+    battery = validate_battery(("MAXGRID", "Z1"), GRID)
+    # grid applies only to a sequence of names
+    assert validate_battery(battery) == validate_battery(battery, (0.5,)) == battery
+    assert validate_battery(battery)["MAXGRID"] == GRID
+    cells = random_tables(20, seed=206)
+    assert_bit_identical(evaluate_battery(cells, battery)["MAXGRID"],
+                         evaluate_battery(cells, validate_battery(("MAXGRID",), GRID))["MAXGRID"], "MAXGRID")
+
+
+@pytest.mark.parametrize("scores", [(), (0.0, 1.5), None, ("a",)])
+def test_a_mapping_with_bad_grid_scores_is_an_input_error(scores):
+    with pytest.raises(InputError, match="grid"):
+        validate_battery({"MAX3": (0.0, 0.5, 1.0), "MAXGRID": scores})
 
 
 def test_default_battery_is_every_statistic_but_the_grid_maximum():
@@ -105,7 +130,7 @@ def test_shared_kernels_run_once_and_are_looked_up_on_the_module(monkeypatch):
 
     for name in ("allele_chisq_values", "hwd_values", "batch_correlations", "chi2df_values"):
         monkeypatch.setattr(trendmax.battery, name, counting(name, getattr(trendmax.battery, name)))
-    evaluate_battery(random_tables(20, seed=205), ALL_STATISTICS, grid=GRID)
+    evaluate_battery(random_tables(20, seed=205), validate_battery(ALL_STATISTICS, GRID))
     assert sorted(calls) == ["allele_chisq_values", "batch_correlations", "chi2df_values", "hwd_values"]
 
 

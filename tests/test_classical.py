@@ -19,7 +19,7 @@ from trendmax import (
     tmax,
     trend_statistic,
 )
-from trendmax.battery import ALL_STATISTICS, STATISTICS, evaluate_battery
+from trendmax.battery import ALL_STATISTICS, STATISTICS, evaluate_battery, validate_battery
 from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
 from trendmax.robust import CorrelationTriple, batch_correlations
 
@@ -201,7 +201,7 @@ def test_scalar_composites_bit_identical_to_batch():
     assert_bit_identical(evaluate_battery(cells, ("HWD",))["HWD"], hwd_values(cells[:, :3]))
     tables = [GenotypeTable(*row) for row in cells]
     for two_sided, wrappers in SCALAR_WRAPPERS.items():
-        batch = evaluate_battery(cells, ALL_STATISTICS, two_sided, GRID)
+        batch = evaluate_battery(cells, validate_battery(ALL_STATISTICS, GRID), two_sided)
         for name, fn in wrappers.items():
             assert np.isnan(batch[name]).any() and not np.isnan(batch[name]).all(), name
             scalar = np.array([scalar_or_nan(fn, t) for t in tables])

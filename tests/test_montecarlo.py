@@ -48,13 +48,14 @@ from trendmax.battery import (
     evaluate_single,
     evaluate_tables,
     normal_tail,
+    validate_battery,
 )
 from trendmax.population import hwe_genotype_freqs
 from trendmax.robust import batch_correlations, max_exceedance, trend_angles, upper_point
 from trendmax.scenarios import load_scenarios
 import trendmax.montecarlo
 from trendmax.cli import UNDEFINED_OBSERVED
-from trendmax.montecarlo import CHUNK_SIZE, _permutation_margins, _permuted_cells
+from trendmax.montecarlo import CHUNK_SIZE, _permutation_margins
 from trendmax.tables import parse_table_record
 
 from conftest import assert_bit_identical
@@ -228,6 +229,7 @@ def test_simulate_cells_raises_a_chunk_error_and_returns_nothing(monkeypatch):
 # ---------------------------------------------------------------------------
 
 GRID = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
+ALL_ON_GRID = validate_battery(ALL_STATISTICS, GRID)
 ENGINE_B = 2 * CHUNK_SIZE + 137  # three chunks, the last one short
 
 
@@ -277,21 +279,22 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
     monkeypatch.setattr(trendmax.montecarlo, "_score_array", recording)
     null_cells = row_major_reference(sc.null_scenario(), ENGINE_B, 41)
     # the null runs stream their values into the tail keepers, so they leave no array
-    null_values = evaluate_battery(null_cells, ALL_STATISTICS, two_sided, GRID)
+    battery = validate_battery(ALL_STATISTICS, GRID)
+    null_values = evaluate_battery(null_cells, battery, two_sided)
     alt_cells = row_major_reference(sc, ENGINE_B, 42)
-    alt_values = evaluate_battery(alt_cells, ALL_STATISTICS, two_sided, GRID)
-    crosstab_battery = ("MAXGRID", "T_MAX")
+    alt_values = evaluate_battery(alt_cells, battery, two_sided)
+    crosstab_battery = validate_battery(("MAXGRID", "T_MAX"), GRID)
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(43).generate_state(2))
     rep_values = evaluate_battery(row_major_reference(sc, ENGINE_B, rep_seed),
-                                  crosstab_battery, two_sided, GRID)
+                                  crosstab_battery, two_sided)
     crosstab_null = evaluate_battery(row_major_reference(sc.null_scenario(), ENGINE_B, null_seed),
-                                     crosstab_battery, two_sided, GRID)
+                                     crosstab_battery, two_sided)
     for cores in (1, 2, 3):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         used.clear()
-        cvs = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS, b=ENGINE_B, seed=41, grid=GRID)
-        [row] = estimate_power([(sc, cvs)], ALL_STATISTICS, b=ENGINE_B, seed=42, grid=GRID)
-        counts = pvalue_crosstab(sc, *crosstab_battery, b_null=ENGINE_B, b_reps=ENGINE_B, seed=43, grid=GRID)
+        cvs = estimate_critical_values(sc.null_scenario(), battery, b=ENGINE_B, seed=41)
+        [row] = estimate_power([(sc, cvs)], battery, b=ENGINE_B, seed=42)
+        [counts] = pvalue_crosstab([sc], crosstab_battery, b_null=ENGINE_B, b_reps=ENGINE_B, seed=43)
         # power keeps counts and the nulls keep tails, so only the crosstab's replicates come through here
         assert len(used) == 1
         [(key, values)] = used
@@ -353,7 +356,7 @@ def test_a_scorer_error_on_chunk_1_reaches_every_caller(monkeypatch):
         lambda: estimate_critical_values(sc.null_scenario(), ("MAX3",), b=ENGINE_B, seed=46),
         lambda: estimate_power([(sc, cvs)], ("MAX3",), b=ENGINE_B, seed=47),
         lambda: mean_correlation_matrix(sc, ENGINE_B, seed=47),
-        lambda: pvalue_crosstab(sc, "MAX3", "Z0", b_null=ENGINE_B, b_reps=1_000, seed=48),
+        lambda: pvalue_crosstab([sc], ("MAX3", "Z0"), b_null=ENGINE_B, b_reps=1_000, seed=48),
     ]
     for call in calls:
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
@@ -372,8 +375,8 @@ def power_pack() -> list:
     criticals = {}
     for sc in scenarios:
         if sc.key() not in criticals:
-            criticals[sc.key()] = estimate_critical_values(sc.null_scenario(), ALL_STATISTICS,
-                                                           b=2_000, seed=61, grid=GRID)
+            criticals[sc.key()] = estimate_critical_values(sc.null_scenario(), ALL_ON_GRID,
+                                                           b=2_000, seed=61)
     return [(sc, criticals[sc.key()]) for sc in scenarios]
 
 
@@ -381,7 +384,7 @@ def test_power_pairs_in_one_call_equal_the_one_pair_calls(monkeypatch):
     pairs = power_pack()
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 1)
     alone = [row for pair in pairs
-             for row in estimate_power([pair], ALL_STATISTICS, b=ENGINE_B, seed=62, grid=GRID)]
+             for row in estimate_power([pair], ALL_ON_GRID, b=ENGINE_B, seed=62)]
     assert alone[-1].error_rates
     interval = sys.getswitchinterval()
     for cores in (1, 2, 8):
@@ -389,13 +392,13 @@ def test_power_pairs_in_one_call_equal_the_one_pair_calls(monkeypatch):
         # more threads than cores, switching often: a lost count would change a rate
         sys.setswitchinterval(1e-6 if cores == 8 else interval)
         try:
-            rows = estimate_power(pairs, ALL_STATISTICS, b=ENGINE_B, seed=62, grid=GRID)
+            rows = estimate_power(pairs, ALL_ON_GRID, b=ENGINE_B, seed=62)
         finally:
             sys.setswitchinterval(interval)
         assert rows == alone, f"{cores} cores"
         # distinct rows, so the equality pins their order
         assert all(a != b for a, b in itertools.combinations(rows, 2))
-    assert estimate_power([], ALL_STATISTICS, b=ENGINE_B, seed=62, grid=GRID) == []
+    assert estimate_power([], ALL_ON_GRID, b=ENGINE_B, seed=62) == []
 
 
 def test_the_chunks_of_two_pairs_run_side_by_side(monkeypatch):
@@ -463,7 +466,7 @@ def test_peak_memory_holds_the_values_and_a_few_chunks(monkeypatch):
     null = Scenario(population=(Stratum(0.1, 250, 250), Stratum(0.4, 100, 100)), penetrances=None)
     peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=200_000, seed=49))
     assert peak <= 32.0
-    peak = traced_peak_mb(lambda: pvalue_crosstab(alt_scenario(f2=0.02023), "MAX3", "MAXGRID", seed=50))
+    peak = traced_peak_mb(lambda: pvalue_crosstab([alt_scenario(f2=0.02023)], ("MAX3", "MAXGRID"), seed=50))
     assert peak <= 7.0
 
 
@@ -487,7 +490,7 @@ def test_power_over_twelve_alternatives_keeps_counts_not_values(monkeypatch):
                  for key, null in nulls.items()}
     pairs = [(sc, criticals[sc.key()]) for sc in scenarios]
     cells = simulate_cells(scenarios[-1], CHUNK_SIZE, seed=67)  # one chunk, laid out as the pool's
-    chunk_peak = traced_peak_mb(lambda: evaluate_battery(cells, DEFAULT_BATTERY, True, DEFAULT_GRID))
+    chunk_peak = traced_peak_mb(lambda: evaluate_battery(cells, DEFAULT_BATTERY, True))
     peak = traced_peak_mb(lambda: estimate_power(pairs, DEFAULT_BATTERY, b=CHUNK_SIZE, seed=67))
     assert len(pairs) == 12
     assert peak <= chunk_peak + cells.nbytes / 1e6 + 0.5
@@ -541,8 +544,8 @@ def test_a_partial_tail_names_the_rank_it_misses():
     lambda: estimate_critical_values(null_scenario(), BATTERY, b=200_000, alpha=math.nan, seed=1),
     lambda: estimate_power([(alt_scenario(), SimpleNamespace(alpha=0.0))], BATTERY, b=10_000, seed=1),
     lambda: estimate_power([(alt_scenario(), SimpleNamespace(alpha=0.05))], BATTERY, b=0, seed=1),
-    lambda: pvalue_crosstab(alt_scenario(), "MAX3", "Z0", b_reps=0, seed=1),
-    lambda: pvalue_crosstab(alt_scenario(), "MAX3", "Z0", b_null=0, seed=1),
+    lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), b_reps=0, seed=1),
+    lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), b_null=0, seed=1),
     lambda: mean_correlation_matrix(alt_scenario(), b=-5, seed=1),
 ])
 def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monkeypatch):
@@ -698,14 +701,14 @@ def test_mean_correlations_failure_rate_without_correction():
 # ---------------------------------------------------------------------------
 
 def test_crosstab_identical_statistics_diagonal():
-    counts = pvalue_crosstab(alt_scenario(), "MAX3", "MAX3", b_null=5_000, b_reps=500, seed=23)
+    [counts] = pvalue_crosstab([alt_scenario()], ("MAX3",), b_null=5_000, b_reps=500, seed=23)
     assert counts.sum() == 500
     assert np.all(counts == np.diag(np.diag(counts)))
 
 
 def test_crosstab_grand_total_and_uniform_null():
-    counts = pvalue_crosstab(null_scenario(p=0.5), "Z_HALF", "CHI2_2DF",
-                             b_null=100_000, b_reps=5_000, seed=24)
+    [counts] = pvalue_crosstab([null_scenario(p=0.5)], ("Z_HALF", "CHI2_2DF"),
+                               b_null=100_000, b_reps=5_000, seed=24)
     assert counts.sum() == 5_000
     for margin in (counts.sum(axis=1), counts.sum(axis=0)):
         frac_below_01 = margin[0] / 5_000
@@ -714,7 +717,7 @@ def test_crosstab_grand_total_and_uniform_null():
 
 def test_crosstab_margin_matches_power():
     sc = alt_scenario(f2=0.02)
-    counts = pvalue_crosstab(sc, "MAX3", "CHI2_2DF", b_null=50_000, b_reps=4_000, seed=25)
+    [counts] = pvalue_crosstab([sc], ("MAX3", "CHI2_2DF"), b_null=50_000, b_reps=4_000, seed=25)
     cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=50_000, seed=26)
     [row] = estimate_power([(sc, cvs)], ("MAX3",), b=4_000, seed=27)
     frac_below_05 = counts[:2, :].sum() / 4_000
@@ -724,7 +727,7 @@ def test_crosstab_margin_matches_power():
 def test_crosstab_directional_claim_for_max3_vs_chi2():
     # under a trend alternative the 1-parameter maximum earns smaller p-values
     sc = alt_scenario(f2=0.02023, kind="add", p=0.3)
-    counts = pvalue_crosstab(sc, "MAX3", "CHI2_2DF", b_null=50_000, b_reps=4_000, seed=28)
+    [counts] = pvalue_crosstab([sc], ("MAX3", "CHI2_2DF"), b_null=50_000, b_reps=4_000, seed=28)
     upper_right = np.triu(counts, k=1).sum()
     lower_left = np.tril(counts, k=-1).sum()
     assert upper_right > lower_left
@@ -734,7 +737,7 @@ def test_crosstab_undefined_replicates_are_not_significant():
     # HWD is undefined on ~43% of these uncorrected null replicates and
     # Z_HALF on ~20%; they must land in the p = 1 bin, not in [0, 0.01).
     sc = Scenario(population=(Stratum(0.02, 20, 20),), penetrances=None, correction=False)
-    counts = pvalue_crosstab(sc, "HWD", "Z_HALF", b_null=2_000, b_reps=2_000, seed=1)
+    [counts] = pvalue_crosstab([sc], ("HWD", "Z_HALF"), b_null=2_000, b_reps=2_000, seed=1)
     assert counts.shape == (4, 4)
     assert counts.sum() == 2_000
     rows, cols = counts.sum(axis=1), counts.sum(axis=0)
@@ -742,11 +745,30 @@ def test_crosstab_undefined_replicates_are_not_significant():
     assert rows[-1] >= 700 and cols[-1] >= 300  # the undefined replicates
 
 
+def test_crosstab_simulates_each_distinct_null_once(monkeypatch):
+    # 12 scenarios on 3 distinct nulls; each scenario's table is the one it gets alone
+    scenarios = load_scenarios(SCENARIOS / "recadd_subfamily.json")
+    alone = [pvalue_crosstab([sc], ("MAX3", "Z1"), b_null=2_000, b_reps=200, seed=3)[0] for sc in scenarios]
+    built = []
+    upper_tails = trendmax.montecarlo._UpperTails
+
+    def counting(*args):
+        built.append(args)
+        return upper_tails(*args)
+
+    monkeypatch.setattr(trendmax.montecarlo, "_UpperTails", counting)
+    tables = pvalue_crosstab(scenarios, ("MAX3", "Z1"), b_null=2_000, b_reps=200, seed=3)
+    assert len(scenarios) == 12 and len(built) == 3
+    assert len(tables) == 12
+    for got, want in zip(tables, alone, strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_crosstab_rejects_bad_bins(monkeypatch):
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", None)  # rejected before any draw
     for bins in ((0.5, 0.1), ()):
         with pytest.raises(InputError, match="must be one or more strictly increasing values"):
-            pvalue_crosstab(null_scenario(), "Z0", "Z1", b_null=2_000, b_reps=100,
+            pvalue_crosstab([null_scenario()], ("Z0", "Z1"), b_null=2_000, b_reps=100,
                             bins=bins, seed=29)
 
 
@@ -771,7 +793,7 @@ def test_crosstab_counts_equal_the_whole_sample_reference(case, bins, b_null):
     null_values = evaluate_battery(row_major_reference(sc.null_scenario(), b_null, null_seed),
                                    battery, sc.two_sided)
     rep_values = evaluate_battery(row_major_reference(sc, b_reps, rep_seed), battery, sc.two_sided)
-    counts = pvalue_crosstab(sc, stat_a, stat_b, b_null=b_null, b_reps=b_reps, bins=bins, seed=30)
+    [counts] = pvalue_crosstab([sc], battery, b_null=b_null, b_reps=b_reps, bins=bins, seed=30)
     assert counts.shape == (len(bins) + 1, len(bins) + 1)
     assert np.array_equal(counts, whole_sample_counts(null_values, rep_values, stat_a, stat_b, bins))
 
@@ -802,6 +824,16 @@ def subset_permutation_oracle(table: GenotypeTable, statistic: str) -> Fraction:
     return Fraction(exceed, total)
 
 
+def permuted_cells(case_rows, margins, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (6, B) from permuted case rows and the fixed column margins; (B, 6) view.
+
+    The oracle's own packing, independent of the one in :func:`permutation_pvalues`.
+    """
+    out[0:3] = np.transpose(case_rows)
+    np.subtract(np.asarray(margins, dtype=float)[:, None], out[0:3], out=out[3:6])
+    return out.T
+
+
 def exact_permutation_pvalue(table: GenotypeTable, statistic: str, two_sided=True,
                              grid=DEFAULT_GRID) -> Fraction:
     """Exact permutation p-value P(statistic >= observed), by enumerating the hypergeometric support.
@@ -816,8 +848,8 @@ def exact_permutation_pvalue(table: GenotypeTable, statistic: str, two_sided=Tru
     n0, n1, n2 = margins
     support = [(a0, a1, n_cases - a0 - a1) for a0 in range(min(n0, n_cases) + 1)
                for a1 in range(min(n1, n_cases - a0) + 1) if n_cases - a0 - a1 <= n2]
-    cells = _permuted_cells(support, margins, np.empty((6, len(support))))
-    values = evaluate_battery(cells, (statistic,), two_sided, grid)[statistic]
+    cells = permuted_cells(support, margins, np.empty((6, len(support))))
+    values = evaluate_battery(cells, validate_battery((statistic,), grid), two_sided)[statistic]
     numer = sum(math.comb(n0, a0) * math.comb(n1, a1) * math.comb(n2, a2)
                 for (a0, a1, a2), v in zip(support, values) if not math.isnan(v) and v >= observed)
     return Fraction(numer, math.comb(n0 + n1 + n2, n_cases))
@@ -873,9 +905,9 @@ def golden_tables() -> list[GenotypeTable]:
 def test_permutation_statistic_alone_equals_statistic_in_battery(seed, two_sided):
     grid = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
     for t in golden_tables():
-        full = permutation_pvalue(t, ALL_STATISTICS, 300, seed=seed, two_sided=two_sided, grid=grid)
+        full = permutation_pvalue(t, validate_battery(ALL_STATISTICS, grid), 300, seed=seed, two_sided=two_sided)
         for name in ALL_STATISTICS:
-            alone = permutation_pvalue(t, (name,), 300, seed=seed, two_sided=two_sided, grid=grid)
+            alone = permutation_pvalue(t, validate_battery((name,), grid), 300, seed=seed, two_sided=two_sided)
             # bit for bit, NaN (undefined on the observed table) included
             assert np.float64(alone[name]).tobytes() == np.float64(full[name]).tobytes(), (t, name)
 
@@ -898,13 +930,13 @@ def test_permutation_battery_agrees_with_exact():
         assert abs(approx[name] - exact) <= 4 * math.sqrt(exact * (1 - exact) / b) + 1e-4, name
 
 
-def one_table_permutation_pvalues(table, battery, b, seed, two_sided=True, grid=DEFAULT_GRID):
+def one_table_permutation_pvalues(table, battery, b, seed, two_sided=True):
     """Reference: one table's own permutations, drawn and scored on their own, row-major."""
-    observed = evaluate_battery(np.array(table.cells()), battery, two_sided, grid)
+    observed = evaluate_battery(np.array(table.cells()), battery, two_sided)
     margins = np.array([table.n0, table.n1, table.n2]).astype(int)
     rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, int(table.r), size=b,
                                                                   method="marginals")
-    values = evaluate_battery(np.hstack([rows, margins - rows]).astype(float), battery, two_sided, grid)
+    values = evaluate_battery(np.hstack([rows, margins - rows]).astype(float), battery, two_sided)
     return {name: math.nan if math.isnan(observed[name][0])
             else (1 + int(np.sum(values[name] >= observed[name][0]))) / (1 + b) for name in battery}
 
@@ -921,18 +953,18 @@ def batch_of_tables(count: int, seed: int) -> list[GenotypeTable]:
     (0, True, DEFAULT_BATTERY, DEFAULT_GRID),
 ])
 def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery, grid):
+    battery = validate_battery(battery, grid)
     tables = batch_of_tables(37 if b < 6_000 else 5, seed=b)
     tables[1] = GenotypeTable(10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
-    got = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, grid=grid)
+    got = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided)
     assert list(got) == list(battery)
-    wants = [one_table_permutation_pvalues(table, battery, b, 41, two_sided, grid) for table in tables]
+    wants = [one_table_permutation_pvalues(table, battery, b, 41, two_sided) for table in tables]
     for name, pvalues in got.items():
         assert pvalues.shape == (len(tables),)
         assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
     assert all(math.isnan(p[1]) for p in got.values())
-    observed = evaluate_tables(tables, battery, two_sided, grid)
-    again = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, grid=grid,
-                                observed=observed)
+    observed = evaluate_tables(tables, battery, two_sided)
+    again = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, observed=observed)
     assert list(again) == list(got)
     for name in got:
         assert_bit_identical(again[name], got[name])
@@ -943,7 +975,7 @@ def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, 
     (2, GenotypeTable(3.5, 1, 2, 3, 4, 5), "permutation requires an integer-valued table"),
 ])
 def test_an_unpermutable_table_raises_with_its_index_before_any_draw(i, table, message, monkeypatch):
-    monkeypatch.setattr(trendmax.montecarlo, "_permuted_cells", None)  # nothing may be filled first
+    monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", None)  # nothing may be drawn first
     tables = batch_of_tables(4, seed=44)
     tables[i] = table
     tables[3] = GenotypeTable(1, 2, 3, 0, 0, 0)  # no controls; only the first bad table is named
