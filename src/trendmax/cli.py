@@ -16,9 +16,11 @@ Subcommands:
     crosstab   matched p-value cross-tabulation of two statistics; each
                distinct null of the pack is simulated once
 
-Simulation subcommands require an explicit --seed; every output carries a
-provenance header (scenario hash, seed, replicate counts, version) from
-which the run can be reproduced exactly. ``criticals --normal-approx``
+Simulation subcommands require an explicit --seed. Every output's header
+is the parsed request, and the run repeats exactly from it and the same
+pack or tables: version, subcommand, the pack's hash, then every option in
+parser order but --scenarios, --table, --input, --format and --out (an
+empty value is an option not given). ``criticals --normal-approx``
 draws nothing: each threshold is the upper-alpha point of the statistic's
 asymptotic null law at the pooled genotype proportions (normal, chi-square,
 or the closed form of a maximum of trend statistics), so it does not
@@ -90,6 +92,7 @@ from .scenarios import load_scenarios, scenario_hash
 from .tables import apply_continuity_correction, parse_table_record
 
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
+IO_DESTS = frozenset({"scenarios", "table", "input", "format", "out"})  # left out of every header
 
 
 def _add_common_sim_args(sp, *, battery: bool = False, with_grid: bool = False):
@@ -132,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("criticals", help="empirical critical values per scenario")
     _add_common_sim_args(sp, battery=True, with_grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
-    sp.add_argument("--normal-approx", action="store_true",
+    sp.add_argument("--normal-approx", dest="mode", action="store_const", const="normal_approx",
+                    default="null_simulation",
                     help="closed-form thresholds from each statistic's asymptotic null law "
                          "instead of null-data simulation; seedless and independent of "
                          "--b-null (T_P and T_MAX are left empty); every law assumes HWE "
@@ -145,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corr", help="mean plug-in correlation triples per scenario")
     _add_common_sim_args(sp)
-    sp.add_argument("--b-power", type=int, default=10_000,
+    sp.add_argument("--b-power", dest="b", type=int, default=10_000,
                     help="replicates per scenario")
 
     sp = sub.add_parser("crosstab", help="matched p-value cross-tabulation")
@@ -204,9 +208,18 @@ def _emit(columns: tuple[str, ...], records, args, header: dict):
                               else str(value) for value in record] for record in records)
 
 
-def _provenance(args, scenarios, **extra) -> dict:
-    return {"version": __version__, "command": args.command,
-            "scenario_hash": scenario_hash(scenarios), "seed": args.seed, **extra}
+def _provenance(args, scenarios=None) -> dict:
+    """The header: version, command, the pack's hash if any, then each option of ``args`` but I/O.
+
+    Text is written entry by entry, each entry stripped, so no value breaks a line.
+    """
+    header = {"version": __version__, "command": args.command}
+    if scenarios is not None:
+        header["scenario_hash"] = scenario_hash(scenarios)
+    for key, value in vars(args).items():
+        if key not in header and key not in IO_DESTS:
+            header[key] = ",".join(x.strip() for x in value.split(",")) if isinstance(value, str) else value
+    return header
 
 
 def cmd_analyze(args) -> int:
@@ -278,10 +291,7 @@ def cmd_analyze(args) -> int:
             for key, value in extra:
                 yield label, key, value, None, None, error
 
-    header = {"version": __version__, "command": "analyze",
-              "sidedness": args.sidedness, "correction": args.correction,
-              "b_perm": args.b_perm, "seed": args.seed}
-    _emit(columns, records(), args, header)
+    _emit(columns, records(), args, _provenance(args))
     all_errored = any(np.isnan(v).all() for v in values.values())  # or no table parsed
     return 1 if len(raws) < len(inputs) or all_errored else 0
 
@@ -290,11 +300,9 @@ def cmd_criticals(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery, args.grid)
     validate_alpha(args.alpha)
-    header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
-                         battery=",".join(battery),
-                         mode="normal_approx" if args.normal_approx else "null_simulation")
     columns = ("scenario", "statistic", "threshold", "se", "b", "seed")
-    b, seed = (None, None) if args.normal_approx else (args.b_null, args.seed)
+    normal_approx = args.mode == "normal_approx"
+    b, seed = (None, None) if normal_approx else (args.b_null, args.seed)
     records = []
     thresholds: dict[tuple, dict[str, float]] = {}  # per distinct null, as in cmd_power
     for scenario in scenarios:
@@ -302,11 +310,11 @@ def cmd_criticals(args) -> int:
         if null.key() not in thresholds:
             thresholds[null.key()] = (
                 _normal_approx_thresholds(null, battery, args.alpha, scenario.label)
-                if args.normal_approx else
+                if normal_approx else
                 estimate_critical_values(null, battery, args.b_null, args.alpha, seed=args.seed).thresholds)
         records.extend((null.label, name, thresholds[null.key()].get(name), None, b, seed)
                        for name in battery)
-    _emit(columns, records, args, header)
+    _emit(columns, records, args, _provenance(args, scenarios))
     return 0
 
 
@@ -332,8 +340,6 @@ def cmd_power(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery, args.grid)
     validate_replicates(args.b_power)  # before the first null run, not after it
-    header = _provenance(args, scenarios, alpha=args.alpha, b_null=args.b_null,
-                         b_power=args.b_power, battery=",".join(battery))
     columns = ("scenario", "statistic", "metric", "rate", "se", "b", "seed")
     criticals: dict[tuple, object] = {}
     for null in (scenario.null_scenario() for scenario in scenarios):
@@ -345,19 +351,18 @@ def cmd_power(args) -> int:
     records = [(scenario.label, name, "size" if scenario.is_null else "power",
                 row.rates[name], row.standard_errors[name], args.b_power, args.seed)
                for scenario, row in zip(scenarios, rows) for name in battery]
-    _emit(columns, records, args, header)
+    _emit(columns, records, args, _provenance(args, scenarios))
     return 1 if any(rate >= 1.0 for row in rows for rate in row.error_rates.values()) else 0
 
 
 def cmd_corr(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    header = _provenance(args, scenarios, b=args.b_power)
     columns = ("scenario", *CorrelationTriple._fields, "failure_rate", "b", "seed")
     records = []
     for scenario in scenarios:
-        mc = mean_correlation_matrix(scenario, args.b_power, seed=args.seed)
-        records.append((scenario.label, *mc.triple, mc.failure_rate, args.b_power, args.seed))
-    _emit(columns, records, args, header)
+        mc = mean_correlation_matrix(scenario, args.b, seed=args.seed)
+        records.append((scenario.label, *mc.triple, mc.failure_rate, args.b, args.seed))
+    _emit(columns, records, args, _provenance(args, scenarios))
     return 0
 
 
@@ -367,15 +372,13 @@ def cmd_crosstab(args) -> int:
     bins = _parse_floats(args.bins, "--bins")
     # bins are closed on the left; the last one holds p = 1
     labels = [f"[{lo:g},{hi:g})" for lo, hi in zip((0.0, *bins), bins)] + [f"[{bins[-1]:g},1]"]
-    header = _provenance(args, scenarios, stat_a=args.stat_a, stat_b=args.stat_b,
-                         b_null=args.b_null, b_reps=args.b_reps, bins=args.bins)
     columns = ("scenario", "row_bin", "col_bin", "count")
     tables = pvalue_crosstab(scenarios, pair, args.b_null, args.b_reps, bins, seed=args.seed)
     records = [(scenario.label, row_label, col_label, int(counts[i, j]))
                for scenario, counts in zip(scenarios, tables)
                for i, row_label in enumerate(labels)
                for j, col_label in enumerate(labels)]
-    _emit(columns, records, args, header)
+    _emit(columns, records, args, _provenance(args, scenarios))
     return 0
 
 
