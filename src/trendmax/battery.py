@@ -32,7 +32,7 @@ import numpy as np
 from .classical import allele_chisq_values, chi2df_values, hwd_values
 from .errors import InputError, MonomorphicSample, TrendmaxError, UnknownStatistic, ZeroMargin, ZeroVariance
 from .robust import DEFAULT_GRID, FAMILY_PAIRS, CorrelationTriple, RobustStatistic, batch_correlations, validate_grid
-from .tables import GenotypeTable
+from .tables import GenotypeTable, cell_array
 from .trend import trend_sums, trend_values
 
 
@@ -175,13 +175,12 @@ def _parts(cells, xs, two_sided: bool) -> _Parts:
 BATCH_ROWS = 5_000
 
 
-def evaluate_tables(tables, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
-    """:func:`evaluate_battery` on a list of tables, one value per table, BATCH_ROWS rows per call."""
-    battery = validate_battery(battery)
-    out = {name: np.empty(len(tables)) for name in battery}
-    for lo in range(0, len(tables), BATCH_ROWS):
-        cells = np.array([table.cells() for table in tables[lo:lo + BATCH_ROWS]])
-        for name, values in evaluate_battery(cells, battery, two_sided).items():
+def evaluate_tables(cells, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
+    """:func:`evaluate_battery` on (N, 6) cells (:func:`~trendmax.tables.cell_array`), BATCH_ROWS rows per call."""
+    cells, battery = cell_array(cells), validate_battery(battery)
+    out = {name: np.empty(len(cells)) for name in battery}
+    for lo in range(0, len(cells), BATCH_ROWS):
+        for name, values in evaluate_battery(cells[lo:lo + BATCH_ROWS], battery, two_sided).items():
             out[name][lo:lo + len(values)] = values
     return out
 
@@ -204,7 +203,7 @@ def _one_table(table: GenotypeTable, name: str, two_sided: bool = True, grid=DEF
     arithmetic; the values are bit-identical to the batch's.
     """
     spec, xs = STATISTICS[name], validate_battery((name,), grid)[name]
-    parts = _parts(table.to_array(), xs, two_sided)
+    parts = _parts(np.array(table.cells()), xs, two_sided)
     value = float(spec.combine(parts, xs))
     if np.isnan(value):
         raise spec.undefined(f"{name} is undefined on {table}")

@@ -89,7 +89,7 @@ from .robust import (
     validate_grid,
 )
 from .scenarios import load_scenarios, scenario_hash
-from .tables import apply_continuity_correction, parse_table_record
+from .tables import GenotypeTable, parse_table_record
 
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 IO_DESTS = frozenset({"scenarios", "table", "input", "format", "out"})  # left out of every header
@@ -242,20 +242,19 @@ def cmd_analyze(args) -> int:
         print("analyze: no input tables (use --table or --input)", file=sys.stderr)
         return 2
 
-    parsed = []
+    labels, rows = [], []
     for label, text in inputs:
         try:
-            parsed.append((label, parse_table_record(text)))
+            rows.append(parse_table_record(text).cells())
+            labels.append(label)
         except TrendmaxError as exc:
             print(f"analyze: {label}: {exc}", file=sys.stderr)
-    raws = [raw for _, raw in parsed]
-    tables = [apply_continuity_correction(raw) for raw in raws] if args.correction == "on" else raws
-    values = evaluate_tables(tables, battery, two_sided)
-    triples = batch_correlations(np.array([table.cells() for table in tables]).reshape(-1, 6))
-    perms = None
-    if args.b_perm:
-        perms = permutation_pvalues(raws, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
-                                    observed=values if tables is raws else None)
+    raw = np.array(rows) if rows else np.empty((0, 6))
+    cells = raw + 0.5 if args.correction == "on" else raw
+    values = evaluate_tables(cells, battery, two_sided)
+    triples = batch_correlations(cells)
+    perms = permutation_pvalues(raw, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
+                                observed=values if cells is raw else None) if args.b_perm else None
 
     columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
     # per statistic: its law, its values and its p-values, one Python float per table
@@ -264,7 +263,7 @@ def cmd_analyze(args) -> int:
     rhos = [rho.tolist() for rho in triples]
 
     def records():
-        for i, ((label, _), table) in enumerate(zip(parsed, tables)):
+        for i, label in enumerate(labels):
             for name, law, column, pvalues in stats:
                 value = column[i]
                 if isnan(value):
@@ -280,7 +279,7 @@ def cmd_analyze(args) -> int:
             triple = CorrelationTriple(*(rho[i] for rho in rhos))
             try:
                 if any(map(isnan, triple)):  # the scalar estimate raises, naming the proportions
-                    triple = estimate_correlations(table.pooled_proportions())
+                    triple = estimate_correlations(GenotypeTable(*cells[i].tolist()).pooled_proportions())
                 choice, note = recommend_robust_test(triple.rho_0_1)
                 extra = [*zip(CorrelationTriple._fields, triple),
                          ("mert_certificate", str(mert_certificate(triple)).lower()),
@@ -293,7 +292,7 @@ def cmd_analyze(args) -> int:
 
     _emit(columns, records(), args, _provenance(args))
     all_errored = any(np.isnan(v).all() for v in values.values())  # or no table parsed
-    return 1 if len(raws) < len(inputs) or all_errored else 0
+    return 1 if len(labels) < len(inputs) or all_errored else 0
 
 
 def cmd_criticals(args) -> int:

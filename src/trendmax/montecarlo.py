@@ -34,12 +34,12 @@ each statistic's counts of exceedances and NaNs. Only the crosstab's
 replicates, the correlations and the cells keep a (k, B) array of k
 values per table (2 statistics, 3 correlations, or 6 cells). Each
 running task adds one chunk and its kernel temporaries. Permutation
-p-values reduce each table's B draws to its distinct rows and their
-multiplicities, and score whole tables' distinct rows in batches of at
-most ``BATCH_ROWS`` rows, drawn batch by batch; each batch counts every
-statistic's weighted exceedances in one pass over a (statistics, rows)
-array. Memory is O(``BATCH_ROWS``) besides one table's draws, whatever
-the number of tables.
+p-values take all margins from one (N, 6) array of counts at once,
+reduce each table's B draws to its distinct rows and multiplicities, and
+score whole tables' distinct rows in batches of at most ``BATCH_ROWS``
+rows, drawn batch by batch; each batch counts every statistic's weighted
+exceedances in one pass over a (statistics, rows) array. Memory is
+O(``BATCH_ROWS``) besides one table's draws, whatever the number of tables.
 
 Quantile convention
 -------------------
@@ -63,9 +63,10 @@ from .battery import BATCH_ROWS, evaluate_battery, evaluate_tables, validate_bat
 from .errors import DegenerateTable, InputError, MismatchedScenario, ScenarioError
 from .robust import CorrelationTriple, batch_correlations
 from .scenarios import Scenario
-from .tables import GenotypeTable
+from .tables import GenotypeTable, cell_array
 
 CHUNK_SIZE = 10_000
+MAX_PERMUTED_TOTAL = 10**9  # numpy's "marginals" hypergeometric sampler needs a table total below it
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -388,17 +389,6 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
 # permutation p-values
 # ---------------------------------------------------------------------------
 
-def _permutation_margins(table: GenotypeTable) -> tuple[list[int], int]:
-    """Column margins and case count of a table that can be permuted."""
-    if not table.is_integral():
-        raise DegenerateTable("permutation requires an integer-valued table")
-    margins = [int(round(m)) for m in (table.n0, table.n1, table.n2)]
-    n_cases = int(round(table.r))
-    if n_cases <= 0 or n_cases >= sum(margins):
-        raise DegenerateTable("both groups must be nonempty for permutation")
-    return margins, n_cases
-
-
 def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A table's b >= 1 permuted case rows from ``default_rng(seed)``: distinct (k, 3) rows, multiplicities.
 
@@ -422,20 +412,22 @@ def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.nd
     return distinct, bounds[1:] - bounds[:-1]
 
 
-def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool = True,
+def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = True,
                         observed=None) -> dict[str, np.ndarray]:
     """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B): an array per statistic.
 
-    Case/control labels are permuted holding the genotype column totals
-    fixed: each table's B case rows are drawn from the multivariate
-    hypergeometric with its own ``default_rng(seed)``. The battery is
-    scored on the same permutations (a matched design), so each p-value
-    equals the one for that statistic alone. Undefined permuted values
-    count as non-exceedances. Each array holds one p-value per table, NaN
-    where the statistic is undefined on the observed table. Before any
-    draw, the first table that cannot be permuted raises its
-    :class:`DegenerateTable`, with `` (table i)`` appended. B = 0 draws
-    nothing and gives p = 1.
+    ``raw`` is (N, 6) cells of counts, any other shape an
+    :class:`InputError`. Case/control labels are permuted holding the
+    genotype column totals fixed: each table's B case rows are drawn from
+    the multivariate hypergeometric with its own ``default_rng(seed)``. The
+    battery is scored on the same permutations (a matched design), so each
+    p-value equals the one for that statistic alone. Undefined permuted
+    values count as non-exceedances. Each array holds one p-value per table,
+    NaN where the statistic is undefined on the observed table; B = 0 draws
+    nothing and gives p = 1. Before any draw, the first table that breaks a
+    rule raises a :class:`DegenerateTable` naming its first broken rule and
+    `` (table i)``: integer cells (to 1e-9, then rounded), no negative
+    count, a total below ``MAX_PERMUTED_TOTAL``, two nonempty groups.
 
     Margins fixed, a table's B draws repeat: each table's distinct permuted
     tables are scored once and their exceedances counted with the number of
@@ -445,56 +437,59 @@ def permutation_pvalues(tables, battery, b: int, *, seed: int, two_sided: bool =
     O(``BATCH_ROWS``) besides one table's B draws. Each batch counts every
     statistic's exceedances in one pass: one (statistics, rows) comparison
     and one sum per table. Every kernel works row by row, so none of this
-    changes a p-value. ``observed`` is the battery on ``tables`` (one row
+    changes a p-value. ``observed`` is the battery on ``raw`` (one row
     each, same battery and sidedness), if the caller has it.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
-    battery = validate_battery(battery)
-    margins = []
-    for i, table in enumerate(tables):
-        try:
-            margins.append(_permutation_margins(table))
-        except DegenerateTable as exc:
-            raise DegenerateTable(f"{exc} (table {i})") from None
+    raw, battery = cell_array(raw), validate_battery(battery)
+    counts = np.rint(np.where(np.isfinite(raw), raw, 0.0))  # each rule on floats, before any integer cast
+    with np.errstate(over="ignore"):  # a total past float range breaks the total rule
+        totals, cases = counts.sum(axis=1), counts[:, :3].sum(axis=1)
+    rules = {"permutation requires an integer-valued table": ~(np.abs(raw - counts) <= 1e-9).all(axis=1),
+             "permutation requires nonnegative counts": (counts < 0).any(axis=1),
+             f"permutation requires a total count below {MAX_PERMUTED_TOTAL:,}": totals >= MAX_PERMUTED_TOTAL,
+             "both groups must be nonempty for permutation": (cases <= 0) | (cases >= totals)}
+    bad = np.flatnonzero(np.any(list(rules.values()), axis=0))
+    if bad.size:  # the first bad table, and the first rule it breaks
+        raise DegenerateTable(f"{next(r for r, broken in rules.items() if broken[bad[0]])} (table {bad[0]})")
+    margins, n_cases = (counts[:, :3] + counts[:, 3:]).astype(np.int64), cases.astype(np.int64)
     if observed is None:
-        observed = evaluate_tables(tables, battery, two_sided)
+        observed = evaluate_tables(raw, battery, two_sided)
     if b == 0:
         return {name: np.where(np.isnan(observed[name]), np.nan, 1.0) for name in battery}
     obs = np.array([observed[name] for name in battery])  # (statistics, tables)
     pvalues = np.empty(obs.shape)
 
-    def score(batch, lo: int) -> None:
-        """Tables lo, lo + 1, ... as (margins, distinct rows, multiplicities), in one call."""
-        hi = lo + len(batch)
-        sizes = [weights.size for _, _, weights in batch]
+    def score(lo: int, hi: int, batch) -> None:
+        """Tables lo, ..., hi - 1, given as (distinct rows, multiplicities), in one call."""
+        sizes = [weights.size for _, weights in batch]
         cells = np.empty((6, sum(sizes)))
-        cells[0:3] = np.concatenate([distinct for _, distinct, _ in batch]).T
-        np.subtract(np.repeat([m for m, _, _ in batch], sizes, axis=0).T, cells[0:3], out=cells[3:6])
+        cells[0:3] = np.concatenate([distinct for distinct, _ in batch]).T
+        np.subtract(np.repeat(margins[lo:hi], sizes, axis=0).T, cells[0:3], out=cells[3:6])
         values = np.array(list(evaluate_battery(cells.T, battery, two_sided).values()))
         # every statistic at once (NaN compares False on either side); the weighted
         # hits overwrite the values, and as whole numbers their float sums are exact
         np.multiply(values >= np.repeat(obs[:, lo:hi], sizes, axis=1),
-                    np.concatenate([weights for _, _, weights in batch]), out=values)
+                    np.concatenate([weights for _, weights in batch]), out=values)
         exceed = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=1)
         pvalues[:, lo:hi] = np.where(np.isnan(obs[:, lo:hi]), np.nan, (1 + exceed) / (1 + b))
 
     batch, rows, lo = [], 0, 0
-    for table_margins, n_cases in margins:
-        distinct, weights = _distinct_case_rows(table_margins, n_cases, b, seed)
+    for hi, (table_margins, table_cases) in enumerate(zip(margins, n_cases.tolist())):
+        distinct, weights = _distinct_case_rows(table_margins, table_cases, b, seed)
         if batch and rows + weights.size > BATCH_ROWS:
-            score(batch, lo)
-            lo += len(batch)
-            batch, rows = [], 0
-        batch.append((table_margins, distinct, weights))
+            score(lo, hi, batch)
+            batch, rows, lo = [], 0, hi
+        batch.append((distinct, weights))
         rows += weights.size
     if batch:
-        score(batch, lo)
+        score(lo, len(margins), batch)
     return dict(zip(battery, pvalues))
 
 
 def permutation_pvalue(table: GenotypeTable, battery, b: int, *, seed: int, two_sided: bool = True,
                        observed=None) -> dict[str, float]:
-    """:func:`permutation_pvalues` of one table; raises its :class:`DegenerateTable`."""
-    pvalues = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided, observed=observed)
+    """:func:`permutation_pvalues` of one table, as a (1, 6) array; raises its :class:`DegenerateTable`."""
+    pvalues = permutation_pvalues([table.cells()], battery, b, seed=seed, two_sided=two_sided, observed=observed)
     return {name: float(p[0]) for name, p in pvalues.items()}

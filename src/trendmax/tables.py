@@ -57,13 +57,6 @@ class GenotypeTable:
     def cells(self) -> tuple[float, ...]:
         return (self.r0, self.r1, self.r2, self.s0, self.s1, self.s2)
 
-    def to_array(self) -> np.ndarray:
-        """Cells as a length-6 float array in order r0, r1, r2, s0, s1, s2."""
-        return np.array(self.cells(), dtype=float)
-
-    def is_integral(self, tol: float = 1e-9) -> bool:
-        return all(abs(c - round(c)) <= tol for c in self.cells())
-
     def pooled_proportions(self) -> tuple[float, float, float]:
         """Genotype proportions n_i / n pooled over cases and controls."""
         n = self.n
@@ -115,3 +108,11 @@ def parse_table_record(text: str) -> GenotypeTable:
             raise InputError(f"field {i + 1} ({f!r}) is not a finite integer count")
         values.append(v)
     return new_genotype_table(*values)
+
+
+def cell_array(cells) -> np.ndarray:
+    """``cells`` as a float array of N >= 0 tables, one row r0 r1 r2 s0 s1 s2 each; never reshaped."""
+    cells = np.asarray(cells, dtype=float)
+    if cells.ndim != 2 or cells.shape[1] != 6:
+        raise InputError(f"expected an (N, 6) array of tables, got shape {cells.shape}")
+    return cells

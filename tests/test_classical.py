@@ -182,7 +182,7 @@ SCALAR_WRAPPERS = {
         "Z1": lambda t: trend_statistic(t, 1.0),
         "CHI2_2DF": chisq_2df,
         "AA": chisq_allele,
-        "HWD": lambda t: float(hwd_values(t.to_array())),
+        "HWD": lambda t: float(hwd_values(np.array(t.cells()))),
         "T_P": product_test,
         "T_MAX": tmax,
     },

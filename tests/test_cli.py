@@ -486,6 +486,12 @@ def test_analyze_reports_a_non_finite_field_and_still_prints_the_other_tables():
         assert "\narg1,MAX3," in out and "\narg0," not in out
 
 
+def test_analyze_rejects_a_table_too_large_to_permute_before_any_output():
+    code, out, err = run_cli(["analyze", "--table", "999999990 1 1 1 1 10", "--b-perm", "10", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == "trendmax analyze: permutation requires a total count below 1,000,000,000 (table 0)\n"
+
+
 def test_csv_provenance_writes_a_missing_value_as_an_empty_value():
     code, out, err = run_cli(["analyze", "--table", "10 20 30 30 20 10"])
     assert code == 0, err

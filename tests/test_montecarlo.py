@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -55,7 +56,7 @@ from trendmax.robust import batch_correlations, max_exceedance, trend_angles, up
 from trendmax.scenarios import load_scenarios
 import trendmax.montecarlo
 from trendmax.cli import UNDEFINED_OBSERVED
-from trendmax.montecarlo import CHUNK_SIZE, _permutation_margins
+from trendmax.montecarlo import CHUNK_SIZE
 from trendmax.tables import parse_table_record
 
 from conftest import assert_bit_identical
@@ -809,7 +810,7 @@ def subset_permutation_oracle(table: GenotypeTable, statistic: str) -> Fraction:
         genotypes.extend([g] * int(count))
     n = len(genotypes)
     r = int(table.r)
-    observed = evaluate_single(table.to_array(), statistic)
+    observed = evaluate_single(table.cells(), statistic)
     total = 0
     exceed = 0
     for case_idx in itertools.combinations(range(n), r):
@@ -841,8 +842,8 @@ def exact_permutation_pvalue(table: GenotypeTable, statistic: str, two_sided=Tru
     The permutation oracle for small tables: undefined permuted values
     count as non-exceedances, as in the Monte Carlo mode.
     """
-    margins, n_cases = _permutation_margins(table)
-    observed = evaluate_single(table.to_array(), statistic, two_sided, grid)
+    margins, n_cases = [int(m) for m in (table.n0, table.n1, table.n2)], int(table.r)
+    observed = evaluate_single(table.cells(), statistic, two_sided, grid)
     if math.isnan(observed):
         raise DegenerateTable(UNDEFINED_OBSERVED.format(statistic))
     n0, n1, n2 = margins
@@ -931,10 +932,13 @@ def test_permutation_battery_agrees_with_exact():
 
 
 def one_table_permutation_pvalues(table, battery, b, seed, two_sided=True):
-    """Reference: one table's own permutations, drawn and scored on their own, row-major."""
+    """Reference: one table's own permutations, drawn and scored on their own, row-major.
+
+    The margins and case count are those of the table rounded to whole counts.
+    """
     observed = evaluate_battery(np.array(table.cells()), battery, two_sided)
-    margins = np.array([table.n0, table.n1, table.n2]).astype(int)
-    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, int(table.r), size=b,
+    margins = np.rint([table.n0, table.n1, table.n2]).astype(int)
+    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, round(table.r), size=b,
                                                                   method="marginals")
     values = evaluate_battery(np.hstack([rows, margins - rows]).astype(float), battery, two_sided)
     return {name: math.nan if math.isnan(observed[name][0])
@@ -956,15 +960,16 @@ def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, 
     battery = validate_battery(battery, grid)
     tables = batch_of_tables(37 if b < 6_000 else 5, seed=b)
     tables[1] = GenotypeTable(10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
-    got = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided)
+    got = permutation_pvalues(np.array([t.cells() for t in tables]), battery, b, seed=41, two_sided=two_sided)
     assert list(got) == list(battery)
     wants = [one_table_permutation_pvalues(table, battery, b, 41, two_sided) for table in tables]
     for name, pvalues in got.items():
         assert pvalues.shape == (len(tables),)
         assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
     assert all(math.isnan(p[1]) for p in got.values())
-    observed = evaluate_tables(tables, battery, two_sided)
-    again = permutation_pvalues(tables, battery, b, seed=41, two_sided=two_sided, observed=observed)
+    observed = evaluate_tables(np.array([t.cells() for t in tables]), battery, two_sided)
+    again = permutation_pvalues(np.array([t.cells() for t in tables]), battery, b, seed=41, two_sided=two_sided,
+                                observed=observed)
     assert list(again) == list(got)
     for name in got:
         assert_bit_identical(again[name], got[name])
@@ -973,6 +978,13 @@ def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, 
 @pytest.mark.parametrize("i, table, message", [
     (0, GenotypeTable(0, 0, 0, 3, 4, 5), "both groups must be nonempty for permutation"),  # no cases
     (2, GenotypeTable(3.5, 1, 2, 3, 4, 5), "permutation requires an integer-valued table"),
+    (1, GenotypeTable(-1, 3, 2, 3, 4, 5), "permutation requires nonnegative counts"),  # its margins are not
+    (0, GenotypeTable(-5, 3, 4, 1, 4, 5), "permutation requires nonnegative counts"),  # a negative margin
+    (2, GenotypeTable(1, 2, math.inf, 3, 4, 5), "permutation requires an integer-valued table"),
+    (1, GenotypeTable(1, 2, 3, math.nan, 4, 5), "permutation requires an integer-valued table"),
+    (0, GenotypeTable(999_999_990, 1, 1, 1, 1, 10), "permutation requires a total count below 1,000,000,000"),
+    (2, GenotypeTable(1e308, 1e308, 0, 1, 1, 1), "permutation requires a total count below 1,000,000,000"),
+    (1, GenotypeTable(-2.5, 0, 0, 0, 0, 0), "permutation requires an integer-valued table"),  # first rule wins
 ])
 def test_an_unpermutable_table_raises_with_its_index_before_any_draw(i, table, message, monkeypatch):
     monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", None)  # nothing may be drawn first
@@ -980,8 +992,80 @@ def test_an_unpermutable_table_raises_with_its_index_before_any_draw(i, table, m
     tables[i] = table
     tables[3] = GenotypeTable(1, 2, 3, 0, 0, 0)  # no controls; only the first bad table is named
     with pytest.raises(DegenerateTable) as raised:
-        permutation_pvalues(tables, DEFAULT_BATTERY, 100, seed=45)
+        permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY, 100, seed=45)
     assert str(raised.value) == f"{message} (table {i})"
+
+
+def first_broken_permutation_rule(cells) -> str | None:
+    """Reference, one table in plain Python: the first permutation rule that ``cells`` breaks, or None."""
+    if not all(math.isfinite(c) and abs(c - round(c)) <= 1e-9 for c in cells):
+        return "permutation requires an integer-valued table"
+    counts = [round(c) for c in cells]
+    if min(counts) < 0:
+        return "permutation requires nonnegative counts"
+    if sum(counts) >= 10**9:
+        return "permutation requires a total count below 1,000,000,000"
+    if not 0 < sum(counts[:3]) < sum(counts):
+        return "both groups must be nonempty for permutation"
+    return None
+
+
+# a cell made odd: off an integer by a half, inside (1e-10) or outside (1e-8) the
+# tolerance, negative, not finite, or large enough to pass the total's limit
+ODD_CELLS = {
+    "half": lambda c: c + 0.5, "+1e-10": lambda c: c + 1e-10, "-1e-10": lambda c: c - 1e-10,
+    "+1e-8": lambda c: c + 1e-8, "-1e-8": lambda c: c - 1e-8, "negative": lambda c: -c - 1.0,
+    "inf": lambda c: math.inf, "nan": lambda c: math.nan, "huge": lambda c: c + 1e9,
+}
+
+
+@st.composite
+def permutation_inputs(draw) -> list[float]:
+    """Six small whole counts, zeros often, with up to three odd cells, and at times a zero case or control row."""
+    cells = [float(c) for c in draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 8, 12]), min_size=6, max_size=6))]
+    for j, odd in draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(sorted(ODD_CELLS))), max_size=3)):
+        cells[j] = ODD_CELLS[odd](cells[j])
+    row = draw(st.sampled_from([None, None, None, 0, 3]))
+    if row is not None:
+        cells[row:row + 3] = [0.0, 0.0, 0.0]
+    return cells
+
+
+@given(st.lists(permutation_inputs(), min_size=1, max_size=3), st.booleans())
+@example([[3.0, 0.0, 2.0, 1.0, 4.0, 5.0 - 1e-10], [-1e-10, 2.0, 2.0, 1.0, 1.0, 1.0]], True)  # both rounded
+@example([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [-3.0, 2.5, 0.0, 0.0, 0.0, 0.0]], False)  # first rule wins
+@example([[1.0, 2.0, 3.0 + 1e-8, 4.0, 5.0, 6.0]], True)
+@example([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1e9 + 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]], True)
+@settings(max_examples=80, deadline=None)
+def test_permutation_rules_and_pvalues_match_a_per_table_reference(tables, two_sided):
+    broken = [(i, rule) for i, rule in enumerate(map(first_broken_permutation_rule, tables)) if rule]
+    if broken:
+        with pytest.raises(DegenerateTable) as raised:
+            permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 50, seed=46, two_sided=two_sided)
+        assert str(raised.value) == "{1} (table {0})".format(*broken[0])
+        return
+    got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 50, seed=46, two_sided=two_sided)
+    for i, cells in enumerate(tables):
+        want = one_table_permutation_pvalues(GenotypeTable(*cells), DEFAULT_BATTERY, 50, 46, two_sided)
+        assert_bit_identical(np.array([got[name][i] for name in DEFAULT_BATTERY]),
+                             np.array([want[name] for name in DEFAULT_BATTERY]))
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 3), (1, 12), (2, 6, 1), (0,)])
+def test_a_batch_of_tables_is_an_n_by_6_array_and_nothing_else(shape):
+    cells = np.ones(shape)  # (4, 3) and (1, 12) hold two tables' worth of cells, but are no batch
+    for call in (lambda: evaluate_tables(cells, DEFAULT_BATTERY),
+                 lambda: permutation_pvalues(cells, DEFAULT_BATTERY, 10, seed=1)):
+        with pytest.raises(InputError, match=re.escape(f"expected an (N, 6) array of tables, got shape {shape}")):
+            call()
+
+
+def test_an_empty_batch_of_tables_gives_empty_arrays():
+    empty = np.empty((0, 6))
+    for result in (evaluate_tables(empty, DEFAULT_BATTERY),
+                   permutation_pvalues(empty, DEFAULT_BATTERY, 10, seed=1)):
+        assert list(result) == list(DEFAULT_BATTERY)
+        assert all(values.shape == (0,) for values in result.values())
 
 
 def count_permuted_rows(monkeypatch) -> list[int]:
@@ -1034,7 +1118,7 @@ def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatc
     assert rows.tolist() == [[5, 0, 0]] and weights.tolist() == [1_000]
     tables = [batch_of_tables(1, seed=48)[0], alike, GenotypeTable(0, 4, 0, 0, 9, 0)]
     calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(tables, ALL_STATISTICS, 1_000, seed=41)
+    got = permutation_pvalues(np.array([t.cells() for t in tables]), ALL_STATISTICS, 1_000, seed=41)
     assert calls == [distinct_permuted_rows(tables[0], 1_000, 41) + 2]
     for i, table in enumerate(tables):
         want = one_table_permutation_pvalues(table, ALL_STATISTICS, 1_000, 41)
@@ -1048,7 +1132,7 @@ def test_a_table_with_more_distinct_rows_than_the_cap_is_scored_alone(monkeypatc
     small = batch_of_tables(2, seed=49)
     tables = [small[0], big, small[1]]
     calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(tables, DEFAULT_BATTERY, 12_000, seed=41)
+    got = permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY, 12_000, seed=41)
     assert calls == [distinct_permuted_rows(table, 12_000, 41) for table in tables]
     assert max(calls) <= 12_000
     for i, table in enumerate(tables):
@@ -1062,7 +1146,7 @@ def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
     tables = batch_of_tables(37, seed=47)
     distinct = [distinct_permuted_rows(table, b, 41) for table in tables]
     calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(tables, DEFAULT_BATTERY, b, seed=41)
+    got = permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY, b, seed=41)
     assert sum(calls) == sum(distinct) < len(tables) * b
     assert all(rows <= max(trendmax.montecarlo.BATCH_ROWS, b) for rows in calls)
     # whole tables in order, a batch closed only when the next table would overflow it
@@ -1081,7 +1165,8 @@ def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
     # 120 tables x 1,000 permutations: 120,000 rows scored at once peaked
     # at 31 MB; batches of 5,000 rows peak near 2 MB, and of 10,000 near 3.9 MB
     tables = batch_of_tables(120, seed=42)
-    peak = traced_peak_mb(lambda: permutation_pvalues(tables, DEFAULT_BATTERY, 1_000, seed=43))
+    peak = traced_peak_mb(lambda: permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY,
+                                                      1_000, seed=43))
     assert peak < 3.0
 
 
