@@ -18,9 +18,10 @@ Subcommands:
 
 Simulation subcommands require an explicit --seed. Every output's header
 is the parsed request, and the run repeats exactly from it and the same
-pack or tables: version, subcommand, the pack's hash, then every option in
-parser order but --scenarios, --table, --input, --format and --out (an
-empty value is an option not given). ``criticals --normal-approx``
+pack or tables: version, subcommand, the hash of the pack or of the raw
+tables in input order (``tables_hash``), then every option in parser
+order but --scenarios, --table, --input, --format and --out (an empty
+value is an option not given). ``criticals --normal-approx``
 draws nothing: each threshold is the upper-alpha point of the statistic's
 asymptotic null law at the pooled genotype proportions (normal, chi-square,
 or the closed form of a maximum of trend statistics), so it does not
@@ -89,7 +90,7 @@ from .robust import (
     validate_grid,
 )
 from .scenarios import load_scenarios, scenario_hash
-from .tables import GenotypeTable, parse_table_record
+from .tables import GenotypeTable, parse_table_record, tables_hash
 
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 IO_DESTS = frozenset({"scenarios", "table", "input", "format", "out"})  # left out of every header
@@ -208,14 +209,12 @@ def _emit(columns: tuple[str, ...], records, args, header: dict):
                               else str(value) for value in record] for record in records)
 
 
-def _provenance(args, scenarios=None) -> dict:
-    """The header: version, command, the pack's hash if any, then each option of ``args`` but I/O.
+def _provenance(args, **input_hash) -> dict:
+    """The header: version, command, the pack's or tables' hash, then each option of ``args`` but I/O.
 
     Text is written entry by entry, each entry stripped, so no value breaks a line.
     """
-    header = {"version": __version__, "command": args.command}
-    if scenarios is not None:
-        header["scenario_hash"] = scenario_hash(scenarios)
+    header = {"version": __version__, "command": args.command, **input_hash}
     for key, value in vars(args).items():
         if key not in header and key not in IO_DESTS:
             header[key] = ",".join(x.strip() for x in value.split(",")) if isinstance(value, str) else value
@@ -242,17 +241,16 @@ def cmd_analyze(args) -> int:
         print("analyze: no input tables (use --table or --input)", file=sys.stderr)
         return 2
 
-    labels, rows = [], []
+    parsed = {}  # label: cells
     for label, text in inputs:
         try:
-            rows.append(parse_table_record(text).cells())
-            labels.append(label)
+            parsed[label] = parse_table_record(text).cells()
         except TrendmaxError as exc:
             print(f"analyze: {label}: {exc}", file=sys.stderr)
-    raw = np.array(rows) if rows else np.empty((0, 6))
+    raw = np.array(list(parsed.values())) if parsed else np.empty((0, 6))
+    header = _provenance(args, tables_hash=tables_hash(raw))  # early: ~5 MB transient on 10,000 tables
     cells = raw + 0.5 if args.correction == "on" else raw
     values = evaluate_tables(cells, battery, two_sided)
-    triples = batch_correlations(cells)
     perms = permutation_pvalues(raw, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
                                 observed=values if cells is raw else None) if args.b_perm else None
 
@@ -260,10 +258,10 @@ def cmd_analyze(args) -> int:
     # per statistic: its law, its values and its p-values, one Python float per table
     stats = [(name, STATISTICS[name].law, values[name].tolist(),
               None if perms is None else perms[name].tolist()) for name in battery]
-    rhos = [rho.tolist() for rho in triples]
+    rhos = [rho.tolist() for rho in batch_correlations(cells)]
 
     def records():
-        for i, label in enumerate(labels):
+        for i, label in enumerate(parsed):
             for name, law, column, pvalues in stats:
                 value = column[i]
                 if isnan(value):
@@ -290,9 +288,9 @@ def cmd_analyze(args) -> int:
             for key, value in extra:
                 yield label, key, value, None, None, error
 
-    _emit(columns, records(), args, _provenance(args))
+    _emit(columns, records(), args, header)
     all_errored = any(np.isnan(v).all() for v in values.values())  # or no table parsed
-    return 1 if len(labels) < len(inputs) or all_errored else 0
+    return 1 if len(parsed) < len(inputs) or all_errored else 0
 
 
 def cmd_criticals(args) -> int:
@@ -313,7 +311,7 @@ def cmd_criticals(args) -> int:
                 estimate_critical_values(null, battery, args.b_null, args.alpha, seed=args.seed).thresholds)
         records.extend((null.label, name, thresholds[null.key()].get(name), None, b, seed)
                        for name in battery)
-    _emit(columns, records, args, _provenance(args, scenarios))
+    _emit(columns, records, args, _provenance(args, scenario_hash=scenario_hash(scenarios)))
     return 0
 
 
@@ -350,7 +348,7 @@ def cmd_power(args) -> int:
     records = [(scenario.label, name, "size" if scenario.is_null else "power",
                 row.rates[name], row.standard_errors[name], args.b_power, args.seed)
                for scenario, row in zip(scenarios, rows) for name in battery]
-    _emit(columns, records, args, _provenance(args, scenarios))
+    _emit(columns, records, args, _provenance(args, scenario_hash=scenario_hash(scenarios)))
     return 1 if any(rate >= 1.0 for row in rows for rate in row.error_rates.values()) else 0
 
 
@@ -361,7 +359,7 @@ def cmd_corr(args) -> int:
     for scenario in scenarios:
         mc = mean_correlation_matrix(scenario, args.b, seed=args.seed)
         records.append((scenario.label, *mc.triple, mc.failure_rate, args.b, args.seed))
-    _emit(columns, records, args, _provenance(args, scenarios))
+    _emit(columns, records, args, _provenance(args, scenario_hash=scenario_hash(scenarios)))
     return 0
 
 
@@ -377,7 +375,7 @@ def cmd_crosstab(args) -> int:
                for scenario, counts in zip(scenarios, tables)
                for i, row_label in enumerate(labels)
                for j, col_label in enumerate(labels)]
-    _emit(columns, records, args, _provenance(args, scenarios))
+    _emit(columns, records, args, _provenance(args, scenario_hash=scenario_hash(scenarios)))
     return 0
 
 

@@ -8,6 +8,8 @@ checks integrality separately.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 
@@ -116,3 +118,8 @@ def cell_array(cells) -> np.ndarray:
     if cells.ndim != 2 or cells.shape[1] != 6:
         raise InputError(f"expected an (N, 6) array of tables, got shape {cells.shape}")
     return cells
+
+
+def tables_hash(cells) -> str:
+    """Stable hash of a batch of tables' cells in order, for output provenance headers."""
+    return hashlib.sha256(json.dumps(cell_array(cells).tolist()).encode()).hexdigest()[:16]

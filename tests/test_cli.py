@@ -36,6 +36,7 @@ from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS
 from trendmax.cli import _emit, build_parser, main
 from trendmax.robust import CorrelationTriple
 from trendmax.scenarios import load_scenarios, scenario_hash
+from trendmax.tables import parse_table_record, tables_hash
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -486,6 +487,20 @@ def test_analyze_reports_a_non_finite_field_and_still_prints_the_other_tables():
         assert "\narg1,MAX3," in out and "\narg0," not in out
 
 
+def test_analyze_tables_hash_names_the_raw_tables_in_order_however_they_are_given(tmp_path, monkeypatch):
+    records = ["10 20 30 30 20 10", "3 0 5 9 2 0"]
+    (tmp_path / "tables.txt").write_text("# two tables\n" + "\n".join(records) + "\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(records)))
+    runs = [["--table", records[0], "--table", records[1]],
+            ["--input", str(tmp_path / "tables.txt"), "--correction", "on"],
+            ["--table", records[0], "--input", "-", "--format", "json"]]
+    hashes = [header_of(run_cli(["analyze", *argv])[1])["tables_hash"] for argv in runs]
+    want = tables_hash(np.array([[10, 20, 30, 30, 20, 10], [3, 0, 5, 9, 2, 0]]))
+    assert hashes == [want, want, tables_hash(np.array([[10, 20, 30, 30, 20, 10]] * 2 + [[3, 0, 5, 9, 2, 0]]))]
+    swapped = header_of(run_cli(["analyze", "--table", records[1], "--table", records[0]])[1])["tables_hash"]
+    assert swapped != want
+
+
 def test_analyze_rejects_a_table_too_large_to_permute_before_any_output():
     code, out, err = run_cli(["analyze", "--table", "999999990 1 1 1 1 10", "--b-perm", "10", "--seed", "1"])
     assert (code, out) == (2, "")
@@ -587,6 +602,14 @@ def header_of(text: str) -> dict[str, str]:
     return dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
 
 
+def requested_tables(requested) -> list:
+    """The tables an ``analyze`` request reads, parsed here: its --table records, then its --input lines."""
+    lines = [*(requested.table or ())]
+    if requested.input:
+        lines += [line.strip() for line in Path(requested.input).read_text(encoding="utf-8").splitlines()]
+    return [parse_table_record(line) for line in lines if line and not line.startswith("#")]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_each_golden_reruns_from_its_own_header(case):
     golden = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
@@ -598,9 +621,13 @@ def test_each_golden_reruns_from_its_own_header(case):
     actions = subparsers.choices[command]._actions
     options = [a for a in actions if a.default is not argparse.SUPPRESS and a.dest not in IO_OPTIONS]
     argv = [command]
+    requested = parser.parse_args(CASES[case])
     if any(a.dest == "scenarios" for a in actions):
         packs = {scenario_hash(load_scenarios(path)): path for path in SCENARIOS.glob("*.json")}
         argv += ["--scenarios", str(packs[header.pop("scenario_hash")])]
+    if any(a.dest == "table" for a in actions):  # the hash of the tables the case reads, in order
+        tables = requested_tables(requested)
+        assert header.pop("tables_hash") == tables_hash(np.array([t.cells() for t in tables]))
     # every option is recorded, in parser order, so none can be left out
     assert list(header) == [a.dest for a in options]
     for action in options:
@@ -609,7 +636,6 @@ def test_each_golden_reruns_from_its_own_header(case):
             argv += [action.option_strings[0]] if value == action.const else []
         elif value != "":
             argv += [action.option_strings[0], value]
-    requested = parser.parse_args(CASES[case])
     for table in getattr(requested, "table", None) or ():
         argv += ["--table", table]
     argv += ["--input", requested.input] if getattr(requested, "input", None) else []
