@@ -113,7 +113,7 @@ def parse_table_record(text: str) -> GenotypeTable:
 
 
 def cell_array(cells) -> np.ndarray:
-    """``cells`` as a float array of N >= 0 tables, one row r0 r1 r2 s0 s1 s2 each; never reshaped."""
+    """``cells`` as an (N, 6) float array, one row r0 r1 r2 s0 s1 s2 per table; other shapes raise, never reshaped."""
     cells = np.asarray(cells, dtype=float)
     if cells.ndim != 2 or cells.shape[1] != 6:
         raise InputError(f"expected an (N, 6) array of tables, got shape {cells.shape}")
