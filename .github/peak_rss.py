@@ -3,9 +3,10 @@
     python .github/peak_rss.py --limit-mb L [--tables N] -- <trendmax args>
 
 With ``--tables N``, N rows of ``default_rng(1).integers(1, 60, size=(N, 6))``
-are written to a temporary file, passed as ``--input``. The exit status is 1
-when the child's peak RSS exceeds L MB; the wall time is printed, not gated.
-Run it with ``src/`` on ``PYTHONPATH``.
+are written to a temporary file, passed as ``--input``. The child runs under
+``-W error::RuntimeWarning``, as the tests do, so a numpy warning from a kernel
+fails it. The exit status is 1 when the child's peak RSS exceeds L MB; the wall
+time is printed, not gated. Run it with ``src/`` on ``PYTHONPATH``.
 """
 
 import argparse
@@ -37,8 +38,8 @@ def main() -> int:
                               for cells in rng.integers(1, 60, size=(args.tables, 6)))
             command += ["--input", path]
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "trendmax.cli", *command], check=True,
-                       stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "trendmax.cli", *command],
+                       check=True, stdout=subprocess.DEVNULL)
         wall = time.perf_counter() - start
     mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     print(f"trendmax {label}: peak RSS {mb:.1f} MB (limit {args.limit_mb:g} MB), "

@@ -72,7 +72,6 @@ from .robust import (
 )
 from .scenarios import Scenario, load_scenarios, parse_scenarios, scenario_hash
 from .tables import (
-    GenotypeTable,
     apply_continuity_correction,
     new_genotype_table,
     parse_table_record,

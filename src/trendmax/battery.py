@@ -5,7 +5,8 @@ scores it combines, its combiner, its asymptotic null law and the
 exception that means "undefined". The battery, the CLI and the scalar API
 (:func:`trend_statistic`, :func:`max3`, :func:`mert_statistic`,
 :func:`chisq_2df`, ...) all read it, so each statistic has exactly one
-numeric implementation. Every scalar function goes through one one-table
+numeric implementation. Every scalar function takes one table as any
+sequence of six cells (r0, r1, r2, s0, s1, s2) and goes through one one-table
 helper; it returns a float (the chi-squares and Z_x) or a
 :class:`~trendmax.robust.RobustStatistic` whose components are the
 registry values the statistic combines.
@@ -23,7 +24,7 @@ composite statistics, which reject for large values either way.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,7 +33,7 @@ import numpy as np
 from .classical import allele_chisq_values, chi2df_values, hwd_values
 from .errors import InputError, MonomorphicSample, TrendmaxError, UnknownStatistic, ZeroMargin, ZeroVariance
 from .robust import DEFAULT_GRID, FAMILY_PAIRS, CorrelationTriple, RobustStatistic, batch_correlations, validate_grid
-from .tables import GenotypeTable, cell_array
+from .tables import cell_array
 from .trend import trend_sums, trend_values
 
 
@@ -196,14 +197,14 @@ def evaluate_single(table_cells, name: str, two_sided: bool = True, grid=DEFAULT
 _Z_NAMES = {spec.scores[0]: name for name, spec in STATISTICS.items() if len(spec.scores or ()) == 1}
 
 
-def _one_table(table: GenotypeTable, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> RobustStatistic:
-    """Statistic ``name`` on one table, with the registry values it combines as components.
+def _one_table(table: Sequence[float], name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> RobustStatistic:
+    """Statistic ``name`` on one table's six cells, with the registry values it combines as components.
 
     The table goes through the kernels as one 1-D row, so they do scalar
     arithmetic; the values are bit-identical to the batch's.
     """
     spec, xs = STATISTICS[name], validate_battery((name,), grid)[name]
-    parts = _parts(np.array(table.cells()), xs, two_sided)
+    parts = _parts(cell_array([table])[0], xs, two_sided)
     value = float(spec.combine(parts, xs))
     if np.isnan(value):
         raise spec.undefined(f"{name} is undefined on {table}")
@@ -215,52 +216,52 @@ def _one_table(table: GenotypeTable, name: str, two_sided: bool = True, grid=DEF
     return RobustStatistic(value, components)
 
 
-def trend_statistic(table: GenotypeTable, x: float) -> float:
+def trend_statistic(table: Sequence[float], x: float) -> float:
     """Signed trend statistic Z_x for one table, scores (0, x, 1) with x in [0, 1]."""
     return _one_table(table, "MAXGRID", False, (x,)).value
 
 
-def mert_statistic(table: GenotypeTable) -> RobustStatistic:
+def mert_statistic(table: Sequence[float]) -> RobustStatistic:
     """Signed MERT of the extreme pair (Z_0, Z_1), at the plug-in correlation from n_i / n."""
     return _one_table(table, "MERT", False)
 
 
-def mert_rec_add(table: GenotypeTable) -> RobustStatistic:
+def mert_rec_add(table: Sequence[float]) -> RobustStatistic:
     """Signed extreme-pair MERT for the restricted recessive-additive family."""
     return _one_table(table, "MERT_REC_ADD", False)
 
 
-def max2(table: GenotypeTable, two_sided: bool = True,
+def max2(table: Sequence[float], two_sided: bool = True,
          pair: tuple[float, float] = (0.0, 1.0)) -> RobustStatistic:
     """Maximum over a pair of trend statistics: (Z_0, Z_1), or (0, 0.5) for rec-add."""
     return _one_table(table, "MAXGRID", two_sided, pair)
 
 
-def max3(table: GenotypeTable, two_sided: bool = True) -> RobustStatistic:
+def max3(table: Sequence[float], two_sided: bool = True) -> RobustStatistic:
     """Maximum over (Z_0, Z_1/2, Z_1)."""
     return _one_table(table, "MAX3", two_sided)
 
 
-def max_grid(table: GenotypeTable, grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
+def max_grid(table: Sequence[float], grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
     """Maximum of (|)Z_x(|) over a score grid, approximating the continuum maximum."""
     return _one_table(table, "MAXGRID", two_sided, grid)
 
 
-def chisq_2df(table: GenotypeTable) -> float:
+def chisq_2df(table: Sequence[float]) -> float:
     """Pearson chi-square over the six genotype cells (2 df)."""
     return _one_table(table, "CHI2_2DF").value
 
 
-def chisq_allele(table: GenotypeTable) -> float:
+def chisq_allele(table: Sequence[float]) -> float:
     """Allele-association chi-square on the collapsed allele table (1 df)."""
     return _one_table(table, "AA").value
 
 
-def product_test(table: GenotypeTable) -> RobustStatistic:
+def product_test(table: Sequence[float]) -> RobustStatistic:
     """Product T_P of the allele-association and HWD chi-squares, with both as components."""
     return _one_table(table, "T_P")
 
 
-def tmax(table: GenotypeTable) -> RobustStatistic:
+def tmax(table: Sequence[float]) -> RobustStatistic:
     """Maximum T_MAX of the allele-association and HWD chi-squares, with both as components."""
     return _one_table(table, "T_MAX")

@@ -90,7 +90,7 @@ from .robust import (
     validate_grid,
 )
 from .scenarios import load_scenarios, scenario_hash
-from .tables import GenotypeTable, parse_table_record, tables_hash
+from .tables import parse_table_record, tables_hash
 
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 IO_DESTS = frozenset({"scenarios", "table", "input", "format", "out"})  # left out of every header
@@ -244,7 +244,7 @@ def cmd_analyze(args) -> int:
     parsed = {}  # label: cells
     for label, text in inputs:
         try:
-            parsed[label] = parse_table_record(text).cells()
+            parsed[label] = parse_table_record(text)
         except TrendmaxError as exc:
             print(f"analyze: {label}: {exc}", file=sys.stderr)
     raw = np.array(list(parsed.values())) if parsed else np.empty((0, 6))
@@ -276,8 +276,9 @@ def cmd_analyze(args) -> int:
                 yield label, name, value, p_asym, p_perm, err
             triple = CorrelationTriple(*(rho[i] for rho in rhos))
             try:
-                if any(map(isnan, triple)):  # the scalar estimate raises, naming the proportions
-                    triple = estimate_correlations(GenotypeTable(*cells[i].tolist()).pooled_proportions())
+                if any(map(isnan, triple)):  # the scalar estimate raises, naming the pooled proportions
+                    margins = cells[i, :3] + cells[i, 3:]
+                    triple = estimate_correlations(margins / margins.sum())
                 choice, note = recommend_robust_test(triple.rho_0_1)
                 extra = [*zip(CorrelationTriple._fields, triple),
                          ("mert_certificate", str(mert_certificate(triple)).lower()),

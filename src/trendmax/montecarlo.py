@@ -26,10 +26,12 @@ bit-identical for a given (scenario, battery, B, seed).
 
 Layout
 ------
-A chunk's (count, 6) cells are the transpose of a C-ordered (6, count)
-buffer, so each cell column is contiguous for the kernels. Every null
-run, for critical values and for the crosstab, keeps each statistic's
-upper tail, O(alpha B) values (:class:`_UpperTails`); a power run keeps
+One table is six cells (r0, r1, r2, s0, s1, s2) and a batch of tables one
+(N, 6) array, as everywhere in the package. A chunk's (count, 6) cells
+are the transpose of a C-ordered (6, count) buffer, so each cell column
+is contiguous for the kernels. Every null run, for critical values and
+for the crosstab, keeps each statistic's upper tail, O(alpha B) values
+(:class:`_UpperTails`); a power run keeps
 each statistic's counts of exceedances and NaNs. Only the crosstab's
 replicates, the correlations and the cells keep a (k, B) array of k
 values per table (2 statistics, 3 correlations, or 6 cells). Each
@@ -63,7 +65,7 @@ from .battery import BATCH_ROWS, evaluate_battery, evaluate_tables, validate_bat
 from .errors import DegenerateTable, InputError, MismatchedScenario, ScenarioError
 from .robust import CorrelationTriple, batch_correlations
 from .scenarios import Scenario
-from .tables import GenotypeTable, cell_array
+from .tables import cell_array
 
 CHUNK_SIZE = 10_000
 MAX_PERMUTED_TOTAL = 10**9  # numpy's "marginals" hypergeometric sampler needs a table total below it
@@ -488,8 +490,8 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     return dict(zip(battery, pvalues))
 
 
-def permutation_pvalue(table: GenotypeTable, battery, b: int, *, seed: int, two_sided: bool = True,
+def permutation_pvalue(table, battery, b: int, *, seed: int, two_sided: bool = True,
                        observed=None) -> dict[str, float]:
-    """:func:`permutation_pvalues` of one table, as a (1, 6) array; raises its :class:`DegenerateTable`."""
-    pvalues = permutation_pvalues([table.cells()], battery, b, seed=seed, two_sided=two_sided, observed=observed)
+    """:func:`permutation_pvalues` of one table's six cells, as a (1, 6) array; raises its :class:`DegenerateTable`."""
+    pvalues = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided, observed=observed)
     return {name: float(p[0]) for name, p in pvalues.items()}

@@ -1,9 +1,11 @@
 """Case-control genotype count tables.
 
 The basic data object is a 2x3 table of genotype counts (NN, NM, MM) for
-cases and controls. Cells are stored as reals so that continuity-corrected
-tables flow through every statistic unchanged; ingestion of raw data
-checks integrality separately.
+cases and controls, held as six cells (r0, r1, r2, s0, s1, s2); a batch of
+N tables is one (N, 6) array (:func:`cell_array`). Cells are reals so that
+continuity-corrected tables flow through every statistic unchanged;
+ingestion of raw data checks integrality separately, and a table's total
+must be below ``MAX_TOTAL``.
 """
 
 from __future__ import annotations
@@ -11,84 +13,46 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyRow, InputError, NegativeCell
 
 
-@dataclass(frozen=True)
-class GenotypeTable:
-    """Genotype counts for cases (r0, r1, r2) and controls (s0, s1, s2).
-
-    Margins are always recomputed from the cells, never stored.
-    """
-
-    r0: float
-    r1: float
-    r2: float
-    s0: float
-    s1: float
-    s2: float
-
-    @property
-    def r(self) -> float:
-        return self.r0 + self.r1 + self.r2
-
-    @property
-    def s(self) -> float:
-        return self.s0 + self.s1 + self.s2
-
-    @property
-    def n0(self) -> float:
-        return self.r0 + self.s0
-
-    @property
-    def n1(self) -> float:
-        return self.r1 + self.s1
-
-    @property
-    def n2(self) -> float:
-        return self.r2 + self.s2
-
-    @property
-    def n(self) -> float:
-        return self.r + self.s
-
-    def cells(self) -> tuple[float, ...]:
-        return (self.r0, self.r1, self.r2, self.s0, self.s1, self.s2)
-
-    def pooled_proportions(self) -> tuple[float, float, float]:
-        """Genotype proportions n_i / n pooled over cases and controls."""
-        n = self.n
-        return (self.n0 / n, self.n1 / n, self.n2 / n)
+# Below this total every cell, margin and +1/2-corrected cell of a table of whole counts is an exact float.
+MAX_TOTAL = 2**51
 
 
-def new_genotype_table(r0, r1, r2, s0, s1, s2) -> GenotypeTable:
-    """Build a validated genotype table from six nonnegative counts."""
-    cells = (r0, r1, r2, s0, s1, s2)
-    for c in cells:
-        c = float(c)
+def new_genotype_table(r0, r1, r2, s0, s1, s2) -> tuple[float, ...]:
+    """Six nonnegative counts as a validated table (r0, r1, r2, s0, s1, s2) of floats."""
+    cells = []
+    for c in (r0, r1, r2, s0, s1, s2):
+        try:
+            c = float(c)
+        except OverflowError:
+            raise InputError("cell value is too large for a float") from None
         if not math.isfinite(c):
             raise InputError(f"cell value {c!r} is not finite")
         if c < 0:
             raise NegativeCell(f"negative cell value {c!r}")
-    if r0 + r1 + r2 <= 0:
+        cells.append(c)
+    if sum(cells[:3]) <= 0:
         raise EmptyRow("case row is entirely zero")
-    if s0 + s1 + s2 <= 0:
+    if sum(cells[3:]) <= 0:
         raise EmptyRow("control row is entirely zero")
-    return GenotypeTable(*(float(c) for c in cells))
+    if (total := sum(cells)) >= MAX_TOTAL:
+        raise InputError(f"table total {total:g} is not below 2**51 ({MAX_TOTAL:,})")
+    return tuple(cells)
 
 
-def apply_continuity_correction(table: GenotypeTable, delta: float = 0.5) -> GenotypeTable:
-    """Add ``delta`` to every cell; margins follow automatically."""
+def apply_continuity_correction(table, delta: float = 0.5) -> tuple[float, ...]:
+    """Add ``delta`` to each of the table's six cells; margins follow automatically."""
     if delta < 0:
         raise InputError("correction delta must be nonnegative")
-    return GenotypeTable(*(c + delta for c in table.cells()))
+    return tuple((cell_array([table])[0] + delta).tolist())
 
 
-def parse_table_record(text: str) -> GenotypeTable:
+def parse_table_record(text: str) -> tuple[float, ...]:
     """Parse one record of six nonnegative integers: r0 r1 r2 s0 s1 s2.
 
     Fields may be separated by commas or whitespace. Raw ingested tables

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from trendmax import GenotypeTable
-
 
 @pytest.fixture
-def worked_table() -> GenotypeTable:
+def worked_table() -> tuple[float, ...]:
     """The symmetric regression table used across the suite."""
-    return GenotypeTable(10, 20, 30, 30, 20, 10)
+    return (10, 20, 30, 30, 20, 10)
 
 
 def assert_bit_identical(got, want) -> None:

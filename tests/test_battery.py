@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import trendmax.battery
 from trendmax import (
-    GenotypeTable,
     InputError,
     MonomorphicSample,
     ZeroMargin,
@@ -135,11 +134,17 @@ def test_shared_kernels_run_once_and_are_looked_up_on_the_module(monkeypatch):
 
 
 @pytest.mark.parametrize("fn, table, error", [
-    (max3, GenotypeTable(3, 4, 5, 0, 0, 0), ZeroVariance),
-    (mert_rec_add, GenotypeTable(0, 4, 5, 0, 3, 2), ZeroVariance),
-    (chisq_2df, GenotypeTable(1, 2, 0, 3, 4, 0), ZeroMargin),
-    (tmax, GenotypeTable(0, 0, 9, 3, 4, 5), MonomorphicSample),
+    (max3, (3, 4, 5, 0, 0, 0), ZeroVariance),
+    (mert_rec_add, (0, 4, 5, 0, 3, 2), ZeroVariance),
+    (chisq_2df, (1, 2, 0, 3, 4, 0), ZeroMargin),
+    (tmax, (0, 0, 9, 3, 4, 5), MonomorphicSample),
+    # a table is any six cells: a tuple of floats, a list, a 1-D array
+    (max3, (3.0, 4.0, 5.0, 0.0, 0.0, 0.0), ZeroVariance),
+    (mert_rec_add, [0, 4, 5, 0, 3, 2], ZeroVariance),
+    (chisq_2df, np.array([1.0, 2.0, 0.0, 3.0, 4.0, 0.0]), ZeroMargin),
+    (tmax, (0, 0, 9, 3, 4), InputError),  # five cells are no table
 ])
 def test_scalar_api_raises_the_registry_exception_where_undefined(fn, table, error):
-    with pytest.raises(error, match="is undefined on"):
+    message = r"expected an \(N, 6\) array of tables" if error is InputError else "is undefined on"
+    with pytest.raises(error, match=message):
         fn(table)

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trendmax import (
-    GenotypeTable,
     MonomorphicSample,
     ZeroMargin,
     ZeroVariance,
@@ -26,11 +25,12 @@ from trendmax.robust import CorrelationTriple, batch_correlations
 from conftest import assert_bit_identical, random_tables
 
 
-def pearson_2x2_oracle(table: GenotypeTable) -> float:
-    """Brute-force Pearson chi-square on the collapsed allele table."""
+def pearson_2x2_oracle(table) -> float:
+    """Brute-force Pearson chi-square on the collapsed allele table of six cells r0 r1 r2 s0 s1 s2."""
     # two alleles per individual: NN gives two N, NM one of each, MM two M
-    obs = np.array([[2 * table.r0 + table.r1, table.r1 + 2 * table.r2],
-                    [2 * table.s0 + table.s1, table.s1 + 2 * table.s2]])
+    r0, r1, r2, s0, s1, s2 = table
+    obs = np.array([[2 * r0 + r1, r1 + 2 * r2],
+                    [2 * s0 + s1, s1 + 2 * s2]])
     rows = obs.sum(axis=1, keepdims=True)
     cols = obs.sum(axis=0, keepdims=True)
     exp = rows * cols / obs.sum()
@@ -82,17 +82,17 @@ def test_chisq_2df_worked_example(worked_table):
 
 
 def test_chisq_2df_zero_on_identical_rows():
-    assert chisq_2df(GenotypeTable(5, 6, 7, 5, 6, 7)) == pytest.approx(0.0)
+    assert chisq_2df((5, 6, 7, 5, 6, 7)) == pytest.approx(0.0)
 
 
 def test_chisq_2df_scales_linearly(worked_table):
-    doubled = GenotypeTable(*(2 * c for c in worked_table.cells()))
+    doubled = tuple(2 * c for c in worked_table)
     assert chisq_2df(doubled) == pytest.approx(2 * chisq_2df(worked_table))
 
 
 def test_chisq_2df_zero_margin():
     with pytest.raises(ZeroMargin):
-        chisq_2df(GenotypeTable(1, 2, 0, 3, 4, 0))
+        chisq_2df((1, 2, 0, 3, 4, 0))
 
 
 def test_chisq_allele_worked_example(worked_table):
@@ -100,11 +100,11 @@ def test_chisq_allele_worked_example(worked_table):
 
 
 def test_chisq_allele_zero_on_identical_rows():
-    assert chisq_allele(GenotypeTable(5, 6, 7, 5, 6, 7)) == pytest.approx(0.0)
+    assert chisq_allele((5, 6, 7, 5, 6, 7)) == pytest.approx(0.0)
 
 
 def test_chisq_allele_scales_linearly(worked_table):
-    doubled = GenotypeTable(*(2 * c for c in worked_table.cells()))
+    doubled = tuple(2 * c for c in worked_table)
     assert chisq_allele(doubled) == pytest.approx(2 * chisq_allele(worked_table))
 
 
@@ -112,9 +112,8 @@ def test_chisq_allele_matches_bruteforce_pearson():
     cells = random_tables(1000, seed=301)
     batch = allele_chisq_values(cells)
     for row, expected in zip(cells[:250], batch[:250]):
-        t = GenotypeTable(*row)
-        assert chisq_allele(t) == pytest.approx(pearson_2x2_oracle(t), abs=1e-10)
-        assert expected == pytest.approx(pearson_2x2_oracle(t), abs=1e-10)
+        assert chisq_allele(row) == pytest.approx(pearson_2x2_oracle(row), abs=1e-10)
+        assert expected == pytest.approx(pearson_2x2_oracle(row), abs=1e-10)
 
 
 def hwd(case_row) -> float:
@@ -134,7 +133,7 @@ def test_chisq_hwd_monomorphic():
     assert np.isnan(hwd((0, 0, 60))) and np.isnan(hwd((60, 0, 0)))
     assert STATISTICS["HWD"].undefined is MonomorphicSample
     with pytest.raises(MonomorphicSample):
-        tmax(GenotypeTable(0, 0, 60, 20, 20, 20))
+        tmax((0, 0, 60, 20, 20, 20))
 
 
 def test_chisq_hwd_zero_iff_hwe_identity():
@@ -182,7 +181,7 @@ SCALAR_WRAPPERS = {
         "Z1": lambda t: trend_statistic(t, 1.0),
         "CHI2_2DF": chisq_2df,
         "AA": chisq_allele,
-        "HWD": lambda t: float(hwd_values(np.array(t.cells()))),
+        "HWD": lambda t: float(hwd_values(np.array(t))),
         "T_P": product_test,
         "T_MAX": tmax,
     },
@@ -199,12 +198,11 @@ def test_scalar_composites_bit_identical_to_batch():
     cells[rng.random((10_000, 6)) < 0.05] = 0.0
     assert np.count_nonzero(cells[:, 1] + cells[:, 4] == 0) > 10
     assert_bit_identical(evaluate_battery(cells, ("HWD",))["HWD"], hwd_values(cells[:, :3]))
-    tables = [GenotypeTable(*row) for row in cells]
     for two_sided, wrappers in SCALAR_WRAPPERS.items():
         batch = evaluate_battery(cells, validate_battery(ALL_STATISTICS, GRID), two_sided)
         for name, fn in wrappers.items():
             assert np.isnan(batch[name]).any() and not np.isnan(batch[name]).all(), name
-            scalar = np.array([scalar_or_nan(fn, t) for t in tables])
+            scalar = np.array([scalar_or_nan(fn, t) for t in cells])
             assert np.array_equal(scalar, batch[name], equal_nan=True), f"{name}, two_sided={two_sided}"
             assert_bit_identical(scalar, batch[name])
 
@@ -225,10 +223,9 @@ def test_scalar_components_are_bit_identical_to_the_registry_values_they_name():
                mert_statistic, mert_rec_add, product_test, tmax)
     seen = set()
     for i, row in enumerate(cells):
-        t = GenotypeTable(*row)
         for fn in scalars:
             try:
-                components = fn(t).components
+                components = fn(row).components
             except (ZeroVariance, MonomorphicSample):
                 continue
             for name, got in components.items():
@@ -237,7 +234,7 @@ def test_scalar_components_are_bit_identical_to_the_registry_values_they_name():
                 elif name in RHO_NAMES:
                     want = rhos[RHO_NAMES.index(name)][i]
                 else:
-                    want = trend_statistic(t, Z_SCORES[name] if name in Z_SCORES else float(name[2:]))
+                    want = trend_statistic(row, Z_SCORES[name] if name in Z_SCORES else float(name[2:]))
                 seen.add(name)
                 assert got == want and np.signbit(got) == np.signbit(want), (name, row)
     assert seen == {*Z_SCORES, "Z@0.2", "Z@0.7", "AA", "HWD", "rho_0_half", "rho_0_1"}
@@ -253,12 +250,12 @@ def test_composites_worked_example(worked_table):
 
 def test_product_zero_when_cases_in_hwe():
     # cases exactly at HWE, controls far off: the HWD factor kills T_P
-    t = GenotypeTable(25, 50, 25, 60, 20, 20)
+    t = (25, 50, 25, 60, 20, 20)
     assert product_test(t).value == pytest.approx(0.0, abs=1e-12)
     assert chisq_allele(t) > 0
 
 
 def test_composites_zero_for_identical_hwe_rows():
-    t = GenotypeTable(25, 50, 25, 25, 50, 25)
+    t = (25, 50, 25, 25, 50, 25)
     assert product_test(t).value == pytest.approx(0.0, abs=1e-12)
     assert tmax(t).value == pytest.approx(0.0, abs=1e-12)

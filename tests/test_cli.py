@@ -25,6 +25,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -487,6 +488,16 @@ def test_analyze_reports_a_non_finite_field_and_still_prints_the_other_tables():
         assert "\narg1,MAX3," in out and "\narg0," not in out
 
 
+def test_analyze_reports_a_table_total_past_the_count_bound_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["analyze", "--table", "1e308 1e308 0 1 1 1",
+                                  "--table", "10 20 30 30 20 10"])
+    assert code == 1
+    assert err == "analyze: arg0: table total inf is not below 2**51 (2,251,799,813,685,248)\n"
+    assert "\narg1,MAX3," in out and "\narg0," not in out
+
+
 def test_analyze_tables_hash_names_the_raw_tables_in_order_however_they_are_given(tmp_path, monkeypatch):
     records = ["10 20 30 30 20 10", "3 0 5 9 2 0"]
     (tmp_path / "tables.txt").write_text("# two tables\n" + "\n".join(records) + "\n")
@@ -627,7 +638,7 @@ def test_each_golden_reruns_from_its_own_header(case):
         argv += ["--scenarios", str(packs[header.pop("scenario_hash")])]
     if any(a.dest == "table" for a in actions):  # the hash of the tables the case reads, in order
         tables = requested_tables(requested)
-        assert header.pop("tables_hash") == tables_hash(np.array([t.cells() for t in tables]))
+        assert header.pop("tables_hash") == tables_hash(np.array(tables))
     # every option is recorded, in parser order, so none can be left out
     assert list(header) == [a.dest for a in options]
     for action in options:

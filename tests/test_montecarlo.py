@@ -19,7 +19,6 @@ from scipy import stats as spstats
 from scipy.special import chdtri, ndtr, ndtri, owens_t
 
 from trendmax import (
-    GenotypeTable,
     MismatchedScenario,
     PenetranceModel,
     Scenario,
@@ -803,21 +802,26 @@ def test_crosstab_counts_equal_the_whole_sample_reference(case, bins, b_null):
 # permutation p-values
 # ---------------------------------------------------------------------------
 
-def subset_permutation_oracle(table: GenotypeTable, statistic: str) -> Fraction:
+def column_margins(table) -> list:
+    """The genotype totals n0, n1, n2 of six cells r0 r1 r2 s0 s1 s2."""
+    return [table[i] + table[i + 3] for i in range(3)]
+
+
+def subset_permutation_oracle(table, statistic: str) -> Fraction:
     """Exhaustive label permutation over C(n, r) case subsets."""
     genotypes = []
-    for g, count in enumerate((table.n0, table.n1, table.n2)):
+    for g, count in enumerate(column_margins(table)):
         genotypes.extend([g] * int(count))
     n = len(genotypes)
-    r = int(table.r)
-    observed = evaluate_single(table.cells(), statistic)
+    r = int(sum(table[:3]))
+    observed = evaluate_single(table, statistic)
     total = 0
     exceed = 0
     for case_idx in itertools.combinations(range(n), r):
         row = [0, 0, 0]
         for i in case_idx:
             row[genotypes[i]] += 1
-        ctrl = [int(m) - c for m, c in zip((table.n0, table.n1, table.n2), row)]
+        ctrl = [int(m) - c for m, c in zip(column_margins(table), row)]
         value = evaluate_single(np.array(row + ctrl, dtype=float), statistic)
         total += 1
         if not math.isnan(value) and value >= observed:
@@ -835,15 +839,15 @@ def permuted_cells(case_rows, margins, out: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def exact_permutation_pvalue(table: GenotypeTable, statistic: str, two_sided=True,
+def exact_permutation_pvalue(table, statistic: str, two_sided=True,
                              grid=DEFAULT_GRID) -> Fraction:
     """Exact permutation p-value P(statistic >= observed), by enumerating the hypergeometric support.
 
     The permutation oracle for small tables: undefined permuted values
     count as non-exceedances, as in the Monte Carlo mode.
     """
-    margins, n_cases = [int(m) for m in (table.n0, table.n1, table.n2)], int(table.r)
-    observed = evaluate_single(table.cells(), statistic, two_sided, grid)
+    margins, n_cases = [int(m) for m in column_margins(table)], int(sum(table[:3]))
+    observed = evaluate_single(table, statistic, two_sided, grid)
     if math.isnan(observed):
         raise DegenerateTable(UNDEFINED_OBSERVED.format(statistic))
     n0, n1, n2 = margins
@@ -859,16 +863,16 @@ def exact_permutation_pvalue(table: GenotypeTable, statistic: str, two_sided=Tru
 @pytest.mark.parametrize("statistic", ["Z_HALF", "CHI2_2DF", "T_MAX", "MAX3"])
 def test_exact_permutation_matches_subset_enumeration(statistic):
     tables = [
-        GenotypeTable(1, 2, 3, 3, 2, 1),
-        GenotypeTable(2, 1, 2, 1, 3, 2),
-        GenotypeTable(0, 3, 2, 3, 1, 2),
+        (1, 2, 3, 3, 2, 1),
+        (2, 1, 2, 1, 3, 2),
+        (0, 3, 2, 3, 1, 2),
     ]
     for t in tables:
         assert exact_permutation_pvalue(t, statistic) == subset_permutation_oracle(t, statistic)
 
 
 def test_permutation_identical_rows_pvalue_near_one():
-    t = GenotypeTable(5, 10, 5, 5, 10, 5)
+    t = (5, 10, 5, 5, 10, 5)
     p = permutation_pvalue(t, ("CHI2_2DF",), 2_000, seed=30)["CHI2_2DF"]
     assert p > 0.9
 
@@ -883,7 +887,7 @@ def test_permutation_extreme_table_small_pvalue(worked_table):
 
 
 def test_permutation_monte_carlo_agrees_with_exact():
-    t = GenotypeTable(1, 2, 3, 3, 2, 1)
+    t = (1, 2, 3, 3, 2, 1)
     exact = float(exact_permutation_pvalue(t, "CHI2_2DF"))
     b = 20_000
     approx = permutation_pvalue(t, ("CHI2_2DF",), b, seed=33)["CHI2_2DF"]
@@ -891,12 +895,12 @@ def test_permutation_monte_carlo_agrees_with_exact():
 
 
 def test_permutation_requires_integer_table():
-    t = GenotypeTable(1.5, 2.5, 3.5, 3.5, 2.5, 1.5)
+    t = (1.5, 2.5, 3.5, 3.5, 2.5, 1.5)
     with pytest.raises(DegenerateTable):
         permutation_pvalue(t, ("CHI2_2DF",), 100, seed=34)
 
 
-def golden_tables() -> list[GenotypeTable]:
+def golden_tables() -> list[tuple[float, ...]]:
     lines = (GOLDEN / "tables.txt").read_text(encoding="utf-8").splitlines()
     return [parse_table_record(line) for line in lines if not line.startswith("#")]
 
@@ -914,7 +918,7 @@ def test_permutation_statistic_alone_equals_statistic_in_battery(seed, two_sided
 
 
 def test_permutation_undefined_observed_statistic_is_nan():
-    t = GenotypeTable(10, 0, 0, 5, 0, 0)  # monomorphic: every statistic undefined
+    t = (10, 0, 0, 5, 0, 0)  # monomorphic: every statistic undefined
     p = permutation_pvalue(t, ALL_STATISTICS, 100, seed=39)
     assert list(p) == list(ALL_STATISTICS)
     assert all(math.isnan(v) for v in p.values())
@@ -923,7 +927,7 @@ def test_permutation_undefined_observed_statistic_is_nan():
 
 
 def test_permutation_battery_agrees_with_exact():
-    t = GenotypeTable(2, 3, 4, 5, 3, 1)
+    t = (2, 3, 4, 5, 3, 1)
     b = 20_000
     approx = permutation_pvalue(t, ALL_STATISTICS, b, seed=40)
     for name in ALL_STATISTICS:
@@ -936,18 +940,18 @@ def one_table_permutation_pvalues(table, battery, b, seed, two_sided=True):
 
     The margins and case count are those of the table rounded to whole counts.
     """
-    observed = evaluate_battery(np.array(table.cells()), battery, two_sided)
-    margins = np.rint([table.n0, table.n1, table.n2]).astype(int)
-    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, round(table.r), size=b,
+    observed = evaluate_battery(np.array(table), battery, two_sided)
+    margins = np.rint(column_margins(table)).astype(int)
+    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, round(sum(table[:3])), size=b,
                                                                   method="marginals")
     values = evaluate_battery(np.hstack([rows, margins - rows]).astype(float), battery, two_sided)
     return {name: math.nan if math.isnan(observed[name][0])
             else (1 + int(np.sum(values[name] >= observed[name][0]))) / (1 + b) for name in battery}
 
 
-def batch_of_tables(count: int, seed: int) -> list[GenotypeTable]:
+def batch_of_tables(count: int, seed: int) -> list[tuple[float, ...]]:
     rng = np.random.default_rng(seed)
-    return [GenotypeTable(*(float(c) for c in rng.integers(0, 60, size=6))) for _ in range(count)]
+    return [tuple(float(c) for c in rng.integers(0, 60, size=6)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("b, two_sided, battery, grid", [
@@ -959,16 +963,16 @@ def batch_of_tables(count: int, seed: int) -> list[GenotypeTable]:
 def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery, grid):
     battery = validate_battery(battery, grid)
     tables = batch_of_tables(37 if b < 6_000 else 5, seed=b)
-    tables[1] = GenotypeTable(10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
-    got = permutation_pvalues(np.array([t.cells() for t in tables]), battery, b, seed=41, two_sided=two_sided)
+    tables[1] = (10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
+    got = permutation_pvalues(np.array(tables), battery, b, seed=41, two_sided=two_sided)
     assert list(got) == list(battery)
     wants = [one_table_permutation_pvalues(table, battery, b, 41, two_sided) for table in tables]
     for name, pvalues in got.items():
         assert pvalues.shape == (len(tables),)
         assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
     assert all(math.isnan(p[1]) for p in got.values())
-    observed = evaluate_tables(np.array([t.cells() for t in tables]), battery, two_sided)
-    again = permutation_pvalues(np.array([t.cells() for t in tables]), battery, b, seed=41, two_sided=two_sided,
+    observed = evaluate_tables(np.array(tables), battery, two_sided)
+    again = permutation_pvalues(np.array(tables), battery, b, seed=41, two_sided=two_sided,
                                 observed=observed)
     assert list(again) == list(got)
     for name in got:
@@ -976,23 +980,23 @@ def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, 
 
 
 @pytest.mark.parametrize("i, table, message", [
-    (0, GenotypeTable(0, 0, 0, 3, 4, 5), "both groups must be nonempty for permutation"),  # no cases
-    (2, GenotypeTable(3.5, 1, 2, 3, 4, 5), "permutation requires an integer-valued table"),
-    (1, GenotypeTable(-1, 3, 2, 3, 4, 5), "permutation requires nonnegative counts"),  # its margins are not
-    (0, GenotypeTable(-5, 3, 4, 1, 4, 5), "permutation requires nonnegative counts"),  # a negative margin
-    (2, GenotypeTable(1, 2, math.inf, 3, 4, 5), "permutation requires an integer-valued table"),
-    (1, GenotypeTable(1, 2, 3, math.nan, 4, 5), "permutation requires an integer-valued table"),
-    (0, GenotypeTable(999_999_990, 1, 1, 1, 1, 10), "permutation requires a total count below 1,000,000,000"),
-    (2, GenotypeTable(1e308, 1e308, 0, 1, 1, 1), "permutation requires a total count below 1,000,000,000"),
-    (1, GenotypeTable(-2.5, 0, 0, 0, 0, 0), "permutation requires an integer-valued table"),  # first rule wins
+    (0, (0, 0, 0, 3, 4, 5), "both groups must be nonempty for permutation"),  # no cases
+    (2, (3.5, 1, 2, 3, 4, 5), "permutation requires an integer-valued table"),
+    (1, (-1, 3, 2, 3, 4, 5), "permutation requires nonnegative counts"),  # its margins are not
+    (0, (-5, 3, 4, 1, 4, 5), "permutation requires nonnegative counts"),  # a negative margin
+    (2, (1, 2, math.inf, 3, 4, 5), "permutation requires an integer-valued table"),
+    (1, (1, 2, 3, math.nan, 4, 5), "permutation requires an integer-valued table"),
+    (0, (999_999_990, 1, 1, 1, 1, 10), "permutation requires a total count below 1,000,000,000"),
+    (2, (1e308, 1e308, 0, 1, 1, 1), "permutation requires a total count below 1,000,000,000"),
+    (1, (-2.5, 0, 0, 0, 0, 0), "permutation requires an integer-valued table"),  # first rule wins
 ])
 def test_an_unpermutable_table_raises_with_its_index_before_any_draw(i, table, message, monkeypatch):
     monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", None)  # nothing may be drawn first
     tables = batch_of_tables(4, seed=44)
     tables[i] = table
-    tables[3] = GenotypeTable(1, 2, 3, 0, 0, 0)  # no controls; only the first bad table is named
+    tables[3] = (1, 2, 3, 0, 0, 0)  # no controls; only the first bad table is named
     with pytest.raises(DegenerateTable) as raised:
-        permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY, 100, seed=45)
+        permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 100, seed=45)
     assert str(raised.value) == f"{message} (table {i})"
 
 
@@ -1046,7 +1050,7 @@ def test_permutation_rules_and_pvalues_match_a_per_table_reference(tables, two_s
         return
     got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 50, seed=46, two_sided=two_sided)
     for i, cells in enumerate(tables):
-        want = one_table_permutation_pvalues(GenotypeTable(*cells), DEFAULT_BATTERY, 50, 46, two_sided)
+        want = one_table_permutation_pvalues(cells, DEFAULT_BATTERY, 50, 46, two_sided)
         assert_bit_identical(np.array([got[name][i] for name in DEFAULT_BATTERY]),
                              np.array([want[name] for name in DEFAULT_BATTERY]))
 
@@ -1083,8 +1087,8 @@ def count_permuted_rows(monkeypatch) -> list[int]:
 
 def distinct_permuted_rows(table, b, seed) -> int:
     """Distinct case rows among a table's b draws from ``default_rng(seed)``, by np.unique."""
-    margins = np.array([table.n0, table.n1, table.n2]).astype(int)
-    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, int(table.r), size=b,
+    margins = np.array(column_margins(table)).astype(int)
+    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, int(sum(table[:3])), size=b,
                                                                   method="marginals")
     return len(np.unique(rows, axis=0))
 
@@ -1113,12 +1117,12 @@ def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases
 
 def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatch):
     # margins (12, 0, 0): every permutation gives the observed table back
-    alike = GenotypeTable(5, 0, 0, 7, 0, 0)
+    alike = (5, 0, 0, 7, 0, 0)
     rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, 41)
     assert rows.tolist() == [[5, 0, 0]] and weights.tolist() == [1_000]
-    tables = [batch_of_tables(1, seed=48)[0], alike, GenotypeTable(0, 4, 0, 0, 9, 0)]
+    tables = [batch_of_tables(1, seed=48)[0], alike, (0, 4, 0, 0, 9, 0)]
     calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(np.array([t.cells() for t in tables]), ALL_STATISTICS, 1_000, seed=41)
+    got = permutation_pvalues(np.array(tables), ALL_STATISTICS, 1_000, seed=41)
     assert calls == [distinct_permuted_rows(tables[0], 1_000, 41) + 2]
     for i, table in enumerate(tables):
         want = one_table_permutation_pvalues(table, ALL_STATISTICS, 1_000, 41)
@@ -1127,12 +1131,12 @@ def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatc
 
 
 def test_a_table_with_more_distinct_rows_than_the_cap_is_scored_alone(monkeypatch):
-    big = GenotypeTable(2000, 2000, 2000, 2000, 2000, 2000)
+    big = (2000, 2000, 2000, 2000, 2000, 2000)
     assert distinct_permuted_rows(big, 12_000, 41) == 6_479 > trendmax.montecarlo.BATCH_ROWS
     small = batch_of_tables(2, seed=49)
     tables = [small[0], big, small[1]]
     calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY, 12_000, seed=41)
+    got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 12_000, seed=41)
     assert calls == [distinct_permuted_rows(table, 12_000, 41) for table in tables]
     assert max(calls) <= 12_000
     for i, table in enumerate(tables):
@@ -1146,7 +1150,7 @@ def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
     tables = batch_of_tables(37, seed=47)
     distinct = [distinct_permuted_rows(table, b, 41) for table in tables]
     calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY, b, seed=41)
+    got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
     assert sum(calls) == sum(distinct) < len(tables) * b
     assert all(rows <= max(trendmax.montecarlo.BATCH_ROWS, b) for rows in calls)
     # whole tables in order, a batch closed only when the next table would overflow it
@@ -1165,7 +1169,7 @@ def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
     # 120 tables x 1,000 permutations: 120,000 rows scored at once peaked
     # at 31 MB; batches of 5,000 rows peak near 2 MB, and of 10,000 near 3.9 MB
     tables = batch_of_tables(120, seed=42)
-    peak = traced_peak_mb(lambda: permutation_pvalues(np.array([t.cells() for t in tables]), DEFAULT_BATTERY,
+    peak = traced_peak_mb(lambda: permutation_pvalues(np.array(tables), DEFAULT_BATTERY,
                                                       1_000, seed=43))
     assert peak < 3.0
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from trendmax import (
     CorrelationTriple,
     DegenerateProportions,
-    GenotypeTable,
     ZeroVariance,
     estimate_correlations,
     max2,
@@ -27,6 +26,12 @@ from trendmax.scenarios import Scenario
 from conftest import random_interior_simplex, random_tables
 
 SQRT23 = np.sqrt(2.0 / 3.0)
+
+
+def pooled_proportions(table) -> tuple[float, float, float]:
+    """Genotype proportions n_i / n of six cells r0 r1 r2 s0 s1 s2, pooled over cases and controls."""
+    n = sum(table)
+    return tuple((table[i] + table[i + 3]) / n for i in range(3))
 
 
 def test_correlations_symmetric_point():
@@ -125,7 +130,7 @@ def test_certificate_holds_on_every_estimable_table():
         assert np.all(mert_certificate(CorrelationTriple(r0h, r01, rh1)))
         # the scalar path that analyze takes, on the tables whose triple exists
         for row in cells[ok][:500]:
-            triple = estimate_correlations(GenotypeTable(*row).pooled_proportions())
+            triple = estimate_correlations(pooled_proportions(row))
             assert mert_certificate(triple) is True
 
 
@@ -133,12 +138,12 @@ def test_mert_pair_values(worked_table):
     # (Z_0 + Z_1) / sqrt(2 (1 + rho_0_1)) with Z_0 = Z_1 = 3.8730 and rho_0_1 = 0.5
     assert mert_statistic(worked_table).value == pytest.approx(4.4721, abs=1e-4)
     # no heterozygotes: Z_0 = Z_1 and rho_0_1 = 1, so the MERT equals Z_0
-    m = mert_statistic(GenotypeTable(17, 0, 22, 0, 0, 9))
+    m = mert_statistic((17, 0, 22, 0, 0, 9))
     assert m.components["rho_0_1"] == 1.0
     assert m.value == m.components["Z0"] == m.components["Z1"]
     for row in random_tables(200, seed=204, max_count=8, corrected=False):
         try:
-            m = mert_statistic(GenotypeTable(*row))
+            m = mert_statistic(row)
         except ZeroVariance:
             continue
         z0, z1, rho = m.components["Z0"], m.components["Z1"], m.components["rho_0_1"]
@@ -156,12 +161,12 @@ def test_mert_statistic_worked_example(worked_table):
     m = mert_statistic(worked_table)
     assert m.value == pytest.approx(4.4721, abs=1e-4)
     assert m.components["rho_0_1"] == pytest.approx(0.5)
-    swapped = GenotypeTable(30, 20, 10, 10, 20, 30)
+    swapped = (30, 20, 10, 10, 20, 30)
     assert mert_statistic(swapped).value == pytest.approx(-4.4721, abs=1e-4)
 
 
 def test_mert_zero_on_identical_rows():
-    t = GenotypeTable(9, 14, 7, 9, 14, 7)
+    t = (9, 14, 7, 9, 14, 7)
     assert mert_statistic(t).value == pytest.approx(0.0, abs=1e-12)
     assert mert_rec_add(t).value == pytest.approx(0.0, abs=1e-12)
 
@@ -179,7 +184,7 @@ def test_max_statistics_worked_example(worked_table):
     assert max3(worked_table).value == pytest.approx(4.4721, abs=1e-4)
     assert max2(worked_table).value == pytest.approx(3.8730, abs=1e-4)
     assert max2(worked_table, pair=(0.0, 0.5)).value == pytest.approx(4.4721, abs=1e-4)
-    swapped = GenotypeTable(30, 20, 10, 10, 20, 30)
+    swapped = (30, 20, 10, 10, 20, 30)
     assert max3(swapped).value == pytest.approx(4.4721, abs=1e-4)
     assert max2(swapped).value == pytest.approx(3.8730, abs=1e-4)
 
@@ -187,12 +192,11 @@ def test_max_statistics_worked_example(worked_table):
 def test_max_monotonicity_exact():
     cells = random_tables(500, seed=202)
     for row in cells[:100]:
-        t = GenotypeTable(*row)
-        m2 = max2(t).value
-        m3 = max3(t).value
+        m2 = max2(row).value
+        m3 = max3(row).value
         assert m3 >= m2
-        assert m2 >= abs(mert_statistic(t).components["Z0"]) - 1e-12
-        assert m2 >= abs(mert_statistic(t).components["Z1"]) - 1e-12
+        assert m2 >= abs(mert_statistic(row).components["Z0"]) - 1e-12
+        assert m2 >= abs(mert_statistic(row).components["Z1"]) - 1e-12
 
 
 def test_max_grid_contains_max3(worked_table):
@@ -215,7 +219,7 @@ def test_recommendation_thresholds():
 
 
 def test_certificate_on_table(worked_table):
-    assert mert_certificate(estimate_correlations(worked_table.pooled_proportions()))
+    assert mert_certificate(estimate_correlations(pooled_proportions(worked_table)))
 
 
 @given(st.lists(st.integers(0, 50), min_size=6, max_size=6))
@@ -223,7 +227,7 @@ def test_certificate_on_table(worked_table):
 def test_mert_pair_bounds(cells):
     # sqrt(2 (1 + rho)) <= 2, so |MERT| >= |Z_0 + Z_1| / 2, with equality at rho = 1
     try:
-        m = mert_statistic(GenotypeTable(*cells))
+        m = mert_statistic(cells)
     except ZeroVariance:
         return
     z0, z1 = m.components["Z0"], m.components["Z1"]

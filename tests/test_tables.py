@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,19 +13,10 @@ from trendmax import (
     new_genotype_table,
     parse_table_record,
 )
+from trendmax.battery import ALL_STATISTICS, evaluate_battery, validate_battery
+from trendmax.robust import batch_correlations
 
 cell = st.integers(min_value=0, max_value=200)
-
-
-def test_margins_recomputed():
-    t = new_genotype_table(10, 20, 30, 30, 20, 10)
-    assert (t.r, t.s, t.n) == (60, 60, 120)
-    assert (t.n0, t.n1, t.n2) == (40, 40, 40)
-
-
-def test_symmetric_margins():
-    t = new_genotype_table(25, 50, 25, 25, 50, 25)
-    assert (t.n0, t.n1, t.n2) == (50, 100, 50)
 
 
 def test_negative_cell_rejected():
@@ -41,7 +34,7 @@ def test_empty_row_rejected():
 def test_correction_shifts_cells():
     t = new_genotype_table(0, 1, 2, 3, 0, 0)
     c = apply_continuity_correction(t)
-    assert c.cells() == (0.5, 1.5, 2.5, 3.5, 0.5, 0.5)
+    assert c == (0.5, 1.5, 2.5, 3.5, 0.5, 0.5)
 
 
 def test_correction_zero_is_identity():
@@ -51,7 +44,7 @@ def test_correction_zero_is_identity():
 
 def test_correction_total():
     t = apply_continuity_correction(new_genotype_table(10, 20, 30, 30, 20, 10))
-    assert t.n == 123
+    assert sum(t) == 123
 
 
 @given(cell, cell, cell, cell, cell, cell,
@@ -62,12 +55,12 @@ def test_correction_composes_additively(r0, r1, r2, s0, s1, s2, a, b):
     t = new_genotype_table(r0, r1, r2, s0, s1, s2)
     once = apply_continuity_correction(t, a + b)
     twice = apply_continuity_correction(apply_continuity_correction(t, a), b)
-    assert np.allclose(once.cells(), twice.cells())
+    assert np.allclose(once, twice)
 
 
 def test_parse_record_whitespace_and_csv():
-    assert parse_table_record("10 20 30 30 20 10").cells() == (10, 20, 30, 30, 20, 10)
-    assert parse_table_record("10,20,30,30,20,10").cells() == (10, 20, 30, 30, 20, 10)
+    assert parse_table_record("10 20 30 30 20 10") == (10, 20, 30, 30, 20, 10)
+    assert parse_table_record("10,20,30,30,20,10") == (10, 20, 30, 30, 20, 10)
 
 
 def test_parse_record_rejects_short_and_noninteger():
@@ -83,3 +76,55 @@ def test_parse_record_rejects_short_and_noninteger():
 def test_parse_record_names_a_non_finite_field(field):
     with pytest.raises(InputError, match=rf"^field 6 \('{field}'\) is not a finite integer count$"):
         parse_table_record(f"1 2 3 4 5 {field}")
+
+
+def test_a_table_is_a_tuple_of_six_floats():
+    for t in (new_genotype_table(10, 20, 30, 30, 20, 10), parse_table_record("10 20 30 30 20 10"),
+              apply_continuity_correction([10, 20, 30, 30, 20, 10]), apply_continuity_correction(np.ones(6))):
+        assert type(t) is tuple and len(t) == 6 and all(type(c) is float for c in t)
+    with pytest.raises(InputError, match=r"got shape \(1, 5\)"):
+        apply_continuity_correction((1, 2, 3, 4, 5))
+
+
+BOUND = 2**51  # below it every cell, margin and +1/2-corrected cell of whole counts is an exact float
+
+
+@pytest.mark.parametrize("cells", [
+    (BOUND - 6, 1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 1, BOUND - 6),
+    (BOUND // 2 - 1, 0, 0, 0, 0, BOUND // 2),
+    ((BOUND - 1) // 6,) * 6,
+    (BOUND // 4, BOUND // 4 - 1, 0, 0, BOUND // 4, BOUND // 4),
+    (BOUND - 2, 0, 0, 1, 0, 0),
+    (BOUND // 3, 0, BOUND // 3, BOUND // 3 - 2, 1, 0),
+])
+def test_a_total_just_below_2_to_the_51_is_accepted_and_no_kernel_warns(cells):
+    t = parse_table_record(" ".join(map(str, cells)))
+    assert t == new_genotype_table(*cells) == tuple(map(float, cells)) and sum(t) == sum(cells) < BOUND
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shift in (0.0, 0.5):
+            batch = np.array([t]) + shift
+            evaluate_battery(batch, validate_battery(ALL_STATISTICS, (0.0, 0.3, 0.5, 1.0)))
+            batch_correlations(batch)
+
+
+@pytest.mark.parametrize("cells", [
+    (BOUND - 5, 1, 1, 1, 1, 1),
+    (1, 1, 1, 1, 1, BOUND - 5),
+    (BOUND // 2, 0, 0, 0, 0, BOUND // 2),
+    (1e308, 1e308, 0, 1, 1, 1),
+])
+def test_a_total_of_2_to_the_51_or_more_is_rejected(cells):
+    with pytest.raises(InputError, match=r"^table total \S+ is not below 2\*\*51 \(2,251,799,813,685,248\)$"):
+        new_genotype_table(*cells)
+    with pytest.raises(InputError, match="is not below 2"):
+        parse_table_record(" ".join(map(str, cells)))
+
+
+def test_a_count_that_a_float_cannot_hold_is_an_input_error():
+    # 2**53 + 1 parses as the even 2**53, which the total bound rejects
+    with pytest.raises(InputError, match="is not below 2"):
+        parse_table_record("9007199254740993 0 0 1 1 1")
+    with pytest.raises(InputError, match="^cell value is too large for a float$"):
+        new_genotype_table(1, 1, 1, 10**400, 1, 1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trendmax import GenotypeTable, InputError, ZeroVariance, optimal_score, trend_statistic
+from trendmax import InputError, ZeroVariance, optimal_score, trend_statistic
 from trendmax.trend import trend_sums, trend_values
 
 from conftest import random_tables
@@ -66,7 +66,7 @@ def test_worked_example_values(worked_table):
 
 
 def test_identical_rows_give_zero():
-    t = GenotypeTable(12, 7, 31, 12, 7, 31)
+    t = (12, 7, 31, 12, 7, 31)
     for x in (0.0, 0.3, 0.5, 1.0):
         assert trend_statistic(t, x) == pytest.approx(0.0, abs=1e-12)
 
@@ -79,12 +79,12 @@ def test_score_outside_unit_interval_rejected(worked_table):
 
 def test_zero_variance_reported_as_error():
     # all weight on genotype NN: every score vector is constant on the support
-    t = GenotypeTable(10, 0, 0, 5, 0, 0)
+    t = (10, 0, 0, 5, 0, 0)
     with pytest.raises(ZeroVariance):
         trend_statistic(t, 0.5)
     # no cases at all
     with pytest.raises(ZeroVariance):
-        trend_statistic(GenotypeTable(0, 0, 0, 5, 3, 2), 0.5)
+        trend_statistic((0, 0, 0, 5, 3, 2), 0.5)
 
 
 def test_oracle_equivalence_on_random_tables():
