@@ -9,8 +9,8 @@ Subcommands:
                they always permute the raw counts, so with --correction on
                a statistic can have a value on the corrected table and
                still be undefined on the observed one
-    criticals  empirical critical values for scenario packs; with
-               --normal-approx, closed-form asymptotic thresholds instead
+    criticals  empirical critical values for scenario packs, each beside
+               the closed-form threshold of the statistic's asymptotic law
     power      rejection rates (size for null scenarios) per scenario
     corr       mean plug-in correlation triples per scenario
     crosstab   matched p-value cross-tabulation of two statistics; each
@@ -21,19 +21,18 @@ is the parsed request, and the run repeats exactly from it and the same
 pack or tables: version, subcommand, the hash of the pack or of the raw
 tables in input order (``tables_hash``), then every option in parser
 order but --scenarios, --table, --input, --format and --out (an empty
-value is an option not given). ``criticals --normal-approx``
-draws nothing: each threshold is the upper-alpha point of the statistic's
-asymptotic null law at the pooled genotype proportions (normal, chi-square,
-or the closed form of a maximum of trend statistics), so it does not
-depend on the seed or B, and its rows leave ``b`` and ``seed`` empty.
-T_P and T_MAX have no such law and stay empty. Each law is a tail
-``law(value, two_sided)`` in the registry: ``analyze`` reads asymptotic
-p-values from it and ``--normal-approx`` bisects it (``robust.upper_point``),
-with nothing but the stdlib and numpy. Every law assumes
-Hardy-Weinberg equilibrium in one sampled population, so it is off on
+value is an option not given).
+
+Each ``criticals`` row prints the simulated threshold beside
+``threshold_asymptotic``, the upper-alpha point of the statistic's
+asymptotic null law at the null's pooled genotype proportions, bisected
+(``robust.upper_point``) from the registry tail that ``analyze`` reads its
+p-values from. It is empty for T_P and T_MAX (no law), for a maximum at
+proportions lacking a homozygote, and where the tail at 0 is at most
+alpha. Every law assumes HWE in one sampled population, so it is off on
 two-stratum nulls (the Wahlund effect): on ``null_stratified.json`` the
 simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those of
-Z_1/2 near 1.6 to 1.8, not 1.96. Simulate such nulls.
+Z_1/2 near 1.6 to 1.8, not 1.96.
 
 Each subcommand hands its records, one per output row and each a tuple
 in column order, to one writer. CSV prints the header as ``# key=value``
@@ -51,6 +50,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from math import isnan
@@ -68,7 +68,7 @@ from .battery import (
     max_decided,
     validate_battery,
 )
-from .errors import InputError, TrendmaxError
+from .errors import DegenerateProportions, InputError, TrendmaxError
 from .montecarlo import (
     estimate_critical_values,
     estimate_power,
@@ -133,15 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("criticals", help="empirical critical values per scenario")
+    sp = sub.add_parser("criticals", help="empirical critical values per scenario beside their asymptotic twins")
     _add_common_sim_args(sp, battery=True, with_grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
-    sp.add_argument("--normal-approx", dest="mode", action="store_const", const="normal_approx",
-                    default="null_simulation",
-                    help="closed-form thresholds from each statistic's asymptotic null law "
-                         "instead of null-data simulation; seedless and independent of "
-                         "--b-null (T_P and T_MAX are left empty); every law assumes HWE "
-                         "in one sampled population and is off on two-stratum nulls")
 
     sp = sub.add_parser("power", help="rejection rates per scenario and statistic")
     _add_common_sim_args(sp, battery=True, with_grid=True)
@@ -232,7 +226,10 @@ def cmd_analyze(args) -> int:
 
     inputs = [(f"arg{i}", text) for i, text in enumerate(args.table or ())]
     if args.input:
-        text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
+        try:
+            text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{'<stdin>' if args.input == '-' else args.input}: {exc}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line and not line.startswith("#"):
@@ -252,7 +249,8 @@ def cmd_analyze(args) -> int:
     cells = raw + 0.5 if args.correction == "on" else raw
     values = evaluate_tables(cells, battery, two_sided)
     perms = permutation_pvalues(raw, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
-                                observed=values if cells is raw else None) if args.b_perm else None
+                                observed=values if cells is raw else None,
+                                labels=tuple(parsed)) if args.b_perm else None
 
     columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
     # per statistic: its law, its values and its p-values, one Python float per table
@@ -298,39 +296,35 @@ def cmd_criticals(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery, args.grid)
     validate_alpha(args.alpha)
-    columns = ("scenario", "statistic", "threshold", "se", "b", "seed")
-    normal_approx = args.mode == "normal_approx"
-    b, seed = (None, None) if normal_approx else (args.b_null, args.seed)
-    records = []
-    thresholds: dict[tuple, dict[str, float]] = {}  # per distinct null, as in cmd_power
-    for scenario in scenarios:
-        null = scenario.null_scenario()
-        if null.key() not in thresholds:
-            thresholds[null.key()] = (
-                _normal_approx_thresholds(null, battery, args.alpha, scenario.label)
-                if normal_approx else
-                estimate_critical_values(null, battery, args.b_null, args.alpha, seed=args.seed).thresholds)
-        records.extend((null.label, name, thresholds[null.key()].get(name), None, b, seed)
-                       for name in battery)
+    columns = ("scenario", "statistic", "threshold", "threshold_asymptotic", "se", "b", "seed")
+    nulls = [scenario.null_scenario() for scenario in scenarios]
+    distinct = {}  # each distinct null is simulated once, as in cmd_power
+    for null in nulls:
+        distinct.setdefault(null.key(), null)
+    simulated = {key: estimate_critical_values(null, battery, args.b_null, args.alpha, seed=args.seed).thresholds
+                 for key, null in distinct.items()}
+    asymptotic = {key: _asymptotic_thresholds(null, battery, args.alpha) for key, null in distinct.items()}
+    records = [(null.label, name, simulated[null.key()][name], asymptotic[null.key()].get(name), None,
+                args.b_null, args.seed) for null in nulls for name in battery]
     _emit(columns, records, args, _provenance(args, scenario_hash=scenario_hash(scenarios)))
     return 0
 
 
-def _normal_approx_thresholds(null, battery, alpha: float, label: str) -> dict[str, float]:
-    """Upper-alpha points of the registry laws; maxima of trend statistics at the pooled proportions."""
+def _asymptotic_thresholds(null, battery, alpha: float) -> dict[str, float]:
+    """Upper-alpha points of the registry laws and of trend maxima at the pooled proportions, where they exist."""
     pooled = sum(np.multiply(case_probs, n_cases) + np.multiply(ctrl_probs, n_controls)
                  for case_probs, ctrl_probs, n_cases, n_controls in null.strata())
     out: dict[str, float] = {}
     for name in battery:
-        spec = STATISTICS[name]
-        try:
-            if spec.law is not None:
-                out[name] = upper_point(lambda t: spec.law(t, null.two_sided), alpha)
-            elif spec.combine is max_decided:
-                angles = trend_angles(pooled / pooled.sum(), battery[name])
-                out[name] = upper_point(lambda t: max_exceedance(angles, t, null.two_sided), alpha)
-        except InputError as exc:
-            raise InputError(f"{exc} ({name}, scenario {label})") from None
+        spec, tail = STATISTICS[name], None
+        if spec.law is not None:
+            tail = functools.partial(spec.law, two_sided=null.two_sided)
+        elif spec.combine is max_decided:
+            with contextlib.suppress(DegenerateProportions):  # no law without both homozygotes
+                tail = functools.partial(max_exceedance, trend_angles(pooled / pooled.sum(), battery[name]),
+                                         two_sided=null.two_sided)
+        if tail is not None and tail(0.0) > alpha:
+            out[name] = upper_point(tail, alpha)
     return out
 
 

@@ -415,7 +415,7 @@ def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.nd
 
 
 def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = True,
-                        observed=None) -> dict[str, np.ndarray]:
+                        observed=None, labels=None) -> dict[str, np.ndarray]:
     """Monte Carlo permutation p-values (1 + #{perm >= obs}) / (1 + B): an array per statistic.
 
     ``raw`` is (N, 6) cells of counts, any other shape an
@@ -428,8 +428,9 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     NaN where the statistic is undefined on the observed table; B = 0 draws
     nothing and gives p = 1. Before any draw, the first table that breaks a
     rule raises a :class:`DegenerateTable` naming its first broken rule and
-    `` (table i)``: integer cells (to 1e-9, then rounded), no negative
-    count, a total below ``MAX_PERMUTED_TOTAL``, two nonempty groups.
+    the table, `` (table i)`` or its entry of ``labels``: integer cells (to
+    1e-9, then rounded), no negative count, a total below
+    ``MAX_PERMUTED_TOTAL``, two nonempty groups.
 
     Margins fixed, a table's B draws repeat: each table's distinct permuted
     tables are scored once and their exceedances counted with the number of
@@ -454,7 +455,8 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
              "both groups must be nonempty for permutation": (cases <= 0) | (cases >= totals)}
     bad = np.flatnonzero(np.any(list(rules.values()), axis=0))
     if bad.size:  # the first bad table, and the first rule it breaks
-        raise DegenerateTable(f"{next(r for r, broken in rules.items() if broken[bad[0]])} (table {bad[0]})")
+        name = f"table {bad[0]}" if labels is None else labels[bad[0]]
+        raise DegenerateTable(f"{next(r for r, broken in rules.items() if broken[bad[0]])} ({name})")
     margins, n_cases = (counts[:, :3] + counts[:, 3:]).astype(np.int64), cases.astype(np.int64)
     if observed is None:
         observed = evaluate_tables(raw, battery, two_sided)

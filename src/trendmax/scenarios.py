@@ -232,5 +232,8 @@ def parse_scenarios(text: str, source: str = "<scenarios>") -> list[Scenario]:
 
 def load_scenarios(path) -> list[Scenario]:
     """Parse the scenario file at ``path`` (UTF-8 JSON, see the module docstring)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenarios(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_scenarios(fh.read(), source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None

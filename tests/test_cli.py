@@ -35,6 +35,7 @@ from scipy import stats as spstats
 from trendmax import __version__
 from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS
 from trendmax.cli import _emit, build_parser, main
+from trendmax.montecarlo import estimate_critical_values
 from trendmax.robust import CorrelationTriple
 from trendmax.scenarios import load_scenarios, scenario_hash
 from trendmax.tables import parse_table_record, tables_hash
@@ -70,9 +71,9 @@ CASES = {
         "criticals", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"), "--seed", "3",
         "--b-null", "2000",
     ],
-    "criticals_normal_approx": [
+    "criticals_unbalanced": [
         "criticals", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"), "--seed", "3",
-        "--b-null", "2000", "--normal-approx",
+        "--b-null", "2000",
     ],
     "power_recadd": [
         "power", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"), "--seed", "3",
@@ -102,9 +103,9 @@ CASES = {
         "criticals", "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "3",
         "--b-null", "2000", "--battery", "MAX3,MAXGRID", "--grid", "0,0.3,0.5,1",
     ],
-    "criticals_normal_approx_custom_grid": [
+    "criticals_unbalanced_custom_grid": [
         "criticals", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"), "--seed", "3",
-        "--b-null", "2000", "--battery", "MAX3,MAXGRID", "--grid", "0,0.3,0.5,1", "--normal-approx",
+        "--b-null", "2000", "--battery", "MAX3,MAXGRID", "--grid", "0,0.3,0.5,1",
     ],
     "crosstab_recadd_custom_grid": [  # 12 scenarios on 3 distinct nulls
         "crosstab", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"),
@@ -210,10 +211,10 @@ def test_b_perm_without_seed_is_rejected_before_reading_tables(tmp_path, monkeyp
     (CASES["criticals_hwe_all"][:-4] + ["--alpha", "1.5"], "alpha 1.5 must lie strictly in (0, 1)"),
     (CASES["power_recadd"][:-4] + ["--alpha", "0"], "alpha 0.0 must lie strictly in (0, 1)"),
     (CASES["power_recadd"][:-4] + ["--b-power", "0"], "replicate count must be positive"),
-    (CASES["criticals_normal_approx"][:-3] + ["--normal-approx", "--alpha", "2"],
+    (CASES["criticals_unbalanced"][:-2] + ["--alpha", "2"],
      "alpha 2.0 must lie strictly in (0, 1)"),
     (CASES["crosstab_max3_maxgrid"] + ["--b-reps", "0"], "replicate count must be positive"),
-    (CASES["criticals_normal_approx"] + ["--battery", "CHI2_2DF,HWD", "--alpha", "2"],
+    (CASES["criticals_unbalanced"] + ["--battery", "CHI2_2DF,HWD", "--alpha", "2"],
      "alpha 2.0 must lie strictly in (0, 1)"),
 ])
 def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message, monkeypatch):
@@ -252,40 +253,40 @@ def test_negative_seed_exits_2_with_one_line_before_any_draw(argv, monkeypatch):
     assert err == f"trendmax {argv[0]}: --seed must be a nonnegative integer, got -5\n"
 
 
-def test_normal_approx_rows_do_not_depend_on_seed_or_b_and_draw_nothing(monkeypatch):
-    import trendmax.montecarlo
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("the closed form drew random numbers")
-
-    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
-    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
-    base = CASES["criticals_normal_approx"][:3]
-    runs = [run_cli(base + ["--seed", seed, "--b-null", b, "--normal-approx", "--battery", ALL,
-                            "--grid", "0,0.3,0.5,1"])
-            for seed, b in (("3", "2000"), ("11", "500000"))]
+def test_asymptotic_thresholds_do_not_depend_on_seed_or_b():
+    base = CASES["criticals_unbalanced"][:3] + ["--battery", ALL, "--grid", "0,0.3,0.5,1"]
+    runs = [run_cli(base + ["--seed", seed, "--b-null", b]) for seed, b in (("3", "2000"), ("11", "1000"))]
     assert [code for code, _, _ in runs] == [0, 0], runs[0][2]
-    rows = out_rows(runs[0][1])
-    assert rows == out_rows(runs[1][1])
-    assert all(row[4:] == ["", ""] for row in rows)
-    assert {row[1] for row in rows if row[2] == ""} == {"T_P", "T_MAX"}
+    first, second = (out_rows(out) for _, out, _ in runs)
+    assert [row[3] for row in first] == [row[3] for row in second]
+    assert [row[2] for row in first] != [row[2] for row in second]
+    assert {row[1] for row in first if row[3] == ""} == {"T_P", "T_MAX"}
+    # every row is a simulated one and says how it was drawn
+    assert {tuple(row[5:]) for row in first} == {("2000", "3")}
+    assert {tuple(row[5:]) for row in second} == {("1000", "11")}
 
 
-@pytest.mark.parametrize("battery, alpha", [("Z0", "0.5"), ("MERT", "0.6"), ("MAX2", "0.75")])
-def test_normal_approx_one_sided_alpha_above_the_tail_at_zero_exits_2(tmp_path, battery, alpha):
+@pytest.mark.parametrize("record, battery, alpha, blank", [
     # a one-sided normal tail is 1/2 at 0, and that of MAX2 at p = 0.3 is 1/2 + theta_1 / (2 pi) = 0.700
-    pack = tmp_path / "one_sided.json"
-    pack.write_text('[{"id": "one", "model": "null", "p": 0.3, "r": 250, "s": 250, "sidedness": "one"}]')
-    argv = ["criticals", "--scenarios", str(pack), "--seed", "1", "--normal-approx",
-            "--battery", battery, "--alpha", alpha]
-    code, out, err = run_cli(argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"trendmax criticals: alpha {float(alpha)!r} must lie below the null tail at 0, ")
-    assert err.endswith(f" ({battery}, scenario one)\n")  # the first statistic whose tail falls short
-    code, out, err = run_cli(argv[:-1] + ["0.45"])
+    ({"p": 0.3, "sidedness": "one"}, "Z0,MERT,MAX2", 0.6, {"Z0", "MERT"}),
+    ({"p": 0.3, "sidedness": "one"}, "Z0,MERT,MAX2", 0.45, set()),
+    # p^2 underflows, so the pooled proportions hold one homozygote: MAX3's law raises DegenerateProportions
+    ({"p": 1e-200}, "Z0,MAX3", 0.05, {"MAX3"}),
+], ids=["one_sided_alpha_above_the_tail_at_zero", "one_sided_alpha_below_it", "one_homozygote"])
+def test_a_threshold_without_a_closed_form_leaves_its_cell_blank_and_the_simulation_stands(
+        tmp_path, record, battery, alpha, blank):
+    pack = tmp_path / "pack.json"
+    pack.write_text(json.dumps([{"id": "one", "model": "null", "r": 250, "s": 250, **record}]))
+    code, out, err = run_cli(["criticals", "--scenarios", str(pack), "--seed", "1", "--b-null", "1000",
+                              "--battery", battery, "--alpha", str(alpha)])
     assert code == 0, err
-    assert float(out_rows(out)[0][2]) > 0
+    rows = out_rows(out)
+    names = battery.split(",")
+    [null] = load_scenarios(pack)
+    simulated = estimate_critical_values(null, names, 1000, alpha, seed=1).thresholds
+    assert [row[:3] for row in rows] == [["one", name, f"{simulated[name]:.6g}"] for name in names]
+    assert {row[1] for row in rows if row[3] == ""} == blank
+    assert all(float(row[3]) > 0 for row in rows if row[1] not in blank)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -449,10 +450,17 @@ def test_criticals_simulates_each_distinct_null_once(monkeypatch):
         calls.append(null.key())
         return original(null, *args, **kwargs)
 
+    def counting_asymptotic(null, *args):
+        asymptotic.append(null.key())
+        return original_asymptotic(null, *args)
+
+    asymptotic, original_asymptotic = [], trendmax.cli._asymptotic_thresholds
     monkeypatch.setattr(trendmax.cli, "estimate_critical_values", counting)
+    monkeypatch.setattr(trendmax.cli, "_asymptotic_thresholds", counting_asymptotic)
     code, out, err = run_cli(CASES["criticals_recadd"])
     assert code == 0, err
     assert len(calls) == len(set(calls)) == 3
+    assert asymptotic == calls  # once per distinct null as well
     # the golden was captured when every scenario ran its own null; each
     # scenario's rows keep its own null label
     assert out == (GOLDEN / "criticals_recadd.txt").read_text(encoding="utf-8")
@@ -512,10 +520,39 @@ def test_analyze_tables_hash_names_the_raw_tables_in_order_however_they_are_give
     assert swapped != want
 
 
-def test_analyze_rejects_a_table_too_large_to_permute_before_any_output():
+def test_analyze_rejects_a_table_too_large_to_permute_before_any_output(tmp_path):
     code, out, err = run_cli(["analyze", "--table", "999999990 1 1 1 1 10", "--b-perm", "10", "--seed", "1"])
     assert (code, out) == (2, "")
-    assert err == "trendmax analyze: permutation requires a total count below 1,000,000,000 (table 0)\n"
+    assert err == "trendmax analyze: permutation requires a total count below 1,000,000,000 (arg0)\n"
+    # the error names the record, not its index in the batch: the comment, the unparsable line 3 and
+    # the blank line 4 are left out, so line 5 is the batch's table 1
+    path = tmp_path / "tables.txt"
+    path.write_text("# tables\n10 20 30 30 20 10\n1 2 x 4 5 6\n\n600000000 0 0 600000000 0 1\n")
+    code, out, err = run_cli(["analyze", "--input", str(path), "--b-perm", "10", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["analyze: line3: field 3 ('x') is not a number",
+                                "trendmax analyze: permutation requires a total count below 1,000,000,000 (line5)"]
+
+
+@pytest.mark.parametrize("source", ["input", "stdin", "scenarios"])
+def test_input_that_is_not_utf8_exits_2_with_one_line_naming_it(source, tmp_path, monkeypatch):
+    if source == "scenarios":
+        path = tmp_path / "pack.json"
+        path.write_bytes(b'[{"id": "caf\xe9", "model": "null", "p": 0.3, "r": 250, "s": 250}]')
+        argv, name, byte = ["criticals", "--scenarios", str(path), "--seed", "1", "--b-null", "100"], path, "0xe9"
+    else:
+        data = b"10 20 30 30 20 10\n1 2 3 \xff 5 6\n"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            given, name = "-", "<stdin>"
+        else:
+            given = name = str(tmp_path / "tables.txt")
+            Path(name).write_bytes(data)
+        argv, byte = ["analyze", "--input", given], "0xff"
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"trendmax {argv[0]}: {name}: 'utf-8' codec can't decode byte {byte} in position ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_csv_provenance_writes_a_missing_value_as_an_empty_value():
@@ -642,11 +679,8 @@ def test_each_golden_reruns_from_its_own_header(case):
     # every option is recorded, in parser order, so none can be left out
     assert list(header) == [a.dest for a in options]
     for action in options:
-        value = header[action.dest]
-        if action.nargs == 0:  # store_const: given when the header holds its constant
-            argv += [action.option_strings[0]] if value == action.const else []
-        elif value != "":
-            argv += [action.option_strings[0], value]
+        if header[action.dest] != "":
+            argv += [action.option_strings[0], header[action.dest]]
     for table in getattr(requested, "table", None) or ():
         argv += ["--table", table]
     argv += ["--input", requested.input] if getattr(requested, "input", None) else []

@@ -1261,10 +1261,19 @@ def test_closed_form_laws_miss_the_two_stratum_null():
     # effect) leaves fewer heterozygotes than HWE predicts, so HWD's null is heavier; and with each
     # stratum's counts fixed, the pooled variance behind Z_1/2 has a between-stratum part that the
     # draws lack, so its null is narrower. Simulated: HWD 5.8 to 30, Z_1/2 1.60 to 1.79.
-    for scenario in load_scenarios(SCENARIOS / "null_stratified.json"):
+    scenarios = load_scenarios(SCENARIOS / "null_stratified.json")
+    for scenario in scenarios:
         cvs = estimate_critical_values(scenario, ("HWD", "Z_HALF"), b=20_000, seed=7)
         assert cvs.thresholds["HWD"] > 5.0, scenario.label  # the chi-square law's 3.84
         assert cvs.thresholds["Z_HALF"] < 1.96, scenario.label  # the normal law's 1.96
+    # criticals prints each simulated threshold beside its closed-form twin, so its output shows the gap
+    results = json.loads((GOLDEN / "criticals_stratified_json.txt").read_text(encoding="utf-8"))["results"]
+    rows = {(r["scenario"], r["statistic"]): (r["threshold"], r["threshold_asymptotic"]) for r in results}
+    for scenario in scenarios:
+        simulated, asymptotic = rows[scenario.label, "HWD"]
+        assert simulated > 1.5 * asymptotic, scenario.label
+        simulated, asymptotic = rows[scenario.label, "Z_HALF"]
+        assert simulated < asymptotic, scenario.label
 
 
 def conditioning_integral(angles, t: float, two_sided: bool) -> float:
