@@ -289,6 +289,31 @@ def test_a_threshold_without_a_closed_form_leaves_its_cell_blank_and_the_simulat
     assert all(float(row[3]) > 0 for row in rows if row[1] not in blank)
 
 
+@pytest.mark.parametrize("battery, alpha", [("Z0", "0.5"), ("MERT", "0.6"), ("MAX2", "0.75")])
+def test_normal_approx_one_sided_alpha_above_the_tail_at_zero_exits_2(tmp_path, capsys, battery, alpha):
+    # a one-sided normal tail is 1/2 at 0, and that of MAX2 at p = 0.3 is 1/2 + theta_1 / (2 pi) = 0.700
+    pack = tmp_path / "one_sided.json"
+    pack.write_text('[{"id": "one", "model": "null", "p": 0.3, "r": 250, "s": 250, "sidedness": "one"}]')
+    argv = ["criticals", "--scenarios", str(pack), "--seed", "1", "--b-null", "1000",
+            "--battery", battery, "--alpha", alpha]
+    # the --normal-approx mode is gone: a command line that still asks for it is refused, not run without it
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--normal-approx"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --normal-approx" in err
+    # without it the simulated threshold stands and the closed form, which has no upper-alpha point, is blank
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    [row] = out_rows(out)
+    assert row[1:2] + row[3:4] == [battery, ""]
+    assert math.isfinite(float(row[2]))
+    code, out, err = run_cli(argv[:-1] + ["0.45"])
+    assert code == 0, err
+    assert float(out_rows(out)[0][3]) > 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["criticals", "--b-null", "1000"], "no finite values to take a quantile of (Z0, scenario rare)"),
     (["power", "--b-null", "1000"], "no finite values to take a quantile of (Z0, scenario rare)"),
