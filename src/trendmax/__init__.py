@@ -32,7 +32,6 @@ from .errors import (
     EmptyRow,
     FrequencyOutOfRange,
     InputError,
-    MismatchedScenario,
     MonomorphicSample,
     NegativeCell,
     OrderViolation,

@@ -117,7 +117,8 @@ STATISTICS = {
 ALL_STATISTICS = tuple(STATISTICS)
 
 # MAXGRID needs an explicit grid, so it stays opt-in.
-DEFAULT_BATTERY = tuple(name for name, spec in STATISTICS.items() if spec.scores is not None)
+DEFAULT_BATTERY = ("Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD", "MAX2", "MAX2_REC_ADD", "MAX3",
+                   "CHI2_2DF", "AA", "HWD", "T_P", "T_MAX")
 
 
 def validate_battery(battery, grid=DEFAULT_GRID) -> dict[str, tuple[float, ...]]:

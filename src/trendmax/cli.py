@@ -1,20 +1,6 @@
-"""Command-line driver.
+"""Command-line driver: the subcommands analyze, criticals, power, corr and crosstab.
 
-Subcommands:
-
-    analyze    statistics, correlation structure and advisory for one
-               or more observed tables; with --b-perm, permutation
-               p-values of the whole battery from one set of permuted
-               tables per table, each distinct permuted table scored once;
-               they always permute the raw counts, so with --correction on
-               a statistic can have a value on the corrected table and
-               still be undefined on the observed one
-    criticals  empirical critical values for scenario packs, each beside
-               the closed-form threshold of the statistic's asymptotic law
-    power      rejection rates (size for null scenarios) per scenario
-    corr       mean plug-in correlation triples per scenario
-    crosstab   matched p-value cross-tabulation of two statistics; each
-               distinct null of the pack is simulated once
+``trendmax --help`` lists them, and each one's ``--help`` describes it.
 
 Simulation subcommands require an explicit --seed. Every output's header
 is the parsed request, and the run repeats exactly from it and the same
@@ -23,16 +9,11 @@ tables in input order (``tables_hash``), then every option in parser
 order but --scenarios, --table, --input, --format and --out (an empty
 value is an option not given).
 
-Each ``criticals`` row prints the simulated threshold beside
-``threshold_asymptotic``, the upper-alpha point of the statistic's
-asymptotic null law at the null's pooled genotype proportions, bisected
-(``robust.upper_point``) from the registry tail that ``analyze`` reads its
-p-values from. It is empty for T_P and T_MAX (no law), for a maximum at
-proportions lacking a homozygote, and where the tail at 0 is at most
-alpha. Every law assumes HWE in one sampled population, so it is off on
-two-stratum nulls (the Wahlund effect): on ``null_stratified.json`` the
-simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those of
-Z_1/2 near 1.6 to 1.8, not 1.96.
+Exit codes: 0 is success; 1 means some table or statistic was undefined
+everywhere (``analyze``: a table that does not parse, or a statistic
+undefined on every table; ``power``: a statistic undefined on every
+replicate of a scenario, named on stderr); 2 means bad input, named in one
+stderr line.
 
 Each subcommand hands its records, one per output row and each a tuple
 in column order, to one writer. CSV prints the header as ``# key=value``
@@ -76,7 +57,6 @@ from .montecarlo import (
     permutation_pvalues,
     pvalue_crosstab,
     validate_alpha,
-    validate_replicates,
 )
 from .robust import (
     CorrelationTriple,
@@ -89,7 +69,7 @@ from .robust import (
     upper_point,
     validate_grid,
 )
-from .scenarios import load_scenarios, scenario_hash
+from .scenarios import distinct_nulls, load_scenarios, scenario_hash
 from .tables import parse_table_record, tables_hash
 
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
@@ -115,7 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"trendmax {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("analyze", help="analyze observed genotype tables")
+    sp = sub.add_parser("analyze", help="analyze observed genotype tables", description=(
+        "Statistics, asymptotic p-values, correlation structure and advisory for one or more observed "
+        "tables. With --b-perm, permutation p-values of the whole battery from one set of permuted "
+        "tables per table, each distinct permuted table scored once. They always permute the raw counts, "
+        "so with --correction on a statistic can have a value on the corrected table and still be "
+        "undefined on the observed one."))
     sp.add_argument("--table", action="append", default=None,
                     help="one record 'r0 r1 r2 s0 s1 s2' (repeatable)")
     sp.add_argument("--input", default=None,
@@ -133,21 +118,37 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("criticals", help="empirical critical values per scenario beside their asymptotic twins")
+    sp = sub.add_parser("criticals", help="empirical critical values per scenario beside their asymptotic twins",
+                        description=(
+        "Empirical upper-alpha critical values per scenario, each distinct null simulated once. Each row "
+        "prints the simulated threshold beside threshold_asymptotic, the upper-alpha point of the "
+        "statistic's asymptotic null law at the null's pooled genotype proportions, bisected from the "
+        "tail that analyze reads its p-values from. It is blank for T_P and T_MAX (no law), for a maximum "
+        "at proportions lacking a homozygote, and where the tail at 0 is at most alpha. Every law assumes "
+        "HWE in one sampled population, so it is off on two-stratum nulls (the Wahlund effect): on "
+        "null_stratified.json the simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those "
+        "of Z_1/2 near 1.6 to 1.8, not 1.96."))
     _add_common_sim_args(sp, battery=True, with_grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
 
-    sp = sub.add_parser("power", help="rejection rates per scenario and statistic")
+    sp = sub.add_parser("power", help="rejection rates per scenario and statistic", description=(
+        "Rejection rates, with their Monte Carlo SEs, of each statistic per scenario (size for a null "
+        "scenario), against thresholds simulated once per distinct null. A statistic undefined on every "
+        "replicate of a scenario is named on stderr, and the exit code is 1."))
     _add_common_sim_args(sp, battery=True, with_grid=True)
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--b-power", type=int, default=10_000)
 
-    sp = sub.add_parser("corr", help="mean plug-in correlation triples per scenario")
+    sp = sub.add_parser("corr", help="mean plug-in correlation triples per scenario", description=(
+        "Replicate means of the plug-in correlation triple of Z_0, Z_1/2 and Z_1 per scenario, with the "
+        "share of replicates where it is undefined."))
     _add_common_sim_args(sp)
     sp.add_argument("--b-power", dest="b", type=int, default=10_000,
                     help="replicates per scenario")
 
-    sp = sub.add_parser("crosstab", help="matched p-value cross-tabulation")
+    sp = sub.add_parser("crosstab", help="matched p-value cross-tabulation", description=(
+        "Matched cross-tabulation of two statistics' empirical p-values on the same replicates, binned "
+        "by --bins, per scenario; each distinct null of the pack is simulated once."))
     _add_common_sim_args(sp, with_grid=True)
     sp.add_argument("--stat-a", required=True, choices=ALL_STATISTICS)
     sp.add_argument("--stat-b", required=True, choices=ALL_STATISTICS)
@@ -297,15 +298,13 @@ def cmd_criticals(args) -> int:
     battery = _parse_battery(args.battery, args.grid)
     validate_alpha(args.alpha)
     columns = ("scenario", "statistic", "threshold", "threshold_asymptotic", "se", "b", "seed")
-    nulls = [scenario.null_scenario() for scenario in scenarios]
-    distinct = {}  # each distinct null is simulated once, as in cmd_power
-    for null in nulls:
-        distinct.setdefault(null.key(), null)
+    nulls = distinct_nulls(scenarios)  # each simulated once, as in power and crosstab
     simulated = {key: estimate_critical_values(null, battery, args.b_null, args.alpha, seed=args.seed).thresholds
-                 for key, null in distinct.items()}
-    asymptotic = {key: _asymptotic_thresholds(null, battery, args.alpha) for key, null in distinct.items()}
-    records = [(null.label, name, simulated[null.key()][name], asymptotic[null.key()].get(name), None,
-                args.b_null, args.seed) for null in nulls for name in battery]
+                 for key, null in nulls.items()}
+    asymptotic = {key: _asymptotic_thresholds(null, battery, args.alpha) for key, null in nulls.items()}
+    records = [(scenario.null_scenario().label, name, simulated[scenario.key()][name],
+                asymptotic[scenario.key()].get(name), None, args.b_null, args.seed)
+               for scenario in scenarios for name in battery]
     _emit(columns, records, args, _provenance(args, scenario_hash=scenario_hash(scenarios)))
     return 0
 
@@ -331,20 +330,19 @@ def _asymptotic_thresholds(null, battery, alpha: float) -> dict[str, float]:
 def cmd_power(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery, args.grid)
-    validate_replicates(args.b_power)  # before the first null run, not after it
     columns = ("scenario", "statistic", "metric", "rate", "se", "b", "seed")
-    criticals: dict[tuple, object] = {}
-    for null in (scenario.null_scenario() for scenario in scenarios):
-        if null.key() not in criticals:
-            criticals[null.key()] = estimate_critical_values(null, battery, args.b_null, args.alpha,
-                                                             seed=args.seed)
-    rows = estimate_power([(scenario, criticals[scenario.key()]) for scenario in scenarios],
-                          battery, args.b_power, seed=args.seed)
+    # one --seed for the nulls and the power rows alike, so size rows reuse the null draws
+    rows = estimate_power(scenarios, battery, b=args.b_power, b_null=args.b_null, alpha=args.alpha,
+                          seed=args.seed, null_seed=args.seed)
     records = [(scenario.label, name, "size" if scenario.is_null else "power",
                 row.rates[name], row.standard_errors[name], args.b_power, args.seed)
                for scenario, row in zip(scenarios, rows) for name in battery]
     _emit(columns, records, args, _provenance(args, scenario_hash=scenario_hash(scenarios)))
-    return 1 if any(rate >= 1.0 for row in rows for rate in row.error_rates.values()) else 0
+    undefined = [(scenario.label, name) for scenario, row in zip(scenarios, rows)
+                 for name, rate in row.error_rates.items() if rate >= 1.0]
+    for label, name in undefined:
+        print(f"power: {label}: {name} is undefined on every replicate", file=sys.stderr)
+    return 1 if undefined else 0
 
 
 def cmd_corr(args) -> int:

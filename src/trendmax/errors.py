@@ -70,9 +70,5 @@ class ScenarioError(InputError):
     """A scenario definition is inconsistent or incomplete."""
 
 
-class MismatchedScenario(InputError):
-    """Critical values were estimated under a different null scenario."""
-
-
 class UnknownStatistic(InputError):
     """A statistic identifier is not in the battery registry."""

@@ -62,9 +62,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .battery import BATCH_ROWS, evaluate_battery, evaluate_tables, validate_battery
-from .errors import DegenerateTable, InputError, MismatchedScenario, ScenarioError
+from .errors import DegenerateTable, InputError, ScenarioError
 from .robust import CorrelationTriple, batch_correlations
-from .scenarios import Scenario
+from .scenarios import Scenario, distinct_nulls
 from .tables import cell_array
 
 CHUNK_SIZE = 10_000
@@ -81,8 +81,6 @@ class CriticalValueSet:
     """Empirical upper-alpha thresholds per statistic under one null scenario."""
 
     thresholds: dict[str, float]
-    alpha: float
-    scenario_key: tuple
     error_rates: dict[str, float] = field(default_factory=dict)
 
 
@@ -277,35 +275,31 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
         except InputError as exc:
             raise InputError(f"{exc} ({name}, scenario {scenario.label})") from None
     error_rates = {name: nans / b for name, nans in zip(battery, tails.nans) if nans}
-    return CriticalValueSet(thresholds=thresholds, alpha=alpha, scenario_key=scenario.key(),
-                            error_rates=error_rates)
+    return CriticalValueSet(thresholds=thresholds, error_rates=error_rates)
 
 
-def estimate_power(runs, battery, b: int = 10_000, *, seed: int) -> list[PowerRow]:
-    """Rejection rates of each statistic, one :class:`PowerRow` per ``(scenario, criticals)`` pair.
+def estimate_power(scenarios, battery, b: int = 10_000, *, b_null: int = 200_000, alpha: float = 0.05,
+                   seed: int, null_seed: int) -> list[PowerRow]:
+    """Rejection rates of each statistic at level ``alpha``, one :class:`PowerRow` per scenario of a pack.
 
-    Each pair's thresholds must come from the matching null scenario (same
-    population, sample sizes, correction and sidedness); every pair is checked
-    before any draw, and a mismatch raises :class:`MismatchedScenario`. A pair
-    scores b tables from ``seed``, as a call with it alone would; the chunks of
-    all pairs share one pool and leave only counts, O(k) per scenario.
-    Replicates where a statistic is undefined never reject and are reported in
-    ``error_rates``.
+    Each distinct null (:func:`~trendmax.scenarios.distinct_nulls`) gets its
+    thresholds from :func:`estimate_critical_values` with ``b_null`` and
+    ``null_seed``, one null at a time; ``b``, ``alpha`` and the battery are
+    checked before any draw. Then each scenario scores b tables from
+    ``seed``, as a call with it alone would; the chunks of all scenarios
+    share one pool and leave only counts, O(k) per scenario. Replicates
+    where a statistic is undefined never reject and are reported in
+    ``error_rates``. With ``null_seed == seed``, as the CLI passes today,
+    a null scenario's size row is scored on the draws that set its
+    thresholds.
     """
     validate_replicates(b)
+    validate_alpha(alpha)
     battery = validate_battery(battery)
-    for scenario, criticals in runs:
-        validate_alpha(criticals.alpha)
-        if scenario.key() != criticals.scenario_key:
-            raise MismatchedScenario(
-                "critical values were estimated under a different null scenario "
-                f"({criticals.scenario_key} vs {scenario.key()})"
-            )
-        missing = [name for name in battery if name not in criticals.thresholds]
-        if missing:
-            raise MismatchedScenario(f"no thresholds for {missing}")
-    # per pair, chunk and statistic: exceedances and NaNs; each chunk writes its own row
-    counts = np.zeros((len(runs), -(-b // CHUNK_SIZE), len(battery), 2), dtype=np.int64)
+    criticals = {key: estimate_critical_values(null, battery, b_null, alpha, seed=null_seed).thresholds
+                 for key, null in distinct_nulls(scenarios).items()}
+    # per scenario, chunk and statistic: exceedances and NaNs; each chunk writes its own row
+    counts = np.zeros((len(scenarios), -(-b // CHUNK_SIZE), len(battery), 2), dtype=np.int64)
 
     def counter(i: int, thresholds):
         def count(lo: int, values) -> None:
@@ -315,10 +309,10 @@ def estimate_power(runs, battery, b: int = 10_000, *, seed: int) -> list[PowerRo
         return count
 
     _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery),
-                    counter(i, [criticals.thresholds[name] for name in battery]))
-                   for i, (scenario, criticals) in enumerate(runs)])
+                    counter(i, [criticals[scenario.key()][name] for name in battery]))
+                   for i, scenario in enumerate(scenarios)])
     rows = []
-    for (scenario, criticals), totals in zip(runs, counts.sum(axis=1).tolist()):
+    for totals in counts.sum(axis=1).tolist():
         rates = {name: exceed / b for name, (exceed, _) in zip(battery, totals)}
         ses = {name: math.sqrt(rate * (1.0 - rate) / b) for name, rate in rates.items()}
         errors = {name: nans / b for name, (_, nans) in zip(battery, totals) if nans}
@@ -371,19 +365,18 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
     all_edges = np.array([*edges, 1.0 + 1e-12])
-    keys = [scenario.key() for scenario in scenarios]
     counts = [np.zeros((all_edges.size, all_edges.size), dtype=int) for _ in scenarios]
-    for key in dict.fromkeys(keys):
-        members = [i for i, other in enumerate(keys) if other == key]
-        null = scenarios[members[0]].null_scenario()
+    for key, null in distinct_nulls(scenarios).items():
         tails = _UpperTails(len(pair), b_null, edges[-1])
         _score_chunks([(null, b_null, null_seed, _battery_scorer(null, pair), tails)])
-        for i in members:
-            reps = _score_array(scenarios[i], b_reps, rep_seed, _battery_scorer(scenarios[i], pair), len(pair))
+        for scenario, table in zip(scenarios, counts):
+            if scenario.key() != key:
+                continue
+            reps = _score_array(scenario, b_reps, rep_seed, _battery_scorer(scenario, pair), len(pair))
             # with stat_a == stat_b the pair is that one statistic
             bin_a, bin_b = (np.searchsorted(all_edges, tails.pvalues(j, reps[j]), side="right")
                             for j in (0, len(pair) - 1))
-            np.add.at(counts[i], (bin_a, bin_b), 1)
+            np.add.at(table, (bin_a, bin_b), 1)
     return counts
 
 

@@ -129,6 +129,15 @@ class Scenario:
         return rec
 
 
+def distinct_nulls(scenarios) -> dict[tuple, Scenario]:
+    """Each distinct ``key()`` of a pack, in first-seen order, mapped to its first scenario's null."""
+    nulls = {}
+    for scenario in scenarios:
+        if scenario.key() not in nulls:
+            nulls[scenario.key()] = scenario.null_scenario()
+    return nulls
+
+
 def scenario_hash(scenarios) -> str:
     """Stable hash of a scenario list, for output provenance headers."""
     blob = json.dumps([s.describe() for s in scenarios], sort_keys=True)

@@ -114,6 +114,9 @@ def test_default_battery_is_every_statistic_but_the_grid_maximum():
     assert ALL_STATISTICS == tuple(STATISTICS)
     assert set(ALL_STATISTICS) - set(DEFAULT_BATTERY) == {"MAXGRID"}
     assert DEFAULT_BATTERY == tuple(name for name in ALL_STATISTICS if name != "MAXGRID")
+    # the default is written out, so a new statistic joins it only by name
+    assert DEFAULT_BATTERY == ("Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD", "MAX2", "MAX2_REC_ADD", "MAX3",
+                               "CHI2_2DF", "AA", "HWD", "T_P", "T_MAX")
 
 
 def test_shared_kernels_run_once_and_are_looked_up_on_the_module(monkeypatch):
@@ -148,3 +151,4 @@ def test_scalar_api_raises_the_registry_exception_where_undefined(fn, table, err
     message = r"expected an \(N, 6\) array of tables" if error is InputError else "is undefined on"
     with pytest.raises(error, match=message):
         fn(table)
+

@@ -492,6 +492,56 @@ def test_criticals_simulates_each_distinct_null_once(monkeypatch):
     assert len({row[0] for row in out_rows(out)}) == 12
 
 
+def test_power_simulates_each_distinct_null_once(monkeypatch):
+    import trendmax.montecarlo
+
+    calls = []
+    original = trendmax.montecarlo.estimate_critical_values
+
+    def counting(null, *args, **kwargs):
+        calls.append(null.key())
+        return original(null, *args, **kwargs)
+
+    monkeypatch.setattr(trendmax.montecarlo, "estimate_critical_values", counting)
+    code, out, err = run_cli(CASES["power_recadd"])
+    assert code == 0, err
+    assert len(calls) == len(set(calls)) == 3
+    assert out == (GOLDEN / "power_recadd.txt").read_text(encoding="utf-8")
+    assert len({row[0] for row in out_rows(out)}) == 12
+
+
+def test_power_names_each_statistic_undefined_on_every_replicate(tmp_path):
+    # one case among 50 controls, nearly always MM: HWD has no value on any replicate, Z_1/2 always rejects
+    pack = tmp_path / "one_case.json"
+    pack.write_text('[{"p": 0.5, "r": 1, "s": 50, "model": "custom", "f0": 1e-9, "f1": 1e-9, "f2": 0.99, '
+                    '"correction": false}]')
+    code, out, err = run_cli(["power", "--scenarios", str(pack), "--seed", "1", "--b-null", "1000",
+                              "--b-power", "1000", "--battery", "HWD,Z_HALF"])
+    assert code == 1
+    assert err == "power: scenario0: HWD is undefined on every replicate\n"
+    # the rows still print the rate as counted: an undefined value never rejects
+    assert out_rows(out) == [["scenario0", "HWD", "power", "0", "0", "1000", "1"],
+                             ["scenario0", "Z_HALF", "power", "1", "0", "1000", "1"]]
+
+
+@pytest.mark.parametrize("command, phrases", [
+    ("analyze", ["Statistics, asymptotic p-values, correlation structure and advisory"]),
+    ("criticals", ["threshold_asymptotic, the upper-alpha point of the statistic's asymptotic null law",
+                   "It is blank for T_P and T_MAX (no law), for a maximum at proportions lacking a "
+                   "homozygote, and where the tail at 0 is at most alpha."]),
+    ("power", ["A statistic undefined on every replicate of a scenario is named on stderr"]),
+    ("corr", ["Replicate means of the plug-in correlation triple"]),
+    ("crosstab", ["Matched cross-tabulation of two statistics' empirical p-values"]),
+])
+def test_each_subcommand_help_prints_its_description(command, phrases, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per paragraph, so no phrase is wrapped
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(phrase in out for phrase in phrases)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_writes_each_cell_of_a_tuple_record_by_type(fmt, capsys):
     columns = ("f64", "float", "int", "bool", "text", "missing")

@@ -19,7 +19,6 @@ from scipy import stats as spstats
 from scipy.special import chdtri, ndtr, ndtri, owens_t
 
 from trendmax import (
-    MismatchedScenario,
     PenetranceModel,
     Scenario,
     ScenarioError,
@@ -293,7 +292,7 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         used.clear()
         cvs = estimate_critical_values(sc.null_scenario(), battery, b=ENGINE_B, seed=41)
-        [row] = estimate_power([(sc, cvs)], battery, b=ENGINE_B, seed=42)
+        [row] = estimate_power([sc], battery, b=ENGINE_B, b_null=ENGINE_B, seed=42, null_seed=41)
         [counts] = pvalue_crosstab([sc], crosstab_battery, b_null=ENGINE_B, b_reps=ENGINE_B, seed=43)
         # power keeps counts and the nulls keep tails, so only the crosstab's replicates come through here
         assert len(used) == 1
@@ -331,7 +330,6 @@ def test_mean_correlations_equal_the_whole_batch_mean(population, size, two_side
 
 def test_a_scorer_error_on_chunk_1_reaches_every_caller(monkeypatch):
     sc = alt_scenario()
-    cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=ENGINE_B, seed=45)
     sample_chunk = trendmax.montecarlo._sample_chunk
     chunk_1_buffers = []
 
@@ -354,7 +352,8 @@ def test_a_scorer_error_on_chunk_1_reaches_every_caller(monkeypatch):
                             failing_on_chunk_1(getattr(trendmax.montecarlo, kernel)))
     calls = [
         lambda: estimate_critical_values(sc.null_scenario(), ("MAX3",), b=ENGINE_B, seed=46),
-        lambda: estimate_power([(sc, cvs)], ("MAX3",), b=ENGINE_B, seed=47),
+        # a one-chunk null, so chunk 1 is the counting pass's
+        lambda: estimate_power([sc], ("MAX3",), b=ENGINE_B, b_null=1_000, seed=47, null_seed=45),
         lambda: mean_correlation_matrix(sc, ENGINE_B, seed=47),
         lambda: pvalue_crosstab([sc], ("MAX3", "Z0"), b_null=ENGINE_B, b_reps=1_000, seed=48),
     ]
@@ -364,27 +363,25 @@ def test_a_scorer_error_on_chunk_1_reaches_every_caller(monkeypatch):
 
 
 def power_pack() -> list:
-    """(alternative, null thresholds) pairs; the last one is uncorrected, with undefined values."""
-    scenarios = [replace(sc, label=f"pair{i}") for i, sc in enumerate([
+    """Five scenarios, each on a null of its own; the last one is uncorrected, with undefined values."""
+    return [replace(sc, label=f"pair{i}") for i, sc in enumerate([
         alt_scenario(),
         alt_scenario(p=0.1, kind="rec", f2=0.05),
         null_scenario(p=0.5),
         engine_scenario((Stratum(0.1, 150, 120), Stratum(0.4, 100, 130)), False, True),
         engine_scenario((Stratum(0.05, 20, 20),), True, False),
     ])]
-    criticals = {}
-    for sc in scenarios:
-        if sc.key() not in criticals:
-            criticals[sc.key()] = estimate_critical_values(sc.null_scenario(), ALL_ON_GRID,
-                                                           b=2_000, seed=61)
-    return [(sc, criticals[sc.key()]) for sc in scenarios]
+
+
+def pack_power(scenarios, battery, b: int, seed: int) -> list:
+    """:func:`estimate_power` of ``scenarios`` against thresholds from 2,000 null tables of seed 61."""
+    return estimate_power(scenarios, battery, b, b_null=2_000, seed=seed, null_seed=61)
 
 
 def test_power_pairs_in_one_call_equal_the_one_pair_calls(monkeypatch):
     pairs = power_pack()
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 1)
-    alone = [row for pair in pairs
-             for row in estimate_power([pair], ALL_ON_GRID, b=ENGINE_B, seed=62)]
+    alone = [row for pair in pairs for row in pack_power([pair], ALL_ON_GRID, ENGINE_B, 62)]
     assert alone[-1].error_rates
     interval = sys.getswitchinterval()
     for cores in (1, 2, 8):
@@ -392,49 +389,36 @@ def test_power_pairs_in_one_call_equal_the_one_pair_calls(monkeypatch):
         # more threads than cores, switching often: a lost count would change a rate
         sys.setswitchinterval(1e-6 if cores == 8 else interval)
         try:
-            rows = estimate_power(pairs, ALL_ON_GRID, b=ENGINE_B, seed=62)
+            rows = pack_power(pairs, ALL_ON_GRID, ENGINE_B, 62)
         finally:
             sys.setswitchinterval(interval)
         assert rows == alone, f"{cores} cores"
         # distinct rows, so the equality pins their order
         assert all(a != b for a, b in itertools.combinations(rows, 2))
-    assert estimate_power([], ALL_ON_GRID, b=ENGINE_B, seed=62) == []
+    assert pack_power([], ALL_ON_GRID, ENGINE_B, 62) == []
 
 
 def test_the_chunks_of_two_pairs_run_side_by_side(monkeypatch):
     pairs = power_pack()[:2]
+    alternatives = [sc.strata() for sc in pairs]
     sample_chunk = trendmax.montecarlo._sample_chunk
     barrier = threading.Barrier(2, timeout=5)
 
     def meeting(strata, rng, out):
-        barrier.wait()  # each pair is one chunk, so this returns only if both run at once
+        if strata in alternatives:  # the nulls run one at a time, before the alternatives
+            barrier.wait()  # each pair is one chunk, so this returns only if both run at once
         sample_chunk(strata, rng, out)
 
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", meeting)
-    rows = estimate_power(pairs, ("MAX3", "Z0"), b=1_000, seed=63)
+    rows = pack_power(pairs, ("MAX3", "Z0"), 1_000, 63)
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", sample_chunk)
-    assert rows == [row for pair in pairs
-                    for row in estimate_power([pair], ("MAX3", "Z0"), b=1_000, seed=63)]
-
-
-def test_a_mismatched_last_pair_is_rejected_before_any_draw(monkeypatch):
-    pairs = power_pack()
-    only_max3 = estimate_critical_values(null_scenario(), ("MAX3",), b=1_000, seed=64)
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew before checking every pair")
-
-    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
-    with pytest.raises(MismatchedScenario, match="different null scenario"):
-        estimate_power([*pairs, (alt_scenario(p=0.5), pairs[0][1])], BATTERY, b=1_000, seed=64)
-    with pytest.raises(MismatchedScenario, match=r"no thresholds for \['Z0'\]"):
-        estimate_power([*pairs, (alt_scenario(), only_max3)], ("MAX3", "Z0"), b=1_000, seed=64)
+    assert rows == [row for pair in pairs for row in pack_power([pair], ("MAX3", "Z0"), 1_000, 63)]
 
 
 def test_an_error_in_one_pairs_chunk_reaches_the_caller(monkeypatch):
     pairs = power_pack()
-    failing = pairs[1][0].strata()
+    failing = pairs[1].strata()
     sample_chunk = trendmax.montecarlo._sample_chunk
 
     def failing_on_pair_1(strata, rng, out):
@@ -445,7 +429,7 @@ def test_an_error_in_one_pairs_chunk_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", failing_on_pair_1)
     with pytest.raises(RuntimeError, match="pair 1 failed"):
-        estimate_power(pairs, ("MAX3",), b=ENGINE_B, seed=65)
+        pack_power(pairs, ("MAX3",), ENGINE_B, 65)
 
 
 def traced_peak_mb(call) -> float:
@@ -488,11 +472,14 @@ def test_power_over_twelve_alternatives_keeps_counts_not_values(monkeypatch):
     nulls = {sc.key(): sc.null_scenario() for sc in scenarios}
     criticals = {key: estimate_critical_values(null, DEFAULT_BATTERY, b=2_000, seed=66)
                  for key, null in nulls.items()}
-    pairs = [(sc, criticals[sc.key()]) for sc in scenarios]
+    # the thresholds are set beforehand, so the peak is the counting pass's
+    monkeypatch.setattr(trendmax.montecarlo, "estimate_critical_values",
+                        lambda null, *args, **kwargs: criticals[null.key()])
     cells = simulate_cells(scenarios[-1], CHUNK_SIZE, seed=67)  # one chunk, laid out as the pool's
     chunk_peak = traced_peak_mb(lambda: evaluate_battery(cells, DEFAULT_BATTERY, True))
-    peak = traced_peak_mb(lambda: estimate_power(pairs, DEFAULT_BATTERY, b=CHUNK_SIZE, seed=67))
-    assert len(pairs) == 12
+    peak = traced_peak_mb(lambda: estimate_power(scenarios, DEFAULT_BATTERY, b=CHUNK_SIZE, seed=67,
+                                                 null_seed=66))
+    assert len(scenarios) == 12
     assert peak <= chunk_peak + cells.nbytes / 1e6 + 0.5
 
 
@@ -542,11 +529,12 @@ def test_a_partial_tail_names_the_rank_it_misses():
 @pytest.mark.parametrize("call", [
     lambda: estimate_critical_values(null_scenario(), BATTERY, b=200_000, alpha=1.5, seed=1),
     lambda: estimate_critical_values(null_scenario(), BATTERY, b=200_000, alpha=math.nan, seed=1),
-    lambda: estimate_power([(alt_scenario(), SimpleNamespace(alpha=0.0))], BATTERY, b=10_000, seed=1),
-    lambda: estimate_power([(alt_scenario(), SimpleNamespace(alpha=0.05))], BATTERY, b=0, seed=1),
+    lambda: estimate_power([alt_scenario()], BATTERY, b=10_000, alpha=0.0, seed=1, null_seed=1),
+    lambda: estimate_power([alt_scenario()], BATTERY, b=0, seed=1, null_seed=1),
     lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), b_reps=0, seed=1),
     lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), b_null=0, seed=1),
     lambda: mean_correlation_matrix(alt_scenario(), b=-5, seed=1),
+    lambda: estimate_power([alt_scenario()], BATTERY, b=10_000, b_null=999, seed=1, null_seed=1),
 ])
 def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monkeypatch):
     def no_draw(*args, **kwargs):
@@ -554,7 +542,7 @@ def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monk
 
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
     monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
-    with pytest.raises(InputError, match="alpha|replicate count must be positive"):
+    with pytest.raises(InputError, match="alpha|replicate count must be positive|need at least 1000 null"):
         call()
 
 
@@ -570,8 +558,8 @@ def test_mixture_split_must_match_totals():
 
 def test_estimate_power_bitwise_reproducible():
     sc = alt_scenario()
-    cvs = estimate_critical_values(sc.null_scenario(), BATTERY, b=20_000, seed=7)
-    rows = [row for _ in range(2) for row in estimate_power([(sc, cvs)], BATTERY, b=5_000, seed=8)]
+    rows = [row for _ in range(2)
+            for row in estimate_power([sc], BATTERY, b=5_000, b_null=20_000, seed=8, null_seed=7)]
     assert rows[0].rates == rows[1].rates
 
 
@@ -645,35 +633,23 @@ def test_criticals_require_null_scenario():
 
 def test_size_matches_level_when_null_is_alternative():
     sc = null_scenario(p=0.5)
-    cvs = estimate_critical_values(sc, BATTERY, b=100_000, seed=13)
-    [row] = estimate_power([(sc, cvs)], BATTERY, b=10_000, seed=14)
+    [row] = estimate_power([sc], BATTERY, b=10_000, b_null=100_000, seed=14, null_seed=13)
     se = math.sqrt(0.05 * 0.95 / 10_000)
     for name in BATTERY:
         assert abs(row.rates[name] - 0.05) <= 3 * se + 0.003
 
 
-def test_power_mismatched_scenario_rejected():
-    cvs = estimate_critical_values(null_scenario(p=0.3), BATTERY, b=2_000, seed=15)
-    with pytest.raises(MismatchedScenario):
-        estimate_power([(alt_scenario(p=0.5), cvs)], BATTERY, b=1_000, seed=16)
-    with pytest.raises(MismatchedScenario):
-        estimate_power([(alt_scenario(r=100, s=250), cvs)], BATTERY, b=1_000, seed=16)
-
-
 def test_power_nondecreasing_in_effect_size():
-    sc0 = null_scenario()
-    cvs = estimate_critical_values(sc0, ("Z_HALF",), b=50_000, seed=17)
-    powers = []
-    for f2 in (0.013, 0.016, 0.020):
-        [row] = estimate_power([(alt_scenario(f2=f2), cvs)], ("Z_HALF",), b=6_000, seed=18)
-        powers.append(row.rates["Z_HALF"])
+    # three alternatives on one null, scored against its thresholds
+    rows = estimate_power([alt_scenario(f2=f2) for f2 in (0.013, 0.016, 0.020)], ("Z_HALF",),
+                          b=6_000, b_null=50_000, seed=18, null_seed=17)
+    powers = [row.rates["Z_HALF"] for row in rows]
     assert powers[0] < powers[1] < powers[2]
 
 
 def test_power_reports_se():
     sc = alt_scenario()
-    cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=5_000, seed=19)
-    [row] = estimate_power([(sc, cvs)], ("MAX3",), b=2_500, seed=20)
+    [row] = estimate_power([sc], ("MAX3",), b=2_500, b_null=5_000, seed=20, null_seed=19)
     rate = row.rates["MAX3"]
     assert row.standard_errors["MAX3"] == pytest.approx(math.sqrt(rate * (1 - rate) / 2_500))
 
@@ -718,8 +694,7 @@ def test_crosstab_grand_total_and_uniform_null():
 def test_crosstab_margin_matches_power():
     sc = alt_scenario(f2=0.02)
     [counts] = pvalue_crosstab([sc], ("MAX3", "CHI2_2DF"), b_null=50_000, b_reps=4_000, seed=25)
-    cvs = estimate_critical_values(sc.null_scenario(), ("MAX3",), b=50_000, seed=26)
-    [row] = estimate_power([(sc, cvs)], ("MAX3",), b=4_000, seed=27)
+    [row] = estimate_power([sc], ("MAX3",), b=4_000, b_null=50_000, seed=27, null_seed=26)
     frac_below_05 = counts[:2, :].sum() / 4_000
     assert abs(frac_below_05 - row.rates["MAX3"]) <= 0.025
 

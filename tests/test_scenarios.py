@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from trendmax import FrequencyOutOfRange, Scenario, ScenarioError, Stratum, parse_scenarios
+from trendmax.scenarios import distinct_nulls
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -110,3 +111,15 @@ def test_directly_built_two_stratum_scenario_round_trips():
 def test_directly_built_scenario_checks_its_strata(population, error):
     with pytest.raises(error):
         Scenario(population, None)
+
+
+def test_distinct_nulls_keep_first_seen_order_and_the_first_label():
+    records = [{**ADD, "id": "a1"}, {**MIX, "id": "m1"}, {**HWE, "id": "h1"}, {**CUSTOM, "id": "c1"},
+               {**MIX, "id": "m2"}, {**HWE, "id": "h2", "sidedness": "one"}]
+    pack = parse_scenarios(json.dumps(records))
+    nulls = distinct_nulls(pack)
+    # ADD, HWE and CUSTOM share one null; the one-sided HWE record does not
+    assert list(nulls) == [pack[0].key(), pack[1].key(), pack[5].key()]
+    assert [null.label for null in nulls.values()] == ["a1:null", "m1", "h2"]
+    assert all(null.is_null and null.key() == key for key, null in nulls.items())
+    assert distinct_nulls([]) == {}
