@@ -22,7 +22,12 @@ statistic's upper tail, or into its counts. One pool runs the chunks of
 several runs (a power call's scenarios), each run with its own streams.
 Every kernel works row by row, so the result does not depend on the core
 count, the order the chunks run in or the runs beside it: it is
-bit-identical for a given (scenario, battery, B, seed).
+bit-identical for a given (scenario, battery, B, seed). Permutation
+p-values run on the same pool rule: one task per run of consecutive
+tables whose draws total at most ``CHUNK_SIZE`` (a table with more is a
+task alone). Each table draws from a generator in the state of
+``default_rng(seed)`` and its task writes only its tables' p-values, so
+they too are bit-identical at any core count.
 
 Layout
 ------
@@ -36,12 +41,13 @@ each statistic's counts of exceedances and NaNs. Only the crosstab's
 replicates, the correlations and the cells keep a (k, B) array of k
 values per table (2 statistics, 3 correlations, or 6 cells). Each
 running task adds one chunk and its kernel temporaries. Permutation
-p-values take all margins from one (N, 6) array of counts at once,
-reduce each table's B draws to its distinct rows and multiplicities, and
-score whole tables' distinct rows in batches of at most ``BATCH_ROWS``
-rows, drawn batch by batch; each batch counts every statistic's weighted
-exceedances in one pass over a (statistics, rows) array. Memory is
-O(``BATCH_ROWS``) besides one table's draws, whatever the number of tables.
+p-values take all margins from one (N, 6) array of counts at once. Each
+task reduces each of its tables' B draws to its distinct rows and
+multiplicities and scores whole tables' distinct rows in batches of at
+most ``BATCH_ROWS`` rows, drawn batch by batch; each batch counts every
+statistic's weighted exceedances in one pass over a (statistics, rows)
+array. Memory is O(workers x (``BATCH_ROWS`` + one table's draws)),
+whatever the number of tables.
 
 Quantile convention
 -------------------
@@ -53,6 +59,7 @@ statistics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -125,6 +132,31 @@ def validate_replicates(b: int) -> None:
         raise InputError("replicate count must be positive")
 
 
+def _run_tasks(run, tasks) -> list:
+    """``run`` of each task on min(_CORES, tasks) threads: the results in task order.
+
+    Each thread binds itself to one usable core, taking the cores in turn:
+    where the kernel does not balance load across cores (a cpuset with
+    load balancing off), threads that hand the interpreter lock back and
+    forth, as permutation tasks do, stay on the core that started them for
+    a whole call. A core that cannot be bound leaves its thread unbound.
+    The first task to raise, in task order, re-raises its exception here,
+    once every task has ended.
+    """
+    cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    turns = itertools.count()
+
+    def bind() -> None:
+        if cores:
+            try:
+                os.sched_setaffinity(0, {cores[next(turns) % len(cores)]})
+            except OSError:
+                pass
+
+    with ThreadPoolExecutor(max(1, min(_CORES, len(tasks))), initializer=bind) as pool:
+        return list(pool.map(run, tasks))
+
+
 def _score_chunks(runs) -> None:
     """Draw runs of b >= 1 tables chunk by chunk on one pool.
 
@@ -144,9 +176,7 @@ def _score_chunks(runs) -> None:
             cells += 0.5
         consume(lo, score(cells.T))
 
-    with ThreadPoolExecutor(max(1, min(_CORES, len(tasks)))) as pool:
-        # list() re-raises the first chunk's exception
-        list(pool.map(run, tasks))
+    _run_tasks(run, tasks)
 
 
 def _score_array(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
@@ -384,14 +414,13 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
 # permutation p-values
 # ---------------------------------------------------------------------------
 
-def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A table's b >= 1 permuted case rows from ``default_rng(seed)``: distinct (k, 3) rows, multiplicities.
+def _distinct_case_rows(margins, n_cases: int, b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A table's b >= 1 permuted case rows drawn from ``rng``: distinct (k, 3) rows, multiplicities.
 
     Each row is keyed by r1 (n2 + 1) + r2, as r0 follows from the case
     count; the sorted keys split where they change.
     """
-    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
-                                                                  method="marginals")
+    rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
     width = margins[2] + 1
     keys = rows[:, 1] * width
     keys += rows[:, 2]
@@ -427,14 +456,17 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
 
     Margins fixed, a table's B draws repeat: each table's distinct permuted
     tables are scored once and their exceedances counted with the number of
-    times each was drawn, an exact integer. Whole tables' distinct rows
-    share one :func:`evaluate_battery` call of at most ``BATCH_ROWS`` rows
-    (a table with more is scored alone), drawn batch by batch, so memory is
-    O(``BATCH_ROWS``) besides one table's B draws. Each batch counts every
-    statistic's exceedances in one pass: one (statistics, rows) comparison
-    and one sum per table. Every kernel works row by row, so none of this
-    changes a p-value. ``observed`` is the battery on ``raw`` (one row
-    each, same battery and sidedness), if the caller has it.
+    times each was drawn, an exact integer. The tables run as tasks on
+    one thread per usable core, each task a run of consecutive tables
+    whose draws total at most ``CHUNK_SIZE`` (a table with more is a task
+    alone). Within a task, whole tables' distinct rows share one
+    :func:`evaluate_battery` call of at most ``BATCH_ROWS`` rows (a table
+    with more is scored alone), drawn batch by batch, so memory is
+    O(workers x (``BATCH_ROWS`` + one table's B draws)). Each batch counts
+    every statistic's exceedances in one pass: one (statistics, rows)
+    comparison and one sum per table. Every kernel works row by row, so
+    none of this changes a p-value. ``observed`` is the battery on ``raw``
+    (one row each, same battery and sidedness), if the caller has it.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
@@ -472,16 +504,25 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
         exceed = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=1)
         pvalues[:, lo:hi] = np.where(np.isnan(obs[:, lo:hi]), np.nan, (1 + exceed) / (1 + b))
 
-    batch, rows, lo = [], 0, 0
-    for hi, (table_margins, table_cases) in enumerate(zip(margins, n_cases.tolist())):
-        distinct, weights = _distinct_case_rows(table_margins, table_cases, b, seed)
-        if batch and rows + weights.size > BATCH_ROWS:
-            score(lo, hi, batch)
-            batch, rows, lo = [], 0, hi
-        batch.append((distinct, weights))
-        rows += weights.size
-    if batch:
-        score(lo, len(margins), batch)
+    per_task = max(1, CHUNK_SIZE // b)
+
+    def run(start: int) -> None:
+        """The task of tables start, ..., start + per_task - 1, batch by batch."""
+        rng = np.random.default_rng(seed)
+        fresh = rng.bit_generator.state
+        stop = min(start + per_task, len(margins))
+        batch, rows, lo = [], 0, start
+        for hi in range(start, stop):
+            rng.bit_generator.state = fresh  # each table draws as default_rng(seed) would
+            distinct, weights = _distinct_case_rows(margins[hi], int(n_cases[hi]), b, rng)
+            if batch and rows + weights.size > BATCH_ROWS:
+                score(lo, hi, batch)
+                batch, rows, lo = [], 0, hi
+            batch.append((distinct, weights))
+            rows += weights.size
+        score(lo, stop, batch)
+
+    _run_tasks(run, range(0, len(margins), per_task))
     return dict(zip(battery, pvalues))
 
 

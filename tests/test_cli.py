@@ -458,11 +458,13 @@ def test_analyze_scores_the_observed_tables_in_one_call_and_no_call_exceeds_the_
                    if line.strip() and not line.startswith("#"))
     # the observed tables first, all in one call; then each table's distinct
     # permuted rows, in shared batches of at most BATCH_ROWS rows (a table
-    # with more is scored alone). At b = 3,000 the 7 tables have 736 distinct
-    # rows between them, so one batch holds them all.
+    # with more is scored alone), one task's tables at a time. A task holds
+    # the tables whose draws total at most CHUNK_SIZE: at b = 200 the 7 tables
+    # are one task, at b = 3,000 three (3, 3 and 1 tables). At b = 3,000 the 7
+    # tables have 736 distinct rows between them, so no task needs a second batch.
     assert calls[0] == n_tables
     assert all(rows <= max(trendmax.battery.BATCH_ROWS, int(b_perm)) for rows in calls)
-    assert len(calls) == 2
+    assert len(calls) == 1 + -(-n_tables // (trendmax.montecarlo.CHUNK_SIZE // int(b_perm)))
 
 
 def test_criticals_simulates_each_distinct_null_once(monkeypatch):

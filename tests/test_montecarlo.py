@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -430,6 +431,37 @@ def test_an_error_in_one_pairs_chunk_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", failing_on_pair_1)
     with pytest.raises(RuntimeError, match="pair 1 failed"):
         pack_power(pairs, ("MAX3",), ENGINE_B, 65)
+
+
+BINDS_CORES = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity on this platform")
+
+
+@BINDS_CORES
+def test_each_pool_thread_binds_itself_to_one_usable_core_in_turn(monkeypatch):
+    usable = sorted(os.sched_getaffinity(0))
+    before = os.sched_getaffinity(0)
+    barrier = threading.Barrier(2, timeout=5)
+
+    def where(_) -> frozenset:
+        barrier.wait()  # both threads run a task, so each takes its turn
+        return frozenset(os.sched_getaffinity(0))
+
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    bound = trendmax.montecarlo._run_tasks(where, range(2))
+    assert sorted(bound, key=min) == [{usable[0]}, {usable[1 % len(usable)]}]
+    assert os.sched_getaffinity(0) == before  # the calling thread stays as it was
+
+
+@BINDS_CORES
+def test_a_core_that_cannot_be_bound_leaves_its_thread_unbound(monkeypatch):
+    def refusing(pid, cores):
+        raise OSError("binding refused")
+
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    monkeypatch.setattr(os, "sched_setaffinity", refusing)
+    got = trendmax.montecarlo._run_tasks(lambda task: (task * task, os.sched_getaffinity(0)), range(5))
+    assert got == [(task * task, before) for task in range(5)]
 
 
 def traced_peak_mb(call) -> float:
@@ -1077,7 +1109,7 @@ def distinct_permuted_rows(table, b, seed) -> int:
 @settings(max_examples=150, deadline=None)
 def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases, b, seed):
     n_cases = min(max(round(cases * sum(margins)), 1), sum(margins) - 1)
-    rows, weights = trendmax.montecarlo._distinct_case_rows(margins, n_cases, b, seed)
+    rows, weights = trendmax.montecarlo._distinct_case_rows(margins, n_cases, b, np.random.default_rng(seed))
     draws = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
                                                                    method="marginals")
     unique, counts = np.unique(draws, axis=0, return_counts=True)
@@ -1093,7 +1125,7 @@ def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases
 def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatch):
     # margins (12, 0, 0): every permutation gives the observed table back
     alike = (5, 0, 0, 7, 0, 0)
-    rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, 41)
+    rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, np.random.default_rng(41))
     assert rows.tolist() == [[5, 0, 0]] and weights.tolist() == [1_000]
     tables = [batch_of_tables(1, seed=48)[0], alike, (0, 4, 0, 0, 9, 0)]
     calls = count_permuted_rows(monkeypatch)
@@ -1105,48 +1137,148 @@ def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatc
                              np.array([want[name] for name in ALL_STATISTICS]))
 
 
+def packed_batches(distinct: list[int], b: int) -> list[int]:
+    """Rows of each permuted battery call, in task order, for tables with these distinct row counts.
+
+    A task is a run of consecutive tables whose b draws total at most
+    CHUNK_SIZE (a table with more is a task alone); within a task, whole
+    tables go in order, a batch closed only when the next table would
+    overflow BATCH_ROWS.
+    """
+    per_task = max(1, CHUNK_SIZE // b)
+    packed = []
+    for start in range(0, len(distinct), per_task):
+        packed.append(0)
+        for rows in distinct[start:start + per_task]:
+            if packed[-1] and packed[-1] + rows > trendmax.montecarlo.BATCH_ROWS:
+                packed.append(0)
+            packed[-1] += rows
+    return packed
+
+
 def test_a_table_with_more_distinct_rows_than_the_cap_is_scored_alone(monkeypatch):
     big = (2000, 2000, 2000, 2000, 2000, 2000)
     assert distinct_permuted_rows(big, 12_000, 41) == 6_479 > trendmax.montecarlo.BATCH_ROWS
     small = batch_of_tables(2, seed=49)
     tables = [small[0], big, small[1]]
-    calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 12_000, seed=41)
-    assert calls == [distinct_permuted_rows(table, 12_000, 41) for table in tables]
-    assert max(calls) <= 12_000
-    for i, table in enumerate(tables):
-        want = one_table_permutation_pvalues(table, DEFAULT_BATTERY, 12_000, 41)
-        assert_bit_identical(np.array([got[name][i] for name in DEFAULT_BATTERY]),
-                             np.array([want[name] for name in DEFAULT_BATTERY]))
+    alone = [distinct_permuted_rows(table, 12_000, 41) for table in tables]
+    for cores in (1, 4):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        calls = count_permuted_rows(monkeypatch)
+        got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 12_000, seed=41)
+        # b > CHUNK_SIZE, so each table is a task; on one core they run in order
+        arrange = list if cores == 1 else sorted
+        assert arrange(calls) == arrange(alone)
+        assert max(calls) <= 12_000
+        for i, table in enumerate(tables):
+            want = one_table_permutation_pvalues(table, DEFAULT_BATTERY, 12_000, 41)
+            assert_bit_identical(np.array([got[name][i] for name in DEFAULT_BATTERY]),
+                                 np.array([want[name] for name in DEFAULT_BATTERY]))
 
 
 def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
     b = 1_237
-    tables = batch_of_tables(37, seed=47)
+    # with eight tables per task, the large tables' task closes a batch before it would overflow
+    tables = batch_of_tables(37, seed=47) + [(2000, 2000, 2000, 2000, 2000, 2000)] * 8
     distinct = [distinct_permuted_rows(table, b, 41) for table in tables]
-    calls = count_permuted_rows(monkeypatch)
-    got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
-    assert sum(calls) == sum(distinct) < len(tables) * b
-    assert all(rows <= max(trendmax.montecarlo.BATCH_ROWS, b) for rows in calls)
-    # whole tables in order, a batch closed only when the next table would overflow it
-    packed = [0]
-    for rows in distinct:
-        if packed[-1] and packed[-1] + rows > trendmax.montecarlo.BATCH_ROWS:
-            packed.append(0)
-        packed[-1] += rows
-    assert calls == packed and len(calls) > 1
+    packed = packed_batches(distinct, b)
+    assert len(packed) > -(-len(tables) // (CHUNK_SIZE // b))
     wants = [one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 41) for table in tables]
-    for name, pvalues in got.items():
-        assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
+    for cores in (1, 4):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        calls = count_permuted_rows(monkeypatch)
+        got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
+        assert sum(calls) == sum(distinct) < len(tables) * b
+        assert all(rows <= max(trendmax.montecarlo.BATCH_ROWS, b) for rows in calls)
+        # on one core the tasks run in order; on more, their calls interleave
+        arrange = list if cores == 1 else sorted
+        assert arrange(calls) == arrange(packed)
+        assert len(calls) > 1
+        for name, pvalues in got.items():
+            assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
 
 
-def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch():
+def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch(monkeypatch):
     # 120 tables x 1,000 permutations: 120,000 rows scored at once peaked
-    # at 31 MB; batches of 5,000 rows peak near 2 MB, and of 10,000 near 3.9 MB
+    # at 31 MB; batches of 5,000 rows peak near 2 MB, and of 10,000 near 3.9 MB.
+    # In tasks of 10 tables, each worker holds about 1,000 distinct rows and
+    # one table's draws: 0.66 MB on one core, 1.1-1.6 MB on four
     tables = batch_of_tables(120, seed=42)
-    peak = traced_peak_mb(lambda: permutation_pvalues(np.array(tables), DEFAULT_BATTERY,
-                                                      1_000, seed=43))
-    assert peak < 3.0
+    for cores, bound in ((1, 3.0), (4, 4 * 0.75)):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        peak = traced_peak_mb(lambda: permutation_pvalues(np.array(tables), DEFAULT_BATTERY,
+                                                          1_000, seed=43))
+        assert peak < bound, f"{cores} cores"
+
+
+@pytest.mark.parametrize("count, b", [
+    (45, 1_237),  # tasks of eight tables
+    (5, CHUNK_SIZE + 1),  # a task per table
+    (0, 1_237),
+])
+def test_permutation_pvalues_do_not_depend_on_core_count(count, b, monkeypatch):
+    tables = np.array(batch_of_tables(count, seed=count), dtype=float).reshape(count, 6)
+    if count:
+        tables[1] = (10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
+    wants = [one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 51) for table in tables]
+    interval = sys.getswitchinterval()
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+        sys.setswitchinterval(1e-6 if cores == 8 else interval)
+        try:
+            got = permutation_pvalues(tables, DEFAULT_BATTERY, b, seed=51)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(got) == list(DEFAULT_BATTERY)
+        for name, pvalues in got.items():
+            assert_bit_identical(pvalues, np.array([want[name] for want in wants], dtype=float))
+
+
+def test_each_table_draws_from_a_generator_as_fresh_as_default_rng_of_the_seed(monkeypatch):
+    # a task builds one generator and restores its state before each table
+    distinct_case_rows = trendmax.montecarlo._distinct_case_rows
+    fresh = np.random.default_rng(52).bit_generator.state
+    drawn = []
+
+    def checking(margins, n_cases, b, rng):
+        assert rng.bit_generator.state == fresh
+        got = distinct_case_rows(margins, n_cases, b, rng)
+        want = distinct_case_rows(margins, n_cases, b, np.random.default_rng(52))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        drawn.append(1)
+        return got
+
+    tables = batch_of_tables(25, seed=53)
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", checking)
+    permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 1_000, seed=52)
+    assert len(drawn) == len(tables)
+
+
+def test_a_draw_error_on_one_table_reaches_the_caller_without_hanging(monkeypatch):
+    distinct_case_rows = trendmax.montecarlo._distinct_case_rows
+    failing = batch_of_tables(30, seed=54)[17]
+
+    def failing_on_table_17(margins, n_cases, b, rng):
+        if margins.tolist() == column_margins(failing) and n_cases == sum(failing[:3]):
+            raise RuntimeError("table 17 failed")
+        return distinct_case_rows(margins, n_cases, b, rng)
+
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
+    monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", failing_on_table_17)
+    raised = []
+
+    def call() -> None:
+        try:
+            permutation_pvalues(np.array(batch_of_tables(30, seed=54)), DEFAULT_BATTERY, 1_000, seed=55)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert raised == ["table 17 failed"]
 
 
 # ---------------------------------------------------------------------------
