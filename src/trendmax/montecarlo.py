@@ -25,9 +25,9 @@ count, the order the chunks run in or the runs beside it: it is
 bit-identical for a given (scenario, battery, B, seed). Permutation
 p-values run on the same pool rule: one task per run of consecutive
 tables whose draws total at most ``CHUNK_SIZE`` (a table with more is a
-task alone). Each table draws from a generator in the state of
-``default_rng(seed)`` and its task writes only its tables' p-values, so
-they too are bit-identical at any core count.
+task alone). Each table draws from its own ``default_rng(seed)`` and its
+task writes only its tables' p-values, so they too are bit-identical at
+any core count.
 
 Layout
 ------
@@ -59,7 +59,6 @@ statistics.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -135,25 +134,10 @@ def validate_replicates(b: int) -> None:
 def _run_tasks(run, tasks) -> list:
     """``run`` of each task on min(_CORES, tasks) threads: the results in task order.
 
-    Each thread binds itself to one usable core, taking the cores in turn:
-    where the kernel does not balance load across cores (a cpuset with
-    load balancing off), threads that hand the interpreter lock back and
-    forth, as permutation tasks do, stay on the core that started them for
-    a whole call. A core that cannot be bound leaves its thread unbound.
     The first task to raise, in task order, re-raises its exception here,
     once every task has ended.
     """
-    cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    turns = itertools.count()
-
-    def bind() -> None:
-        if cores:
-            try:
-                os.sched_setaffinity(0, {cores[next(turns) % len(cores)]})
-            except OSError:
-                pass
-
-    with ThreadPoolExecutor(max(1, min(_CORES, len(tasks))), initializer=bind) as pool:
+    with ThreadPoolExecutor(max(1, min(_CORES, len(tasks)))) as pool:
         return list(pool.map(run, tasks))
 
 
@@ -414,13 +398,14 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
 # permutation p-values
 # ---------------------------------------------------------------------------
 
-def _distinct_case_rows(margins, n_cases: int, b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """A table's b >= 1 permuted case rows drawn from ``rng``: distinct (k, 3) rows, multiplicities.
+def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A table's b >= 1 permuted case rows from ``default_rng(seed)``: distinct (k, 3) rows, multiplicities.
 
     Each row is keyed by r1 (n2 + 1) + r2, as r0 follows from the case
     count; the sorted keys split where they change.
     """
-    rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
+    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
+                                                                  method="marginals")
     width = margins[2] + 1
     keys = rows[:, 1] * width
     keys += rows[:, 2]
@@ -508,13 +493,10 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
 
     def run(start: int) -> None:
         """The task of tables start, ..., start + per_task - 1, batch by batch."""
-        rng = np.random.default_rng(seed)
-        fresh = rng.bit_generator.state
         stop = min(start + per_task, len(margins))
         batch, rows, lo = [], 0, start
         for hi in range(start, stop):
-            rng.bit_generator.state = fresh  # each table draws as default_rng(seed) would
-            distinct, weights = _distinct_case_rows(margins[hi], int(n_cases[hi]), b, rng)
+            distinct, weights = _distinct_case_rows(margins[hi], int(n_cases[hi]), b, seed)
             if batch and rows + weights.size > BATCH_ROWS:
                 score(lo, hi, batch)
                 batch, rows, lo = [], 0, hi

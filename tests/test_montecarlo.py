@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import os
 import re
 import sys
 import threading
@@ -431,37 +430,6 @@ def test_an_error_in_one_pairs_chunk_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", failing_on_pair_1)
     with pytest.raises(RuntimeError, match="pair 1 failed"):
         pack_power(pairs, ("MAX3",), ENGINE_B, 65)
-
-
-BINDS_CORES = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity on this platform")
-
-
-@BINDS_CORES
-def test_each_pool_thread_binds_itself_to_one_usable_core_in_turn(monkeypatch):
-    usable = sorted(os.sched_getaffinity(0))
-    before = os.sched_getaffinity(0)
-    barrier = threading.Barrier(2, timeout=5)
-
-    def where(_) -> frozenset:
-        barrier.wait()  # both threads run a task, so each takes its turn
-        return frozenset(os.sched_getaffinity(0))
-
-    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
-    bound = trendmax.montecarlo._run_tasks(where, range(2))
-    assert sorted(bound, key=min) == [{usable[0]}, {usable[1 % len(usable)]}]
-    assert os.sched_getaffinity(0) == before  # the calling thread stays as it was
-
-
-@BINDS_CORES
-def test_a_core_that_cannot_be_bound_leaves_its_thread_unbound(monkeypatch):
-    def refusing(pid, cores):
-        raise OSError("binding refused")
-
-    before = os.sched_getaffinity(0)
-    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
-    monkeypatch.setattr(os, "sched_setaffinity", refusing)
-    got = trendmax.montecarlo._run_tasks(lambda task: (task * task, os.sched_getaffinity(0)), range(5))
-    assert got == [(task * task, before) for task in range(5)]
 
 
 def traced_peak_mb(call) -> float:
@@ -1109,7 +1077,7 @@ def distinct_permuted_rows(table, b, seed) -> int:
 @settings(max_examples=150, deadline=None)
 def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases, b, seed):
     n_cases = min(max(round(cases * sum(margins)), 1), sum(margins) - 1)
-    rows, weights = trendmax.montecarlo._distinct_case_rows(margins, n_cases, b, np.random.default_rng(seed))
+    rows, weights = trendmax.montecarlo._distinct_case_rows(margins, n_cases, b, seed)
     draws = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
                                                                    method="marginals")
     unique, counts = np.unique(draws, axis=0, return_counts=True)
@@ -1125,7 +1093,7 @@ def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases
 def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatch):
     # margins (12, 0, 0): every permutation gives the observed table back
     alike = (5, 0, 0, 7, 0, 0)
-    rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, np.random.default_rng(41))
+    rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, 41)
     assert rows.tolist() == [[5, 0, 0]] and weights.tolist() == [1_000]
     tables = [batch_of_tables(1, seed=48)[0], alike, (0, 4, 0, 0, 9, 0)]
     calls = count_permuted_rows(monkeypatch)
@@ -1234,35 +1202,14 @@ def test_permutation_pvalues_do_not_depend_on_core_count(count, b, monkeypatch):
             assert_bit_identical(pvalues, np.array([want[name] for want in wants], dtype=float))
 
 
-def test_each_table_draws_from_a_generator_as_fresh_as_default_rng_of_the_seed(monkeypatch):
-    # a task builds one generator and restores its state before each table
-    distinct_case_rows = trendmax.montecarlo._distinct_case_rows
-    fresh = np.random.default_rng(52).bit_generator.state
-    drawn = []
-
-    def checking(margins, n_cases, b, rng):
-        assert rng.bit_generator.state == fresh
-        got = distinct_case_rows(margins, n_cases, b, rng)
-        want = distinct_case_rows(margins, n_cases, b, np.random.default_rng(52))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        drawn.append(1)
-        return got
-
-    tables = batch_of_tables(25, seed=53)
-    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
-    monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", checking)
-    permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 1_000, seed=52)
-    assert len(drawn) == len(tables)
-
-
 def test_a_draw_error_on_one_table_reaches_the_caller_without_hanging(monkeypatch):
     distinct_case_rows = trendmax.montecarlo._distinct_case_rows
     failing = batch_of_tables(30, seed=54)[17]
 
-    def failing_on_table_17(margins, n_cases, b, rng):
+    def failing_on_table_17(margins, n_cases, b, seed):
         if margins.tolist() == column_margins(failing) and n_cases == sum(failing[:3]):
             raise RuntimeError("table 17 failed")
-        return distinct_case_rows(margins, n_cases, b, rng)
+        return distinct_case_rows(margins, n_cases, b, seed)
 
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
     monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", failing_on_table_17)
