@@ -172,17 +172,18 @@ def _parts(cells, xs, two_sided: bool) -> _Parts:
     return _Parts(cells, {x: trend_values(sums, x) for x in xs}, two_sided)
 
 
-# Rows per evaluate_battery call where many small tables are pooled: the cost
-# per row is lowest near 5,000 rows, and the kernel temporaries stay near 1 MB.
-BATCH_ROWS = 5_000
+# The package's one rows-per-call rule: a simulation chunk, a permutation task
+# and a slice of evaluate_tables each go to evaluate_battery as at most this
+# many rows, so one call's kernel temporaries stay within a few MB.
+CHUNK_SIZE = 10_000
 
 
 def evaluate_tables(cells, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
-    """:func:`evaluate_battery` on (N, 6) cells (:func:`~trendmax.tables.cell_array`), BATCH_ROWS rows per call."""
+    """:func:`evaluate_battery` on (N, 6) cells (:func:`~trendmax.tables.cell_array`), CHUNK_SIZE rows per call."""
     cells, battery = cell_array(cells), validate_battery(battery)
     out = {name: np.empty(len(cells)) for name in battery}
-    for lo in range(0, len(cells), BATCH_ROWS):
-        for name, values in evaluate_battery(cells[lo:lo + BATCH_ROWS], battery, two_sided).items():
+    for lo in range(0, len(cells), CHUNK_SIZE):
+        for name, values in evaluate_battery(cells[lo:lo + CHUNK_SIZE], battery, two_sided).items():
             out[name][lo:lo + len(values)] = values
     return out
 

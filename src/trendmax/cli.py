@@ -229,6 +229,7 @@ def cmd_analyze(args) -> int:
     if args.input:
         try:
             text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
+            text = text.removeprefix("\ufeff")  # drop a leading byte-order mark, as utf-8-sig does
         except UnicodeDecodeError as exc:
             raise InputError(f"{'<stdin>' if args.input == '-' else args.input}: {exc}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):

@@ -25,9 +25,10 @@ count, the order the chunks run in or the runs beside it: it is
 bit-identical for a given (scenario, battery, B, seed). Permutation
 p-values run on the same pool rule: one task per run of consecutive
 tables whose draws total at most ``CHUNK_SIZE`` (a table with more is a
-task alone). Each table draws from its own ``default_rng(seed)`` and its
-task writes only its tables' p-values, so they too are bit-identical at
-any core count.
+task alone), its tables' distinct rows scored in one call, as a chunk is.
+Each table draws from its own ``default_rng(seed)`` and its task writes
+only its tables' p-values, so they too are bit-identical at any core
+count.
 
 Layout
 ------
@@ -43,10 +44,10 @@ values per table (2 statistics, 3 correlations, or 6 cells). Each
 running task adds one chunk and its kernel temporaries. Permutation
 p-values take all margins from one (N, 6) array of counts at once. Each
 task reduces each of its tables' B draws to its distinct rows and
-multiplicities and scores whole tables' distinct rows in batches of at
-most ``BATCH_ROWS`` rows, drawn batch by batch; each batch counts every
-statistic's weighted exceedances in one pass over a (statistics, rows)
-array. Memory is O(workers x (``BATCH_ROWS`` + one table's draws)),
+multiplicities, at most ``CHUNK_SIZE`` rows between them unless the task
+is one table with B above it, and scores them in one call that counts
+every statistic's weighted exceedances in one pass over a (statistics,
+rows) array. Memory is O(workers x (``CHUNK_SIZE`` + one table's draws)),
 whatever the number of tables.
 
 Quantile convention
@@ -67,13 +68,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import BATCH_ROWS, evaluate_battery, evaluate_tables, validate_battery
+from .battery import CHUNK_SIZE, evaluate_battery, evaluate_tables, validate_battery
 from .errors import DegenerateTable, InputError, ScenarioError
 from .robust import CorrelationTriple, batch_correlations
 from .scenarios import Scenario, distinct_nulls
 from .tables import cell_array
 
-CHUNK_SIZE = 10_000
 MAX_PERMUTED_TOTAL = 10**9  # numpy's "marginals" hypergeometric sampler needs a table total below it
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -125,10 +125,10 @@ def validate_alpha(alpha: float) -> None:
         raise InputError(f"alpha {alpha!r} must lie strictly in (0, 1)")
 
 
-def validate_replicates(b: int) -> None:
-    """Reject a replicate count below 1."""
+def validate_replicates(b: int, name: str) -> None:
+    """Reject a replicate count below 1, naming its parameter."""
     if b <= 0:
-        raise InputError("replicate count must be positive")
+        raise InputError(f"replicate count must be positive, got {name}={b}")
 
 
 def _run_tasks(run, tasks) -> list:
@@ -165,7 +165,7 @@ def _score_chunks(runs) -> None:
 
 def _score_array(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
     """(width, b) array: ``score`` maps each chunk's (count, 6) cells to width vectors."""
-    validate_replicates(b)
+    validate_replicates(b, "b")
     out = np.empty((width, b))
 
     def write(lo: int, values) -> None:
@@ -307,7 +307,7 @@ def estimate_power(scenarios, battery, b: int = 10_000, *, b_null: int = 200_000
     a null scenario's size row is scored on the draws that set its
     thresholds.
     """
-    validate_replicates(b)
+    validate_replicates(b, "b")
     validate_alpha(alpha)
     battery = validate_battery(battery)
     criticals = {key: estimate_critical_values(null, battery, b_null, alpha, seed=null_seed).thresholds
@@ -374,8 +374,8 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
     edges = tuple(float(e) for e in bins)
     if not edges or any(not 0.0 < e < 1.0 for e in edges) or list(edges) != sorted(set(edges)):
         raise InputError(f"bin edges {edges!r} must be one or more strictly increasing values within (0, 1)")
-    validate_replicates(b_null)
-    validate_replicates(b_reps)
+    validate_replicates(b_null, "b_null")
+    validate_replicates(b_reps, "b_reps")
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
     all_edges = np.array([*edges, 1.0 + 1e-12])
@@ -444,11 +444,10 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     times each was drawn, an exact integer. The tables run as tasks on
     one thread per usable core, each task a run of consecutive tables
     whose draws total at most ``CHUNK_SIZE`` (a table with more is a task
-    alone). Within a task, whole tables' distinct rows share one
-    :func:`evaluate_battery` call of at most ``BATCH_ROWS`` rows (a table
-    with more is scored alone), drawn batch by batch, so memory is
-    O(workers x (``BATCH_ROWS`` + one table's B draws)). Each batch counts
-    every statistic's exceedances in one pass: one (statistics, rows)
+    alone). A task's distinct rows, at most its draws, go to one
+    :func:`evaluate_battery` call, so memory is O(workers x
+    (``CHUNK_SIZE`` + one table's B draws)). Each call counts every
+    statistic's exceedances in one pass: one (statistics, rows)
     comparison and one sum per table. Every kernel works row by row, so
     none of this changes a p-value. ``observed`` is the battery on ``raw``
     (one row each, same battery and sidedness), if the caller has it.
@@ -475,34 +474,23 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     obs = np.array([observed[name] for name in battery])  # (statistics, tables)
     pvalues = np.empty(obs.shape)
 
-    def score(lo: int, hi: int, batch) -> None:
-        """Tables lo, ..., hi - 1, given as (distinct rows, multiplicities), in one call."""
-        sizes = [weights.size for _, weights in batch]
+    per_task = max(1, CHUNK_SIZE // b)
+
+    def run(lo: int) -> None:
+        """The task of tables lo, ..., lo + per_task - 1: their distinct rows in one call."""
+        hi = min(lo + per_task, len(margins))
+        distinct, weights = zip(*(_distinct_case_rows(margins[i], int(n_cases[i]), b, seed)
+                                  for i in range(lo, hi)))
+        sizes = [w.size for w in weights]
         cells = np.empty((6, sum(sizes)))
-        cells[0:3] = np.concatenate([distinct for distinct, _ in batch]).T
+        cells[0:3] = np.concatenate(distinct).T
         np.subtract(np.repeat(margins[lo:hi], sizes, axis=0).T, cells[0:3], out=cells[3:6])
         values = np.array(list(evaluate_battery(cells.T, battery, two_sided).values()))
         # every statistic at once (NaN compares False on either side); the weighted
         # hits overwrite the values, and as whole numbers their float sums are exact
-        np.multiply(values >= np.repeat(obs[:, lo:hi], sizes, axis=1),
-                    np.concatenate([weights for _, weights in batch]), out=values)
+        np.multiply(values >= np.repeat(obs[:, lo:hi], sizes, axis=1), np.concatenate(weights), out=values)
         exceed = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=1)
         pvalues[:, lo:hi] = np.where(np.isnan(obs[:, lo:hi]), np.nan, (1 + exceed) / (1 + b))
-
-    per_task = max(1, CHUNK_SIZE // b)
-
-    def run(start: int) -> None:
-        """The task of tables start, ..., start + per_task - 1, batch by batch."""
-        stop = min(start + per_task, len(margins))
-        batch, rows, lo = [], 0, start
-        for hi in range(start, stop):
-            distinct, weights = _distinct_case_rows(margins[hi], int(n_cases[hi]), b, seed)
-            if batch and rows + weights.size > BATCH_ROWS:
-                score(lo, hi, batch)
-                batch, rows, lo = [], 0, hi
-            batch.append((distinct, weights))
-            rows += weights.size
-        score(lo, stop, batch)
 
     _run_tasks(run, range(0, len(margins), per_task))
     return dict(zip(battery, pvalues))

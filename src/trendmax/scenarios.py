@@ -240,9 +240,9 @@ def parse_scenarios(text: str, source: str = "<scenarios>") -> list[Scenario]:
 
 
 def load_scenarios(path) -> list[Scenario]:
-    """Parse the scenario file at ``path`` (UTF-8 JSON, see the module docstring)."""
+    """Parse the scenario file at ``path``: UTF-8 JSON, a leading BOM allowed (see the module docstring)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_scenarios(fh.read(), source=str(path))
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: {exc}") from None

@@ -14,7 +14,15 @@ from trendmax import (
     mert_rec_add,
     tmax,
 )
-from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS, evaluate_battery, validate_battery
+from trendmax.battery import (
+    ALL_STATISTICS,
+    CHUNK_SIZE,
+    DEFAULT_BATTERY,
+    STATISTICS,
+    evaluate_battery,
+    evaluate_tables,
+    validate_battery,
+)
 from trendmax.robust import DEFAULT_GRID
 
 from conftest import random_tables
@@ -79,6 +87,27 @@ def test_battery_is_bit_identical_across_memory_layouts(rows, corrected, two_sid
     for name in ALL_STATISTICS:
         assert_bit_identical(c_values[name], f_values[name], name)
         assert_bit_identical(c_values[name], np.concatenate([v[name] for v in single]), name)
+
+
+def test_evaluate_tables_scores_chunk_size_rows_per_call(monkeypatch):
+    # a batch of CHUNK_SIZE + 1 tables, undefined statistics among them
+    cells = np.concatenate([random_tables(CHUNK_SIZE // 2, seed=205),
+                            raw_tables(CHUNK_SIZE // 2 + 1, seed=206)])
+    battery = validate_battery(ALL_STATISTICS, GRID)
+    whole = evaluate_battery(cells, battery)
+    calls = []
+    original = trendmax.battery.evaluate_battery
+
+    def counting(cells, *args, **kwargs):
+        calls.append(len(cells))
+        return original(cells, *args, **kwargs)
+
+    monkeypatch.setattr(trendmax.battery, "evaluate_battery", counting)
+    got = evaluate_tables(cells, battery)
+    assert calls == [CHUNK_SIZE, 1]
+    assert list(got) == list(battery)
+    for name in battery:
+        assert_bit_identical(got[name], whole[name], name)
 
 
 @pytest.mark.parametrize("grid", [(0.0, 1.5), (0.0, np.nan), (-0.1,), (np.inf,)])

@@ -216,6 +216,8 @@ def test_b_perm_without_seed_is_rejected_before_reading_tables(tmp_path, monkeyp
     (CASES["crosstab_max3_maxgrid"] + ["--b-reps", "0"], "replicate count must be positive"),
     (CASES["criticals_unbalanced"] + ["--battery", "CHI2_2DF,HWD", "--alpha", "2"],
      "alpha 2.0 must lie strictly in (0, 1)"),
+    (CASES["crosstab_max3_maxgrid"] + ["--b-null", "0"], "replicate count must be positive, got b_null=0"),
+    (CASES["corr_stratified"][:-2] + ["--b-power", "0"], "replicate count must be positive, got b=0"),
 ])
 def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message, monkeypatch):
     import trendmax.montecarlo
@@ -456,14 +458,12 @@ def test_analyze_scores_the_observed_tables_in_one_call_and_no_call_exceeds_the_
         assert out == (GOLDEN / "analyze_perm.txt").read_text(encoding="utf-8")
     n_tables = sum(1 for line in (GOLDEN / "tables.txt").read_text().splitlines()
                    if line.strip() and not line.startswith("#"))
-    # the observed tables first, all in one call; then each table's distinct
-    # permuted rows, in shared batches of at most BATCH_ROWS rows (a table
-    # with more is scored alone), one task's tables at a time. A task holds
-    # the tables whose draws total at most CHUNK_SIZE: at b = 200 the 7 tables
-    # are one task, at b = 3,000 three (3, 3 and 1 tables). At b = 3,000 the 7
-    # tables have 736 distinct rows between them, so no task needs a second batch.
+    # the observed tables first, all in one call; then one call per task, of
+    # its tables' distinct permuted rows. A task holds the tables whose draws
+    # total at most CHUNK_SIZE: at b = 200 the 7 tables are one task, at
+    # b = 3,000 three (3, 3 and 1 tables)
     assert calls[0] == n_tables
-    assert all(rows <= max(trendmax.battery.BATCH_ROWS, int(b_perm)) for rows in calls)
+    assert all(rows <= max(trendmax.battery.CHUNK_SIZE, int(b_perm)) for rows in calls)
     assert len(calls) == 1 + -(-n_tables // (trendmax.montecarlo.CHUNK_SIZE // int(b_perm)))
 
 
@@ -630,6 +630,28 @@ def test_input_that_is_not_utf8_exits_2_with_one_line_naming_it(source, tmp_path
     assert (code, out) == (2, "")
     assert err.startswith(f"trendmax {argv[0]}: {name}: 'utf-8' codec can't decode byte {byte} in position ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("source", ["input", "stdin", "scenarios"])
+def test_a_utf8_byte_order_mark_is_not_part_of_the_input(source, tmp_path, monkeypatch):
+    if source == "scenarios":
+        path = tmp_path / "pack.json"
+        path.write_bytes(b"\xef\xbb\xbf" + (SCENARIOS / "null_hwe_250.json").read_bytes())
+        argv = CASES["criticals_hwe_all"][:2] + [str(path)] + CASES["criticals_hwe_all"][3:]
+        want = (GOLDEN / "criticals_hwe_all.txt").read_text(encoding="utf-8")
+    else:
+        data = b"\xef\xbb\xbf10 20 30 30 20 10\n"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            given = "-"
+        else:
+            given = str(tmp_path / "tables.txt")
+            Path(given).write_bytes(data)
+        argv = ["analyze", "--input", given]
+        want = run_cli(["analyze", "--table", "10 20 30 30 20 10"])[1].replace("arg0,", "line1,")
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert out == want
 
 
 def test_csv_provenance_writes_a_missing_value_as_an_empty_value():

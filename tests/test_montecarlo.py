@@ -930,9 +930,9 @@ def batch_of_tables(count: int, seed: int) -> list[tuple[float, ...]]:
 
 
 @pytest.mark.parametrize("b, two_sided, battery, grid", [
-    (1_237, True, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),  # several tables' distinct rows per batch
+    (1_237, True, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),  # several tables' distinct rows per call
     (1_237, False, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),
-    (6_001, True, DEFAULT_BATTERY, DEFAULT_GRID),  # B above the cap, yet tables share batches
+    (6_001, True, DEFAULT_BATTERY, DEFAULT_GRID),  # B above CHUNK_SIZE / 2: a task, and a call, per table
     (0, True, DEFAULT_BATTERY, DEFAULT_GRID),
 ])
 def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery, grid):
@@ -1105,59 +1105,53 @@ def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatc
                              np.array([want[name] for name in ALL_STATISTICS]))
 
 
-def packed_batches(distinct: list[int], b: int) -> list[int]:
+def packed_tasks(distinct: list[int], b: int) -> list[int]:
     """Rows of each permuted battery call, in task order, for tables with these distinct row counts.
 
     A task is a run of consecutive tables whose b draws total at most
-    CHUNK_SIZE (a table with more is a task alone); within a task, whole
-    tables go in order, a batch closed only when the next table would
-    overflow BATCH_ROWS.
+    CHUNK_SIZE (a table with more is a task alone), and its tables'
+    distinct rows are scored in one call.
     """
     per_task = max(1, CHUNK_SIZE // b)
-    packed = []
-    for start in range(0, len(distinct), per_task):
-        packed.append(0)
-        for rows in distinct[start:start + per_task]:
-            if packed[-1] and packed[-1] + rows > trendmax.montecarlo.BATCH_ROWS:
-                packed.append(0)
-            packed[-1] += rows
-    return packed
+    return [sum(distinct[start:start + per_task]) for start in range(0, len(distinct), per_task)]
 
 
 def test_a_table_with_more_distinct_rows_than_the_cap_is_scored_alone(monkeypatch):
     big = (2000, 2000, 2000, 2000, 2000, 2000)
-    assert distinct_permuted_rows(big, 12_000, 41) == 6_479 > trendmax.montecarlo.BATCH_ROWS
+    b = 40_000
+    assert distinct_permuted_rows(big, b, 41) == 10_781 > CHUNK_SIZE
     small = batch_of_tables(2, seed=49)
     tables = [small[0], big, small[1]]
-    alone = [distinct_permuted_rows(table, 12_000, 41) for table in tables]
+    alone = [distinct_permuted_rows(table, b, 41) for table in tables]
     for cores in (1, 4):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         calls = count_permuted_rows(monkeypatch)
-        got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, 12_000, seed=41)
+        got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
         # b > CHUNK_SIZE, so each table is a task; on one core they run in order
         arrange = list if cores == 1 else sorted
         assert arrange(calls) == arrange(alone)
-        assert max(calls) <= 12_000
+        assert max(calls) <= b
         for i, table in enumerate(tables):
-            want = one_table_permutation_pvalues(table, DEFAULT_BATTERY, 12_000, 41)
+            want = one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 41)
             assert_bit_identical(np.array([got[name][i] for name in DEFAULT_BATTERY]),
                                  np.array([want[name] for name in DEFAULT_BATTERY]))
 
 
 def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
     b = 1_237
-    # with eight tables per task, the large tables' task closes a batch before it would overflow
+    # eight tables per task; the last task holds five large tables, 5,695 distinct rows in one call
     tables = batch_of_tables(37, seed=47) + [(2000, 2000, 2000, 2000, 2000, 2000)] * 8
     distinct = [distinct_permuted_rows(table, b, 41) for table in tables]
-    packed = packed_batches(distinct, b)
-    assert len(packed) > -(-len(tables) // (CHUNK_SIZE // b))
+    packed = packed_tasks(distinct, b)
+    assert len(packed) == -(-len(tables) // (CHUNK_SIZE // b))
+    assert packed[-1] == 5 * distinct[-1] == 5_695
     wants = [one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 41) for table in tables]
     for cores in (1, 4):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         calls = count_permuted_rows(monkeypatch)
         got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
         assert sum(calls) == sum(distinct) < len(tables) * b
-        assert all(rows <= max(trendmax.montecarlo.BATCH_ROWS, b) for rows in calls)
+        assert all(rows <= max(CHUNK_SIZE, b) for rows in calls)
         # on one core the tasks run in order; on more, their calls interleave
         arrange = list if cores == 1 else sorted
         assert arrange(calls) == arrange(packed)
@@ -1168,9 +1162,9 @@ def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
 
 def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch(monkeypatch):
     # 120 tables x 1,000 permutations: 120,000 rows scored at once peaked
-    # at 31 MB; batches of 5,000 rows peak near 2 MB, and of 10,000 near 3.9 MB.
-    # In tasks of 10 tables, each worker holds about 1,000 distinct rows and
-    # one table's draws: 0.66 MB on one core, 1.1-1.6 MB on four
+    # at 31 MB; calls of 5,000 drawn rows peak near 2 MB, and of 10,000 near
+    # 3.9 MB. A task of 10 tables scores its about 1,000 distinct rows in one
+    # call, beside one table's draws: 0.66 MB on one core, 1.1-1.7 MB on four
     tables = batch_of_tables(120, seed=42)
     for cores, bound in ((1, 3.0), (4, 4 * 0.75)):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
