@@ -10,18 +10,8 @@ from .battery import (
     ALL_STATISTICS,
     DEFAULT_BATTERY,
     DEFAULT_GRID,
-    chisq_2df,
-    chisq_allele,
     evaluate_battery,
     evaluate_single,
-    max2,
-    max3,
-    max_grid,
-    mert_rec_add,
-    mert_statistic,
-    product_test,
-    tmax,
-    trend_statistic,
     validate_battery,
 )
 from .errors import (
@@ -32,14 +22,11 @@ from .errors import (
     EmptyRow,
     FrequencyOutOfRange,
     InputError,
-    MonomorphicSample,
     NegativeCell,
     OrderViolation,
     ScenarioError,
     TrendmaxError,
     UnknownStatistic,
-    ZeroMargin,
-    ZeroVariance,
 )
 from .montecarlo import (
     CriticalValueSet,
@@ -64,7 +51,6 @@ from .population import (
 )
 from .robust import (
     CorrelationTriple,
-    RobustStatistic,
     estimate_correlations,
     mert_certificate,
     recommend_robust_test,

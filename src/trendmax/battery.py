@@ -1,15 +1,12 @@
 """Statistic registry and battery: named decision statistics evaluated jointly.
 
 :data:`STATISTICS` is the one description of every statistic: the trend
-scores it combines, its combiner, its asymptotic null law and the
-exception that means "undefined". The battery, the CLI and the scalar API
-(:func:`trend_statistic`, :func:`max3`, :func:`mert_statistic`,
-:func:`chisq_2df`, ...) all read it, so each statistic has exactly one
-numeric implementation. Every scalar function takes one table as any
-sequence of six cells (r0, r1, r2, s0, s1, s2) and goes through one one-table
-helper; it returns a float (the chi-squares and Z_x) or a
-:class:`~trendmax.robust.RobustStatistic` whose components are the
-registry values the statistic combines.
+scores it combines, its combiner and its asymptotic null law. The
+battery, the CLI and :func:`evaluate_single` all read it, so each
+statistic has exactly one numeric implementation. :func:`evaluate_single`
+scores one table, any sequence of six cells (r0, r1, r2, s0, s1, s2), and
+returns a float, NaN where the statistic is undefined, as in the battery;
+the signed Z_x of one table is ``evaluate_single(table, "MAXGRID", False, (x,))``.
 
 A battery is an ordered list of statistic identifiers, all evaluated on
 the same tables so that comparisons between tests are matched;
@@ -24,15 +21,15 @@ composite statistics, which reject for large values either way.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .classical import allele_chisq_values, chi2df_values, hwd_values
-from .errors import InputError, MonomorphicSample, TrendmaxError, UnknownStatistic, ZeroMargin, ZeroVariance
-from .robust import DEFAULT_GRID, FAMILY_PAIRS, CorrelationTriple, RobustStatistic, batch_correlations, validate_grid
+from .errors import InputError, UnknownStatistic
+from .robust import DEFAULT_GRID, FAMILY_PAIRS, batch_correlations, validate_grid
 from .tables import cell_array
 from .trend import trend_sums, trend_values
 
@@ -83,15 +80,13 @@ class Statistic:
 
     ``scores`` are the x of the Z_x it combines (None: a grid, see :func:`validate_battery`);
     ``law(value, two_sided)`` is its asymptotic null tail, or None
-    (simulation or permutation only); the scalar API raises ``undefined``
-    where the value is NaN and reports ``components`` beside the value.
+    (simulation or permutation only). Values are NaN where the statistic
+    is undefined, in the battery and in :func:`evaluate_single` alike.
     """
 
     combine: Callable[[_Parts, tuple[float, ...]], np.ndarray]
     scores: tuple[float, ...] | None = ()
     law: Callable[[float, bool], float] | None = None
-    undefined: type[TrendmaxError] = ZeroVariance
-    components: tuple[str, ...] = ()
 
 
 # Combiners look kernels up as module globals when called, so wrappers set on the module see every call.
@@ -105,13 +100,11 @@ STATISTICS = {
     "MAX2_REC_ADD": Statistic(max_decided, (0.0, 0.5)),
     "MAX3": Statistic(max_decided, (0.0, 0.5, 1.0)),
     "MAXGRID": Statistic(max_decided, None),
-    "CHI2_2DF": Statistic(lambda p, xs: p[chi2df_values], law=chi2_2_tail, undefined=ZeroMargin),
-    "AA": Statistic(lambda p, xs: p[allele_chisq_values], law=chi2_1_tail, undefined=ZeroMargin),
-    "HWD": Statistic(lambda p, xs: p[hwd_values], law=chi2_1_tail, undefined=MonomorphicSample),
-    "T_P": Statistic(lambda p, xs: p[allele_chisq_values] * p[hwd_values],
-                     undefined=MonomorphicSample, components=("AA", "HWD")),
-    "T_MAX": Statistic(lambda p, xs: np.maximum(p[allele_chisq_values], p[hwd_values]),
-                       undefined=MonomorphicSample, components=("AA", "HWD")),
+    "CHI2_2DF": Statistic(lambda p, xs: p[chi2df_values], law=chi2_2_tail),
+    "AA": Statistic(lambda p, xs: p[allele_chisq_values], law=chi2_1_tail),
+    "HWD": Statistic(lambda p, xs: p[hwd_values], law=chi2_1_tail),
+    "T_P": Statistic(lambda p, xs: p[allele_chisq_values] * p[hwd_values]),
+    "T_MAX": Statistic(lambda p, xs: np.maximum(p[allele_chisq_values], p[hwd_values])),
 }
 
 ALL_STATISTICS = tuple(STATISTICS)
@@ -188,82 +181,12 @@ def evaluate_tables(cells, battery, two_sided: bool = True) -> dict[str, np.ndar
     return out
 
 
-def evaluate_single(table_cells, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> float:
-    """Decision value of one statistic on one table (NaN if undefined)."""
-    values = evaluate_battery(np.asarray(table_cells, dtype=float), validate_battery((name,), grid), two_sided)
-    return float(values[name][0])
+def evaluate_single(table, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> float:
+    """Decision value of statistic ``name`` on one table of six cells (NaN where undefined).
 
-
-# The scalar API: one table through the registry; NaN raises the registry's exception.
-
-_Z_NAMES = {spec.scores[0]: name for name, spec in STATISTICS.items() if len(spec.scores or ()) == 1}
-
-
-def _one_table(table: Sequence[float], name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> RobustStatistic:
-    """Statistic ``name`` on one table's six cells, with the registry values it combines as components.
-
-    The table goes through the kernels as one 1-D row, so they do scalar
-    arithmetic; the values are bit-identical to the batch's.
+    ``grid`` gives MAXGRID's scores. The table goes through the kernels as
+    one 1-D row, so they do scalar arithmetic; the value is bit-identical
+    to the batch's.
     """
-    spec, xs = STATISTICS[name], validate_battery((name,), grid)[name]
-    parts = _parts(cell_array([table])[0], xs, two_sided)
-    value = float(spec.combine(parts, xs))
-    if np.isnan(value):
-        raise spec.undefined(f"{name} is undefined on {table}")
-    components = {_Z_NAMES.get(x, f"Z@{x:g}"): float(parts.z[x]) for x in xs}
-    if spec.combine is pair_mert:
-        i = FAMILY_PAIRS.index(xs)
-        components[CorrelationTriple._fields[i]] = float(parts[batch_correlations][i])
-    components.update((part, float(STATISTICS[part].combine(parts, ()))) for part in spec.components)
-    return RobustStatistic(value, components)
-
-
-def trend_statistic(table: Sequence[float], x: float) -> float:
-    """Signed trend statistic Z_x for one table, scores (0, x, 1) with x in [0, 1]."""
-    return _one_table(table, "MAXGRID", False, (x,)).value
-
-
-def mert_statistic(table: Sequence[float]) -> RobustStatistic:
-    """Signed MERT of the extreme pair (Z_0, Z_1), at the plug-in correlation from n_i / n."""
-    return _one_table(table, "MERT", False)
-
-
-def mert_rec_add(table: Sequence[float]) -> RobustStatistic:
-    """Signed extreme-pair MERT for the restricted recessive-additive family."""
-    return _one_table(table, "MERT_REC_ADD", False)
-
-
-def max2(table: Sequence[float], two_sided: bool = True,
-         pair: tuple[float, float] = (0.0, 1.0)) -> RobustStatistic:
-    """Maximum over a pair of trend statistics: (Z_0, Z_1), or (0, 0.5) for rec-add."""
-    return _one_table(table, "MAXGRID", two_sided, pair)
-
-
-def max3(table: Sequence[float], two_sided: bool = True) -> RobustStatistic:
-    """Maximum over (Z_0, Z_1/2, Z_1)."""
-    return _one_table(table, "MAX3", two_sided)
-
-
-def max_grid(table: Sequence[float], grid=DEFAULT_GRID, two_sided: bool = True) -> RobustStatistic:
-    """Maximum of (|)Z_x(|) over a score grid, approximating the continuum maximum."""
-    return _one_table(table, "MAXGRID", two_sided, grid)
-
-
-def chisq_2df(table: Sequence[float]) -> float:
-    """Pearson chi-square over the six genotype cells (2 df)."""
-    return _one_table(table, "CHI2_2DF").value
-
-
-def chisq_allele(table: Sequence[float]) -> float:
-    """Allele-association chi-square on the collapsed allele table (1 df)."""
-    return _one_table(table, "AA").value
-
-
-def product_test(table: Sequence[float]) -> RobustStatistic:
-    """Product T_P of the allele-association and HWD chi-squares, with both as components."""
-    return _one_table(table, "T_P")
-
-
-def tmax(table: Sequence[float]) -> RobustStatistic:
-    """Maximum T_MAX of the allele-association and HWD chi-squares, with both as components."""
-    return _one_table(table, "T_MAX")
+    xs = validate_battery((name,), grid)[name]
+    return float(STATISTICS[name].combine(_parts(cell_array([table])[0], xs, two_sided), xs))

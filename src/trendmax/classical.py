@@ -7,11 +7,12 @@
 
 Their product T_P and maximum T_MAX have no usable asymptotic null
 distribution, so significance comes from permutation or simulation. The
-registry in :mod:`trendmax.battery` builds the statistics and their
-scalar functions from these kernels. Each kernel takes a batch (..., 6)
-or one 1-D row; squares are products throughout, because a float64
-scalar's ``** 2`` calls pow(), which can differ in the last bit from an
-array's square, and the one-row values must match the batch bit for bit.
+registry in :mod:`trendmax.battery` builds the statistics from these
+kernels, for batches and for one table alike. Each kernel takes a batch
+(..., 6) or one 1-D row; squares are products throughout, because a
+float64 scalar's ``** 2`` calls pow(), which can differ in the last bit
+from an array's square, and the one-row values must match the batch bit
+for bit.
 """
 
 from __future__ import annotations

@@ -74,6 +74,8 @@ from .tables import parse_table_record, tables_hash
 
 UNDEFINED_OBSERVED = "statistic {} is undefined on the observed table"
 IO_DESTS = frozenset({"scenarios", "table", "input", "format", "out"})  # left out of every header
+# replicate counts by dest, each with the option that sets it (corr's --b-power is stored as b)
+COUNT_OPTIONS = {"b_null": "--b-null", "b_power": "--b-power", "b": "--b-power", "b_reps": "--b-reps"}
 
 
 def _add_common_sim_args(sp, *, battery: bool = False, with_grid: bool = False):
@@ -381,6 +383,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:  # before any draw; numpy would raise a ValueError
             raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
+        for dest, option in COUNT_OPTIONS.items():
+            count = getattr(args, dest, None)
+            if count is not None and count <= 0:
+                raise InputError(f"replicate count must be positive, got {option}={count}")
         return handlers[args.command](args)
     except (TrendmaxError, OSError) as exc:
         print(f"trendmax {args.command}: {exc}", file=sys.stderr)

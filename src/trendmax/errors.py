@@ -42,19 +42,7 @@ class OrderViolation(InputError):
     """Penetrances violate the required ordering f0 <= f1 <= f2."""
 
 
-# ---- test statistics ----
-
-class ZeroVariance(TrendmaxError):
-    """The trend statistic's variance term is not positive."""
-
-
-class ZeroMargin(TrendmaxError):
-    """A row or column margin needed by a chi-square statistic is zero."""
-
-
-class MonomorphicSample(TrendmaxError):
-    """Estimated allele frequency is 0 or 1; the HWD test is undefined."""
-
+# ---- correlation structure ----
 
 class DegenerateProportions(TrendmaxError):
     """Pooled genotype proportions do not allow correlation estimation."""

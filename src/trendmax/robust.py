@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,14 +78,6 @@ class CorrelationTriple(NamedTuple):
     rho_0_half: float | np.ndarray
     rho_0_1: float | np.ndarray
     rho_half_1: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class RobustStatistic:
-    """A statistic's value on one table plus the named values it combines."""
-
-    value: float
-    components: dict
 
 
 def correlation_values(props: np.ndarray) -> CorrelationTriple:

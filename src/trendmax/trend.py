@@ -26,8 +26,9 @@ of the general sums are exact zeros, and the remaining two-term sums are
 rounded once either way, as (x*x)*n1 + n2, x*n1 + n2 and x*u1 + u2.
 Tables whose variance term is not positive come back as NaN.
 
-These are the kernels; the scalar Z_x of one table is
-:func:`trendmax.battery.trend_statistic`, a one-score MAXGRID.
+These are the kernels; the signed Z_x of one table is
+``evaluate_single(table, "MAXGRID", False, (x,))`` in :mod:`trendmax.battery`,
+a one-score MAXGRID.
 """
 
 from __future__ import annotations

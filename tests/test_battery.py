@@ -4,16 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trendmax.battery
-from trendmax import (
-    InputError,
-    MonomorphicSample,
-    ZeroMargin,
-    ZeroVariance,
-    chisq_2df,
-    max3,
-    mert_rec_add,
-    tmax,
-)
+from trendmax import InputError, evaluate_single
 from trendmax.battery import (
     ALL_STATISTICS,
     CHUNK_SIZE,
@@ -165,19 +156,22 @@ def test_shared_kernels_run_once_and_are_looked_up_on_the_module(monkeypatch):
     assert sorted(calls) == ["allele_chisq_values", "batch_correlations", "chi2df_values", "hwd_values"]
 
 
-@pytest.mark.parametrize("fn, table, error", [
-    (max3, (3, 4, 5, 0, 0, 0), ZeroVariance),
-    (mert_rec_add, (0, 4, 5, 0, 3, 2), ZeroVariance),
-    (chisq_2df, (1, 2, 0, 3, 4, 0), ZeroMargin),
-    (tmax, (0, 0, 9, 3, 4, 5), MonomorphicSample),
+@pytest.mark.parametrize("name, two_sided, table, error", [
+    ("MAX3", True, (3, 4, 5, 0, 0, 0), None),
+    ("MERT_REC_ADD", False, (0, 4, 5, 0, 3, 2), None),
+    ("CHI2_2DF", True, (1, 2, 0, 3, 4, 0), None),
+    ("T_MAX", True, (0, 0, 9, 3, 4, 5), None),
     # a table is any six cells: a tuple of floats, a list, a 1-D array
-    (max3, (3.0, 4.0, 5.0, 0.0, 0.0, 0.0), ZeroVariance),
-    (mert_rec_add, [0, 4, 5, 0, 3, 2], ZeroVariance),
-    (chisq_2df, np.array([1.0, 2.0, 0.0, 3.0, 4.0, 0.0]), ZeroMargin),
-    (tmax, (0, 0, 9, 3, 4), InputError),  # five cells are no table
+    ("MAX3", True, (3.0, 4.0, 5.0, 0.0, 0.0, 0.0), None),
+    ("MERT_REC_ADD", False, [0, 4, 5, 0, 3, 2], None),
+    ("CHI2_2DF", True, np.array([1.0, 2.0, 0.0, 3.0, 4.0, 0.0]), None),
+    ("T_MAX", True, (0, 0, 9, 3, 4), InputError),  # five cells are no table
+    ("MAX3", True, (1, 2, 3, 4, 5, 6, 7), InputError),  # nor are seven
 ])
-def test_scalar_api_raises_the_registry_exception_where_undefined(fn, table, error):
-    message = r"expected an \(N, 6\) array of tables" if error is InputError else "is undefined on"
-    with pytest.raises(error, match=message):
-        fn(table)
+def test_evaluate_single_nan_where_undefined(name, two_sided, table, error):
+    if error is None:
+        assert np.isnan(evaluate_single(table, name, two_sided))
+    else:
+        with pytest.raises(error, match=r"expected an \(N, 6\) array of tables"):
+            evaluate_single(table, name, two_sided)
 

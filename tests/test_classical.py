@@ -3,24 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trendmax import (
-    MonomorphicSample,
-    ZeroMargin,
-    ZeroVariance,
-    chisq_2df,
-    chisq_allele,
-    max2,
-    max3,
-    max_grid,
-    mert_rec_add,
-    mert_statistic,
-    product_test,
-    tmax,
-    trend_statistic,
-)
-from trendmax.battery import ALL_STATISTICS, STATISTICS, evaluate_battery, validate_battery
+from trendmax import evaluate_single
+from trendmax.battery import ALL_STATISTICS, evaluate_battery, validate_battery
 from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
-from trendmax.robust import CorrelationTriple, batch_correlations
+from trendmax.robust import batch_correlations
 
 from conftest import assert_bit_identical, random_tables
 
@@ -77,6 +63,14 @@ def test_hwd_values_reads_the_case_columns_of_whole_tables():
     assert_bit_identical(hwd_values(np.asfortranarray(cells)), hwd_values(cells[:, :3]))
 
 
+def chisq_2df(table) -> float:
+    return evaluate_single(table, "CHI2_2DF")
+
+
+def chisq_allele(table) -> float:
+    return evaluate_single(table, "AA")
+
+
 def test_chisq_2df_worked_example(worked_table):
     assert chisq_2df(worked_table) == pytest.approx(20.0)
 
@@ -91,8 +85,7 @@ def test_chisq_2df_scales_linearly(worked_table):
 
 
 def test_chisq_2df_zero_margin():
-    with pytest.raises(ZeroMargin):
-        chisq_2df((1, 2, 0, 3, 4, 0))
+    assert np.isnan(chisq_2df((1, 2, 0, 3, 4, 0)))
 
 
 def test_chisq_allele_worked_example(worked_table):
@@ -131,9 +124,8 @@ def test_chisq_hwd_worked_example():
 
 def test_chisq_hwd_monomorphic():
     assert np.isnan(hwd((0, 0, 60))) and np.isnan(hwd((60, 0, 0)))
-    assert STATISTICS["HWD"].undefined is MonomorphicSample
-    with pytest.raises(MonomorphicSample):
-        tmax((0, 0, 60, 20, 20, 20))
+    for name in ("HWD", "T_P", "T_MAX"):
+        assert np.isnan(evaluate_single((0, 0, 60, 20, 20, 20), name))
 
 
 def test_chisq_hwd_zero_iff_hwe_identity():
@@ -148,44 +140,7 @@ def test_chisq_hwd_zero_iff_hwe_identity():
             assert stat == pytest.approx(0.0, abs=1e-9)
 
 
-def scalar_or_nan(fn, *args) -> float:
-    """The scalar value (``.value`` of a result object), or NaN where fn raises that it is undefined."""
-    try:
-        value = fn(*args)
-    except (ZeroVariance, ZeroMargin, MonomorphicSample):
-        return np.nan
-    return getattr(value, "value", value)
-
-
 GRID = (0.0, 0.2, 0.5, 0.7, 1.0)
-
-# Scalar functions keyed by the battery statistic each must reproduce,
-# per sidedness. The MERTs and Z_x are signed, so they match the one-sided
-# battery; the chi-squares and composites have no sidedness.
-SCALAR_WRAPPERS = {
-    True: {
-        "MAX2": lambda t: max2(t, True),
-        "MAX2_REC_ADD": lambda t: max2(t, True, pair=(0.0, 0.5)),
-        "MAX3": lambda t: max3(t, True),
-        "MAXGRID": lambda t: max_grid(t, GRID, True),
-    },
-    False: {
-        "MAX2": lambda t: max2(t, False),
-        "MAX2_REC_ADD": lambda t: max2(t, False, pair=(0.0, 0.5)),
-        "MAX3": lambda t: max3(t, False),
-        "MAXGRID": lambda t: max_grid(t, GRID, False),
-        "MERT": mert_statistic,
-        "MERT_REC_ADD": mert_rec_add,
-        "Z0": lambda t: trend_statistic(t, 0.0),
-        "Z_HALF": lambda t: trend_statistic(t, 0.5),
-        "Z1": lambda t: trend_statistic(t, 1.0),
-        "CHI2_2DF": chisq_2df,
-        "AA": chisq_allele,
-        "HWD": lambda t: float(hwd_values(np.array(t))),
-        "T_P": product_test,
-        "T_MAX": tmax,
-    },
-}
 
 
 def test_scalar_composites_bit_identical_to_batch():
@@ -198,64 +153,66 @@ def test_scalar_composites_bit_identical_to_batch():
     cells[rng.random((10_000, 6)) < 0.05] = 0.0
     assert np.count_nonzero(cells[:, 1] + cells[:, 4] == 0) > 10
     assert_bit_identical(evaluate_battery(cells, ("HWD",))["HWD"], hwd_values(cells[:, :3]))
-    for two_sided, wrappers in SCALAR_WRAPPERS.items():
+    for two_sided in (True, False):
         batch = evaluate_battery(cells, validate_battery(ALL_STATISTICS, GRID), two_sided)
-        for name, fn in wrappers.items():
+        for name in ALL_STATISTICS:
             assert np.isnan(batch[name]).any() and not np.isnan(batch[name]).all(), name
-            scalar = np.array([scalar_or_nan(fn, t) for t in cells])
+            scalar = np.array([evaluate_single(t, name, two_sided, GRID) for t in cells])
             assert np.array_equal(scalar, batch[name], equal_nan=True), f"{name}, two_sided={two_sided}"
             assert_bit_identical(scalar, batch[name])
 
 
-RHO_NAMES = CorrelationTriple._fields  # the order of batch_correlations
-Z_SCORES = {"Z0": 0.0, "Z_HALF": 0.5, "Z1": 1.0}
+# The composites with the sidedness each is checked at.
+COMPOSITE_SIDES = {"MAX2": True, "MAX2_REC_ADD": False, "MAX3": True, "MAXGRID": True,
+                   "MERT": False, "MERT_REC_ADD": False, "T_P": True, "T_MAX": True}
 
 
 def test_scalar_components_are_bit_identical_to_the_registry_values_they_name():
-    # each component is the value its name stands for: Z_x from trend_statistic
-    # (MAXGRID's off-family scores are named Z@x), AA and HWD from the one-row
-    # battery, a MERT's rho from the batch correlations
+    # each composite is its combiner applied to the one-table registry values
+    # it names: signed Z_x (a one-score MAXGRID), a MERT's rho from the batch
+    # correlations, AA and HWD; NaN wherever one of them is NaN
     rng = np.random.default_rng(12)
     cells = rng.integers(0, 40, size=(400, 6)).astype(float)
     cells[rng.random(400) < 0.5] += 0.5
-    rhos = batch_correlations(cells)
-    scalars = (max2, lambda t: max2(t, False, pair=(0.0, 0.5)), max3, lambda t: max_grid(t, GRID),
-               mert_statistic, mert_rec_add, product_test, tmax)
-    seen = set()
+    rho_0_half, rho_0_1, _ = batch_correlations(cells)
+    defined = dict.fromkeys(COMPOSITE_SIDES, 0)
     for i, row in enumerate(cells):
-        for fn in scalars:
-            try:
-                components = fn(row).components
-            except (ZeroVariance, MonomorphicSample):
-                continue
-            for name, got in components.items():
-                if name in ("AA", "HWD"):
-                    want = evaluate_battery(row, (name,))[name][0]
-                elif name in RHO_NAMES:
-                    want = rhos[RHO_NAMES.index(name)][i]
-                else:
-                    want = trend_statistic(row, Z_SCORES[name] if name in Z_SCORES else float(name[2:]))
-                seen.add(name)
-                assert got == want and np.signbit(got) == np.signbit(want), (name, row)
-    assert seen == {*Z_SCORES, "Z@0.2", "Z@0.7", "AA", "HWD", "rho_0_half", "rho_0_1"}
+        z = {x: evaluate_single(row, "MAXGRID", False, (x,)) for x in GRID}
+        aa, hwd_ = evaluate_single(row, "AA"), evaluate_single(row, "HWD")
+        want = {
+            "MAX2": np.maximum(abs(z[0.0]), abs(z[1.0])),
+            "MAX2_REC_ADD": np.maximum(z[0.0], z[0.5]),
+            "MAX3": np.maximum.reduce([abs(z[0.0]), abs(z[0.5]), abs(z[1.0])]),
+            "MAXGRID": np.maximum.reduce([abs(z[x]) for x in GRID]),
+            "MERT": (z[0.0] + z[1.0]) / np.sqrt(2.0 * (1.0 + rho_0_1[i])),
+            "MERT_REC_ADD": (z[0.0] + z[0.5]) / np.sqrt(2.0 * (1.0 + rho_0_half[i])),
+            "T_P": aa * hwd_,
+            "T_MAX": np.maximum(aa, hwd_),
+        }
+        for name, two_sided in COMPOSITE_SIDES.items():
+            got = evaluate_single(row, name, two_sided, GRID)
+            assert_bit_identical(got, float(want[name]))
+            defined[name] += not np.isnan(got)
+    assert all(count > 0 for count in defined.values()), defined
 
 
 def test_composites_worked_example(worked_table):
-    tp = product_test(worked_table)
-    tm_ = tmax(worked_table)
-    assert tp.value == pytest.approx(100.0, abs=1e-3)
-    assert tm_.value == pytest.approx(26.6667, abs=5e-5)
-    assert tp.components["AA"] == tm_.components["AA"]
+    tp = evaluate_single(worked_table, "T_P")
+    tm_ = evaluate_single(worked_table, "T_MAX")
+    assert tp == pytest.approx(100.0, abs=1e-3)
+    assert tm_ == pytest.approx(26.6667, abs=5e-5)
+    aa, hwd_ = evaluate_single(worked_table, "AA"), evaluate_single(worked_table, "HWD")
+    assert tp == aa * hwd_ and tm_ == max(aa, hwd_) == aa
 
 
 def test_product_zero_when_cases_in_hwe():
     # cases exactly at HWE, controls far off: the HWD factor kills T_P
     t = (25, 50, 25, 60, 20, 20)
-    assert product_test(t).value == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_single(t, "T_P") == pytest.approx(0.0, abs=1e-12)
     assert chisq_allele(t) > 0
 
 
 def test_composites_zero_for_identical_hwe_rows():
     t = (25, 50, 25, 25, 50, 25)
-    assert product_test(t).value == pytest.approx(0.0, abs=1e-12)
-    assert tmax(t).value == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_single(t, "T_P") == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_single(t, "T_MAX") == pytest.approx(0.0, abs=1e-12)

@@ -210,14 +210,14 @@ def test_b_perm_without_seed_is_rejected_before_reading_tables(tmp_path, monkeyp
 @pytest.mark.parametrize("argv, message", [
     (CASES["criticals_hwe_all"][:-4] + ["--alpha", "1.5"], "alpha 1.5 must lie strictly in (0, 1)"),
     (CASES["power_recadd"][:-4] + ["--alpha", "0"], "alpha 0.0 must lie strictly in (0, 1)"),
-    (CASES["power_recadd"][:-4] + ["--b-power", "0"], "replicate count must be positive"),
+    (CASES["power_recadd"][:-4] + ["--b-power", "0"], "replicate count must be positive, got --b-power=0"),
     (CASES["criticals_unbalanced"][:-2] + ["--alpha", "2"],
      "alpha 2.0 must lie strictly in (0, 1)"),
-    (CASES["crosstab_max3_maxgrid"] + ["--b-reps", "0"], "replicate count must be positive"),
+    (CASES["crosstab_max3_maxgrid"] + ["--b-reps", "0"], "replicate count must be positive, got --b-reps=0"),
     (CASES["criticals_unbalanced"] + ["--battery", "CHI2_2DF,HWD", "--alpha", "2"],
      "alpha 2.0 must lie strictly in (0, 1)"),
-    (CASES["crosstab_max3_maxgrid"] + ["--b-null", "0"], "replicate count must be positive, got b_null=0"),
-    (CASES["corr_stratified"][:-2] + ["--b-power", "0"], "replicate count must be positive, got b=0"),
+    (CASES["crosstab_max3_maxgrid"] + ["--b-null", "0"], "replicate count must be positive, got --b-null=0"),
+    (CASES["corr_stratified"][:-2] + ["--b-power", "0"], "replicate count must be positive, got --b-power=0"),
 ])
 def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message, monkeypatch):
     import trendmax.montecarlo

@@ -4,16 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendmax import (
+    CorrelationOutOfRange,
     CorrelationTriple,
     DegenerateProportions,
-    ZeroVariance,
     estimate_correlations,
-    max2,
-    max3,
-    max_grid,
+    evaluate_single,
     mert_certificate,
-    mert_rec_add,
-    mert_statistic,
     recommend_robust_test,
 )
 
@@ -134,21 +130,30 @@ def test_certificate_holds_on_every_estimable_table():
             assert mert_certificate(triple) is True
 
 
+def signed(table, name: str) -> float:
+    """The one-sided (signed) value of ``name`` on one table."""
+    return evaluate_single(table, name, False)
+
+
+def rho(table, field: str) -> float:
+    """One field of the plug-in correlation triple of one table, as the MERTs use it."""
+    return float(getattr(batch_correlations(table), field))
+
+
 def test_mert_pair_values(worked_table):
     # (Z_0 + Z_1) / sqrt(2 (1 + rho_0_1)) with Z_0 = Z_1 = 3.8730 and rho_0_1 = 0.5
-    assert mert_statistic(worked_table).value == pytest.approx(4.4721, abs=1e-4)
+    assert signed(worked_table, "MERT") == pytest.approx(4.4721, abs=1e-4)
     # no heterozygotes: Z_0 = Z_1 and rho_0_1 = 1, so the MERT equals Z_0
-    m = mert_statistic((17, 0, 22, 0, 0, 9))
-    assert m.components["rho_0_1"] == 1.0
-    assert m.value == m.components["Z0"] == m.components["Z1"]
+    table = (17, 0, 22, 0, 0, 9)
+    assert rho(table, "rho_0_1") == 1.0
+    assert signed(table, "MERT") == signed(table, "Z0") == signed(table, "Z1")
     for row in random_tables(200, seed=204, max_count=8, corrected=False):
-        try:
-            m = mert_statistic(row)
-        except ZeroVariance:
+        m = signed(row, "MERT")
+        if np.isnan(m):
             continue
-        z0, z1, rho = m.components["Z0"], m.components["Z1"], m.components["rho_0_1"]
-        assert 0.0 <= rho <= 1.0
-        assert m.value == pytest.approx((z0 + z1) / np.sqrt(2 * (1 + rho)), rel=1e-12, abs=1e-12)
+        z0, z1, rho_0_1 = signed(row, "Z0"), signed(row, "Z1"), rho(row, "rho_0_1")
+        assert 0.0 <= rho_0_1 <= 1.0
+        assert m == pytest.approx((z0 + z1) / np.sqrt(2 * (1 + rho_0_1)), rel=1e-12, abs=1e-12)
 
 
 def test_extreme_pair_condition_examples():
@@ -158,64 +163,74 @@ def test_extreme_pair_condition_examples():
 
 
 def test_mert_statistic_worked_example(worked_table):
-    m = mert_statistic(worked_table)
-    assert m.value == pytest.approx(4.4721, abs=1e-4)
-    assert m.components["rho_0_1"] == pytest.approx(0.5)
+    assert signed(worked_table, "MERT") == pytest.approx(4.4721, abs=1e-4)
+    assert rho(worked_table, "rho_0_1") == pytest.approx(0.5)
     swapped = (30, 20, 10, 10, 20, 30)
-    assert mert_statistic(swapped).value == pytest.approx(-4.4721, abs=1e-4)
+    assert signed(swapped, "MERT") == pytest.approx(-4.4721, abs=1e-4)
 
 
 def test_mert_zero_on_identical_rows():
     t = (9, 14, 7, 9, 14, 7)
-    assert mert_statistic(t).value == pytest.approx(0.0, abs=1e-12)
-    assert mert_rec_add(t).value == pytest.approx(0.0, abs=1e-12)
+    assert signed(t, "MERT") == pytest.approx(0.0, abs=1e-12)
+    assert signed(t, "MERT_REC_ADD") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mert_rec_add_worked_example(worked_table):
-    m = mert_rec_add(worked_table)
-    assert m.components["rho_0_half"] == pytest.approx(np.sqrt(3) / 2)
+    m = signed(worked_table, "MERT_REC_ADD")
+    assert rho(worked_table, "rho_0_half") == pytest.approx(np.sqrt(3) / 2)
     # (3.8730 + 4.4721) / sqrt(2 (1 + sqrt(3)/2)), recomputed directly
     expected = (3.872983346 + 4.472135955) / np.sqrt(2 * (1 + np.sqrt(3) / 2))
-    assert m.value == pytest.approx(expected, abs=1e-6)
-    assert m.value == pytest.approx(4.31975, abs=1e-4)
+    assert m == pytest.approx(expected, abs=1e-6)
+    assert m == pytest.approx(4.31975, abs=1e-4)
 
 
 def test_max_statistics_worked_example(worked_table):
-    assert max3(worked_table).value == pytest.approx(4.4721, abs=1e-4)
-    assert max2(worked_table).value == pytest.approx(3.8730, abs=1e-4)
-    assert max2(worked_table, pair=(0.0, 0.5)).value == pytest.approx(4.4721, abs=1e-4)
+    assert evaluate_single(worked_table, "MAX3") == pytest.approx(4.4721, abs=1e-4)
+    assert evaluate_single(worked_table, "MAX2") == pytest.approx(3.8730, abs=1e-4)
+    assert evaluate_single(worked_table, "MAX2_REC_ADD") == pytest.approx(4.4721, abs=1e-4)
     swapped = (30, 20, 10, 10, 20, 30)
-    assert max3(swapped).value == pytest.approx(4.4721, abs=1e-4)
-    assert max2(swapped).value == pytest.approx(3.8730, abs=1e-4)
+    assert evaluate_single(swapped, "MAX3") == pytest.approx(4.4721, abs=1e-4)
+    assert evaluate_single(swapped, "MAX2") == pytest.approx(3.8730, abs=1e-4)
 
 
 def test_max_monotonicity_exact():
     cells = random_tables(500, seed=202)
     for row in cells[:100]:
-        m2 = max2(row).value
-        m3 = max3(row).value
+        m2 = evaluate_single(row, "MAX2")
+        m3 = evaluate_single(row, "MAX3")
         assert m3 >= m2
-        assert m2 >= abs(mert_statistic(row).components["Z0"]) - 1e-12
-        assert m2 >= abs(mert_statistic(row).components["Z1"]) - 1e-12
+        assert m2 >= abs(signed(row, "Z0")) - 1e-12
+        assert m2 >= abs(signed(row, "Z1")) - 1e-12
+
+
+def max_grid(table, grid) -> float:
+    return evaluate_single(table, "MAXGRID", True, grid)
 
 
 def test_max_grid_contains_max3(worked_table):
-    assert max_grid(worked_table, (0.0, 0.5, 1.0)).value == max3(worked_table).value
-    single = max_grid(worked_table, (0.5,)).value
+    assert max_grid(worked_table, (0.0, 0.5, 1.0)) == evaluate_single(worked_table, "MAX3")
+    single = max_grid(worked_table, (0.5,))
     assert single == pytest.approx(4.4721, abs=1e-4)
 
 
 def test_max_grid_refinement_monotone(worked_table):
-    coarse = max_grid(worked_table, (0.0, 0.5, 1.0)).value
-    fine = max_grid(worked_table, tuple(np.linspace(0, 1, 21))).value
+    coarse = max_grid(worked_table, (0.0, 0.5, 1.0))
+    fine = max_grid(worked_table, tuple(np.linspace(0, 1, 21)))
     assert fine >= coarse
 
 
 def test_recommendation_thresholds():
     assert recommend_robust_test(0.8)[0] == "MERT"
+    assert recommend_robust_test(1.0)[0] == "MERT"  # the closed end of (-1, 1]
     assert recommend_robust_test(0.33)[0] == "MAX"
     choice, note = recommend_robust_test(0.6)
     assert choice == "MAX" and "either" in note
+
+
+@pytest.mark.parametrize("rho_st", [-1.0, 1.0001, float("nan")])
+def test_recommendation_rejects_a_correlation_outside_minus_one_to_one(rho_st):
+    with pytest.raises(CorrelationOutOfRange, match=r"not in \(-1, 1\]"):
+        recommend_robust_test(rho_st)
 
 
 def test_certificate_on_table(worked_table):
@@ -226,9 +241,8 @@ def test_certificate_on_table(worked_table):
 @settings(max_examples=100, deadline=None)
 def test_mert_pair_bounds(cells):
     # sqrt(2 (1 + rho)) <= 2, so |MERT| >= |Z_0 + Z_1| / 2, with equality at rho = 1
-    try:
-        m = mert_statistic(cells)
-    except ZeroVariance:
+    m = signed(cells, "MERT")
+    if np.isnan(m):
         return
-    z0, z1 = m.components["Z0"], m.components["Z1"]
-    assert abs(m.value) >= abs(z0 + z1) / 2 * (1 - 1e-12)
+    z0, z1 = signed(cells, "Z0"), signed(cells, "Z1")
+    assert abs(m) >= abs(z0 + z1) / 2 * (1 - 1e-12)
