@@ -56,11 +56,7 @@ from .robust import (
     recommend_robust_test,
 )
 from .scenarios import Scenario, load_scenarios, parse_scenarios, scenario_hash
-from .tables import (
-    apply_continuity_correction,
-    new_genotype_table,
-    parse_table_record,
-)
+from .tables import new_genotype_table, parse_table_record
 from .trend import optimal_score
 
 __version__ = "0.1.0"

@@ -1,21 +1,24 @@
 """Statistic registry and battery: named decision statistics evaluated jointly.
 
 :data:`STATISTICS` is the one description of every statistic: the trend
-scores it combines, its combiner and its asymptotic null law. The
-battery, the CLI and :func:`evaluate_single` all read it, so each
+scores it combines, its combiner and its asymptotic null law. A name is a
+registry entry or ``MAX[x1:...:xk]``: the maximum of the decision values
+of Z_x1, ..., Z_xk over colon-separated scores in [0, 1], with no law (a
+maximum over a chosen set of trend scores, Freidlin, Zheng, Li &
+Gastwirth 2002, *Hum Hered* 53:146-152). MAXGRID is the registry's
+``MAX[0:0.1:...:1]``. :func:`validate_battery` resolves names, and the
+battery, the CLI and :func:`evaluate_single` all go through it, so each
 statistic has exactly one numeric implementation. :func:`evaluate_single`
 scores one table, any sequence of six cells (r0, r1, r2, s0, s1, s2), and
 returns a float, NaN where the statistic is undefined, as in the battery;
-the signed Z_x of one table is ``evaluate_single(table, "MAXGRID", False, (x,))``.
+the signed Z_x of one table is ``evaluate_single(table, f"MAX[{x}]", False)``.
 
-A battery is an ordered list of statistic identifiers, all evaluated on
-the same tables so that comparisons between tests are matched;
-:func:`validate_battery` resolves it once to ``{name: scores}``, so nothing
-past it needs to know that MAXGRID's scores are a grid. For each
-identifier the battery produces the *decision value*: |Z| for two-sided
-normal-type statistics (signed Z when one-sided, with absolute values
-taken inside MAX statistics), and the raw value for the chi-square and
-composite statistics, which reject for large values either way.
+A battery is an ordered list of statistic names, all evaluated on the
+same tables so that comparisons between tests are matched. For each name
+the battery produces the *decision value*: |Z| for two-sided normal-type
+statistics (signed Z when one-sided, with absolute values taken inside
+MAX statistics), and the raw value for the chi-square and composite
+statistics, which reject for large values either way.
 """
 
 from __future__ import annotations
@@ -78,14 +81,14 @@ def pair_mert(parts: _Parts, xs: tuple[float, ...]) -> np.ndarray:
 class Statistic:
     """How one statistic is built: ``combine(parts, scores)`` gives its decision values.
 
-    ``scores`` are the x of the Z_x it combines (None: a grid, see :func:`validate_battery`);
-    ``law(value, two_sided)`` is its asymptotic null tail, or None
-    (simulation or permutation only). Values are NaN where the statistic
-    is undefined, in the battery and in :func:`evaluate_single` alike.
+    ``scores`` are the x of the Z_x it combines; ``law(value, two_sided)``
+    is its asymptotic null tail, or None (simulation or permutation only).
+    Values are NaN where the statistic is undefined, in the battery and in
+    :func:`evaluate_single` alike.
     """
 
     combine: Callable[[_Parts, tuple[float, ...]], np.ndarray]
-    scores: tuple[float, ...] | None = ()
+    scores: tuple[float, ...] = ()
     law: Callable[[float, bool], float] | None = None
 
 
@@ -99,7 +102,7 @@ STATISTICS = {
     "MAX2": Statistic(max_decided, (0.0, 1.0)),
     "MAX2_REC_ADD": Statistic(max_decided, (0.0, 0.5)),
     "MAX3": Statistic(max_decided, (0.0, 0.5, 1.0)),
-    "MAXGRID": Statistic(max_decided, None),
+    "MAXGRID": Statistic(max_decided, DEFAULT_GRID),
     "CHI2_2DF": Statistic(lambda p, xs: p[chi2df_values], law=chi2_2_tail),
     "AA": Statistic(lambda p, xs: p[allele_chisq_values], law=chi2_1_tail),
     "HWD": Statistic(lambda p, xs: p[hwd_values], law=chi2_1_tail),
@@ -109,33 +112,38 @@ STATISTICS = {
 
 ALL_STATISTICS = tuple(STATISTICS)
 
-# MAXGRID needs an explicit grid, so it stays opt-in.
+# MAXGRID stays opt-in, so the default battery is the paper's.
 DEFAULT_BATTERY = ("Z0", "Z_HALF", "Z1", "MERT", "MERT_REC_ADD", "MAX2", "MAX2_REC_ADD", "MAX3",
                    "CHI2_2DF", "AA", "HWD", "T_P", "T_MAX")
 
 
-def validate_battery(battery, grid=DEFAULT_GRID) -> dict[str, tuple[float, ...]]:
-    """The battery resolved to ``{name: scores}`` in order: known, distinct names, at least one.
+def validate_battery(battery) -> dict[str, Statistic]:
+    """The battery's names resolved to their statistics, in order: at least one, each once.
 
-    MAXGRID gets ``validate_grid(grid)``, every other statistic its registry
-    scores. A mapping this returned passes through again with its MAXGRID
-    scores, checked again; ``grid`` applies only to a sequence of names.
+    A registry name resolves to its entry; ``MAX[x1:...:xk]`` to the maximum
+    over those scores (:func:`~trendmax.robust.validate_grid`), with no law.
+    A mapping resolves by its names, so one this returned passes through.
     """
-    grid = battery.get("MAXGRID", grid) if isinstance(battery, dict) else grid
-    battery = tuple(battery)
-    if not battery:
-        raise InputError("battery must contain at least one statistic")
-    seen = set()
+    resolved = {}
     for name in battery:
-        if name not in STATISTICS:
-            raise UnknownStatistic(
-                f"unknown statistic {name!r}; known: {', '.join(ALL_STATISTICS)}"
-            )
-        if name in seen:
+        if name in resolved:
             raise InputError(f"duplicate statistic {name!r} in battery")
-        seen.add(name)
-    return {name: validate_grid(grid) if STATISTICS[name].scores is None else STATISTICS[name].scores
-            for name in battery}
+        resolved[name] = _resolve(name)
+    if not resolved:
+        raise InputError("battery must contain at least one statistic")
+    return resolved
+
+
+def _resolve(name: str) -> Statistic:
+    if name in STATISTICS:
+        return STATISTICS[name]
+    if isinstance(name, str) and name.startswith("MAX[") and name.endswith("]"):
+        scores = name[4:-1]
+        try:
+            return Statistic(max_decided, validate_grid(scores.split(":") if scores else ()))
+        except InputError as exc:
+            raise InputError(f"{name}: {exc}") from None
+    raise UnknownStatistic(f"unknown statistic {name!r}; known: {', '.join(ALL_STATISTICS)}, MAX[x1:...:xk]")
 
 
 def evaluate_battery(cells: np.ndarray, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
@@ -151,8 +159,8 @@ def evaluate_battery(cells: np.ndarray, battery, two_sided: bool = True) -> dict
     """
     battery = validate_battery(battery)
     cells = np.atleast_2d(np.asarray(cells, dtype=float))
-    parts = _parts(cells, dict.fromkeys(x for xs in battery.values() for x in xs), two_sided)
-    return {name: STATISTICS[name].combine(parts, xs) for name, xs in battery.items()}
+    parts = _parts(cells, dict.fromkeys(x for spec in battery.values() for x in spec.scores), two_sided)
+    return {name: spec.combine(parts, spec.scores) for name, spec in battery.items()}
 
 
 def _parts(cells, xs, two_sided: bool) -> _Parts:
@@ -181,12 +189,11 @@ def evaluate_tables(cells, battery, two_sided: bool = True) -> dict[str, np.ndar
     return out
 
 
-def evaluate_single(table, name: str, two_sided: bool = True, grid=DEFAULT_GRID) -> float:
+def evaluate_single(table, name: str, two_sided: bool = True) -> float:
     """Decision value of statistic ``name`` on one table of six cells (NaN where undefined).
 
-    ``grid`` gives MAXGRID's scores. The table goes through the kernels as
-    one 1-D row, so they do scalar arithmetic; the value is bit-identical
-    to the batch's.
+    The table goes through the kernels as one 1-D row, so they do scalar
+    arithmetic; the value is bit-identical to the batch's.
     """
-    xs = validate_battery((name,), grid)[name]
-    return float(STATISTICS[name].combine(_parts(cell_array([table])[0], xs, two_sided), xs))
+    spec = validate_battery((name,))[name]
+    return float(spec.combine(_parts(cell_array([table])[0], spec.scores, two_sided), spec.scores))

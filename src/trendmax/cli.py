@@ -2,6 +2,11 @@
 
 ``trendmax --help`` lists them, and each one's ``--help`` describes it.
 
+A statistic is a registry name (MERT, MAX3, CHI2_2DF, ...) or
+``MAX[x1:...:xk]``, the maximum over those colon-separated trend scores in
+[0, 1], as in ``--battery MAX3,MAX[0:0.3:0.5:1]``; MAXGRID is
+``MAX[0:0.1:...:1]``. An unknown or malformed name exits 2.
+
 Simulation subcommands require an explicit --seed. Every output's header
 is the parsed request, and the run repeats exactly from it and the same
 pack or tables: version, subcommand, the hash of the pack or of the raw
@@ -40,15 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .battery import (
-    ALL_STATISTICS,
-    DEFAULT_BATTERY,
-    DEFAULT_GRID,
-    STATISTICS,
-    evaluate_tables,
-    max_decided,
-    validate_battery,
-)
+from .battery import DEFAULT_BATTERY, evaluate_tables, max_decided, validate_battery
 from .errors import DegenerateProportions, InputError, TrendmaxError
 from .montecarlo import (
     estimate_critical_values,
@@ -62,12 +59,11 @@ from .robust import (
     CorrelationTriple,
     batch_correlations,
     estimate_correlations,
-    max_exceedance,
+    max_tail,
     mert_certificate,
     recommend_robust_test,
     trend_angles,
     upper_point,
-    validate_grid,
 )
 from .scenarios import distinct_nulls, load_scenarios, scenario_hash
 from .tables import parse_table_record, tables_hash
@@ -78,15 +74,16 @@ IO_DESTS = frozenset({"scenarios", "table", "input", "format", "out"})  # left o
 COUNT_OPTIONS = {"b_null": "--b-null", "b_power": "--b-power", "b": "--b-power", "b_reps": "--b-reps"}
 
 
-def _add_common_sim_args(sp, *, battery: bool = False, with_grid: bool = False):
+BATTERY_HELP = ("comma-separated statistic names, each a registry name or MAX[x1:...:xk], the maximum "
+                "over those trend scores in [0,1] (default: all but MAXGRID)")
+
+
+def _add_common_sim_args(sp, *, battery: bool = False):
     sp.add_argument("--scenarios", required=True, help="path to a JSON scenario file")
     sp.add_argument("--seed", type=int, required=True, help="nonnegative random seed (required)")
     if battery:
         sp.add_argument("--alpha", type=float, default=0.05)
-        sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY),
-                        help="comma-separated statistic ids (default: all but MAXGRID)")
-    if with_grid:
-        sp.add_argument("--grid", default=None, help="comma-separated scores in [0,1] for MAXGRID")
+        sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY), help=BATTERY_HELP)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -107,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one record 'r0 r1 r2 s0 s1 s2' (repeatable)")
     sp.add_argument("--input", default=None,
                     help="file of records, one per line ('-' for stdin)")
-    sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY))
-    sp.add_argument("--grid", default=None)
+    sp.add_argument("--battery", default=",".join(DEFAULT_BATTERY), help=BATTERY_HELP)
     sp.add_argument("--sidedness", choices=("one", "two"), default="two")
     sp.add_argument("--correction", choices=("on", "off"), default="off",
                     help="+1/2 per cell before computing statistics (default off); "
@@ -130,14 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
         "HWE in one sampled population, so it is off on two-stratum nulls (the Wahlund effect): on "
         "null_stratified.json the simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those "
         "of Z_1/2 near 1.6 to 1.8, not 1.96."))
-    _add_common_sim_args(sp, battery=True, with_grid=True)
+    _add_common_sim_args(sp, battery=True)
     sp.add_argument("--b-null", type=int, default=200_000)
 
     sp = sub.add_parser("power", help="rejection rates per scenario and statistic", description=(
         "Rejection rates, with their Monte Carlo SEs, of each statistic per scenario (size for a null "
         "scenario), against thresholds simulated once per distinct null. A statistic undefined on every "
         "replicate of a scenario is named on stderr, and the exit code is 1."))
-    _add_common_sim_args(sp, battery=True, with_grid=True)
+    _add_common_sim_args(sp, battery=True)
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--b-power", type=int, default=10_000)
 
@@ -151,9 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("crosstab", help="matched p-value cross-tabulation", description=(
         "Matched cross-tabulation of two statistics' empirical p-values on the same replicates, binned "
         "by --bins, per scenario; each distinct null of the pack is simulated once."))
-    _add_common_sim_args(sp, with_grid=True)
-    sp.add_argument("--stat-a", required=True, choices=ALL_STATISTICS)
-    sp.add_argument("--stat-b", required=True, choices=ALL_STATISTICS)
+    _add_common_sim_args(sp)
+    sp.add_argument("--stat-a", required=True,
+                    help="row statistic: a registry name or MAX[x1:...:xk], the maximum over those "
+                         "trend scores in [0,1]")
+    sp.add_argument("--stat-b", required=True, help="column statistic, named as --stat-a")
     sp.add_argument("--b-null", type=int, default=200_000)
     sp.add_argument("--b-reps", type=int, default=5_000)
     sp.add_argument("--bins", default="0.01,0.05,0.10")
@@ -161,11 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_battery(text: str, grid_text) -> dict[str, tuple[float, ...]]:
-    """The --battery names resolved with the --grid scores; the names are checked before the grid."""
-    names = tuple(name.strip() for name in text.split(",") if name.strip())
-    validate_battery(names)
-    return validate_battery(names, _parse_grid(grid_text))
+def _parse_battery(text: str) -> dict:
+    """The --battery names, comma-separated, resolved by :func:`~trendmax.battery.validate_battery`."""
+    return validate_battery(name.strip() for name in text.split(",") if name.strip())
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -173,14 +169,6 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-
-
-def _parse_grid(text):
-    grid = DEFAULT_GRID if text is None else _parse_floats(text, "--grid")
-    try:
-        return validate_grid(grid)
-    except InputError as exc:
-        raise InputError(f"--grid: {exc}") from None
 
 
 def _emit(columns: tuple[str, ...], records, args, header: dict):
@@ -219,7 +207,7 @@ def _provenance(args, **input_hash) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    battery = _parse_battery(args.battery, args.grid)
+    battery = _parse_battery(args.battery)
     two_sided = args.sidedness == "two"
     if args.b_perm < 0:
         raise InputError(f"--b-perm must be nonnegative, got {args.b_perm}")
@@ -258,8 +246,8 @@ def cmd_analyze(args) -> int:
 
     columns = ("record", "statistic", "value", "p_asymptotic", "p_permutation", "error")
     # per statistic: its law, its values and its p-values, one Python float per table
-    stats = [(name, STATISTICS[name].law, values[name].tolist(),
-              None if perms is None else perms[name].tolist()) for name in battery]
+    stats = [(name, spec.law, values[name].tolist(),
+              None if perms is None else perms[name].tolist()) for name, spec in battery.items()]
     rhos = [rho.tolist() for rho in batch_correlations(cells)]
 
     def records():
@@ -298,7 +286,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_criticals(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    battery = _parse_battery(args.battery, args.grid)
+    battery = _parse_battery(args.battery)
     validate_alpha(args.alpha)
     columns = ("scenario", "statistic", "threshold", "threshold_asymptotic", "se", "b", "seed")
     nulls = distinct_nulls(scenarios)  # each simulated once, as in power and crosstab
@@ -317,14 +305,13 @@ def _asymptotic_thresholds(null, battery, alpha: float) -> dict[str, float]:
     pooled = sum(np.multiply(case_probs, n_cases) + np.multiply(ctrl_probs, n_controls)
                  for case_probs, ctrl_probs, n_cases, n_controls in null.strata())
     out: dict[str, float] = {}
-    for name in battery:
-        spec, tail = STATISTICS[name], None
+    for name, spec in battery.items():
+        tail = None
         if spec.law is not None:
             tail = functools.partial(spec.law, two_sided=null.two_sided)
         elif spec.combine is max_decided:
             with contextlib.suppress(DegenerateProportions):  # no law without both homozygotes
-                tail = functools.partial(max_exceedance, trend_angles(pooled / pooled.sum(), battery[name]),
-                                         two_sided=null.two_sided)
+                tail = max_tail(trend_angles(pooled / pooled.sum(), spec.scores), null.two_sided)
         if tail is not None and tail(0.0) > alpha:
             out[name] = upper_point(tail, alpha)
     return out
@@ -332,7 +319,7 @@ def _asymptotic_thresholds(null, battery, alpha: float) -> dict[str, float]:
 
 def cmd_power(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    battery = _parse_battery(args.battery, args.grid)
+    battery = _parse_battery(args.battery)
     columns = ("scenario", "statistic", "metric", "rate", "se", "b", "seed")
     # one --seed for the nulls and the power rows alike, so size rows reuse the null draws
     rows = estimate_power(scenarios, battery, b=args.b_power, b_null=args.b_null, alpha=args.alpha,
@@ -361,7 +348,7 @@ def cmd_corr(args) -> int:
 
 def cmd_crosstab(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    pair = validate_battery(tuple(dict.fromkeys((args.stat_a, args.stat_b))), _parse_grid(args.grid))
+    pair = validate_battery(dict.fromkeys((args.stat_a, args.stat_b)))
     bins = _parse_floats(args.bins, "--bins")
     # bins are closed on the left; the last one holds p = 1
     labels = [f"[{lo:g},{hi:g})" for lo, hi in zip((0.0, *bins), bins)] + [f"[{bins[-1]:g},1]"]

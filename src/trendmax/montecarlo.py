@@ -36,8 +36,8 @@ One table is six cells (r0, r1, r2, s0, s1, s2) and a batch of tables one
 (N, 6) array, as everywhere in the package. A chunk's (count, 6) cells
 are the transpose of a C-ordered (6, count) buffer, so each cell column
 is contiguous for the kernels. Every null run, for critical values and
-for the crosstab, keeps each statistic's upper tail, O(alpha B) values
-(:class:`_UpperTails`); a power run keeps
+for the crosstab, keeps each statistic's upper tail in a buffer of about
+alpha B + ``CHUNK_SIZE`` values (:class:`_UpperTails`); a power run keeps
 each statistic's counts of exceedances and NaNs. Only the crosstab's
 replicates, the correlations and the cells keep a (k, B) array of k
 values per table (2 statistics, 3 correlations, or 6 cells). Each
@@ -180,10 +180,11 @@ class _UpperTails:
     """NaN count and top finite values of ``width`` samples streamed in chunks, under a lock.
 
     m bounds the alpha-level order statistic's rank from the top among b
-    values, or among fewer finite ones. A buffer holds 2m + CHUNK_SIZE (at
+    values, or among fewer finite ones. A buffer holds m + CHUNK_SIZE (at
     most b) values; a chunk appends those above the floor, the m-th largest
-    kept so far, and an overflow first partitions the buffer to its top m.
-    So a buffer keeps the sample's top m, ties included, in any chunk order.
+    kept so far, and an overflow first partitions the buffer to its top m,
+    after which one chunk always fits. So a buffer keeps the sample's top m,
+    ties included, in any chunk order.
 
     m also makes :meth:`pvalues` exact below alpha: an observation that at
     most m of the n finite values reach is counted among the top m, and one
@@ -194,7 +195,7 @@ class _UpperTails:
         self.b, self.alpha = b, alpha
         # two spare ranks absorb rounding in the float products (1 - alpha) n
         self.m = b - min(max(math.ceil((1.0 - alpha) * b), 1), b) + 3
-        self.buffers = np.empty((width, min(2 * self.m + CHUNK_SIZE, b)))
+        self.buffers = np.empty((width, min(self.m + CHUNK_SIZE, b)))
         self.sizes, self.nans, self.floors = [0] * width, [0] * width, [None] * width
         self.lock = threading.Lock()
 

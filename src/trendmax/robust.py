@@ -11,7 +11,7 @@ and dominant models, this module provides
     the whole family (Gastwirth 1966, *JASA* 61:929-948),
   * the advisory choice between MERT and MAX from the minimum correlation,
   * the closed-form null tail of a maximum of trend statistics
-    (:func:`max_exceedance`) and the upper point of a tail (:func:`upper_point`).
+    (:func:`max_tail`) and the upper point of a tail (:func:`upper_point`).
 
 The MERT and MAX statistics themselves are registry entries in
 :mod:`trendmax.battery`. For jointly normal statistics the Pitman
@@ -188,21 +188,26 @@ def trend_angles(props, xs) -> np.ndarray:
     return np.arctan2(xs * np.sqrt(p0 * p1 * p2), p2 * (1 - p2) - xs * p1 * p2)
 
 
-def max_exceedance(angles, t: float, two_sided: bool) -> float:
-    """P(max_i <d_i, W> > t) for t >= 0, W ~ N(0, I2) and unit d_i at ``angles`` (of |.| if two-sided)."""
+def max_tail(angles, two_sided: bool):
+    """t -> P(max_i <d_i, W> > t) for t >= 0, W ~ N(0, I2) and unit d_i at ``angles`` (of |.| if two-sided).
+
+    The half-gaps and the rule's 2 cos^2 table are built once, so each t
+    costs one exp table and one product (an :func:`upper_point` bisection
+    takes about 45).
+    """
     theta = np.asarray(angles, dtype=float)
     theta = np.sort(np.concatenate([theta, theta + np.pi]) if two_sided else theta)
     h = np.minimum(np.diff(theta, append=theta[0] + 2 * np.pi) / 2, np.pi / 2)
     nodes, weights = _unit_legendre()
-    integrands = np.exp(-t * t / (2 * np.cos(np.multiply.outer(h, nodes)) ** 2))
-    return float((h * (integrands @ weights)).sum() / np.pi)
+    twice_cos2 = 2 * np.cos(np.multiply.outer(h, nodes)) ** 2
+    return lambda t: float((h * (np.exp(-t * t / twice_cos2) @ weights)).sum() / np.pi)
 
 
 @functools.cache
-def _unit_legendre(n: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], built once per process."""
+def _unit_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 64-point Gauss-Legendre rule on [0, 1], built once per process."""
     from numpy.polynomial.legendre import leggauss  # about 4 ms to import; only the closed forms need it
-    nodes, weights = leggauss(n)
+    nodes, weights = leggauss(64)
     return (nodes + 1) / 2, weights / 2
 
 

@@ -45,19 +45,11 @@ def new_genotype_table(r0, r1, r2, s0, s1, s2) -> tuple[float, ...]:
     return tuple(cells)
 
 
-def apply_continuity_correction(table, delta: float = 0.5) -> tuple[float, ...]:
-    """Add ``delta`` to each of the table's six cells; margins follow automatically."""
-    if delta < 0:
-        raise InputError("correction delta must be nonnegative")
-    return tuple((cell_array([table])[0] + delta).tolist())
-
-
 def parse_table_record(text: str) -> tuple[float, ...]:
     """Parse one record of six nonnegative integers: r0 r1 r2 s0 s1 s2.
 
     Fields may be separated by commas or whitespace. Raw ingested tables
-    must be integer-valued; use :func:`apply_continuity_correction`
-    afterwards if a corrected table is wanted.
+    must be integer-valued.
     """
     fields = [f for f in text.replace(",", " ").split() if f]
     if len(fields) != 6:

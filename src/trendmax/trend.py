@@ -27,8 +27,8 @@ rounded once either way, as (x*x)*n1 + n2, x*n1 + n2 and x*u1 + u2.
 Tables whose variance term is not positive come back as NaN.
 
 These are the kernels; the signed Z_x of one table is
-``evaluate_single(table, "MAXGRID", False, (x,))`` in :mod:`trendmax.battery`,
-a one-score MAXGRID.
+``evaluate_single(table, f"MAX[{x}]", False)`` in :mod:`trendmax.battery`,
+a one-score maximum.
 """
 
 from __future__ import annotations

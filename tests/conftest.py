@@ -33,3 +33,8 @@ def random_interior_simplex(n: int, seed: int, floor: float = 1e-4) -> np.ndarra
     props = rng.dirichlet((1.0, 1.0, 1.0), size=n)
     keep = props.min(axis=1) > floor
     return props[keep]
+
+
+def max_of(scores) -> str:
+    """The statistic name MAX[x1:...:xk] of the maximum over ``scores``; each float's str reads back exactly."""
+    return f"MAX[{':'.join(str(float(x)) for x in scores)}]"

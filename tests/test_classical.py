@@ -8,7 +8,7 @@ from trendmax.battery import ALL_STATISTICS, evaluate_battery, validate_battery
 from trendmax.classical import allele_chisq_values, chi2df_values, hwd_values
 from trendmax.robust import batch_correlations
 
-from conftest import assert_bit_identical, random_tables
+from conftest import assert_bit_identical, max_of, random_tables
 
 
 def pearson_2x2_oracle(table) -> float:
@@ -141,6 +141,7 @@ def test_chisq_hwd_zero_iff_hwe_identity():
 
 
 GRID = (0.0, 0.2, 0.5, 0.7, 1.0)
+MAX_GRID = max_of(GRID)
 
 
 def test_scalar_composites_bit_identical_to_batch():
@@ -154,22 +155,22 @@ def test_scalar_composites_bit_identical_to_batch():
     assert np.count_nonzero(cells[:, 1] + cells[:, 4] == 0) > 10
     assert_bit_identical(evaluate_battery(cells, ("HWD",))["HWD"], hwd_values(cells[:, :3]))
     for two_sided in (True, False):
-        batch = evaluate_battery(cells, validate_battery(ALL_STATISTICS, GRID), two_sided)
-        for name in ALL_STATISTICS:
+        batch = evaluate_battery(cells, validate_battery((*ALL_STATISTICS, MAX_GRID)), two_sided)
+        for name in batch:
             assert np.isnan(batch[name]).any() and not np.isnan(batch[name]).all(), name
-            scalar = np.array([evaluate_single(t, name, two_sided, GRID) for t in cells])
+            scalar = np.array([evaluate_single(t, name, two_sided) for t in cells])
             assert np.array_equal(scalar, batch[name], equal_nan=True), f"{name}, two_sided={two_sided}"
             assert_bit_identical(scalar, batch[name])
 
 
 # The composites with the sidedness each is checked at.
-COMPOSITE_SIDES = {"MAX2": True, "MAX2_REC_ADD": False, "MAX3": True, "MAXGRID": True,
+COMPOSITE_SIDES = {"MAX2": True, "MAX2_REC_ADD": False, "MAX3": True, MAX_GRID: True,
                    "MERT": False, "MERT_REC_ADD": False, "T_P": True, "T_MAX": True}
 
 
 def test_scalar_components_are_bit_identical_to_the_registry_values_they_name():
     # each composite is its combiner applied to the one-table registry values
-    # it names: signed Z_x (a one-score MAXGRID), a MERT's rho from the batch
+    # it names: signed Z_x (MAX[x], one-sided), a MERT's rho from the batch
     # correlations, AA and HWD; NaN wherever one of them is NaN
     rng = np.random.default_rng(12)
     cells = rng.integers(0, 40, size=(400, 6)).astype(float)
@@ -177,20 +178,20 @@ def test_scalar_components_are_bit_identical_to_the_registry_values_they_name():
     rho_0_half, rho_0_1, _ = batch_correlations(cells)
     defined = dict.fromkeys(COMPOSITE_SIDES, 0)
     for i, row in enumerate(cells):
-        z = {x: evaluate_single(row, "MAXGRID", False, (x,)) for x in GRID}
+        z = {x: evaluate_single(row, max_of((x,)), False) for x in GRID}
         aa, hwd_ = evaluate_single(row, "AA"), evaluate_single(row, "HWD")
         want = {
             "MAX2": np.maximum(abs(z[0.0]), abs(z[1.0])),
             "MAX2_REC_ADD": np.maximum(z[0.0], z[0.5]),
             "MAX3": np.maximum.reduce([abs(z[0.0]), abs(z[0.5]), abs(z[1.0])]),
-            "MAXGRID": np.maximum.reduce([abs(z[x]) for x in GRID]),
+            MAX_GRID: np.maximum.reduce([abs(z[x]) for x in GRID]),
             "MERT": (z[0.0] + z[1.0]) / np.sqrt(2.0 * (1.0 + rho_0_1[i])),
             "MERT_REC_ADD": (z[0.0] + z[0.5]) / np.sqrt(2.0 * (1.0 + rho_0_half[i])),
             "T_P": aa * hwd_,
             "T_MAX": np.maximum(aa, hwd_),
         }
         for name, two_sided in COMPOSITE_SIDES.items():
-            got = evaluate_single(row, name, two_sided, GRID)
+            got = evaluate_single(row, name, two_sided)
             assert_bit_identical(got, float(want[name]))
             defined[name] += not np.isnan(got)
     assert all(count > 0 for count in defined.values()), defined

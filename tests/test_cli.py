@@ -33,7 +33,7 @@ import pytest
 from scipy import stats as spstats
 
 from trendmax import __version__
-from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS
+from trendmax.battery import ALL_STATISTICS, DEFAULT_BATTERY, STATISTICS, validate_battery
 from trendmax.cli import _emit, build_parser, main
 from trendmax.montecarlo import estimate_critical_values
 from trendmax.robust import CorrelationTriple
@@ -56,8 +56,8 @@ CASES = {
     ],
     "analyze_one_sided_json": [
         "analyze", "--table", "10 20 30 30 20 10", "--table", "3 0 5 9 2 0",
-        "--sidedness", "one", "--correction", "on", "--battery", ALL,
-        "--grid", "0,0.25,0.5,0.75,1", "--format", "json",
+        "--sidedness", "one", "--correction", "on",
+        "--battery", ALL.replace("MAXGRID", "MAX[0:0.25:0.5:0.75:1]"), "--format", "json",
     ],
     "criticals_hwe_all": [
         "criticals", "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "3",
@@ -81,8 +81,8 @@ CASES = {
     ],
     "power_maxgrid_json": [
         "power", "--scenarios", str(SCENARIOS / "crosstab_additive.json"), "--seed", "4",
-        "--b-null", "2000", "--b-power", "500", "--battery", "Z0,Z_HALF,Z1,MERT,MAX3,MAXGRID",
-        "--grid", "0,0.2,0.4,0.5,0.6,0.8,1", "--format", "json",
+        "--b-null", "2000", "--b-power", "500",
+        "--battery", "Z0,Z_HALF,Z1,MERT,MAX3,MAX[0:0.2:0.4:0.5:0.6:0.8:1]", "--format", "json",
     ],
     "corr_stratified": [
         "corr", "--scenarios", str(SCENARIOS / "null_stratified.json"), "--seed", "3",
@@ -98,23 +98,23 @@ CASES = {
         "--stat-a", "CHI2_2DF", "--stat-b", "T_MAX", "--seed", "5",
         "--b-null", "2000", "--b-reps", "500", "--bins", "0.05,0.5", "--format", "json",
     ],
-    # a custom grid through every path that takes one; each differs from its default-grid output
+    # a MAX over custom scores through every path that takes a name; each differs from its MAXGRID output
     "criticals_custom_grid": [
         "criticals", "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "3",
-        "--b-null", "2000", "--battery", "MAX3,MAXGRID", "--grid", "0,0.3,0.5,1",
+        "--b-null", "2000", "--battery", "MAX3,MAX[0:0.3:0.5:1]",
     ],
     "criticals_unbalanced_custom_grid": [
         "criticals", "--scenarios", str(SCENARIOS / "null_hwe_unbalanced.json"), "--seed", "3",
-        "--b-null", "2000", "--battery", "MAX3,MAXGRID", "--grid", "0,0.3,0.5,1",
+        "--b-null", "2000", "--battery", "MAX3,MAX[0:0.3:0.5:1]",
     ],
     "crosstab_recadd_custom_grid": [  # 12 scenarios on 3 distinct nulls
         "crosstab", "--scenarios", str(SCENARIOS / "recadd_subfamily.json"),
-        "--stat-a", "MAX3", "--stat-b", "MAXGRID", "--grid", "0,0.3,0.5,1", "--seed", "3",
+        "--stat-a", "MAX3", "--stat-b", "MAX[0:0.3:0.5:1]", "--seed", "3",
         "--b-null", "2000", "--b-reps", "500",
     ],
     "analyze_perm_custom_grid": [
-        "analyze", "--input", str(GOLDEN / "tables.txt"), "--battery", "MAX3,MAXGRID",
-        "--grid", "0,0.3,0.5,1", "--b-perm", "200", "--seed", "7",
+        "analyze", "--input", str(GOLDEN / "tables.txt"), "--battery", "MAX3,MAX[0:0.3:0.5:1]",
+        "--b-perm", "200", "--seed", "7",
     ],
 }
 
@@ -178,6 +178,7 @@ def test_asymptotic_pvalue_matches_scipy_stats(two_sided):
             assert close(STATISTICS[name].law(x, two_sided), spstats.chi2.sf(x, df=1))
     for name in ("MAX2", "MAX2_REC_ADD", "MAX3", "MAXGRID", "T_P", "T_MAX"):
         assert STATISTICS[name].law is None
+    assert validate_battery(("MAX[0:0.3:1]",))["MAX[0:0.3:1]"].law is None
 
 
 def test_every_registry_law_has_a_closed_form_tail():
@@ -256,7 +257,7 @@ def test_negative_seed_exits_2_with_one_line_before_any_draw(argv, monkeypatch):
 
 
 def test_asymptotic_thresholds_do_not_depend_on_seed_or_b():
-    base = CASES["criticals_unbalanced"][:3] + ["--battery", ALL, "--grid", "0,0.3,0.5,1"]
+    base = CASES["criticals_unbalanced"][:3] + ["--battery", ALL + ",MAX[0:0.3:0.5:1]"]
     runs = [run_cli(base + ["--seed", seed, "--b-null", b]) for seed, b in (("3", "2000"), ("11", "1000"))]
     assert [code for code, _, _ in runs] == [0, 0], runs[0][2]
     first, second = (out_rows(out) for _, out, _ in runs)
@@ -359,13 +360,10 @@ def test_analyze_input_file_is_closed():
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["analyze", "--table", "10 20 30 30 20 10", "--battery", "MAXGRID", "--grid", "0,abc"], "--grid"),
-    (CASES["power_maxgrid_json"][:-4] + ["--grid", "0,0.5,x"], "--grid"),
+    (CASES["crosstab_max3_maxgrid"] + ["--bins", "x"], "--bins"),
+    # an empty --bins is not the default bins: only a missing flag is
+    (CASES["crosstab_max3_maxgrid"] + ["--bins", ""], "--bins"),
     (CASES["crosstab_chi2_tmax_json"][:-4] + ["--bins", "0.05,x"], "--bins"),
-    # an empty --grid is not the default grid: only a missing flag is, as for --bins
-    (["analyze", "--table", "10 20 30 30 20 10", "--battery", "MAXGRID", "--grid", ""], "--grid"),
-    (CASES["power_maxgrid_json"][:-4] + ["--grid", ""], "--grid"),
-    (CASES["crosstab_max3_maxgrid"] + ["--grid", ""], "--grid"),
 ])
 def test_unparsable_numbers_name_their_flag(argv, flag):
     code, out, err = run_cli(argv)
@@ -377,21 +375,65 @@ def test_unparsable_numbers_name_their_flag(argv, flag):
 @pytest.mark.parametrize("grid", ["0,1.5", "0,nan", "-0.5,1", "0,inf"])
 @pytest.mark.parametrize("case", ["analyze_one_sided_json", "crosstab_max3_maxgrid"])
 def test_grid_scores_outside_unit_interval_are_an_error(case, grid):
-    code, out, err = run_cli(CASES[case] + [f"--grid={grid}"])
+    name = f"MAX[{grid.replace(',', ':')}]"
+    code, out, err = run_cli(CASES[case] + ["--stat-b" if case.startswith("crosstab") else "--battery", name])
     assert code == 2
     assert out == ""
-    assert "grid scores must lie in [0, 1]" in err
+    assert err.startswith(f"trendmax {CASES[case][0]}: {name}: grid scores must lie in [0, 1]")
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--table", "10 20 30 30 20 10", "--grid", "0,7"],
-    CASES["power_recadd"] + ["--battery", "Z0", "--grid", "0,7"],
+    ["analyze", "--table", "10 20 30 30 20 10", "--battery", "Z0,MAX[0:7]"],
+    CASES["power_recadd"] + ["--battery", "Z0,MAX[0:7]"],
 ])
 def test_grid_is_validated_without_maxgrid_in_the_battery(argv):
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
-    assert "--grid" in err and "grid scores must lie in [0, 1]" in err
+    assert "MAX[0:7]" in err and "grid scores must lie in [0, 1]" in err
+
+
+# each subcommand that names statistics, with the flag that names them
+NAMING = {
+    "analyze": (["analyze", "--table", "10 20 30 30 20 10", "--b-perm", "10", "--seed", "1"], "--battery"),
+    "criticals": (CASES["criticals_custom_grid"], "--battery"),
+    "power": (CASES["power_recadd"], "--battery"),
+    "crosstab": (CASES["crosstab_max3_maxgrid"], "--stat-b"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NAMING))
+@pytest.mark.parametrize("value, bad, message", [
+    ("MAX[]", "MAX[]", "MAX[]: score grid must be nonempty"),
+    ("MAX[0:1.5]", "MAX[0:1.5]", "MAX[0:1.5]: grid scores must lie in [0, 1], got 1.5"),
+    ("MAX[a]", "MAX[a]", "MAX[a]: score grid must be a sequence of numbers"),
+    # --battery splits on commas, so a comma inside the brackets leaves a name without its "]"
+    ("MAX[0,1]", "MAX[0", "unknown statistic 'MAX[0'; known: "),
+    ("NOPE", "NOPE", "unknown statistic 'NOPE'; known: "),
+])
+def test_a_bad_statistic_name_exits_2_with_one_line_naming_it_before_any_draw(command, value, bad, message,
+                                                                              monkeypatch):
+    import trendmax.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before resolving the statistic names")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
+    argv, flag = NAMING[command]
+    if flag == "--stat-b" and "," in value:
+        value = bad  # --stat-b takes one name; no comma splits it
+    code, out, err = run_cli(argv + [flag, value])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"trendmax {command}: {message}") and err.count("\n") == 1
+    assert bad in err
+
+
+@pytest.mark.parametrize("command", sorted(NAMING))
+def test_grid_is_no_longer_an_option(command, capsys):
+    # MAX[x1:...:xk] names carry their scores
+    assert_unrecognized(NAMING[command][0], ["--grid", "0,0.5,1"], capsys)
 
 
 NULL_P30 = {"model": "null", "p": 0.3, "r": 250, "s": 250}
@@ -793,8 +835,8 @@ def test_each_golden_reruns_from_its_own_header(case):
     (["crosstab", "--scenarios", str(SCENARIOS / "crosstab_additive.json"), "--stat-a", "MAX3",
       "--stat-b", "Z1", "--seed", "1", "--b-null", "1000", "--b-reps", "200", "--bins", "0.05\n,0.5"],
      ["# bins=0.05,0.5"]),
-    (["analyze", "--table", "10 20 30 30 20 10", "--battery", " MAX3 ,\nMAXGRID", "--grid", "0,\n0.5 ,1"],
-     ["# battery=MAX3,MAXGRID", "# grid=0,0.5,1"]),
+    (["analyze", "--table", "10 20 30 30 20 10", "--battery", " MAX3 ,\nMAX[0:0.5:1]\n"],
+     ["# battery=MAX3,MAX[0:0.5:1]"]),
 ], ids=["crosstab", "analyze"])
 def test_a_line_break_in_a_flag_value_stays_inside_its_header_line(argv, lines):
     code, out, err = run_cli(argv)

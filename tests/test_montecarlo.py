@@ -50,14 +50,15 @@ from trendmax.battery import (
     validate_battery,
 )
 from trendmax.population import hwe_genotype_freqs
-from trendmax.robust import batch_correlations, max_exceedance, trend_angles, upper_point
+from trendmax.robust import batch_correlations, max_tail, trend_angles, upper_point
 from trendmax.scenarios import load_scenarios
 import trendmax.montecarlo
+import trendmax.robust
 from trendmax.cli import UNDEFINED_OBSERVED
 from trendmax.montecarlo import CHUNK_SIZE
 from trendmax.tables import parse_table_record
 
-from conftest import assert_bit_identical
+from conftest import assert_bit_identical, max_of
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -228,7 +229,7 @@ def test_simulate_cells_raises_a_chunk_error_and_returns_nothing(monkeypatch):
 # ---------------------------------------------------------------------------
 
 GRID = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
-ALL_ON_GRID = validate_battery(ALL_STATISTICS, GRID)
+ALL_ON_GRID = validate_battery((*ALL_STATISTICS, max_of(GRID)))
 ENGINE_B = 2 * CHUNK_SIZE + 137  # three chunks, the last one short
 
 
@@ -278,11 +279,11 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
     monkeypatch.setattr(trendmax.montecarlo, "_score_array", recording)
     null_cells = row_major_reference(sc.null_scenario(), ENGINE_B, 41)
     # the null runs stream their values into the tail keepers, so they leave no array
-    battery = validate_battery(ALL_STATISTICS, GRID)
+    battery = ALL_ON_GRID
     null_values = evaluate_battery(null_cells, battery, two_sided)
     alt_cells = row_major_reference(sc, ENGINE_B, 42)
     alt_values = evaluate_battery(alt_cells, battery, two_sided)
-    crosstab_battery = validate_battery(("MAXGRID", "T_MAX"), GRID)
+    crosstab_battery = validate_battery((max_of(GRID), "T_MAX"))
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(43).generate_state(2))
     rep_values = evaluate_battery(row_major_reference(sc, ENGINE_B, rep_seed),
                                   crosstab_battery, two_sided)
@@ -304,7 +305,7 @@ def test_entry_points_score_what_the_whole_batch_scores(population, size, two_si
             assert row_values.flags.c_contiguous
         assert np.array_equal(counts, whole_sample_counts(crosstab_null, rep_values, *crosstab_battery,
                                                           (0.01, 0.05, 0.10)))
-        for name in ALL_STATISTICS:
+        for name in battery:
             assert cvs.thresholds[name] == empirical_upper_quantile(null_values[name], 0.05)
             assert cvs.error_rates.get(name, 0.0) == float(np.isnan(null_values[name]).mean())
             rate = float(np.sum(alt_values[name] > cvs.thresholds[name]) / ENGINE_B)
@@ -444,8 +445,9 @@ def traced_peak_mb(call) -> float:
 def test_peak_memory_holds_the_values_and_a_few_chunks(monkeypatch):
     # 13 decision values x 200,000 tables are 20.8 MB; sampling the whole
     # batch before scoring it peaked at 52 MB here, and at 42 MB on the
-    # crosstab. The crosstab's null keeps about 2 x 10% of its 2 x 200,000
-    # values plus a chunk: it peaked at 8.4 MB holding them all, 5.8 MB now
+    # crosstab. The crosstab's null keeps about 10% of its 2 x 200,000
+    # values plus a chunk: it peaked at 8.4 MB holding them all, 4.9 MB
+    # keeping 2 x 10% plus a chunk, and 4.4 MB now
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
     null = Scenario(population=(Stratum(0.1, 250, 250), Stratum(0.4, 100, 100)), penetrances=None)
     peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=200_000, seed=49))
@@ -456,7 +458,8 @@ def test_peak_memory_holds_the_values_and_a_few_chunks(monkeypatch):
 
 def test_peak_memory_of_a_null_run_does_not_grow_with_all_its_values(monkeypatch):
     # 13 decision values x 400,000 tables would be 41.6 MB; the tail keepers
-    # hold about 2 x 5% of them plus a chunk, and the pool one chunk per task
+    # hold about 5% of them plus a chunk, and the pool one chunk per task
+    # (peak 8.6 MB; 10.7 MB when the keepers held 2 x 5% plus a chunk)
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
     null = Scenario(population=(Stratum(0.1, 250, 250), Stratum(0.4, 100, 100)), penetrances=None)
     peak = traced_peak_mb(lambda: estimate_critical_values(null, DEFAULT_BATTERY, b=400_000, seed=49))
@@ -514,6 +517,56 @@ def test_upper_tails_pick_what_the_whole_sample_picks(data):
         observed = np.concatenate([rng.choice(v, 200), [math.nan, math.inf, -math.inf]])
         got, want = tails.pvalues(i, observed), whole_sample_pvalues(v, observed)
         below = want < alpha
+        assert np.array_equal(got[below], want[below])
+        assert np.all(got[~below] >= alpha)
+
+
+class OverflowCounting(trendmax.montecarlo._UpperTails):
+    """Upper tails that record, per chunk, whether statistic 0's buffer overflowed; calls run one at a time."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.overflows, self.serial = [], threading.Lock()
+
+    def __call__(self, lo, values):
+        with self.serial:
+            size, floor, v = self.sizes[0], self.floors[0], values[0]
+            kept = np.count_nonzero(~np.isnan(v) if floor is None else v > floor)
+            super().__call__(lo, values)
+            # a chunk that fits is appended whole, so only an overflow leaves another size
+            self.overflows.append(self.sizes[0] != size + kept)
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_upper_tails_that_overflow_on_most_chunks_pick_what_the_whole_sample_picks(cores, monkeypatch):
+    # each chunk's values are raised by its offset, so taken in order every chunk lands above the
+    # floor whole, and a buffer of m + CHUNK_SIZE overflows on every chunk after the first
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
+    scenario = Scenario(population=(Stratum(0.3, 100, 100),), penetrances=None, correction=False)
+    b, alpha, battery = 10 * CHUNK_SIZE + 137, 0.01, ("Z0", "MAX3", "CHI2_2DF")
+    whole = np.array(list(evaluate_battery(simulate_cells(scenario, b, seed=70), battery).values()))
+    whole += np.arange(b) // CHUNK_SIZE * CHUNK_SIZE
+    tails = OverflowCounting(len(battery), b, alpha)
+    score = trendmax.montecarlo._battery_scorer(scenario, battery)
+
+    def raised(lo, values):
+        tails(lo, [v + lo for v in values])
+
+    trendmax.montecarlo._score_chunks([(scenario, b, 70, score, raised)])
+    assert tails.buffers.shape[1] == tails.m + CHUNK_SIZE < b
+    if cores == 1:
+        assert tails.overflows == [False] + [True] * 10
+    rng = np.random.default_rng(71)
+    for i, v in enumerate(whole):
+        assert tails.nans[i] == np.isnan(v).sum()
+        assert tails.quantile(i) == empirical_upper_quantile(v, alpha)
+        observed = np.concatenate([rng.choice(v, 300), v[-200:], [math.nan, math.inf, -math.inf]])
+        finite = v[~np.isnan(v)]
+        want = np.array([1.0 if math.isnan(o) else (1 + np.count_nonzero(finite >= o)) / (finite.size + 1)
+                         for o in observed])
+        got = tails.pvalues(i, observed)
+        below = want < alpha
+        assert below.sum() >= 100
         assert np.array_equal(got[below], want[below])
         assert np.all(got[~below] >= alpha)
 
@@ -814,22 +867,21 @@ def permuted_cells(case_rows, margins, out: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def exact_permutation_pvalue(table, statistic: str, two_sided=True,
-                             grid=DEFAULT_GRID) -> Fraction:
+def exact_permutation_pvalue(table, statistic: str, two_sided=True) -> Fraction:
     """Exact permutation p-value P(statistic >= observed), by enumerating the hypergeometric support.
 
     The permutation oracle for small tables: undefined permuted values
     count as non-exceedances, as in the Monte Carlo mode.
     """
     margins, n_cases = [int(m) for m in column_margins(table)], int(sum(table[:3]))
-    observed = evaluate_single(table, statistic, two_sided, grid)
+    observed = evaluate_single(table, statistic, two_sided)
     if math.isnan(observed):
         raise DegenerateTable(UNDEFINED_OBSERVED.format(statistic))
     n0, n1, n2 = margins
     support = [(a0, a1, n_cases - a0 - a1) for a0 in range(min(n0, n_cases) + 1)
                for a1 in range(min(n1, n_cases - a0) + 1) if n_cases - a0 - a1 <= n2]
     cells = permuted_cells(support, margins, np.empty((6, len(support))))
-    values = evaluate_battery(cells, validate_battery((statistic,), grid), two_sided)[statistic]
+    values = evaluate_battery(cells, validate_battery((statistic,)), two_sided)[statistic]
     numer = sum(math.comb(n0, a0) * math.comb(n1, a1) * math.comb(n2, a2)
                 for (a0, a1, a2), v in zip(support, values) if not math.isnan(v) and v >= observed)
     return Fraction(numer, math.comb(n0 + n1 + n2, n_cases))
@@ -883,11 +935,11 @@ def golden_tables() -> list[tuple[float, ...]]:
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=10, deadline=None)
 def test_permutation_statistic_alone_equals_statistic_in_battery(seed, two_sided):
-    grid = (0.0, 0.2, 0.35, 0.5, 0.9, 1.0)
+    battery = validate_battery((*ALL_STATISTICS, "MAX[0:0.2:0.35:0.5:0.9:1]"))
     for t in golden_tables():
-        full = permutation_pvalue(t, validate_battery(ALL_STATISTICS, grid), 300, seed=seed, two_sided=two_sided)
-        for name in ALL_STATISTICS:
-            alone = permutation_pvalue(t, validate_battery((name,), grid), 300, seed=seed, two_sided=two_sided)
+        full = permutation_pvalue(t, battery, 300, seed=seed, two_sided=two_sided)
+        for name in battery:
+            alone = permutation_pvalue(t, (name,), 300, seed=seed, two_sided=two_sided)
             # bit for bit, NaN (undefined on the observed table) included
             assert np.float64(alone[name]).tobytes() == np.float64(full[name]).tobytes(), (t, name)
 
@@ -929,14 +981,14 @@ def batch_of_tables(count: int, seed: int) -> list[tuple[float, ...]]:
     return [tuple(float(c) for c in rng.integers(0, 60, size=6)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("b, two_sided, battery, grid", [
-    (1_237, True, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),  # several tables' distinct rows per call
-    (1_237, False, ALL_STATISTICS, (0.0, 0.3, 0.5, 0.8, 1.0)),
-    (6_001, True, DEFAULT_BATTERY, DEFAULT_GRID),  # B above CHUNK_SIZE / 2: a task, and a call, per table
-    (0, True, DEFAULT_BATTERY, DEFAULT_GRID),
+@pytest.mark.parametrize("b, two_sided, battery", [
+    (1_237, True, (*ALL_STATISTICS, "MAX[0:0.3:0.5:0.8:1]")),  # several tables' distinct rows per call
+    (1_237, False, (*ALL_STATISTICS, "MAX[0:0.3:0.5:0.8:1]")),
+    (6_001, True, DEFAULT_BATTERY),  # B above CHUNK_SIZE / 2: a task, and a call, per table
+    (0, True, DEFAULT_BATTERY),
 ])
-def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery, grid):
-    battery = validate_battery(battery, grid)
+def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery):
+    battery = validate_battery(battery)
     tables = batch_of_tables(37 if b < 6_000 else 5, seed=b)
     tables[1] = (10, 0, 0, 5, 0, 0)  # every statistic undefined on the observed table
     got = permutation_pvalues(np.array(tables), battery, b, seed=41, two_sided=two_sided)
@@ -1228,7 +1280,7 @@ def test_a_draw_error_on_one_table_reaches_the_caller_without_hanging(monkeypatc
 
 def max_point(angles, alpha: float, two_sided: bool) -> float:
     """Upper-alpha point of the maximum of trend statistics at ``angles``."""
-    return upper_point(lambda t: max_exceedance(angles, t, two_sided), alpha)
+    return upper_point(max_tail(angles, two_sided), alpha)
 
 
 def test_normal_approx_single_coordinate():
@@ -1284,7 +1336,7 @@ def test_upper_point_inverts_the_normal_and_chi_square_tails(two_sided):
 
 
 def owens_t_exceedance(angles, t: float, two_sided: bool) -> float:
-    """The gap sum of :func:`max_exceedance` with scipy's Owen's T: 2 T(t, tan min(g/2, pi/2)) per gap."""
+    """The gap sum of :func:`max_tail` with scipy's Owen's T: 2 T(t, tan min(g/2, pi/2)) per gap."""
     theta = np.asarray(angles, dtype=float)
     theta = np.sort(np.concatenate([theta, theta + np.pi]) if two_sided else theta)
     gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
@@ -1301,7 +1353,28 @@ def test_max_exceedance_matches_owens_t():
         for two_sided in (True, False):
             for t in np.linspace(0.3, 8.0, 40):
                 want = owens_t_exceedance(angles, t, two_sided)
-                assert max_exceedance(angles, t, two_sided) == pytest.approx(want, rel=1e-9), (angles, t)
+                assert max_tail(angles, two_sided)(t) == pytest.approx(want, rel=1e-9), (angles, t)
+
+
+def test_max_tail_is_the_per_point_gap_sum_bit_for_bit():
+    # the tail of a set of directions keeps its half-gaps and cos^2 table; each point is the
+    # same floating-point sum as when all of it was rebuilt per point
+    nodes, weights = trendmax.robust._unit_legendre()
+
+    def per_point(angles, t, two_sided):
+        theta = np.asarray(angles, dtype=float)
+        theta = np.sort(np.concatenate([theta, theta + np.pi]) if two_sided else theta)
+        h = np.minimum(np.diff(theta, append=theta[0] + 2 * np.pi) / 2, np.pi / 2)
+        integrands = np.exp(-t * t / (2 * np.cos(np.multiply.outer(h, nodes)) ** 2))
+        return float((h * (integrands @ weights)).sum() / np.pi)
+
+    rng = np.random.default_rng(62)
+    for _ in range(100):
+        angles = rng.uniform(0.0, 3.0, size=rng.integers(1, 12))
+        for two_sided in (True, False):
+            tail = max_tail(angles, two_sided)
+            for t in (0.0, *rng.uniform(0.0, 8.0, size=3)):
+                assert tail(t) == per_point(angles, t, two_sided)
 
 
 def test_closed_form_laws_miss_the_two_stratum_null():
@@ -1354,7 +1427,7 @@ def test_normal_approx_exceedance_matches_the_conditioning_integral(p, xs):
     for two_sided in (True, False):
         for t in (1.5, 2.2, 3.0):
             want = conditioning_integral(angles, t, two_sided)
-            assert max_exceedance(angles, t, two_sided) == pytest.approx(want, abs=1e-9), (two_sided, t)
+            assert max_tail(angles, two_sided)(t) == pytest.approx(want, abs=1e-9), (two_sided, t)
 
 
 @pytest.mark.parametrize("two_sided", [True, False])

@@ -27,7 +27,7 @@ PUBLIC_API = [
     "DEFAULT_BATTERY", "DEFAULT_GRID", "DegeneratePrevalence", "DegenerateProportions",
     "DegenerateTable", "EmptyRow", "FrequencyOutOfRange", "InputError", "MeanCorrelations",
     "NegativeCell", "OrderViolation", "PenetranceModel", "PowerRow", "Scenario", "ScenarioError",
-    "Stratum", "TrendmaxError", "UnknownStatistic", "apply_continuity_correction",
+    "Stratum", "TrendmaxError", "UnknownStatistic",
     "case_control_probs", "empirical_upper_quantile", "estimate_correlations",
     "estimate_critical_values", "estimate_power", "evaluate_battery", "evaluate_single",
     "hwe_genotype_freqs", "load_scenarios", "mean_correlation_matrix", "mert_certificate",

@@ -19,7 +19,7 @@ from trendmax.population import Stratum
 from trendmax.robust import batch_correlations, correlation_values, trend_angles
 from trendmax.scenarios import Scenario
 
-from conftest import random_interior_simplex, random_tables
+from conftest import max_of, random_interior_simplex, random_tables
 
 SQRT23 = np.sqrt(2.0 / 3.0)
 
@@ -204,7 +204,7 @@ def test_max_monotonicity_exact():
 
 
 def max_grid(table, grid) -> float:
-    return evaluate_single(table, "MAXGRID", True, grid)
+    return evaluate_single(table, max_of(grid), True)
 
 
 def test_max_grid_contains_max3(worked_table):

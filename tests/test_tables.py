@@ -2,21 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from trendmax import (
     EmptyRow,
     InputError,
     NegativeCell,
-    apply_continuity_correction,
     new_genotype_table,
     parse_table_record,
 )
 from trendmax.battery import ALL_STATISTICS, evaluate_battery, validate_battery
 from trendmax.robust import batch_correlations
-
-cell = st.integers(min_value=0, max_value=200)
 
 
 def test_negative_cell_rejected():
@@ -29,33 +24,6 @@ def test_empty_row_rejected():
         new_genotype_table(0, 0, 0, 1, 1, 1)
     with pytest.raises(EmptyRow):
         new_genotype_table(1, 1, 1, 0, 0, 0)
-
-
-def test_correction_shifts_cells():
-    t = new_genotype_table(0, 1, 2, 3, 0, 0)
-    c = apply_continuity_correction(t)
-    assert c == (0.5, 1.5, 2.5, 3.5, 0.5, 0.5)
-
-
-def test_correction_zero_is_identity():
-    t = new_genotype_table(3, 4, 5, 6, 7, 8)
-    assert apply_continuity_correction(t, 0.0) == t
-
-
-def test_correction_total():
-    t = apply_continuity_correction(new_genotype_table(10, 20, 30, 30, 20, 10))
-    assert sum(t) == 123
-
-
-@given(cell, cell, cell, cell, cell, cell,
-       st.floats(0, 2, allow_nan=False), st.floats(0, 2, allow_nan=False))
-def test_correction_composes_additively(r0, r1, r2, s0, s1, s2, a, b):
-    if r0 + r1 + r2 == 0 or s0 + s1 + s2 == 0:
-        return
-    t = new_genotype_table(r0, r1, r2, s0, s1, s2)
-    once = apply_continuity_correction(t, a + b)
-    twice = apply_continuity_correction(apply_continuity_correction(t, a), b)
-    assert np.allclose(once, twice)
 
 
 def test_parse_record_whitespace_and_csv():
@@ -79,11 +47,8 @@ def test_parse_record_names_a_non_finite_field(field):
 
 
 def test_a_table_is_a_tuple_of_six_floats():
-    for t in (new_genotype_table(10, 20, 30, 30, 20, 10), parse_table_record("10 20 30 30 20 10"),
-              apply_continuity_correction([10, 20, 30, 30, 20, 10]), apply_continuity_correction(np.ones(6))):
+    for t in (new_genotype_table(10, 20, 30, 30, 20, 10), parse_table_record("10 20 30 30 20 10")):
         assert type(t) is tuple and len(t) == 6 and all(type(c) is float for c in t)
-    with pytest.raises(InputError, match=r"got shape \(1, 5\)"):
-        apply_continuity_correction((1, 2, 3, 4, 5))
 
 
 BOUND = 2**51  # below it every cell, margin and +1/2-corrected cell of whole counts is an exact float
@@ -105,7 +70,7 @@ def test_a_total_just_below_2_to_the_51_is_accepted_and_no_kernel_warns(cells):
         warnings.simplefilter("error")
         for shift in (0.0, 0.5):
             batch = np.array([t]) + shift
-            evaluate_battery(batch, validate_battery(ALL_STATISTICS, (0.0, 0.3, 0.5, 1.0)))
+            evaluate_battery(batch, validate_battery((*ALL_STATISTICS, "MAX[0:0.3:0.5:1]")))
             batch_correlations(batch)
 
 

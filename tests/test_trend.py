@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from trendmax import InputError, evaluate_single, optimal_score
 from trendmax.trend import trend_sums, trend_values
 
-from conftest import random_tables
+from conftest import max_of, random_tables
 
 
 def trend_statistic(table, x: float) -> float:
-    """Signed Z_x of one table: a one-score MAXGRID, one-sided."""
-    return evaluate_single(table, "MAXGRID", False, (x,))
+    """Signed Z_x of one table: MAX[x], one-sided."""
+    return evaluate_single(table, max_of((x,)), False)
 
 
 def general_trend_reference(cells: np.ndarray, scores) -> np.ndarray:
