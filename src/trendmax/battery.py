@@ -8,8 +8,10 @@ maximum over a chosen set of trend scores, Freidlin, Zheng, Li &
 Gastwirth 2002, *Hum Hered* 53:146-152). MAXGRID is the registry's
 ``MAX[0:0.1:...:1]``. :func:`validate_battery` resolves names, and the
 battery, the CLI and :func:`evaluate_single` all go through it, so each
-statistic has exactly one numeric implementation. :func:`evaluate_single`
-scores one table, any sequence of six cells (r0, r1, r2, s0, s1, s2), and
+statistic has exactly one numeric implementation. There are two entry
+points. :func:`evaluate_battery` scores a batch, an (N, 6) array of cells
+(r0, r1, r2, s0, s1, s2), at most ``CHUNK_SIZE`` rows per kernel pass.
+:func:`evaluate_single` scores one table, any sequence of six cells, and
 returns a float, NaN where the statistic is undefined, as in the battery;
 the signed Z_x of one table is ``evaluate_single(table, f"MAX[{x}]", False)``.
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .classical import allele_chisq_values, chi2df_values, hwd_values
 from .errors import InputError, UnknownStatistic
-from .robust import DEFAULT_GRID, FAMILY_PAIRS, batch_correlations, validate_grid
+from .robust import FAMILY_PAIRS, batch_correlations
 from .tables import cell_array
 from .trend import trend_sums, trend_values
 
@@ -92,6 +94,9 @@ class Statistic:
     law: Callable[[float, bool], float] | None = None
 
 
+# MAXGRID's scores, the tenths from 0 to 1.
+DEFAULT_GRID = tuple(i / 10 for i in range(11))
+
 # Combiners look kernels up as module globals when called, so wrappers set on the module see every call.
 STATISTICS = {
     "Z0": Statistic(max_decided, (0.0,), normal_tail),
@@ -121,9 +126,13 @@ def validate_battery(battery) -> dict[str, Statistic]:
     """The battery's names resolved to their statistics, in order: at least one, each once.
 
     A registry name resolves to its entry; ``MAX[x1:...:xk]`` to the maximum
-    over those scores (:func:`~trendmax.robust.validate_grid`), with no law.
-    A mapping resolves by its names, so one this returned passes through.
+    over those scores, each a number in [0, 1], with no law. A mapping
+    resolves by its names, so one this returned passes through. A bare
+    string is not a battery.
     """
+    if isinstance(battery, str):
+        raise InputError(f"battery must be a sequence of statistic names, such as ({battery!r},), "
+                         f"not the string {battery!r}")
     resolved = {}
     for name in battery:
         if name in resolved:
@@ -137,30 +146,46 @@ def validate_battery(battery) -> dict[str, Statistic]:
 def _resolve(name: str) -> Statistic:
     if name in STATISTICS:
         return STATISTICS[name]
-    if isinstance(name, str) and name.startswith("MAX[") and name.endswith("]"):
-        scores = name[4:-1]
-        try:
-            return Statistic(max_decided, validate_grid(scores.split(":") if scores else ()))
-        except InputError as exc:
-            raise InputError(f"{name}: {exc}") from None
-    raise UnknownStatistic(f"unknown statistic {name!r}; known: {', '.join(ALL_STATISTICS)}, MAX[x1:...:xk]")
+    if not (isinstance(name, str) and name.startswith("MAX[") and name.endswith("]")):
+        raise UnknownStatistic(f"unknown statistic {name!r}; known: {', '.join(ALL_STATISTICS)}, MAX[x1:...:xk]")
+    grid = name[4:-1].split(":") if name[4:-1] else []
+    try:
+        scores = tuple(float(x) for x in grid)
+    except ValueError:
+        raise InputError(f"{name}: score grid must be a sequence of numbers, got {grid!r}") from None
+    if not scores:
+        raise InputError(f"{name}: score grid must be nonempty")
+    bad = [x for x in scores if not 0.0 <= x <= 1.0]  # NaN fails too
+    if bad:
+        raise InputError(f"{name}: grid scores must lie in [0, 1], got {bad[0]!r}")
+    return Statistic(max_decided, scores)
 
 
-def evaluate_battery(cells: np.ndarray, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
-    """Decision values for every battery statistic on a batch of tables.
+# The package's one rows-per-call rule: evaluate_battery gives the kernels at
+# most this many rows per pass, and a simulation chunk or a permutation task
+# is at most this many rows, so one pass's kernel temporaries stay within a few MB.
+CHUNK_SIZE = 10_000
 
-    ``cells`` has shape (B, 6) with columns r0, r1, r2, s0, s1, s2, in
-    any memory order (the samplers hand over column-major batches), or is
-    a single row of six.
-    Shared components are computed once: each distinct trend score Z_x
-    (from one set of trend sums), the correlation plug-ins and the
-    composite parts. Undefined entries are NaN; with the +1/2 continuity
-    correction applied they never occur.
+
+def evaluate_battery(cells, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
+    """Decision values for every battery statistic on (N, 6) cells (:func:`~trendmax.tables.cell_array`).
+
+    Columns are r0, r1, r2, s0, s1, s2, in any memory order (the samplers
+    hand over column-major batches); one table goes through
+    :func:`evaluate_single`. The kernels see at most ``CHUNK_SIZE`` rows per
+    pass, and each pass computes the shared components once: each distinct
+    trend score Z_x (from one set of trend sums), the correlation plug-ins
+    and the composite parts. Undefined entries are NaN; with the +1/2
+    continuity correction applied they never occur.
     """
-    battery = validate_battery(battery)
-    cells = np.atleast_2d(np.asarray(cells, dtype=float))
-    parts = _parts(cells, dict.fromkeys(x for spec in battery.values() for x in spec.scores), two_sided)
-    return {name: spec.combine(parts, spec.scores) for name, spec in battery.items()}
+    cells, battery = cell_array(cells), validate_battery(battery)
+    xs = dict.fromkeys(x for spec in battery.values() for x in spec.scores)
+    out = {name: np.empty(len(cells)) for name in battery}
+    for lo in range(0, len(cells), CHUNK_SIZE):
+        parts = _parts(cells[lo:lo + CHUNK_SIZE], xs, two_sided)
+        for name, spec in battery.items():
+            out[name][lo:lo + CHUNK_SIZE] = spec.combine(parts, spec.scores)
+    return out
 
 
 def _parts(cells, xs, two_sided: bool) -> _Parts:
@@ -171,22 +196,6 @@ def _parts(cells, xs, two_sided: bool) -> _Parts:
     """
     sums = trend_sums(cells) if xs else None
     return _Parts(cells, {x: trend_values(sums, x) for x in xs}, two_sided)
-
-
-# The package's one rows-per-call rule: a simulation chunk, a permutation task
-# and a slice of evaluate_tables each go to evaluate_battery as at most this
-# many rows, so one call's kernel temporaries stay within a few MB.
-CHUNK_SIZE = 10_000
-
-
-def evaluate_tables(cells, battery, two_sided: bool = True) -> dict[str, np.ndarray]:
-    """:func:`evaluate_battery` on (N, 6) cells (:func:`~trendmax.tables.cell_array`), CHUNK_SIZE rows per call."""
-    cells, battery = cell_array(cells), validate_battery(battery)
-    out = {name: np.empty(len(cells)) for name in battery}
-    for lo in range(0, len(cells), CHUNK_SIZE):
-        for name, values in evaluate_battery(cells[lo:lo + CHUNK_SIZE], battery, two_sided).items():
-            out[name][lo:lo + len(values)] = values
-    return out
 
 
 def evaluate_single(table, name: str, two_sided: bool = True) -> float:

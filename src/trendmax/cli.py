@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .battery import DEFAULT_BATTERY, evaluate_tables, max_decided, validate_battery
+from .battery import DEFAULT_BATTERY, evaluate_battery, max_decided, validate_battery
 from .errors import DegenerateProportions, InputError, TrendmaxError
 from .montecarlo import (
     estimate_critical_values,
@@ -239,7 +239,7 @@ def cmd_analyze(args) -> int:
     raw = np.array(list(parsed.values())) if parsed else np.empty((0, 6))
     header = _provenance(args, tables_hash=tables_hash(raw))  # early: ~5 MB transient on 10,000 tables
     cells = raw + 0.5 if args.correction == "on" else raw
-    values = evaluate_tables(cells, battery, two_sided)
+    values = evaluate_battery(cells, battery, two_sided)
     perms = permutation_pvalues(raw, battery, args.b_perm, seed=args.seed, two_sided=two_sided,
                                 observed=values if cells is raw else None,
                                 labels=tuple(parsed)) if args.b_perm else None
@@ -348,7 +348,7 @@ def cmd_corr(args) -> int:
 
 def cmd_crosstab(args) -> int:
     scenarios = load_scenarios(args.scenarios)
-    pair = validate_battery(dict.fromkeys((args.stat_a, args.stat_b)))
+    pair = validate_battery(dict.fromkeys((args.stat_a.strip(), args.stat_b.strip())))
     bins = _parse_floats(args.bins, "--bins")
     # bins are closed on the left; the last one holds p = 1
     labels = [f"[{lo:g},{hi:g})" for lo, hi in zip((0.0, *bins), bins)] + [f"[{bins[-1]:g},1]"]

@@ -44,11 +44,11 @@ values per table (2 statistics, 3 correlations, or 6 cells). Each
 running task adds one chunk and its kernel temporaries. Permutation
 p-values take all margins from one (N, 6) array of counts at once. Each
 task reduces each of its tables' B draws to its distinct rows and
-multiplicities, at most ``CHUNK_SIZE`` rows between them unless the task
-is one table with B above it, and scores them in one call that counts
-every statistic's weighted exceedances in one pass over a (statistics,
-rows) array. Memory is O(workers x (``CHUNK_SIZE`` + one table's draws)),
-whatever the number of tables.
+multiplicities and scores them in one call, whose kernel passes take at
+most ``CHUNK_SIZE`` rows, then counts every statistic's weighted
+exceedances in one pass over a (statistics, rows) array. Memory is
+O(workers x (``CHUNK_SIZE`` + one table's draws)), whatever the number of
+tables.
 
 Quantile convention
 -------------------
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import CHUNK_SIZE, evaluate_battery, evaluate_tables, validate_battery
+from .battery import CHUNK_SIZE, evaluate_battery, validate_battery
 from .errors import DegenerateTable, InputError, ScenarioError
 from .robust import CorrelationTriple, batch_correlations
 from .scenarios import Scenario, distinct_nulls
@@ -446,12 +446,13 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     one thread per usable core, each task a run of consecutive tables
     whose draws total at most ``CHUNK_SIZE`` (a table with more is a task
     alone). A task's distinct rows, at most its draws, go to one
-    :func:`evaluate_battery` call, so memory is O(workers x
-    (``CHUNK_SIZE`` + one table's B draws)). Each call counts every
-    statistic's exceedances in one pass: one (statistics, rows)
-    comparison and one sum per table. Every kernel works row by row, so
-    none of this changes a p-value. ``observed`` is the battery on ``raw``
-    (one row each, same battery and sidedness), if the caller has it.
+    :func:`evaluate_battery` call, whose kernel passes take at most
+    ``CHUNK_SIZE`` rows, so memory is O(workers x (``CHUNK_SIZE`` + one
+    table's B draws)). Each task counts every statistic's exceedances in
+    one pass: one (statistics, rows) comparison and one sum per table.
+    Every kernel works row by row, so none of this changes a p-value.
+    ``observed`` is the battery on ``raw`` (one row each, same battery and
+    sidedness), if the caller has it.
     """
     if b < 0:
         raise InputError("permutation count must be nonnegative")
@@ -469,7 +470,7 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
         raise DegenerateTable(f"{next(r for r, broken in rules.items() if broken[bad[0]])} ({name})")
     margins, n_cases = (counts[:, :3] + counts[:, 3:]).astype(np.int64), cases.astype(np.int64)
     if observed is None:
-        observed = evaluate_tables(raw, battery, two_sided)
+        observed = evaluate_battery(raw, battery, two_sided)
     if b == 0:
         return {name: np.where(np.isnan(observed[name]), np.nan, 1.0) for name in battery}
     obs = np.array([observed[name] for name in battery])  # (statistics, tables)

@@ -55,8 +55,6 @@ import numpy as np
 
 from .errors import CorrelationOutOfRange, DegenerateProportions, InputError
 
-DEFAULT_GRID = tuple(i / 10 for i in range(11))
-
 # The score pairs of (Z_0, Z_1/2, Z_1) in the order of the fields of
 # CorrelationTriple, as those fields are labelled.
 FAMILY_PAIRS = ((0.0, 0.5), (0.0, 1.0), (0.5, 1.0))
@@ -130,20 +128,6 @@ def mert_certificate(triple: CorrelationTriple) -> bool:
     It holds wherever the triple exists (see the module docstring).
     """
     return triple.rho_0_half + triple.rho_half_1 >= 1.0 + triple.rho_0_1 - 1e-12
-
-
-def validate_grid(grid) -> tuple[float, ...]:
-    """The grid as floats; it must be nonempty with every score in [0, 1] (NaN fails)."""
-    try:
-        grid = tuple(float(x) for x in grid)
-    except (TypeError, ValueError):
-        raise InputError(f"score grid must be a sequence of numbers, got {grid!r}") from None
-    if not grid:
-        raise InputError("score grid must be nonempty")
-    bad = [x for x in grid if not 0.0 <= x <= 1.0]
-    if bad:
-        raise InputError(f"grid scores must lie in [0, 1], got {bad[0]!r}")
-    return grid
 
 
 def recommend_robust_test(rho_st: float) -> tuple[str, str]:

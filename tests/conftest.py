@@ -35,6 +35,21 @@ def random_interior_simplex(n: int, seed: int, floor: float = 1e-4) -> np.ndarra
     return props[keep]
 
 
+def count_kernel_passes(monkeypatch) -> list[int]:
+    """Rows of each kernel pass that :func:`~trendmax.battery.evaluate_battery` makes, from now on."""
+    import trendmax.battery
+
+    passes = []
+    original = trendmax.battery._parts
+
+    def counting(cells, *args, **kwargs):
+        passes.append(len(cells))
+        return original(cells, *args, **kwargs)
+
+    monkeypatch.setattr(trendmax.battery, "_parts", counting)
+    return passes
+
+
 def max_of(scores) -> str:
     """The statistic name MAX[x1:...:xk] of the maximum over ``scores``; each float's str reads back exactly."""
     return f"MAX[{':'.join(str(float(x)) for x in scores)}]"

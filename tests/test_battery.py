@@ -11,18 +11,17 @@ from trendmax.battery import (
     ALL_STATISTICS,
     CHUNK_SIZE,
     DEFAULT_BATTERY,
+    DEFAULT_GRID,
     STATISTICS,
     Statistic,
     evaluate_battery,
-    evaluate_tables,
     max_decided,
     validate_battery,
 )
 from trendmax.errors import UnknownStatistic
-from trendmax.robust import DEFAULT_GRID
 from trendmax.trend import trend_sums, trend_values
 
-from conftest import max_of, random_tables
+from conftest import count_kernel_passes, max_of, random_tables
 
 GRID = (0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0)
 MAX_GRID = max_of(GRID)
@@ -82,31 +81,33 @@ def test_battery_is_bit_identical_across_memory_layouts(rows, corrected, two_sid
     battery = validate_battery(ALL)
     c_values = evaluate_battery(np.ascontiguousarray(cells), battery, two_sided)
     f_values = evaluate_battery(np.asfortranarray(cells), battery, two_sided)
-    single = [evaluate_battery(row, battery, two_sided) for row in cells]
+    single = [evaluate_battery([row], battery, two_sided) for row in cells]
     for name in ALL:
         assert_bit_identical(c_values[name], f_values[name], name)
         assert_bit_identical(c_values[name], np.concatenate([v[name] for v in single]), name)
 
 
-def test_evaluate_tables_scores_chunk_size_rows_per_call(monkeypatch):
+def test_evaluate_battery_scores_chunk_size_rows_per_kernel_pass(monkeypatch):
     # a batch of CHUNK_SIZE + 1 tables, undefined statistics among them
     cells = np.concatenate([random_tables(CHUNK_SIZE // 2, seed=205),
                             raw_tables(CHUNK_SIZE // 2 + 1, seed=206)])
     battery = validate_battery(ALL)
-    whole = evaluate_battery(cells, battery)
-    calls = []
-    original = trendmax.battery.evaluate_battery
-
-    def counting(cells, *args, **kwargs):
-        calls.append(len(cells))
-        return original(cells, *args, **kwargs)
-
-    monkeypatch.setattr(trendmax.battery, "evaluate_battery", counting)
-    got = evaluate_tables(cells, battery)
-    assert calls == [CHUNK_SIZE, 1]
+    slices = [evaluate_battery(cells[:CHUNK_SIZE], battery), evaluate_battery(cells[CHUNK_SIZE:], battery)]
+    passes = count_kernel_passes(monkeypatch)
+    got = evaluate_battery(cells, battery)
+    assert passes == [CHUNK_SIZE, 1]
     assert list(got) == list(battery)
     for name in battery:
-        assert_bit_identical(got[name], whole[name], name)
+        assert_bit_identical(got[name], np.concatenate([values[name] for values in slices]), name)
+
+
+def test_a_bare_string_is_not_a_battery():
+    # a string is a sequence of its characters, so it would resolve as 'M', 'A', ...
+    message = re.escape("battery must be a sequence of statistic names, such as ('MAX3',), not the string 'MAX3'")
+    for call in (lambda: validate_battery("MAX3"), lambda: evaluate_battery(np.ones((2, 6)), "MAX3")):
+        with pytest.raises(InputError, match=f"^{message}$") as excinfo:
+            call()
+        assert excinfo.type is InputError
 
 
 @pytest.mark.parametrize("grid", [(0.0, 1.5), (0.0, np.nan), (-0.1,), (np.inf,)])

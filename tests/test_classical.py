@@ -111,7 +111,7 @@ def test_chisq_allele_matches_bruteforce_pearson():
 
 def hwd(case_row) -> float:
     """The registry's HWD chi-square of one table with these cases."""
-    return float(evaluate_battery(np.array([*case_row, 1, 1, 1], dtype=float), ("HWD",))["HWD"][0])
+    return evaluate_single((*case_row, 1, 1, 1), "HWD")
 
 
 def test_chisq_hwd_exact_proportions():

@@ -482,6 +482,7 @@ def test_crosstab_rejects_options_it_does_not_use(flag, capsys):
 def test_analyze_scores_the_observed_tables_in_one_call_and_no_call_exceeds_the_row_cap(
         monkeypatch, b_perm):
     import trendmax.battery
+    import trendmax.cli
     import trendmax.montecarlo
 
     calls = []
@@ -492,7 +493,7 @@ def test_analyze_scores_the_observed_tables_in_one_call_and_no_call_exceeds_the_
             return original(cells, *args, **kwargs)
         return wrapper
 
-    for module in (trendmax.battery, trendmax.montecarlo):
+    for module in (trendmax.battery, trendmax.cli, trendmax.montecarlo):
         monkeypatch.setattr(module, "evaluate_battery", counting(module.evaluate_battery))
     code, out, err = run_cli(CASES["analyze_perm"][:-4] + ["--b-perm", b_perm, "--seed", "7"])
     assert code == 0, err
@@ -846,6 +847,16 @@ def test_a_line_break_in_a_flag_value_stays_inside_its_header_line(argv, lines):
     # a CSV reader takes the first line without "# " for the column row
     assert text[n_header].split(",")[0] in ("scenario", "record")
     assert all(line in text[:n_header] for line in lines)
+
+
+def test_padded_crosstab_statistic_names_print_the_golden():
+    # --stat-a and --stat-b are stripped, as each --battery name is, and so is the header
+    argv = list(CASES["crosstab_max3_maxgrid"])
+    argv[argv.index("--stat-a") + 1] = " MAX3 "
+    argv[argv.index("--stat-b") + 1] = "MAXGRID\n"
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert out == (GOLDEN / "crosstab_max3_maxgrid.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.xfail(strict=True, reason="power scores a null's size rows on the tables that set its "

@@ -45,7 +45,6 @@ from trendmax.battery import (
     chi2_2_tail,
     evaluate_battery,
     evaluate_single,
-    evaluate_tables,
     normal_tail,
     validate_battery,
 )
@@ -58,7 +57,7 @@ from trendmax.cli import UNDEFINED_OBSERVED
 from trendmax.montecarlo import CHUNK_SIZE
 from trendmax.tables import parse_table_record
 
-from conftest import assert_bit_identical, max_of
+from conftest import assert_bit_identical, count_kernel_passes, max_of
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -967,7 +966,7 @@ def one_table_permutation_pvalues(table, battery, b, seed, two_sided=True):
 
     The margins and case count are those of the table rounded to whole counts.
     """
-    observed = evaluate_battery(np.array(table), battery, two_sided)
+    observed = evaluate_battery([table], battery, two_sided)
     margins = np.rint(column_margins(table)).astype(int)
     rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, round(sum(table[:3])), size=b,
                                                                   method="marginals")
@@ -998,7 +997,7 @@ def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, 
         assert pvalues.shape == (len(tables),)
         assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
     assert all(math.isnan(p[1]) for p in got.values())
-    observed = evaluate_tables(np.array(tables), battery, two_sided)
+    observed = evaluate_battery(np.array(tables), battery, two_sided)
     again = permutation_pvalues(np.array(tables), battery, b, seed=41, two_sided=two_sided,
                                 observed=observed)
     assert list(again) == list(got)
@@ -1085,7 +1084,7 @@ def test_permutation_rules_and_pvalues_match_a_per_table_reference(tables, two_s
 @pytest.mark.parametrize("shape", [(6,), (4, 3), (1, 12), (2, 6, 1), (0,)])
 def test_a_batch_of_tables_is_an_n_by_6_array_and_nothing_else(shape):
     cells = np.ones(shape)  # (4, 3) and (1, 12) hold two tables' worth of cells, but are no batch
-    for call in (lambda: evaluate_tables(cells, DEFAULT_BATTERY),
+    for call in (lambda: evaluate_battery(cells, DEFAULT_BATTERY),
                  lambda: permutation_pvalues(cells, DEFAULT_BATTERY, 10, seed=1)):
         with pytest.raises(InputError, match=re.escape(f"expected an (N, 6) array of tables, got shape {shape}")):
             call()
@@ -1093,14 +1092,17 @@ def test_a_batch_of_tables_is_an_n_by_6_array_and_nothing_else(shape):
 
 def test_an_empty_batch_of_tables_gives_empty_arrays():
     empty = np.empty((0, 6))
-    for result in (evaluate_tables(empty, DEFAULT_BATTERY),
+    for result in (evaluate_battery(empty, DEFAULT_BATTERY),
                    permutation_pvalues(empty, DEFAULT_BATTERY, 10, seed=1)):
         assert list(result) == list(DEFAULT_BATTERY)
         assert all(values.shape == (0,) for values in result.values())
 
 
 def count_permuted_rows(monkeypatch) -> list[int]:
-    """Rows of each permuted battery call that :func:`permutation_pvalues` makes, from now on."""
+    """Rows of each battery call that :func:`permutation_pvalues` makes, from now on.
+
+    The first scores the observed tables; the rest are the permuted calls.
+    """
     calls = []
     original = trendmax.montecarlo.evaluate_battery
 
@@ -1150,6 +1152,7 @@ def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatc
     tables = [batch_of_tables(1, seed=48)[0], alike, (0, 4, 0, 0, 9, 0)]
     calls = count_permuted_rows(monkeypatch)
     got = permutation_pvalues(np.array(tables), ALL_STATISTICS, 1_000, seed=41)
+    assert calls.pop(0) == len(tables)
     assert calls == [distinct_permuted_rows(tables[0], 1_000, 41) + 2]
     for i, table in enumerate(tables):
         want = one_table_permutation_pvalues(table, ALL_STATISTICS, 1_000, 41)
@@ -1177,12 +1180,16 @@ def test_a_table_with_more_distinct_rows_than_the_cap_is_scored_alone(monkeypatc
     alone = [distinct_permuted_rows(table, b, 41) for table in tables]
     for cores in (1, 4):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
-        calls = count_permuted_rows(monkeypatch)
+        calls, passes = count_permuted_rows(monkeypatch), count_kernel_passes(monkeypatch)
         got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
+        assert calls.pop(0) == len(tables)
         # b > CHUNK_SIZE, so each table is a task; on one core they run in order
         arrange = list if cores == 1 else sorted
         assert arrange(calls) == arrange(alone)
         assert max(calls) <= b
+        # the observed tables, then each task's call; the big table's splits at CHUNK_SIZE rows
+        assert max(passes) <= CHUNK_SIZE
+        assert sorted(passes) == sorted([len(tables), alone[0], CHUNK_SIZE, alone[1] - CHUNK_SIZE, alone[2]])
         for i, table in enumerate(tables):
             want = one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 41)
             assert_bit_identical(np.array([got[name][i] for name in DEFAULT_BATTERY]),
@@ -1202,6 +1209,7 @@ def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
         calls = count_permuted_rows(monkeypatch)
         got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
+        assert calls.pop(0) == len(tables)
         assert sum(calls) == sum(distinct) < len(tables) * b
         assert all(rows <= max(CHUNK_SIZE, b) for rows in calls)
         # on one core the tasks run in order; on more, their calls interleave
