@@ -46,6 +46,7 @@ from .population import (
     Stratum,
     case_control_probs,
     hwe_genotype_freqs,
+    optimal_score,
     penetrances_for_model,
     prevalence,
 )
@@ -57,6 +58,5 @@ from .robust import (
 )
 from .scenarios import Scenario, load_scenarios, parse_scenarios, scenario_hash
 from .tables import new_genotype_table, parse_table_record
-from .trend import optimal_score
 
 __version__ = "0.1.0"

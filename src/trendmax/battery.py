@@ -26,7 +26,7 @@ statistics, which reject for large values either way.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -133,8 +133,12 @@ def validate_battery(battery) -> dict[str, Statistic]:
     if isinstance(battery, str):
         raise InputError(f"battery must be a sequence of statistic names, such as ({battery!r},), "
                          f"not the string {battery!r}")
+    if not isinstance(battery, Iterable):
+        raise InputError(f"battery must be a sequence of statistic names, got {battery!r}")
     resolved = {}
     for name in battery:
+        if not isinstance(name, str):
+            raise InputError(f"a statistic name must be a string, got {name!r}")
         if name in resolved:
             raise InputError(f"duplicate statistic {name!r} in battery")
         resolved[name] = _resolve(name)
@@ -146,7 +150,7 @@ def validate_battery(battery) -> dict[str, Statistic]:
 def _resolve(name: str) -> Statistic:
     if name in STATISTICS:
         return STATISTICS[name]
-    if not (isinstance(name, str) and name.startswith("MAX[") and name.endswith("]")):
+    if not (name.startswith("MAX[") and name.endswith("]")):
         raise UnknownStatistic(f"unknown statistic {name!r}; known: {', '.join(ALL_STATISTICS)}, MAX[x1:...:xk]")
     grid = name[4:-1].split(":") if name[4:-1] else []
     try:

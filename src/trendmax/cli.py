@@ -18,7 +18,7 @@ Exit codes: 0 is success; 1 means some table or statistic was undefined
 everywhere (``analyze``: a table that does not parse, or a statistic
 undefined on every table; ``power``: a statistic undefined on every
 replicate of a scenario, named on stderr); 2 means bad input, named in one
-stderr line.
+``trendmax <subcommand>: ...`` stderr line.
 
 Each subcommand hands its records, one per output row and each a tuple
 in column order, to one writer. CSV prints the header as ``# key=value``
@@ -212,8 +212,7 @@ def cmd_analyze(args) -> int:
     if args.b_perm < 0:
         raise InputError(f"--b-perm must be nonnegative, got {args.b_perm}")
     if args.b_perm and args.seed is None:
-        print("analyze: --b-perm requires --seed", file=sys.stderr)
-        return 2
+        raise InputError("--b-perm requires --seed")
 
     inputs = [(f"arg{i}", text) for i, text in enumerate(args.table or ())]
     if args.input:
@@ -227,8 +226,7 @@ def cmd_analyze(args) -> int:
             if line and not line.startswith("#"):
                 inputs.append((f"line{lineno}", line))
     if not inputs:
-        print("analyze: no input tables (use --table or --input)", file=sys.stderr)
-        return 2
+        raise InputError("no input tables (use --table or --input)")
 
     parsed = {}  # label: cells
     for label, text in inputs:

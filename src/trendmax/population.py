@@ -16,6 +16,12 @@ distributions seen in cases and controls:
 The functions take the allele frequency p and return plain tuples, so a
 frequency triple is always one that :func:`hwe_genotype_freqs` built
 from a checked p.
+
+A named genetic model is indexed by its dominance score x, which gives
+f1 = (1 - x) f0 + x f2 and the model's optimal trend scores (0, x, 1).
+:data:`DOMINANCE` holds recessive (x = 0), additive (1/2) and dominant
+(1); for f0 >= 2**-1021 their f1 is exactly f0, (f0 + f2)/2 and f2. A
+``custom`` model takes an explicit f1.
 """
 
 from __future__ import annotations
@@ -30,22 +36,28 @@ from .errors import (
     OrderViolation,
 )
 
-_KIND_ALIASES = {
-    "rec": "recessive",
-    "add": "additive",
-    "dom": "dominant",
-    "recessive": "recessive",
-    "additive": "additive",
-    "dominant": "dominant",
-    "custom": "custom",
-}
+# Each named model's dominance score; its three-letter prefix (rec, add, dom) names it too.
+DOMINANCE = {"recessive": 0.0, "additive": 0.5, "dominant": 1.0}
 
 
 def canonical_model_kind(kind: str) -> str:
-    try:
-        return _KIND_ALIASES[kind.lower()]
-    except KeyError:
-        raise InputError(f"unknown genetic model kind {kind!r}") from None
+    name = {key[:3]: key for key in DOMINANCE}.get(kind.lower(), kind.lower())
+    if name not in DOMINANCE and name != "custom":
+        raise InputError(f"unknown genetic model kind {kind!r}")
+    return name
+
+
+def _heterozygote(x: float, f0: float, f2: float) -> float:
+    """f1 of the model with dominance score x."""
+    return (1.0 - x) * f0 + x * f2
+
+
+def optimal_score(kind: str) -> float:
+    """Middle score x of the model's optimal trend test, scores (0, x, 1): its dominance score."""
+    kind = canonical_model_kind(kind)
+    if kind not in DOMINANCE:
+        raise InputError(f"no optimal score for model kind {kind!r}")
+    return DOMINANCE[kind]
 
 
 @dataclass(frozen=True)
@@ -67,9 +79,8 @@ class PenetranceModel:
                 f"({self.f0}, {self.f1}, {self.f2})"
             )
         object.__setattr__(self, "kind", canonical_model_kind(self.kind))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.f0, self.f1, self.f2)
+        if self.kind in DOMINANCE and self.f1 != (f1 := _heterozygote(DOMINANCE[self.kind], self.f0, self.f2)):
+            raise InputError(f"{self.kind} model: f1 must be {f1!r} from f0 and f2, got {self.f1!r}")
 
 
 class Stratum(NamedTuple):
@@ -99,21 +110,15 @@ def case_control_probs(f: PenetranceModel, p: float) -> tuple[tuple[float, ...],
     d = prevalence(f, p)
     if not 0.0 < d < 1.0:
         raise DegeneratePrevalence(f"prevalence {d!r} not strictly in (0, 1)")
-    pairs = tuple(zip(f.as_tuple(), hwe_genotype_freqs(p)))
+    pairs = tuple(zip((f.f0, f.f1, f.f2), hwe_genotype_freqs(p)))
     return tuple(fi * gi / d for fi, gi in pairs), tuple((1.0 - fi) * gi / (1.0 - d) for fi, gi in pairs)
 
 
 def penetrances_for_model(kind: str, f0: float, f2: float) -> PenetranceModel:
-    """Fill in f1 from the genetic model: f0 (rec), midpoint (add), or f2 (dom)."""
+    """Fill in f1 = (1 - x) f0 + x f2 from the model's dominance score x (see :data:`DOMINANCE`)."""
     kind = canonical_model_kind(kind)
     if f2 < f0:
         raise OrderViolation(f"f2 ({f2!r}) must not be smaller than f0 ({f0!r})")
-    if kind == "recessive":
-        f1 = f0
-    elif kind == "additive":
-        f1 = (f0 + f2) / 2.0
-    elif kind == "dominant":
-        f1 = f2
-    else:
+    if kind not in DOMINANCE:
         raise InputError("custom models require an explicit f1")
-    return PenetranceModel(f0, f1, f2, kind=kind)
+    return PenetranceModel(f0, _heterozygote(DOMINANCE[kind], f0, f2), f2, kind=kind)

@@ -11,7 +11,8 @@ Recognized keys per record:
     id          optional name used in reports
     model       one of null | rec | add | dom | custom
     f0, f2      penetrances (f1 derived from the model; custom needs f1)
-    f1          explicit heterozygote penetrance
+    f1          explicit heterozygote penetrance; a named model's f1 must
+                match its rule, or the record is rejected
     p           allele frequency (single HWE population)
     pA, pB      stratum allele frequencies (mixture)
     R1, R2      per-stratum case counts (mixture)

@@ -8,8 +8,8 @@ For scores x = (x0, x1, x2) assigned to (NN, NM, MM) the statistic is
 which is asymptotically N(0, 1) under the null of no association. The
 statistic is invariant to affine transformations of the scores, so the
 one-parameter family (0, x, 1) with x in [0, 1] covers every ordered
-scoring. x = 0, 1/2, 1 are optimal for the recessive, additive and
-dominant models respectively.
+scoring. Z_x is optimal for the model of dominance score x
+(``population.DOMINANCE``); this module imports only numpy.
 
 Sufficient sums
 ---------------
@@ -36,11 +36,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import InputError
-from .population import canonical_model_kind
-
-OPTIMAL_SCORES = {"recessive": 0.0, "additive": 0.5, "dominant": 1.0}
 
 
 class TrendSums(NamedTuple):
@@ -87,11 +82,3 @@ def trend_values(cells, x: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = sums.sqrt_n * (x * sums.u1 + sums.u2) / np.sqrt(var)
         return np.where(var > 0, out, np.nan)
-
-
-def optimal_score(kind: str) -> float:
-    """Model-optimal middle score: 0 (recessive), 1/2 (additive), 1 (dominant)."""
-    kind = canonical_model_kind(kind)
-    if kind not in OPTIMAL_SCORES:
-        raise InputError(f"no optimal score for model kind {kind!r}")
-    return OPTIMAL_SCORES[kind]

@@ -110,6 +110,18 @@ def test_a_bare_string_is_not_a_battery():
         assert excinfo.type is InputError
 
 
+@pytest.mark.parametrize("battery, message", [
+    (None, "battery must be a sequence of statistic names, got None"),
+    (3, "battery must be a sequence of statistic names, got 3"),
+    ([["Z0"]], "a statistic name must be a string, got ['Z0']"),
+    (("MAX3", None), "a statistic name must be a string, got None"),
+])
+def test_a_battery_that_is_not_a_sequence_of_names_is_an_input_error(battery, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as excinfo:
+        validate_battery(battery)
+    assert excinfo.type is InputError
+
+
 @pytest.mark.parametrize("grid", [(0.0, 1.5), (0.0, np.nan), (-0.1,), (np.inf,)])
 def test_grid_scores_outside_unit_interval_rejected(grid):
     with pytest.raises(InputError, match="grid scores"):

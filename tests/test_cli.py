@@ -198,14 +198,23 @@ def test_b_perm_without_seed_is_rejected_before_reading_tables(tmp_path, monkeyp
     code, out, err = run_cli(["analyze", "--input", str(missing), "--b-perm", "5"])
     assert code == 2
     assert out == ""
-    assert "--b-perm requires --seed" in err
+    assert err == "trendmax analyze: --b-perm requires --seed\n"
     stdin = io.StringIO("10 20 30 30 20 10\n")
     monkeypatch.setattr(sys, "stdin", stdin)
     code, out, err = run_cli(["analyze", "--input", "-", "--b-perm", "5"])
     assert code == 2
     assert out == ""
-    assert "--b-perm requires --seed" in err
+    assert err == "trendmax analyze: --b-perm requires --seed\n"
     assert stdin.tell() == 0  # stdin is left unread
+
+
+def test_analyze_without_tables_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "tables.txt"
+    path.write_text("# a comment\n\n   \n", encoding="utf-8")
+    for argv in (["analyze"], ["analyze", "--input", str(path)]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err == "trendmax analyze: no input tables (use --table or --input)\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -445,6 +454,13 @@ NULL_P30 = {"model": "null", "p": 0.3, "r": 250, "s": 250}
     ({**NULL_P30, "model": "add", "f0": "x", "f2": 0.2}, "'f0' must be a number, got 'x'"),
     ({**NULL_P30, "p": 0.0}, "allele frequency 0.0 not in (0, 1)"),
     ({**NULL_P30, "model": "add", "f0": 0.3, "f2": 0.2}, "f2 (0.2) must not be smaller than f0 (0.3)"),
+    # a named model's explicit f1 must match its rule
+    ({**NULL_P30, "model": "rec", "f0": 0.01, "f1": 0.03, "f2": 0.03},
+     "recessive model: f1 must be 0.01 from f0 and f2, got 0.03"),
+    ({**NULL_P30, "model": "add", "f0": 0.01, "f1": 0.01, "f2": 0.03},
+     "additive model: f1 must be 0.02 from f0 and f2, got 0.01"),
+    ({**NULL_P30, "model": "dom", "f0": 0.01, "f1": 0.02, "f2": 0.03},
+     "dominant model: f1 must be 0.03 from f0 and f2, got 0.02"),
     ({"model": "null", "pA": 0.1, "pB": 0.4, "R1": 30, "S1": 150, "R2": 20, "S2": 100, "r": 60},
      "mixture case split 30+20 does not sum to r=60"),
     # beyond the sampler's int64 counts: an error line, not an OverflowError traceback

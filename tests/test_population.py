@@ -1,17 +1,22 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trendmax import (
     FrequencyOutOfRange,
+    InputError,
     OrderViolation,
     PenetranceModel,
     case_control_probs,
     hwe_genotype_freqs,
+    optimal_score,
     penetrances_for_model,
     prevalence,
 )
+from trendmax.population import DOMINANCE
 
 freq = st.floats(0.01, 0.99, allow_nan=False)
 pen = st.floats(0.001, 0.999, allow_nan=False)
@@ -103,3 +108,41 @@ def test_penetrances_order_violation():
         penetrances_for_model("add", 0.04, 0.01)
     with pytest.raises(OrderViolation):
         PenetranceModel(0.03, 0.02, 0.04)
+
+
+# halving is exact down to here, so 0.5 f0 + 0.5 f2 rounds as (f0 + f2) / 2 does
+NORMAL_PEN = st.floats(2.0**-1021, 1.0, exclude_max=True)
+
+
+@given(NORMAL_PEN, NORMAL_PEN)
+@example(2.0**-1021, 2.0**-1021)
+@example(2.0**-1021, 1.0 - 2.0**-53)
+@example(0.01, 0.03)
+def test_the_dominance_score_gives_each_named_model_its_f1_bit_for_bit(a, b):
+    f0, f2 = min(a, b), max(a, b)
+    expected = {"recessive": f0, "additive": (f0 + f2) / 2.0, "dominant": f2}
+    for kind, x in DOMINANCE.items():
+        assert ((1.0 - x) * f0 + x * f2).hex() == expected[kind].hex(), kind
+        assert penetrances_for_model(kind, f0, f2).f1.hex() == expected[kind].hex(), kind
+
+
+@pytest.mark.parametrize("kind, name", [("rec", "recessive"), ("ADD", "additive"), ("dominant", "dominant")])
+def test_a_named_model_rejects_an_f1_that_contradicts_it(kind, name):
+    f = penetrances_for_model(kind, 0.01, 0.03)
+    assert (f.kind, PenetranceModel(f.f0, f.f1, f.f2, kind=kind)) == (name, f)
+    wrong = 0.02 if f.f1 != 0.02 else 0.03
+    message = f"{name} model: f1 must be {f.f1!r} from f0 and f2, got {wrong!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        PenetranceModel(0.01, wrong, 0.03, kind=kind)
+    assert PenetranceModel(0.01, wrong, 0.03).kind == "custom"  # a custom model takes any ordered f1
+
+
+@pytest.mark.parametrize("kind,x", [("recessive", 0.0), ("additive", 0.5), ("dominant", 1.0)])
+def test_optimal_scores(kind, x):
+    assert optimal_score(kind) == x
+
+
+def test_optimal_score_aliases():
+    assert optimal_score("rec") == 0.0
+    with pytest.raises(InputError):
+        optimal_score("custom")

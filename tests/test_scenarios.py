@@ -68,6 +68,8 @@ def test_names_must_be_strings(key, value):
     ({**ADD, "f0": 0.3, "f2": 0.2}, "f2 (0.2) must not be smaller than f0 (0.3)"),
     ({**CUSTOM, "f1": 0.03}, "penetrances must satisfy f0 <= f1 <= f2"),
     ({**ADD, "model": "bogus"}, "unknown genetic model kind 'bogus'"),
+    ({**ADD, "model": "rec", "f1": 0.02}, "recessive model: f1 must be 0.01 from f0 and f2, got 0.02"),
+    ({**ADD, "model": "dom", "f1": 0.015}, "dominant model: f1 must be 0.02 from f0 and f2, got 0.015"),
     ({**MIX, "r": 60}, "mixture case split 30+20 does not sum to r=60"),
     ({**MIX, "s": 200}, "mixture control split 150+100 does not sum to s=200"),
     ({**HWE, "s": 1e20}, "counts must not exceed 9223372036854775807, got 100000000000000000000"),

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trendmax import InputError, evaluate_single, optimal_score
+import trendmax.trend
+from trendmax import InputError, evaluate_single
 from trendmax.trend import trend_sums, trend_values
 
 from conftest import max_of, random_tables
@@ -149,15 +153,13 @@ def test_continuity_in_x(worked_table):
     assert np.all(np.abs(np.diff(vals)) < 0.05)
 
 
-@pytest.mark.parametrize("kind,x", [("recessive", 0.0), ("additive", 0.5), ("dominant", 1.0)])
-def test_optimal_scores(kind, x):
-    assert optimal_score(kind) == x
-
-
-def test_optimal_score_aliases():
-    assert optimal_score("rec") == 0.0
-    with pytest.raises(InputError):
-        optimal_score("custom")
+def test_the_trend_kernels_import_nothing_from_the_package():
+    # so that population, which owns the model scores, can import the kernels
+    tree = ast.parse(Path(trendmax.trend.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert sorted(imported) == ["__future__", "numpy", "typing"]
 
 
 def test_one_row_values_bit_identical_to_the_batch():
