@@ -77,6 +77,8 @@ COUNT_OPTIONS = {"b_null": "--b-null", "b_power": "--b-power", "b": "--b-power",
 BATTERY_HELP = ("comma-separated statistic names, each a registry name or MAX[x1:...:xk], the maximum "
                 "over those trend scores in [0,1] (default: all but MAXGRID)")
 
+B_NULL_HELP = "null replicates per distinct null, at least max(1000, ceil(10/alpha)) (default 200000)"
+
 
 def _add_common_sim_args(sp, *, battery: bool = False):
     sp.add_argument("--scenarios", required=True, help="path to a JSON scenario file")
@@ -125,16 +127,18 @@ def build_parser() -> argparse.ArgumentParser:
         "at proportions lacking a homozygote, and where the tail at 0 is at most alpha. Every law assumes "
         "HWE in one sampled population, so it is off on two-stratum nulls (the Wahlund effect): on "
         "null_stratified.json the simulated 0.05 thresholds of HWD lie near 6 to 30, not 3.84, and those "
-        "of Z_1/2 near 1.6 to 1.8, not 1.96."))
+        "of Z_1/2 near 1.6 to 1.8, not 1.96. --b-null must be at least max(1000, ceil(10/alpha)), so that "
+        "ten or more simulated values lie above each threshold and none is a sample maximum; the default "
+        "200,000 allows alpha down to 5e-5."))
     _add_common_sim_args(sp, battery=True)
-    sp.add_argument("--b-null", type=int, default=200_000)
+    sp.add_argument("--b-null", type=int, default=200_000, help=B_NULL_HELP)
 
     sp = sub.add_parser("power", help="rejection rates per scenario and statistic", description=(
         "Rejection rates, with their Monte Carlo SEs, of each statistic per scenario (size for a null "
         "scenario), against thresholds simulated once per distinct null. A statistic undefined on every "
         "replicate of a scenario is named on stderr, and the exit code is 1."))
     _add_common_sim_args(sp, battery=True)
-    sp.add_argument("--b-null", type=int, default=200_000)
+    sp.add_argument("--b-null", type=int, default=200_000, help=B_NULL_HELP)
     sp.add_argument("--b-power", type=int, default=10_000)
 
     sp = sub.add_parser("corr", help="mean plug-in correlation triples per scenario", description=(

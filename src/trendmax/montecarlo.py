@@ -23,12 +23,13 @@ several runs (a power call's scenarios), each run with its own streams.
 Every kernel works row by row, so the result does not depend on the core
 count, the order the chunks run in or the runs beside it: it is
 bit-identical for a given (scenario, battery, B, seed). Permutation
-p-values run on the same pool rule: one task per run of consecutive
-tables whose draws total at most ``CHUNK_SIZE`` (a table with more is a
-task alone), its tables' distinct rows scored in one call, as a chunk is.
-Each table draws from its own ``default_rng(seed)`` and its task writes
-only its tables' p-values, so they too are bit-identical at any core
-count.
+p-values run on the calling thread, with no pool: numpy's hypergeometric
+draws hold the interpreter lock, so threads did not pay there. They run
+one task after another, each a run of consecutive tables whose draws
+total at most ``CHUNK_SIZE`` (a table with more is a task alone), its
+tables' distinct rows scored in one call, as a chunk is. Each table
+draws from its own ``default_rng(seed)``, so a p-value does not depend
+on the tables beside it.
 
 Layout
 ------
@@ -47,8 +48,7 @@ task reduces each of its tables' B draws to its distinct rows and
 multiplicities and scores them in one call, whose kernel passes take at
 most ``CHUNK_SIZE`` rows, then counts every statistic's weighted
 exceedances in one pass over a (statistics, rows) array. Memory is
-O(workers x (``CHUNK_SIZE`` + one table's draws)), whatever the number of
-tables.
+O(``CHUNK_SIZE`` + one table's draws), whatever the number of tables.
 
 Quantile convention
 -------------------
@@ -131,21 +131,12 @@ def validate_replicates(b: int, name: str) -> None:
         raise InputError(f"replicate count must be positive, got {name}={b}")
 
 
-def _run_tasks(run, tasks) -> list:
-    """``run`` of each task on min(_CORES, tasks) threads: the results in task order.
-
-    The first task to raise, in task order, re-raises its exception here,
-    once every task has ended.
-    """
-    with ThreadPoolExecutor(max(1, min(_CORES, len(tasks)))) as pool:
-        return list(pool.map(run, tasks))
-
-
 def _score_chunks(runs) -> None:
-    """Draw runs of b >= 1 tables chunk by chunk on one pool.
+    """Draw runs of b >= 1 tables chunk by chunk on one pool of min(_CORES, chunks) threads.
 
     Each run is ``(scenario, b, seed, score, consume)``; ``consume(lo, values)``
-    takes the ``score`` of each of its chunks.
+    takes the ``score`` of each of its chunks. The first chunk to raise, in
+    chunk order, re-raises its exception here, once every chunk has ended.
     """
     tasks = []
     for scenario, b, seed, score, consume in runs:
@@ -160,7 +151,8 @@ def _score_chunks(runs) -> None:
             cells += 0.5
         consume(lo, score(cells.T))
 
-    _run_tasks(run, tasks)
+    with ThreadPoolExecutor(max(1, min(_CORES, len(tasks)))) as pool:
+        list(pool.map(run, tasks))
 
 
 def _score_array(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
@@ -273,13 +265,18 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
 
     Chunks stream into :class:`_UpperTails`, so memory is O(alpha B) per
     statistic; the thresholds equal :func:`empirical_upper_quantile` of
-    the whole sample bit for bit.
+    the whole sample bit for bit. B below max(1000, ceil(10 / alpha)) is
+    an :class:`InputError`, raised before any draw: with fewer than ten
+    values above its rank a threshold is little more than the sample's
+    maximum.
     """
     if not scenario.is_null:
         raise ScenarioError("critical values must be estimated under a null scenario")
-    if b < 1000:
-        raise InputError("need at least 1000 null replicates")
     validate_alpha(alpha)
+    need = max(1000, math.ceil(10 / alpha))
+    if b < need:
+        raise InputError(f"alpha={alpha:g} needs at least {need} null replicates, max(1000, ceil(10/alpha)); "
+                         f"got {b}")
     battery = validate_battery(battery)
     tails = _UpperTails(len(battery), b, alpha)
     _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery), tails)])
@@ -299,12 +296,12 @@ def estimate_power(scenarios, battery, b: int = 10_000, *, b_null: int = 200_000
 
     Each distinct null (:func:`~trendmax.scenarios.distinct_nulls`) gets its
     thresholds from :func:`estimate_critical_values` with ``b_null`` and
-    ``null_seed``, one null at a time; ``b``, ``alpha`` and the battery are
-    checked before any draw. Then each scenario scores b tables from
-    ``seed``, as a call with it alone would; the chunks of all scenarios
-    share one pool and leave only counts, O(k) per scenario. Replicates
-    where a statistic is undefined never reject and are reported in
-    ``error_rates``. With ``null_seed == seed``, as the CLI passes today,
+    ``null_seed``, one null at a time; ``b``, ``alpha``, the battery and
+    ``b_null`` (against alpha, by the first null) are checked before any
+    draw. Then each scenario scores b tables from ``seed``, as a call with
+    it alone would; the chunks of all scenarios share one pool and leave
+    only counts, O(k) per scenario. Replicates where a statistic is
+    undefined never reject and are reported in ``error_rates``. With ``null_seed == seed``, as the CLI passes today,
     a null scenario's size row is scored on the draws that set its
     thresholds.
     """
@@ -442,15 +439,15 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
 
     Margins fixed, a table's B draws repeat: each table's distinct permuted
     tables are scored once and their exceedances counted with the number of
-    times each was drawn, an exact integer. The tables run as tasks on
-    one thread per usable core, each task a run of consecutive tables
-    whose draws total at most ``CHUNK_SIZE`` (a table with more is a task
-    alone). A task's distinct rows, at most its draws, go to one
+    times each was drawn, an exact integer. The tables run as tasks, one
+    after another on the calling thread, each task a run of consecutive
+    tables whose draws total at most ``CHUNK_SIZE`` (a table with more is
+    a task alone). A task's distinct rows, at most its draws, go to one
     :func:`evaluate_battery` call, whose kernel passes take at most
-    ``CHUNK_SIZE`` rows, so memory is O(workers x (``CHUNK_SIZE`` + one
-    table's B draws)). Each task counts every statistic's exceedances in
-    one pass: one (statistics, rows) comparison and one sum per table.
-    Every kernel works row by row, so none of this changes a p-value.
+    ``CHUNK_SIZE`` rows, so memory is O(``CHUNK_SIZE`` + one table's B
+    draws). Each task counts every statistic's exceedances in one pass:
+    one (statistics, rows) comparison and one sum per table. Every kernel
+    works row by row, so none of this changes a p-value.
     ``observed`` is the battery on ``raw`` (one row each, same battery and
     sidedness), if the caller has it.
     """
@@ -477,9 +474,7 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     pvalues = np.empty(obs.shape)
 
     per_task = max(1, CHUNK_SIZE // b)
-
-    def run(lo: int) -> None:
-        """The task of tables lo, ..., lo + per_task - 1: their distinct rows in one call."""
+    for lo in range(0, len(margins), per_task):  # a task: tables lo, ..., hi - 1 in one call
         hi = min(lo + per_task, len(margins))
         distinct, weights = zip(*(_distinct_case_rows(margins[i], int(n_cases[i]), b, seed)
                                   for i in range(lo, hi)))
@@ -493,8 +488,6 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
         np.multiply(values >= np.repeat(obs[:, lo:hi], sizes, axis=1), np.concatenate(weights), out=values)
         exceed = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=1)
         pvalues[:, lo:hi] = np.where(np.isnan(obs[:, lo:hi]), np.nan, (1 + exceed) / (1 + b))
-
-    _run_tasks(run, range(0, len(margins), per_task))
     return dict(zip(battery, pvalues))
 
 

@@ -243,6 +243,22 @@ def test_invalid_alpha_or_replicate_count_exits_2_before_any_draw(argv, message,
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["criticals", "power"])
+def test_a_genome_wide_alpha_without_enough_null_replicates_exits_2_with_one_line(command, monkeypatch):
+    # at alpha = 5e-8, 20,000 null replicates leave no value above the threshold's rank: a sample maximum
+    import trendmax.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the replicate rule")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    code, out, err = run_cli([command, "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "1",
+                              "--alpha", "5e-8", "--b-null", "20000", "--battery", "Z_HALF,MAX3"])
+    assert (code, out) == (2, "")
+    assert err == (f"trendmax {command}: alpha=5e-08 needs at least 200000000 null replicates, "
+                   "max(1000, ceil(10/alpha)); got 20000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--table", "1 2 3 4 5 6", "--b-perm", "10", "--seed", "-5"],
     CASES["criticals_hwe_all"] + ["--seed", "-5"],
@@ -589,7 +605,8 @@ def test_power_names_each_statistic_undefined_on_every_replicate(tmp_path):
     ("analyze", ["Statistics, asymptotic p-values, correlation structure and advisory"]),
     ("criticals", ["threshold_asymptotic, the upper-alpha point of the statistic's asymptotic null law",
                    "It is blank for T_P and T_MAX (no law), for a maximum at proportions lacking a "
-                   "homozygote, and where the tail at 0 is at most alpha."]),
+                   "homozygote, and where the tail at 0 is at most alpha.",
+                   "--b-null must be at least max(1000, ceil(10/alpha))"]),
     ("power", ["A statistic undefined on every replicate of a scenario is named on stderr"]),
     ("corr", ["Replicate means of the plug-in correlation triple"]),
     ("crosstab", ["Matched cross-tabulation of two statistics' empirical p-values"]),

@@ -598,6 +598,32 @@ def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monk
         call()
 
 
+@pytest.mark.parametrize("alpha, b, need", [(5e-8, 20_000, 200_000_000), (1e-3, 9_999, 10_000),
+                                            (0.05, 999, 1_000), (3e-3, 3_333, 3_334)])
+def test_a_threshold_needs_ten_null_values_above_its_rank(alpha, b, need, monkeypatch):
+    # below max(1000, ceil(10 / alpha)) replicates the threshold is (nearly) the sample maximum
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the replicate rule")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    message = f"alpha={alpha:g} needs at least {need} null replicates, max(1000, ceil(10/alpha)); got {b}"
+    with pytest.raises(InputError) as raised:
+        estimate_critical_values(null_scenario(), ("Z_HALF", "MAX3"), b, alpha, seed=1)
+    assert str(raised.value) == message
+    # power reaches the rule through its nulls
+    with pytest.raises(InputError) as raised:
+        estimate_power([alt_scenario()], ("Z_HALF", "MAX3"), b=100, b_null=b, alpha=alpha, seed=1, null_seed=1)
+    assert str(raised.value) == message
+
+
+def test_a_threshold_with_ten_null_values_above_its_rank_is_estimated():
+    # alpha B = 10: the rule's smallest B at alpha = 1e-3, and rank 9,990 of 10,000
+    null = null_scenario()
+    got = estimate_critical_values(null, ("Z_HALF",), 10_000, 1e-3, seed=1).thresholds["Z_HALF"]
+    values = evaluate_battery(simulate_cells(null, 10_000, seed=1), ("Z_HALF",), null.two_sided)["Z_HALF"]
+    assert got == np.sort(values)[9_989] < values.max()
+
+
 def test_mixture_split_must_match_totals():
     mixture = {"pA": 0.1, "pB": 0.4, "R1": 250, "R2": 100, "S1": 250, "S2": 100}
     with pytest.raises(ScenarioError):
@@ -1183,9 +1209,8 @@ def test_a_table_with_more_distinct_rows_than_the_cap_is_scored_alone(monkeypatc
         calls, passes = count_permuted_rows(monkeypatch), count_kernel_passes(monkeypatch)
         got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=41)
         assert calls.pop(0) == len(tables)
-        # b > CHUNK_SIZE, so each table is a task; on one core they run in order
-        arrange = list if cores == 1 else sorted
-        assert arrange(calls) == arrange(alone)
+        # b > CHUNK_SIZE, so each table is a task; they run in order on any core count
+        assert calls == alone
         assert max(calls) <= b
         # the observed tables, then each task's call; the big table's splits at CHUNK_SIZE rows
         assert max(passes) <= CHUNK_SIZE
@@ -1212,9 +1237,8 @@ def test_each_distinct_permuted_table_is_scored_once(monkeypatch):
         assert calls.pop(0) == len(tables)
         assert sum(calls) == sum(distinct) < len(tables) * b
         assert all(rows <= max(CHUNK_SIZE, b) for rows in calls)
-        # on one core the tasks run in order; on more, their calls interleave
-        arrange = list if cores == 1 else sorted
-        assert arrange(calls) == arrange(packed)
+        # the tasks run in order on any core count
+        assert calls == packed
         assert len(calls) > 1
         for name, pvalues in got.items():
             assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
@@ -1224,7 +1248,7 @@ def test_batched_permutation_pvalues_keep_peak_memory_to_one_batch(monkeypatch):
     # 120 tables x 1,000 permutations: 120,000 rows scored at once peaked
     # at 31 MB; calls of 5,000 drawn rows peak near 2 MB, and of 10,000 near
     # 3.9 MB. A task of 10 tables scores its about 1,000 distinct rows in one
-    # call, beside one table's draws: 0.66 MB on one core, 1.1-1.7 MB on four
+    # call, beside one table's draws, one task at a time: about 0.94 MB on any core count
     tables = batch_of_tables(120, seed=42)
     for cores, bound in ((1, 3.0), (4, 4 * 0.75)):
         monkeypatch.setattr(trendmax.montecarlo, "_CORES", cores)
@@ -1280,6 +1304,24 @@ def test_a_draw_error_on_one_table_reaches_the_caller_without_hanging(monkeypatc
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert raised == ["table 17 failed"]
+
+
+def test_permutation_pvalues_start_no_pool_and_the_simulations_keep_theirs(monkeypatch):
+    # numpy's hypergeometric draws hold the interpreter lock, so threads did not pay for permutations
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise RuntimeError("started a pool")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_CORES", 4)
+    monkeypatch.setattr(trendmax.montecarlo, "ThreadPoolExecutor", NoPool)
+    b = 1_237  # eight tables per task
+    tables = batch_of_tables(20, seed=56)
+    got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=57)
+    wants = [one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 57) for table in tables]
+    for name, pvalues in got.items():
+        assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
+    with pytest.raises(RuntimeError, match="started a pool"):
+        estimate_critical_values(null_scenario(), DEFAULT_BATTERY, 1_000, seed=1)
 
 
 # ---------------------------------------------------------------------------
