@@ -23,13 +23,14 @@ several runs (a power call's scenarios), each run with its own streams.
 Every kernel works row by row, so the result does not depend on the core
 count, the order the chunks run in or the runs beside it: it is
 bit-identical for a given (scenario, battery, B, seed). Permutation
-p-values run on the calling thread, with no pool: numpy's hypergeometric
-draws hold the interpreter lock, so threads did not pay there. They run
-one task after another, each a run of consecutive tables whose draws
-total at most ``CHUNK_SIZE`` (a table with more is a task alone), its
-tables' distinct rows scored in one call, as a chunk is. Each table
-draws from its own ``default_rng(seed)``, so a p-value does not depend
-on the tables beside it.
+p-values run on the calling thread, with no pool, one task after
+another. A task is a run of consecutive tables whose draws total at
+most ``CHUNK_SIZE`` (a table with more is a task alone), and its tables'
+distinct rows are scored in one call, as a chunk is. A call builds one
+generator from ``default_rng(seed)`` and restores it to that start
+state before each table, so every table draws what a fresh
+``default_rng(seed)`` gives and a p-value does not depend on the tables
+beside it.
 
 Layout
 ------
@@ -46,8 +47,8 @@ running task adds one chunk and its kernel temporaries. Permutation
 p-values take all margins from one (N, 6) array of counts at once. Each
 task reduces each of its tables' B draws to its distinct rows and
 multiplicities and scores them in one call, whose kernel passes take at
-most ``CHUNK_SIZE`` rows, then counts every statistic's weighted
-exceedances in one pass over a (statistics, rows) array. Memory is
+most ``CHUNK_SIZE`` rows, then counts each statistic's weighted
+exceedances in place in that statistic's values. Memory is
 O(``CHUNK_SIZE`` + one table's draws), whatever the number of tables.
 
 Quantile convention
@@ -396,14 +397,14 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
 # permutation p-values
 # ---------------------------------------------------------------------------
 
-def _distinct_case_rows(margins, n_cases: int, b: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A table's b >= 1 permuted case rows from ``default_rng(seed)``: distinct (k, 3) rows, multiplicities.
+def _distinct_case_rows(margins, n_cases: int, b: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A table's b >= 1 permuted case rows, drawn from ``rng``: distinct (k, 3) rows, multiplicities.
 
     Each row is keyed by r1 (n2 + 1) + r2, as r0 follows from the case
     count; the sorted keys split where they change.
     """
-    rows = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
-                                                                  method="marginals")
+    rows = rng.multivariate_hypergeometric(margins, n_cases, size=b, method="marginals")
     width = margins[2] + 1
     keys = rows[:, 1] * width
     keys += rows[:, 2]
@@ -426,12 +427,14 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     ``raw`` is (N, 6) cells of counts, any other shape an
     :class:`InputError`. Case/control labels are permuted holding the
     genotype column totals fixed: each table's B case rows are drawn from
-    the multivariate hypergeometric with its own ``default_rng(seed)``. The
-    battery is scored on the same permutations (a matched design), so each
-    p-value equals the one for that statistic alone. Undefined permuted
-    values count as non-exceedances. Each array holds one p-value per table,
-    NaN where the statistic is undefined on the observed table; B = 0 draws
-    nothing and gives p = 1. Before any draw, the first table that breaks a
+    the multivariate hypergeometric by one generator, restored before each
+    table to the start state of ``default_rng(seed)``, so each table draws
+    what its own ``default_rng(seed)`` would. The battery is scored on the
+    same permutations (a matched design), so each p-value equals the one
+    for that statistic alone. Undefined permuted values count as
+    non-exceedances. Each array holds one p-value per table, NaN where the
+    statistic is undefined on the observed table; B = 0 draws nothing and
+    gives p = 1. Before any draw, the first table that breaks a
     rule raises a :class:`DegenerateTable` naming its first broken rule and
     the table, `` (table i)`` or its entry of ``labels``: integer cells (to
     1e-9, then rounded), no negative count, a total below
@@ -445,9 +448,10 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     a task alone). A task's distinct rows, at most its draws, go to one
     :func:`evaluate_battery` call, whose kernel passes take at most
     ``CHUNK_SIZE`` rows, so memory is O(``CHUNK_SIZE`` + one table's B
-    draws). Each task counts every statistic's exceedances in one pass:
-    one (statistics, rows) comparison and one sum per table. Every kernel
-    works row by row, so none of this changes a p-value.
+    draws). Each task counts each statistic's exceedances in place in its
+    values: a comparison with the observed value, a product with the
+    multiplicities and one sum per table. Every kernel works row by row,
+    so none of this changes a p-value.
     ``observed`` is the battery on ``raw`` (one row each, same battery and
     sidedness), if the caller has it.
     """
@@ -473,20 +477,30 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     obs = np.array([observed[name] for name in battery])  # (statistics, tables)
     pvalues = np.empty(obs.shape)
 
+    rng = np.random.default_rng(seed)
+    start = rng.bit_generator.state
+
+    def draw(i: int) -> tuple[np.ndarray, np.ndarray]:
+        rng.bit_generator.state = start  # each table draws what a fresh default_rng(seed) gives
+        return _distinct_case_rows(margins[i], int(n_cases[i]), b, rng)
+
     per_task = max(1, CHUNK_SIZE // b)
     for lo in range(0, len(margins), per_task):  # a task: tables lo, ..., hi - 1 in one call
         hi = min(lo + per_task, len(margins))
-        distinct, weights = zip(*(_distinct_case_rows(margins[i], int(n_cases[i]), b, seed)
-                                  for i in range(lo, hi)))
+        distinct, weights = zip(*map(draw, range(lo, hi)))
         sizes = [w.size for w in weights]
         cells = np.empty((6, sum(sizes)))
         cells[0:3] = np.concatenate(distinct).T
         np.subtract(np.repeat(margins[lo:hi], sizes, axis=0).T, cells[0:3], out=cells[3:6])
-        values = np.array(list(evaluate_battery(cells.T, battery, two_sided).values()))
-        # every statistic at once (NaN compares False on either side); the weighted
-        # hits overwrite the values, and as whole numbers their float sums are exact
-        np.multiply(values >= np.repeat(obs[:, lo:hi], sizes, axis=1), np.concatenate(weights), out=values)
-        exceed = np.add.reduceat(values, np.cumsum([0, *sizes[:-1]]), axis=1)
+        values = evaluate_battery(cells.T, battery, two_sided)
+        weight, starts = np.concatenate(weights).astype(float), np.cumsum([0, *sizes[:-1]])
+        exceed = np.empty((len(battery), hi - lo))
+        for count, v, o in zip(exceed, values.values(), obs[:, lo:hi]):
+            # NaN compares False on either side; the weighted hits overwrite the
+            # values, and as whole numbers their float sums are exact
+            np.greater_equal(v, np.repeat(o, sizes), out=v)
+            v *= weight
+            np.add.reduceat(v, starts, out=count)
         pvalues[:, lo:hi] = np.where(np.isnan(obs[:, lo:hi]), np.nan, (1 + exceed) / (1 + b))
     return dict(zip(battery, pvalues))
 

@@ -122,6 +122,19 @@ def test_a_battery_that_is_not_a_sequence_of_names_is_an_input_error(battery, me
     assert excinfo.type is InputError
 
 
+@pytest.mark.parametrize("battery, message", [
+    (("Z0", "MAX3", "Z0"), "duplicate statistic 'Z0' in battery"),
+    (("MAX[0:1]", "MAX[0:1]"), "duplicate statistic 'MAX[0:1]' in battery"),
+    ((), "battery must contain at least one statistic"),
+    ({}, "battery must contain at least one statistic"),
+])
+def test_a_battery_names_each_statistic_once_and_at_least_one(battery, message):
+    for call in (lambda: validate_battery(battery), lambda: evaluate_battery(np.ones((2, 6)), battery)):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$") as excinfo:
+            call()
+        assert excinfo.type is InputError
+
+
 @pytest.mark.parametrize("grid", [(0.0, 1.5), (0.0, np.nan), (-0.1,), (np.inf,)])
 def test_grid_scores_outside_unit_interval_rejected(grid):
     with pytest.raises(InputError, match="grid scores"):

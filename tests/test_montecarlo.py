@@ -587,6 +587,7 @@ def test_a_partial_tail_names_the_rank_it_misses():
     lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), b_null=0, seed=1),
     lambda: mean_correlation_matrix(alt_scenario(), b=-5, seed=1),
     lambda: estimate_power([alt_scenario()], BATTERY, b=10_000, b_null=999, seed=1, null_seed=1),
+    lambda: permutation_pvalues(np.ones((2, 6)), BATTERY, -1, seed=1),
 ])
 def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monkeypatch):
     def no_draw(*args, **kwargs):
@@ -594,7 +595,9 @@ def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monk
 
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
     monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
-    with pytest.raises(InputError, match="alpha|replicate count must be positive|need at least 1000 null"):
+    monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", no_draw)
+    with pytest.raises(InputError, match="alpha|replicate count must be positive|need at least 1000 null|"
+                                         "^permutation count must be nonnegative$"):
         call()
 
 
@@ -1157,7 +1160,7 @@ def distinct_permuted_rows(table, b, seed) -> int:
 @settings(max_examples=150, deadline=None)
 def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases, b, seed):
     n_cases = min(max(round(cases * sum(margins)), 1), sum(margins) - 1)
-    rows, weights = trendmax.montecarlo._distinct_case_rows(margins, n_cases, b, seed)
+    rows, weights = trendmax.montecarlo._distinct_case_rows(margins, n_cases, b, np.random.default_rng(seed))
     draws = np.random.default_rng(seed).multivariate_hypergeometric(margins, n_cases, size=b,
                                                                    method="marginals")
     unique, counts = np.unique(draws, axis=0, return_counts=True)
@@ -1173,7 +1176,7 @@ def test_distinct_case_rows_are_the_unique_rows_of_the_same_draws(margins, cases
 def test_a_table_whose_permutations_all_coincide_is_scored_as_one_row(monkeypatch):
     # margins (12, 0, 0): every permutation gives the observed table back
     alike = (5, 0, 0, 7, 0, 0)
-    rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, 41)
+    rows, weights = trendmax.montecarlo._distinct_case_rows([12, 0, 0], 5, 1_000, np.random.default_rng(41))
     assert rows.tolist() == [[5, 0, 0]] and weights.tolist() == [1_000]
     tables = [batch_of_tables(1, seed=48)[0], alike, (0, 4, 0, 0, 9, 0)]
     calls = count_permuted_rows(monkeypatch)
@@ -1284,10 +1287,10 @@ def test_a_draw_error_on_one_table_reaches_the_caller_without_hanging(monkeypatc
     distinct_case_rows = trendmax.montecarlo._distinct_case_rows
     failing = batch_of_tables(30, seed=54)[17]
 
-    def failing_on_table_17(margins, n_cases, b, seed):
+    def failing_on_table_17(margins, n_cases, b, rng):
         if margins.tolist() == column_margins(failing) and n_cases == sum(failing[:3]):
             raise RuntimeError("table 17 failed")
-        return distinct_case_rows(margins, n_cases, b, seed)
+        return distinct_case_rows(margins, n_cases, b, rng)
 
     monkeypatch.setattr(trendmax.montecarlo, "_CORES", 2)
     monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", failing_on_table_17)
@@ -1307,7 +1310,7 @@ def test_a_draw_error_on_one_table_reaches_the_caller_without_hanging(monkeypatc
 
 
 def test_permutation_pvalues_start_no_pool_and_the_simulations_keep_theirs(monkeypatch):
-    # numpy's hypergeometric draws hold the interpreter lock, so threads did not pay for permutations
+    # permutations run on the calling thread, simulations on their pool
     class NoPool:
         def __init__(self, *args, **kwargs):
             raise RuntimeError("started a pool")
@@ -1322,6 +1325,26 @@ def test_permutation_pvalues_start_no_pool_and_the_simulations_keep_theirs(monke
         assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
     with pytest.raises(RuntimeError, match="started a pool"):
         estimate_critical_values(null_scenario(), DEFAULT_BATTERY, 1_000, seed=1)
+
+
+def test_permutation_pvalues_build_one_generator_per_call(monkeypatch):
+    # each table restores the generator's start state, so it draws what its own default_rng(seed) gives
+    b = 1_237  # eight tables per task
+    tables = batch_of_tables(30, seed=58)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", counting)
+    got = permutation_pvalues(np.array(tables), DEFAULT_BATTERY, b, seed=59)
+    assert built == [(59,)]
+    monkeypatch.undo()
+    wants = [one_table_permutation_pvalues(table, DEFAULT_BATTERY, b, 59) for table in tables]
+    for name, pvalues in got.items():
+        assert_bit_identical(pvalues, np.array([want[name] for want in wants]))
 
 
 # ---------------------------------------------------------------------------

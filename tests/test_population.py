@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trendmax import (
     FrequencyOutOfRange,
     InputError,
+    DegeneratePrevalence,
     OrderViolation,
     PenetranceModel,
     case_control_probs,
@@ -101,6 +102,27 @@ def test_monotone_penetrances_give_stochastic_dominance(f0, f2, p):
 def test_penetrances_for_model(kind, f0, f2, expected_f1):
     f = penetrances_for_model(kind, f0, f2)
     assert f.f1 == pytest.approx(expected_f1)
+
+
+@pytest.mark.parametrize("f", [(0.0, 0.01, 0.02), (0.01, 0.02, 1.0), (0.01, float("nan"), 0.02), (-0.1, 0.01, 0.02)])
+def test_a_penetrance_outside_the_open_unit_interval_is_an_input_error(f):
+    message = f"penetrance {next(x for x in f if not 0.0 < x < 1.0)!r} must lie strictly in (0, 1)"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as info:
+        PenetranceModel(*f)
+    assert info.type is InputError
+
+
+def test_a_prevalence_that_rounds_to_zero_is_degenerate():
+    # the smallest subnormal penetrances give f0 g0 + f1 g1 + f2 g2 = 0.0
+    f = PenetranceModel(5e-324, 5e-324, 5e-324)
+    with pytest.raises(DegeneratePrevalence, match=f"^{re.escape('prevalence 0.0 not strictly in (0, 1)')}$"):
+        case_control_probs(f, 0.3)
+
+
+def test_a_custom_model_needs_an_explicit_f1():
+    with pytest.raises(InputError, match="^custom models require an explicit f1$") as info:
+        penetrances_for_model("custom", 0.01, 0.02)
+    assert info.type is InputError
 
 
 def test_penetrances_order_violation():

@@ -7,6 +7,7 @@ from trendmax import (
     CorrelationOutOfRange,
     CorrelationTriple,
     DegenerateProportions,
+    InputError,
     estimate_correlations,
     evaluate_single,
     mert_certificate,
@@ -58,6 +59,13 @@ def test_correlations_reject_boundary():
         estimate_correlations((0.5, 0.5, 0.0))
     with pytest.raises(DegenerateProportions):
         estimate_correlations((0.5, 0.2, 0.2))  # not a distribution
+
+
+@pytest.mark.parametrize("props", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25), ((0.25, 0.5, 0.25),)])
+def test_correlations_need_three_proportions(props):
+    with pytest.raises(InputError, match="^expected three genotype proportions$") as info:
+        estimate_correlations(props)
+    assert info.type is InputError
 
 
 def test_correlations_without_heterozygotes_do_not_exceed_one():

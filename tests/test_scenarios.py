@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -73,12 +74,31 @@ def test_names_must_be_strings(key, value):
     ({**MIX, "r": 60}, "mixture case split 30+20 does not sum to r=60"),
     ({**MIX, "s": 200}, "mixture control split 150+100 does not sum to s=200"),
     ({**HWE, "s": 1e20}, "counts must not exceed 9223372036854775807, got 100000000000000000000"),
+    ([HWE], "expected an object, got list"),
+    ("h", "expected an object, got str"),
+    ({**HWE, "q": 0.3, "R": 5}, "unknown keys ['R', 'q']"),
+    ({"id": "h", "r": 250, "s": 250}, "missing required key 'p'"),
+    ({**MIX, "p": 0.3}, "give either p or the mixture keys, not both"),
+    ({**HWE, "sidedness": "both"}, "sidedness must be 'one' or 'two', got 'both'"),
+    ({**ADD, "f0": 0.0}, "penetrance 0.0 must lie strictly in (0, 1)"),
 ])
 def test_invalid_values_name_the_record(rec, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenarios(json.dumps([HWE, rec]), source="pack.json")
     assert str(info.value).startswith("pack.json[1]: ")
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "pack.json: no scenarios found"),
+    ("", "pack.json: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('[{"p": 0.3,}]', "pack.json: not valid JSON: Expecting property name enclosed in double quotes: "
+                      "line 1 column 12 (char 11)"),
+])
+def test_a_pack_that_is_not_json_or_holds_no_scenario_is_rejected(text, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$") as info:
+        parse_scenarios(text, source="pack.json")
+    assert info.type is ScenarioError
 
 
 def test_mixture_totals_are_optional_and_derived():

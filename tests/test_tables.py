@@ -46,6 +46,13 @@ def test_parse_record_names_a_non_finite_field(field):
         parse_table_record(f"1 2 3 4 5 {field}")
 
 
+@pytest.mark.parametrize("value, shown", [(float("inf"), "inf"), (-float("inf"), "-inf"), (float("nan"), "nan")])
+def test_a_cell_that_is_not_finite_is_an_input_error(value, shown):
+    with pytest.raises(InputError, match=f"^cell value {shown} is not finite$") as info:
+        new_genotype_table(1, 2, value, 4, 5, 6)
+    assert info.type is InputError
+
+
 def test_a_table_is_a_tuple_of_six_floats():
     for t in (new_genotype_table(10, 20, 30, 30, 20, 10), parse_table_record("10 20 30 30 20 10")):
         assert type(t) is tuple and len(t) == 6 and all(type(c) is float for c in t)
