@@ -53,7 +53,7 @@ from .montecarlo import (
     mean_correlation_matrix,
     permutation_pvalues,
     pvalue_crosstab,
-    validate_alpha,
+    validate_replicates,
 )
 from .robust import (
     CorrelationTriple,
@@ -289,7 +289,6 @@ def cmd_analyze(args) -> int:
 def cmd_criticals(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     battery = _parse_battery(args.battery)
-    validate_alpha(args.alpha)
     columns = ("scenario", "statistic", "threshold", "threshold_asymptotic", "se", "b", "seed")
     nulls = distinct_nulls(scenarios)  # each simulated once, as in power and crosstab
     simulated = {key: estimate_critical_values(null, battery, args.b_null, args.alpha, seed=args.seed).thresholds
@@ -373,9 +372,8 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:  # before any draw; numpy would raise a ValueError
             raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
         for dest, option in COUNT_OPTIONS.items():
-            count = getattr(args, dest, None)
-            if count is not None and count <= 0:
-                raise InputError(f"replicate count must be positive, got {option}={count}")
+            if (count := getattr(args, dest, None)) is not None:
+                validate_replicates(count, option)
         return handlers[args.command](args)
     except (TrendmaxError, OSError) as exc:
         print(f"trendmax {args.command}: {exc}", file=sys.stderr)

@@ -18,17 +18,18 @@ spawned from (seed, chunk index). One task per chunk, on one thread per
 usable core, draws the chunk into a buffer of its own, scores it there
 (battery, correlation plug-ins, or the cells themselves) and hands the
 values on: into its own column slice of the output, into each
-statistic's upper tail, or into its counts. One pool runs the chunks of
-several runs (a power call's scenarios), each run with its own streams.
-Every kernel works row by row, so the result does not depend on the core
-count, the order the chunks run in or the runs beside it: it is
-bit-identical for a given (scenario, battery, B, seed). Permutation
-p-values run on the calling thread, with no pool, one task after
-another. A task is a run of consecutive tables whose draws total at
-most ``CHUNK_SIZE`` (a table with more is a task alone), and its tables'
-distinct rows are scored in one call, as a chunk is. A call builds one
-generator from ``default_rng(seed)`` and restores it to that start
-state before each table, so every table draws what a fresh
+statistic's upper tail (filtered and merged at once, under one lock), or
+into its counts. One pool runs the chunks of several runs (a power
+call's scenarios), each run with its own streams. Every kernel works row
+by row, so the result does not depend on the core count, the order the
+chunks run in or the runs beside it: it is bit-identical for a given
+(scenario, battery, B, seed). Permutation p-values take B >= 1, as every
+simulation does, and run on the calling thread, with no pool, one task
+after another. A task is a run of consecutive tables whose draws total
+at most ``CHUNK_SIZE`` (a table with more is a task alone), and its
+tables' distinct rows are scored in one call, as a chunk is. A call
+builds one generator from ``default_rng(seed)`` and restores it to that
+start state before each table, so every table draws what a fresh
 ``default_rng(seed)`` gives and a p-value does not depend on the tables
 beside it.
 
@@ -174,10 +175,10 @@ class _UpperTails:
 
     m bounds the alpha-level order statistic's rank from the top among b
     values, or among fewer finite ones. A buffer holds m + CHUNK_SIZE (at
-    most b) values; a chunk appends those above the floor, the m-th largest
-    kept so far, and an overflow first partitions the buffer to its top m,
-    after which one chunk always fits. So a buffer keeps the sample's top m,
-    ties included, in any chunk order.
+    most b) values; under the lock, a chunk appends those above the floor,
+    the m-th largest kept so far, and an overflow first partitions the
+    buffer to its top m, after which one chunk always fits. So a buffer
+    keeps the sample's top m, ties included, in any chunk order.
 
     m also makes :meth:`pvalues` exact below alpha: an observation that at
     most m of the n finite values reach is counted among the top m, and one
@@ -193,15 +194,12 @@ class _UpperTails:
         self.lock = threading.Lock()
 
     def __call__(self, lo: int, values) -> None:
-        # filtered before the lock: floors only rise, so a stale floor only keeps spares
-        chunks = []
-        for v, floor in zip(values, self.floors):
-            nan = np.isnan(v)
-            chunks.append((int(np.count_nonzero(nan)), v[~nan] if floor is None else v[v > floor]))
         with self.lock:
-            for i, (nans, kept) in enumerate(chunks):
+            for i, (v, floor) in enumerate(zip(values, self.floors)):
+                nan = np.isnan(v)
+                self.nans[i] += int(np.count_nonzero(nan))
+                kept = v[~nan] if floor is None else v[v > floor]  # NaN compares False
                 buffer, size = self.buffers[i], self.sizes[i]
-                self.nans[i] += nans
                 if size + kept.size > buffer.size:
                     buffer[:size].partition(size - self.m)
                     buffer[:self.m] = buffer[size - self.m:size]
@@ -269,12 +267,13 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
     the whole sample bit for bit. B below max(1000, ceil(10 / alpha)) is
     an :class:`InputError`, raised before any draw: with fewer than ten
     values above its rank a threshold is little more than the sample's
-    maximum.
+    maximum. Where 10 / alpha overflows (alpha below about 5.6e-308), no
+    B is enough.
     """
     if not scenario.is_null:
         raise ScenarioError("critical values must be estimated under a null scenario")
     validate_alpha(alpha)
-    need = max(1000, math.ceil(10 / alpha))
+    need = max(1000, math.ceil(10 / alpha) if 10 / alpha < math.inf else math.inf)  # inf: no B is enough
     if b < need:
         raise InputError(f"alpha={alpha:g} needs at least {need} null replicates, max(1000, ceil(10/alpha)); "
                          f"got {b}")
@@ -361,7 +360,8 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
     same shared null sample, preserving the matched design. The k edges of
     ``bins`` give bins closed on the left, [0, e1), ..., [ek, 1]; entry [i, j]
     counts the replicates whose ``stat_a`` p-value falls in bin i and
-    ``stat_b`` p-value in bin j. An undefined statistic gets p = 1.
+    ``stat_b`` p-value in bin j. An undefined statistic gets p = 1, and as
+    no p exceeds 1, binning on the edges themselves puts p = 1 in the last.
 
     Only p-values below the largest edge tell bins apart, so the null
     streams into :class:`_UpperTails` at that level: memory is O(max(bins) B_null).
@@ -377,8 +377,7 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
     validate_replicates(b_reps, "b_reps")
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
-    all_edges = np.array([*edges, 1.0 + 1e-12])
-    counts = [np.zeros((all_edges.size, all_edges.size), dtype=int) for _ in scenarios]
+    counts = [np.zeros((len(edges) + 1,) * 2, dtype=int) for _ in scenarios]
     for key, null in distinct_nulls(scenarios).items():
         tails = _UpperTails(len(pair), b_null, edges[-1])
         _score_chunks([(null, b_null, null_seed, _battery_scorer(null, pair), tails)])
@@ -387,7 +386,7 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
                 continue
             reps = _score_array(scenario, b_reps, rep_seed, _battery_scorer(scenario, pair), len(pair))
             # with stat_a == stat_b the pair is that one statistic
-            bin_a, bin_b = (np.searchsorted(all_edges, tails.pvalues(j, reps[j]), side="right")
+            bin_a, bin_b = (np.searchsorted(edges, tails.pvalues(j, reps[j]), side="right")
                             for j in (0, len(pair) - 1))
             np.add.at(table, (bin_a, bin_b), 1)
     return counts
@@ -433,8 +432,8 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     same permutations (a matched design), so each p-value equals the one
     for that statistic alone. Undefined permuted values count as
     non-exceedances. Each array holds one p-value per table, NaN where the
-    statistic is undefined on the observed table; B = 0 draws nothing and
-    gives p = 1. Before any draw, the first table that breaks a
+    statistic is undefined on the observed table. B below 1 is an
+    :class:`InputError`. Before any draw, the first table that breaks a
     rule raises a :class:`DegenerateTable` naming its first broken rule and
     the table, `` (table i)`` or its entry of ``labels``: integer cells (to
     1e-9, then rounded), no negative count, a total below
@@ -455,8 +454,7 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     ``observed`` is the battery on ``raw`` (one row each, same battery and
     sidedness), if the caller has it.
     """
-    if b < 0:
-        raise InputError("permutation count must be nonnegative")
+    validate_replicates(b, "b")
     raw, battery = cell_array(raw), validate_battery(battery)
     counts = np.rint(np.where(np.isfinite(raw), raw, 0.0))  # each rule on floats, before any integer cast
     with np.errstate(over="ignore"):  # a total past float range breaks the total rule
@@ -472,8 +470,6 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     margins, n_cases = (counts[:, :3] + counts[:, 3:]).astype(np.int64), cases.astype(np.int64)
     if observed is None:
         observed = evaluate_battery(raw, battery, two_sided)
-    if b == 0:
-        return {name: np.where(np.isnan(observed[name]), np.nan, 1.0) for name in battery}
     obs = np.array([observed[name] for name in battery])  # (statistics, tables)
     pvalues = np.empty(obs.shape)
 
@@ -507,6 +503,6 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
 
 def permutation_pvalue(table, battery, b: int, *, seed: int, two_sided: bool = True,
                        observed=None) -> dict[str, float]:
-    """:func:`permutation_pvalues` of one table's six cells, as a (1, 6) array; raises its :class:`DegenerateTable`."""
+    """:func:`permutation_pvalues` of one table's six cells, as a (1, 6) array, with its checks and errors."""
     pvalues = permutation_pvalues([table], battery, b, seed=seed, two_sided=two_sided, observed=observed)
     return {name: float(p[0]) for name, p in pvalues.items()}

@@ -9,7 +9,8 @@ Scenario files are JSON: either a list of records or a single record.
 Recognized keys per record:
 
     id          optional name used in reports
-    model       one of null | rec | add | dom | custom
+    model       null | custom | recessive | additive | dominant (or rec,
+                add, dom), in any case; checked before any penetrance
     f0, f2      penetrances (f1 derived from the model; custom needs f1)
     f1          explicit heterozygote penetrance; a named model's f1 must
                 match its rule, or the record is rejected
@@ -41,6 +42,7 @@ from .errors import FrequencyOutOfRange, ScenarioError, TrendmaxError
 from .population import (
     PenetranceModel,
     Stratum,
+    canonical_model_kind,
     case_control_probs,
     hwe_genotype_freqs,
     penetrances_for_model,
@@ -151,16 +153,17 @@ _ALLOWED_KEYS = {
 }
 
 
-def parse_scenario_record(rec: dict, where: str = "scenario") -> Scenario:
+def parse_scenario_record(rec: dict) -> Scenario:
+    """One record's :class:`Scenario`; :func:`parse_scenarios` prefixes any error with its position."""
     if not isinstance(rec, dict):
-        raise ScenarioError(f"{where}: expected an object, got {type(rec).__name__}")
+        raise ScenarioError(f"expected an object, got {type(rec).__name__}")
     unknown = set(rec) - _ALLOWED_KEYS
     if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ScenarioError(f"unknown keys {sorted(unknown)}")
 
     def need(key):
         if key not in rec:
-            raise ScenarioError(f"{where}: missing required key {key!r}")
+            raise ScenarioError(f"missing required key {key!r}")
         return rec[key]
 
     def count(key):
@@ -169,56 +172,54 @@ def parse_scenario_record(rec: dict, where: str = "scenario") -> Scenario:
             return value
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        raise ScenarioError(f"{where}: {key!r} must be an integer count, got {value!r}")
+        raise ScenarioError(f"{key!r} must be an integer count, got {value!r}")
 
     def number(key):
         value = need(key)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
-        raise ScenarioError(f"{where}: {key!r} must be a number, got {value!r}")
+        raise ScenarioError(f"{key!r} must be a number, got {value!r}")
 
     def string(key, default):
         value = rec.get(key, default)
         if isinstance(value, str):
             return value
-        raise ScenarioError(f"{where}: {key!r} must be a string, got {value!r}")
+        raise ScenarioError(f"{key!r} must be a string, got {value!r}")
 
     if any(k in rec for k in ("pA", "pB", "R1", "R2", "S1", "S2")):
         if "p" in rec:
-            raise ScenarioError(f"{where}: give either p or the mixture keys, not both")
+            raise ScenarioError("give either p or the mixture keys, not both")
         population = (Stratum(number("pA"), count("R1"), count("S1")),
                       Stratum(number("pB"), count("R2"), count("S2")))
         (_, r1, s1), (_, r2, s2) = population
         if "r" in rec and count("r") != r1 + r2:
-            raise ScenarioError(f"{where}: mixture case split {r1}+{r2} does not sum to r={count('r')}")
+            raise ScenarioError(f"mixture case split {r1}+{r2} does not sum to r={count('r')}")
         if "s" in rec and count("s") != s1 + s2:
-            raise ScenarioError(f"{where}: mixture control split {s1}+{s2} does not sum to s={count('s')}")
+            raise ScenarioError(f"mixture control split {s1}+{s2} does not sum to s={count('s')}")
     else:
         population = (Stratum(number("p"), count("r"), count("s")),)
 
-    model = string("model", "null")
-    explicit_f1 = model == "custom" or "f1" in rec
-    f = () if model == "null" else tuple(number(k) for k in ("f0", "f1", "f2") if k != "f1" or explicit_f1)
+    model = string("model", "null")  # resolved before any penetrance is read, by population's rule
+    kind = None if model.lower() == "null" else canonical_model_kind(model)
+    explicit_f1 = kind == "custom" or "f1" in rec
+    f = () if kind is None else tuple(number(k) for k in ("f0", "f1", "f2") if k != "f1" or explicit_f1)
     label = string("id", "")
 
     correction = rec.get("correction", True)
     if not isinstance(correction, bool):
-        raise ScenarioError(f"{where}: 'correction' must be true or false, got {correction!r}")
+        raise ScenarioError(f"'correction' must be true or false, got {correction!r}")
 
     sided = string("sidedness", "two")
     if sided not in ("one", "two"):
-        raise ScenarioError(f"{where}: sidedness must be 'one' or 'two', got {sided!r}")
+        raise ScenarioError(f"sidedness must be 'one' or 'two', got {sided!r}")
 
-    try:  # the model's and the strata's own checks, prefixed with the record's position
-        if model == "null":
-            pen = None
-        elif explicit_f1:
-            pen = PenetranceModel(*f, kind=model)
-        else:
-            pen = penetrances_for_model(model, *f)
-        return Scenario(population, pen, correction, two_sided=(sided == "two"), label=label)
-    except TrendmaxError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+    if kind is None:
+        pen = None
+    elif explicit_f1:
+        pen = PenetranceModel(*f, kind=kind)
+    else:
+        pen = penetrances_for_model(kind, *f)
+    return Scenario(population, pen, correction, two_sided=(sided == "two"), label=label)
 
 
 def parse_scenarios(text: str, source: str = "<scenarios>") -> list[Scenario]:
@@ -230,8 +231,10 @@ def parse_scenarios(text: str, source: str = "<scenarios>") -> list[Scenario]:
     records = data if isinstance(data, list) else [data]
     scenarios = []
     for i, rec in enumerate(records):
-        where = f"{source}[{i}]"
-        scenario = parse_scenario_record(rec, where)
+        try:  # the record's own checks, the model's and the strata's
+            scenario = parse_scenario_record(rec)
+        except TrendmaxError as exc:
+            raise ScenarioError(f"{source}[{i}]: {exc}") from exc
         if not scenario.label:
             scenario = replace(scenario, label=f"scenario{i}")
         scenarios.append(scenario)

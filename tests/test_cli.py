@@ -259,6 +259,22 @@ def test_a_genome_wide_alpha_without_enough_null_replicates_exits_2_with_one_lin
                    "max(1000, ceil(10/alpha)); got 20000\n")
 
 
+@pytest.mark.parametrize("command", ["criticals", "power"])
+def test_an_alpha_whose_replicate_rule_overflows_exits_2_with_one_line(command, monkeypatch):
+    # 10 / 5e-324 is inf as a float, and math.ceil(inf) would end in an OverflowError traceback
+    import trendmax.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the replicate rule")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    code, out, err = run_cli([command, "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "1",
+                              "--alpha", "5e-324", "--b-null", "1000"])
+    assert (code, out) == (2, "")
+    assert err == (f"trendmax {command}: alpha=4.94066e-324 needs at least inf null replicates, "
+                   "max(1000, ceil(10/alpha)); got 1000\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--table", "1 2 3 4 5 6", "--b-perm", "10", "--seed", "-5"],
     CASES["criticals_hwe_all"] + ["--seed", "-5"],

@@ -596,13 +596,14 @@ def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monk
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
     monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
     monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", no_draw)
-    with pytest.raises(InputError, match="alpha|replicate count must be positive|need at least 1000 null|"
-                                         "^permutation count must be nonnegative$"):
+    with pytest.raises(InputError, match="alpha|replicate count must be positive|need at least 1000 null"):
         call()
 
 
 @pytest.mark.parametrize("alpha, b, need", [(5e-8, 20_000, 200_000_000), (1e-3, 9_999, 10_000),
-                                            (0.05, 999, 1_000), (3e-3, 3_333, 3_334)])
+                                            (0.05, 999, 1_000), (3e-3, 3_333, 3_334),
+                                            # 10 / alpha overflows to inf: no B is enough
+                                            (5e-324, 10**15, math.inf), (5e-309, 1_000, math.inf)])
 def test_a_threshold_needs_ten_null_values_above_its_rank(alpha, b, need, monkeypatch):
     # below max(1000, ceil(10 / alpha)) replicates the threshold is (nearly) the sample maximum
     def no_draw(*args, **kwargs):
@@ -820,6 +821,21 @@ def test_crosstab_simulates_each_distinct_null_once(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def test_crosstab_bins_are_closed_on_the_left_and_the_last_holds_p_one(monkeypatch):
+    # a null of 1, ..., 1999 gives p = (1 + #null >= obs) / 2000, so 1901 has p = 100/2000 = 0.05 exactly
+    # and 1001 p = 0.5; 0 has p = 1, as an undefined replicate does
+    reps = np.array([[1902.0, 1901.0, 1002.0, 1001.0, 0.0, math.nan]] * 2)
+    reps[1] = reps[1, ::-1]
+    monkeypatch.setattr(trendmax.montecarlo, "_score_chunks",
+                        lambda runs: [consume(0, [np.arange(1.0, 2000.0)] * 2) for *_, consume in runs])
+    monkeypatch.setattr(trendmax.montecarlo, "_score_array", lambda *args: reps)
+    [counts] = pvalue_crosstab([null_scenario()], ("Z0", "Z1"), b_null=1_999, b_reps=6, bins=(0.05, 0.5),
+                               seed=1)
+    want = np.zeros((3, 3), dtype=int)
+    np.add.at(want, ([0, 1, 1, 2, 2, 2], [2, 2, 2, 1, 1, 0]), 1)
+    assert np.array_equal(counts, want)
+
+
 def test_crosstab_rejects_bad_bins(monkeypatch):
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", None)  # rejected before any draw
     for bins in ((0.5, 0.1), ()):
@@ -932,8 +948,17 @@ def test_permutation_identical_rows_pvalue_near_one():
     assert p > 0.9
 
 
-def test_permutation_zero_b_returns_one(worked_table):
-    assert permutation_pvalue(worked_table, ("MAX3",), 0, seed=31)["MAX3"] == 1.0
+@pytest.mark.parametrize("call", [
+    lambda table: permutation_pvalue(table, ("MAX3",), 0, seed=31),
+    lambda table: permutation_pvalues(np.array([table] * 37), DEFAULT_BATTERY, 0, seed=41),
+], ids=["one_table", "batch"])
+def test_permutation_zero_b_is_rejected_before_any_draw(call, worked_table, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking B")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", no_draw)
+    with pytest.raises(InputError, match=r"^replicate count must be positive, got b=0$"):
+        call(worked_table)
 
 
 def test_permutation_extreme_table_small_pvalue(worked_table):
@@ -1013,7 +1038,6 @@ def batch_of_tables(count: int, seed: int) -> list[tuple[float, ...]]:
     (1_237, True, (*ALL_STATISTICS, "MAX[0:0.3:0.5:0.8:1]")),  # several tables' distinct rows per call
     (1_237, False, (*ALL_STATISTICS, "MAX[0:0.3:0.5:0.8:1]")),
     (6_001, True, DEFAULT_BATTERY),  # B above CHUNK_SIZE / 2: a task, and a call, per table
-    (0, True, DEFAULT_BATTERY),
 ])
 def test_batched_permutation_pvalues_equal_one_table_permutations(b, two_sided, battery):
     battery = validate_battery(battery)

@@ -81,12 +81,26 @@ def test_names_must_be_strings(key, value):
     ({**MIX, "p": 0.3}, "give either p or the mixture keys, not both"),
     ({**HWE, "sidedness": "both"}, "sidedness must be 'one' or 'two', got 'both'"),
     ({**ADD, "f0": 0.0}, "penetrance 0.0 must lie strictly in (0, 1)"),
+    # the model name is resolved before any penetrance is read, by one case-folding rule
+    ({**HWE, "model": "nul"}, "unknown genetic model kind 'nul'"),
+    ({**HWE, "model": "Bogus"}, "unknown genetic model kind 'Bogus'"),
+    ({**ADD, "model": "Custom"}, "missing required key 'f1'"),
+    ({**ADD, "model": "custom"}, "missing required key 'f1'"),
 ])
 def test_invalid_values_name_the_record(rec, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenarios(json.dumps([HWE, rec]), source="pack.json")
     assert str(info.value).startswith("pack.json[1]: ")
+    assert str(info.value).count("pack.json[") == 1
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("base, model, same_as", [
+    (HWE, "Null", "null"), (HWE, "NULL", "null"), (ADD, "REC", "rec"), (ADD, "Additive", "add"),
+    (ADD, "dominant", "dom"), (CUSTOM, "Custom", "custom"),
+])
+def test_a_model_name_is_matched_in_any_case(base, model, same_as):
+    assert parse({**base, "model": model}) == parse({**base, "model": same_as})
 
 
 @pytest.mark.parametrize("text, message", [
