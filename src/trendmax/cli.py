@@ -54,6 +54,7 @@ from .montecarlo import (
     permutation_pvalues,
     pvalue_crosstab,
     validate_replicates,
+    validate_seed,
 )
 from .robust import (
     CorrelationTriple,
@@ -61,6 +62,7 @@ from .robust import (
     estimate_correlations,
     max_tail,
     mert_certificate,
+    pooled_proportions,
     recommend_robust_test,
     trend_angles,
     upper_point,
@@ -168,13 +170,6 @@ def _parse_battery(text: str) -> dict:
     return validate_battery(name.strip() for name in text.split(",") if name.strip())
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise InputError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-
-
 def _emit(columns: tuple[str, ...], records, args, header: dict):
     """Write ``records``, an iterable of tuples in ``columns`` order, to ``--out`` or stdout.
 
@@ -269,8 +264,7 @@ def cmd_analyze(args) -> int:
             triple = CorrelationTriple(*(rho[i] for rho in rhos))
             try:
                 if any(map(isnan, triple)):  # the scalar estimate raises, naming the pooled proportions
-                    margins = cells[i, :3] + cells[i, 3:]
-                    triple = estimate_correlations(margins / margins.sum())
+                    triple = estimate_correlations(pooled_proportions(cells[i]))
                 choice, note = recommend_robust_test(triple.rho_0_1)
                 extra = [*zip(CorrelationTriple._fields, triple),
                          ("mert_certificate", str(mert_certificate(triple)).lower()),
@@ -350,7 +344,10 @@ def cmd_corr(args) -> int:
 def cmd_crosstab(args) -> int:
     scenarios = load_scenarios(args.scenarios)
     pair = validate_battery(dict.fromkeys((args.stat_a.strip(), args.stat_b.strip())))
-    bins = _parse_floats(args.bins, "--bins")
+    try:
+        bins = tuple(float(x) for x in args.bins.split(","))
+    except ValueError:
+        raise InputError(f"--bins must be comma-separated numbers, got {args.bins!r}") from None
     # bins are closed on the left; the last one holds p = 1
     labels = [f"[{lo:g},{hi:g})" for lo, hi in zip((0.0, *bins), bins)] + [f"[{bins[-1]:g},1]"]
     columns = ("scenario", "row_bin", "col_bin", "count")
@@ -369,8 +366,8 @@ def main(argv=None) -> int:
     handlers = {"analyze": cmd_analyze, "criticals": cmd_criticals, "power": cmd_power,
                 "corr": cmd_corr, "crosstab": cmd_crosstab}
     try:
-        if args.seed is not None and args.seed < 0:  # before any draw; numpy would raise a ValueError
-            raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
+        if args.seed is not None:
+            validate_seed(args.seed, "--seed")
         for dest, option in COUNT_OPTIONS.items():
             if (count := getattr(args, dest, None)) is not None:
                 validate_replicates(count, option)

@@ -23,15 +23,10 @@ into its counts. One pool runs the chunks of several runs (a power
 call's scenarios), each run with its own streams. Every kernel works row
 by row, so the result does not depend on the core count, the order the
 chunks run in or the runs beside it: it is bit-identical for a given
-(scenario, battery, B, seed). Permutation p-values take B >= 1, as every
-simulation does, and run on the calling thread, with no pool, one task
-after another. A task is a run of consecutive tables whose draws total
-at most ``CHUNK_SIZE`` (a table with more is a task alone), and its
-tables' distinct rows are scored in one call, as a chunk is. A call
-builds one generator from ``default_rng(seed)`` and restores it to that
-start state before each table, so every table draws what a fresh
-``default_rng(seed)`` gives and a p-value does not depend on the tables
-beside it.
+(scenario, battery, B, seed), and every entry point checks its seed and
+counts before any draw. Permutation p-values run on the calling thread,
+with no pool; :func:`permutation_pvalues` states how each table's draws
+are fixed and what they cost.
 
 Layout
 ------
@@ -41,16 +36,10 @@ are the transpose of a C-ordered (6, count) buffer, so each cell column
 is contiguous for the kernels. Every null run, for critical values and
 for the crosstab, keeps each statistic's upper tail in a buffer of about
 alpha B + ``CHUNK_SIZE`` values (:class:`_UpperTails`); a power run keeps
-each statistic's counts of exceedances and NaNs. Only the crosstab's
-replicates, the correlations and the cells keep a (k, B) array of k
-values per table (2 statistics, 3 correlations, or 6 cells). Each
-running task adds one chunk and its kernel temporaries. Permutation
-p-values take all margins from one (N, 6) array of counts at once. Each
-task reduces each of its tables' B draws to its distinct rows and
-multiplicities and scores them in one call, whose kernel passes take at
-most ``CHUNK_SIZE`` rows, then counts each statistic's weighted
-exceedances in place in that statistic's values. Memory is
-O(``CHUNK_SIZE`` + one table's draws), whatever the number of tables.
+each statistic's counts of exceedances and NaNs, O(k) per scenario. Only
+the crosstab's replicates, the correlations and the cells keep a (k, B)
+array of k values per table (2 statistics, 3 correlations, or 6 cells).
+Each running task adds one chunk and its kernel temporaries.
 
 Quantile convention
 -------------------
@@ -63,10 +52,11 @@ statistics.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +79,7 @@ class CriticalValueSet:
     """Empirical upper-alpha thresholds per statistic under one null scenario."""
 
     thresholds: dict[str, float]
-    error_rates: dict[str, float] = field(default_factory=dict)
+    error_rates: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,7 @@ class PowerRow:
 
     rates: dict[str, float]
     standard_errors: dict[str, float]
-    error_rates: dict[str, float] = field(default_factory=dict)
+    error_rates: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ class MeanCorrelations:
     """Replicate averages of the plug-in correlation triple, over the replicates where it exists."""
 
     triple: CorrelationTriple
-    failure_rate: float = 0.0
+    failure_rate: float
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +118,17 @@ def validate_alpha(alpha: float) -> None:
 
 
 def validate_replicates(b: int, name: str) -> None:
-    """Reject a replicate count below 1, naming its parameter."""
+    """Reject a replicate count that is not an integer (bools included) or is below 1, naming its parameter."""
+    if isinstance(b, bool) or not isinstance(b, numbers.Integral):
+        raise InputError(f"replicate count must be an integer, got {name}={b!r}")
     if b <= 0:
         raise InputError(f"replicate count must be positive, got {name}={b}")
+
+
+def validate_seed(seed: int, name: str) -> None:
+    """Reject a seed that is not an integer >= 0 (None would draw fresh OS entropy), naming its parameter."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"{name} must be a nonnegative integer, got {seed!r}")
 
 
 def _score_chunks(runs) -> None:
@@ -160,6 +158,7 @@ def _score_chunks(runs) -> None:
 def _score_array(scenario: Scenario, b: int, seed: int, score, width: int) -> np.ndarray:
     """(width, b) array: ``score`` maps each chunk's (count, 6) cells to width vectors."""
     validate_replicates(b, "b")
+    validate_seed(seed, "seed")
     out = np.empty((width, b))
 
     def write(lo: int, values) -> None:
@@ -262,22 +261,24 @@ def estimate_critical_values(scenario: Scenario, battery, b: int = 200_000, alph
                              seed: int) -> CriticalValueSet:
     """Empirical upper-alpha thresholds of each decision value under the null.
 
-    Chunks stream into :class:`_UpperTails`, so memory is O(alpha B) per
-    statistic; the thresholds equal :func:`empirical_upper_quantile` of
-    the whole sample bit for bit. B below max(1000, ceil(10 / alpha)) is
-    an :class:`InputError`, raised before any draw: with fewer than ten
-    values above its rank a threshold is little more than the sample's
-    maximum. Where 10 / alpha overflows (alpha below about 5.6e-308), no
-    B is enough.
+    The thresholds, taken from :class:`_UpperTails`, equal
+    :func:`empirical_upper_quantile` of the whole sample bit for bit. B
+    below max(1000, ceil(10 / alpha)) is an :class:`InputError`, raised
+    before any draw: with fewer than ten values above its rank a threshold
+    is little more than the sample's maximum. Where 10 / alpha overflows
+    (alpha below about 5.6e-308), no B is enough.
     """
     if not scenario.is_null:
         raise ScenarioError("critical values must be estimated under a null scenario")
     validate_alpha(alpha)
+    validate_replicates(b, "b")
     need = max(1000, math.ceil(10 / alpha) if 10 / alpha < math.inf else math.inf)  # inf: no B is enough
     if b < need:
-        raise InputError(f"alpha={alpha:g} needs at least {need} null replicates, max(1000, ceil(10/alpha)); "
+        shown = need if need < 2**53 else f"{need:.6g}"  # 1e+308, not 309 digits of float rounding
+        raise InputError(f"alpha={alpha:g} needs at least {shown} null replicates, max(1000, ceil(10/alpha)); "
                          f"got {b}")
     battery = validate_battery(battery)
+    validate_seed(seed, "seed")
     tails = _UpperTails(len(battery), b, alpha)
     _score_chunks([(scenario, b, seed, _battery_scorer(scenario, battery), tails)])
     thresholds = {}
@@ -296,17 +297,17 @@ def estimate_power(scenarios, battery, b: int = 10_000, *, b_null: int = 200_000
 
     Each distinct null (:func:`~trendmax.scenarios.distinct_nulls`) gets its
     thresholds from :func:`estimate_critical_values` with ``b_null`` and
-    ``null_seed``, one null at a time; ``b``, ``alpha``, the battery and
-    ``b_null`` (against alpha, by the first null) are checked before any
-    draw. Then each scenario scores b tables from ``seed``, as a call with
-    it alone would; the chunks of all scenarios share one pool and leave
-    only counts, O(k) per scenario. Replicates where a statistic is
-    undefined never reject and are reported in ``error_rates``. With ``null_seed == seed``, as the CLI passes today,
-    a null scenario's size row is scored on the draws that set its
-    thresholds.
+    ``null_seed``, one null at a time; the first checks ``alpha``, and
+    ``b_null`` against it, after the battery and before any draw. Then each
+    scenario scores b tables from ``seed``, as a call with it alone would.
+    Replicates where a statistic is undefined never reject and are reported
+    in ``error_rates``. With ``null_seed == seed``, as the CLI passes today,
+    a null scenario's size row is scored on the draws that set its thresholds.
     """
     validate_replicates(b, "b")
-    validate_alpha(alpha)
+    validate_replicates(b_null, "b_null")  # its guard against alpha waits for the first null
+    validate_seed(seed, "seed")
+    validate_seed(null_seed, "null_seed")
     battery = validate_battery(battery)
     criticals = {key: estimate_critical_values(null, battery, b_null, alpha, seed=null_seed).thresholds
                  for key, null in distinct_nulls(scenarios).items()}
@@ -364,10 +365,10 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
     no p exceeds 1, binning on the edges themselves puts p = 1 in the last.
 
     Only p-values below the largest edge tell bins apart, so the null
-    streams into :class:`_UpperTails` at that level: memory is O(max(bins) B_null).
-    Each distinct null (``key()``) is simulated once and its scenarios'
-    replicates are scored against it, one null's tails at a time; every null
-    draws from one seed, so a scenario's table is the one it gets alone.
+    streams into :class:`_UpperTails` at that level. Each distinct null
+    (``key()``) is simulated once and its scenarios' replicates are scored
+    against it, one null's tails at a time; every null draws from one seed,
+    so a scenario's table is the one it gets alone.
     """
     pair = validate_battery(pair)
     edges = tuple(float(e) for e in bins)
@@ -375,6 +376,7 @@ def pvalue_crosstab(scenarios, pair, b_null: int = 200_000, b_reps: int = 5_000,
         raise InputError(f"bin edges {edges!r} must be one or more strictly increasing values within (0, 1)")
     validate_replicates(b_null, "b_null")
     validate_replicates(b_reps, "b_reps")
+    validate_seed(seed, "seed")
 
     null_seed, rep_seed = (int(x) for x in np.random.SeedSequence(seed).generate_state(2))
     counts = [np.zeros((len(edges) + 1,) * 2, dtype=int) for _ in scenarios]
@@ -432,12 +434,11 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     same permutations (a matched design), so each p-value equals the one
     for that statistic alone. Undefined permuted values count as
     non-exceedances. Each array holds one p-value per table, NaN where the
-    statistic is undefined on the observed table. B below 1 is an
-    :class:`InputError`. Before any draw, the first table that breaks a
-    rule raises a :class:`DegenerateTable` naming its first broken rule and
-    the table, `` (table i)`` or its entry of ``labels``: integer cells (to
-    1e-9, then rounded), no negative count, a total below
-    ``MAX_PERMUTED_TOTAL``, two nonempty groups.
+    statistic is undefined on the observed table. Before any draw, the
+    first table that breaks a rule raises a :class:`DegenerateTable` naming
+    its first broken rule and the table, `` (table i)`` or its entry of
+    ``labels``: integer cells (to 1e-9, then rounded), no negative count, a
+    total below ``MAX_PERMUTED_TOTAL``, two nonempty groups.
 
     Margins fixed, a table's B draws repeat: each table's distinct permuted
     tables are scored once and their exceedances counted with the number of
@@ -446,15 +447,15 @@ def permutation_pvalues(raw, battery, b: int, *, seed: int, two_sided: bool = Tr
     tables whose draws total at most ``CHUNK_SIZE`` (a table with more is
     a task alone). A task's distinct rows, at most its draws, go to one
     :func:`evaluate_battery` call, whose kernel passes take at most
-    ``CHUNK_SIZE`` rows, so memory is O(``CHUNK_SIZE`` + one table's B
-    draws). Each task counts each statistic's exceedances in place in its
-    values: a comparison with the observed value, a product with the
-    multiplicities and one sum per table. Every kernel works row by row,
-    so none of this changes a p-value.
+    ``CHUNK_SIZE`` rows, and counts each statistic's exceedances in place
+    in its values, so memory is O(``CHUNK_SIZE`` + one table's B draws),
+    whatever the number of tables. Every kernel works row by row, so none
+    of this changes a p-value.
     ``observed`` is the battery on ``raw`` (one row each, same battery and
     sidedness), if the caller has it.
     """
     validate_replicates(b, "b")
+    validate_seed(seed, "seed")
     raw, battery = cell_array(raw), validate_battery(battery)
     counts = np.rint(np.where(np.isfinite(raw), raw, 0.0))  # each rule on floats, before any integer cast
     with np.errstate(over="ignore"):  # a total past float range breaks the total rule

@@ -133,29 +133,31 @@ def mert_certificate(triple: CorrelationTriple) -> bool:
 def recommend_robust_test(rho_st: float) -> tuple[str, str]:
     """Advisory choice between MERT and MAX from the minimum correlation.
 
-    Returns (choice, note). Above 0.75 the MERT gives up little power and
-    is simpler; below 0.50 the maximum test is noticeably more powerful;
-    in between either is defensible and MAX is suggested with a note.
+    Returns (choice, note). From ``MERT_PREFERRED_ABOVE`` up the MERT gives
+    up little power and is simpler; below ``MAX_PREFERRED_BELOW`` MAX is
+    noticeably more powerful; in between either is defensible, and MAX is suggested.
     """
     if not -1.0 < rho_st <= 1.0:
         raise CorrelationOutOfRange(f"pair correlation {rho_st!r} not in (-1, 1]")
-    if rho_st >= MERT_PREFERRED_ABOVE:
-        return "MERT", "minimum correlation >= 0.75: MERT and MAX have similar power"
-    if rho_st < MAX_PREFERRED_BELOW:
-        return "MAX", "minimum correlation < 0.50: MAX is noticeably more powerful"
-    return "MAX", (
-        "minimum correlation in [0.50, 0.75): either test is defensible; "
-        "MAX suggested"
-    )
+    hi, lo = MERT_PREFERRED_ABOVE, MAX_PREFERRED_BELOW
+    if rho_st >= hi:
+        return "MERT", f"minimum correlation >= {hi:.2f}: MERT and MAX have similar power"
+    if rho_st < lo:
+        return "MAX", f"minimum correlation < {lo:.2f}: MAX is noticeably more powerful"
+    return "MAX", f"minimum correlation in [{lo:.2f}, {hi:.2f}): either test is defensible; MAX suggested"
+
+
+def pooled_proportions(cells) -> np.ndarray:
+    """Pooled genotype proportions n_i / n of (..., 6) table cells, shape (..., 3); NaN for an empty table."""
+    cells = np.asarray(cells, dtype=float)
+    nn = cells[..., 0:3] + cells[..., 3:6]
+    with np.errstate(invalid="ignore"):
+        return nn / nn.sum(axis=-1, keepdims=True)
 
 
 def batch_correlations(cells: np.ndarray) -> CorrelationTriple:
-    """Correlation triples from pooled proportions of a batch of tables."""
-    cells = np.asarray(cells, dtype=float)
-    nn = cells[..., 0:3] + cells[..., 3:6]
-    with np.errstate(invalid="ignore"):  # an empty table gives NaN proportions
-        props = nn / nn.sum(axis=-1, keepdims=True)
-    return correlation_values(props)
+    """Correlation triples at the pooled proportions of a batch of tables."""
+    return correlation_values(pooled_proportions(cells))
 
 
 def trend_angles(props, xs) -> np.ndarray:

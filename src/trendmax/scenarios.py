@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FrequencyOutOfRange, ScenarioError, TrendmaxError
+from .errors import ScenarioError, TrendmaxError
 from .population import (
     PenetranceModel,
     Stratum,
@@ -73,8 +73,7 @@ class Scenario:
         if len(self.population) not in (1, 2):
             raise ScenarioError(f"a scenario has one or two strata, got {len(self.population)}")
         for p, cases, controls in self.population:
-            if not 0.0 < p < 1.0:
-                raise FrequencyOutOfRange(f"allele frequency {p!r} not in (0, 1)")
+            hwe_genotype_freqs(p)  # raises FrequencyOutOfRange outside (0, 1)
             for k in (cases, controls):
                 if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
                     raise ScenarioError(f"case and control counts must be positive integers, got {k!r}")

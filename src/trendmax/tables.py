@@ -35,7 +35,7 @@ def new_genotype_table(r0, r1, r2, s0, s1, s2) -> tuple[float, ...]:
             raise InputError(f"cell value {c!r} is not finite")
         if c < 0:
             raise NegativeCell(f"negative cell value {c!r}")
-        cells.append(c)
+        cells.append(c + 0.0)  # -0.0 + 0.0 is 0.0, so a "-0" cell hashes as "0" does
     if sum(cells[:3]) <= 0:
         raise EmptyRow("case row is entirely zero")
     if sum(cells[3:]) <= 0:

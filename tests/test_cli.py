@@ -275,6 +275,23 @@ def test_an_alpha_whose_replicate_rule_overflows_exits_2_with_one_line(command, 
                    "max(1000, ceil(10/alpha)); got 1000\n")
 
 
+@pytest.mark.parametrize("command", ["criticals", "power"])
+def test_an_alpha_whose_replicate_rule_is_past_2_to_the_53_prints_six_digits(command, monkeypatch):
+    # ceil(10 / 1e-307) is the float 1e308 as an exact integer, 309 digits of rounding
+    import trendmax.montecarlo
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the replicate rule")
+
+    monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
+    code, out, err = run_cli([command, "--scenarios", str(SCENARIOS / "null_hwe_250.json"), "--seed", "1",
+                              "--alpha", "1e-307", "--b-null", "1000"])
+    assert (code, out) == (2, "")
+    assert err == (f"trendmax {command}: alpha=1e-307 needs at least 1e+308 null replicates, "
+                   "max(1000, ceil(10/alpha)); got 1000\n")
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--table", "1 2 3 4 5 6", "--b-perm", "10", "--seed", "-5"],
     CASES["criticals_hwe_all"] + ["--seed", "-5"],
@@ -687,6 +704,12 @@ def test_analyze_tables_hash_names_the_raw_tables_in_order_however_they_are_give
     assert hashes == [want, want, tables_hash(np.array([[10, 20, 30, 30, 20, 10]] * 2 + [[3, 0, 5, 9, 2, 0]]))]
     swapped = header_of(run_cli(["analyze", "--table", records[1], "--table", records[0]])[1])["tables_hash"]
     assert swapped != want
+
+
+def test_analyze_tables_hash_does_not_depend_on_how_a_zero_is_spelled():
+    hashes = {header_of(run_cli(["analyze", "--table", text])[1])["tables_hash"]
+              for text in ("0 5 5 5 5 5", "-0 5 5 5 5 5", "-0.0 5, 5, 5, 5, 5")}
+    assert hashes == {tables_hash(np.array([[0, 5, 5, 5, 5, 5]]))}
 
 
 def test_analyze_rejects_a_table_too_large_to_permute_before_any_output(tmp_path):

@@ -588,6 +588,26 @@ def test_a_partial_tail_names_the_rank_it_misses():
     lambda: mean_correlation_matrix(alt_scenario(), b=-5, seed=1),
     lambda: estimate_power([alt_scenario()], BATTERY, b=10_000, b_null=999, seed=1, null_seed=1),
     lambda: permutation_pvalues(np.ones((2, 6)), BATTERY, -1, seed=1),
+    # a count that is not an integer, a bool included
+    lambda: estimate_critical_values(null_scenario(), ("Z0",), 1000.5, seed=1),
+    lambda: estimate_critical_values(null_scenario(), ("Z0",), True, seed=1),
+    lambda: estimate_power([alt_scenario()], BATTERY, 10.5, seed=1, null_seed=1),
+    lambda: estimate_power([alt_scenario()], BATTERY, 100, b_null=200_000.5, seed=1, null_seed=1),
+    lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), b_reps=10.5, seed=1),
+    lambda: mean_correlation_matrix(alt_scenario(), 10.5, seed=1),
+    lambda: permutation_pvalues(np.ones((2, 6)), BATTERY, 2.5, seed=1),
+    lambda: permutation_pvalues(np.ones((2, 6)), BATTERY, True, seed=1),
+    # a seed that is None (fresh OS entropy), negative, a bool or a float
+    lambda: estimate_critical_values(null_scenario(), ("MERT",), 1000, seed=None),
+    lambda: estimate_critical_values(null_scenario(), ("MERT",), 1000, seed=-1),
+    lambda: estimate_power([alt_scenario()], BATTERY, 100, b_null=1000, seed=None, null_seed=1),
+    lambda: estimate_power([alt_scenario()], BATTERY, 100, b_null=1000, seed=1, null_seed=-1),
+    lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), 1000, 100, seed=None),
+    lambda: pvalue_crosstab([alt_scenario()], ("MAX3", "Z0"), 1000, 100, seed=1.5),
+    lambda: mean_correlation_matrix(alt_scenario(), 100, seed=True),
+    lambda: simulate_cells(alt_scenario(), 100, seed=-1),
+    lambda: permutation_pvalues([[30, 40, 30, 35, 40, 25]], ("MAX3",), 200, seed=None),
+    lambda: permutation_pvalues([[30, 40, 30, 35, 40, 25]], ("MAX3",), 200, seed=1.5),
 ])
 def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monkeypatch):
     def no_draw(*args, **kwargs):
@@ -595,15 +615,39 @@ def test_invalid_alpha_or_replicate_count_is_rejected_before_any_draw(call, monk
 
     monkeypatch.setattr(trendmax.montecarlo, "_sample_chunk", no_draw)
     monkeypatch.setattr(trendmax.montecarlo.np.random, "default_rng", no_draw)
+    monkeypatch.setattr(trendmax.montecarlo.np.random, "SeedSequence", no_draw)
     monkeypatch.setattr(trendmax.montecarlo, "_distinct_case_rows", no_draw)
-    with pytest.raises(InputError, match="alpha|replicate count must be positive|need at least 1000 null"):
+    with pytest.raises(InputError, match="alpha|replicate count must be (positive|an integer)|need at least 1000 null"
+                                         "|seed must be a nonnegative integer"):
         call()
+
+
+def test_a_count_or_seed_message_names_its_parameter_and_value():
+    with pytest.raises(InputError, match=r"^replicate count must be an integer, got b=True$"):
+        estimate_critical_values(null_scenario(), ("Z0",), True, seed=1)
+    with pytest.raises(InputError, match=r"^replicate count must be an integer, got b_reps=10\.5$"):
+        pvalue_crosstab([alt_scenario()], ("MAX3",), b_reps=10.5, seed=1)
+    with pytest.raises(InputError, match=r"^replicate count must be positive, got b_null=0$"):
+        estimate_power([alt_scenario()], ("MAX3",), 100, b_null=0, seed=1, null_seed=1)
+    with pytest.raises(InputError, match=r"^null_seed must be a nonnegative integer, got None$"):
+        estimate_power([alt_scenario()], ("MAX3",), 100, seed=1, null_seed=None)
+    # numpy's own integers are integers
+    got = estimate_critical_values(null_scenario(), ("Z0",), np.int64(1000), seed=np.uint32(3)).thresholds
+    assert got == estimate_critical_values(null_scenario(), ("Z0",), 1000, seed=3).thresholds
+
+
+def test_power_reports_a_bad_battery_before_a_bad_alpha():
+    # alpha is checked once, by the first null's critical values, after the battery
+    with pytest.raises(InputError, match="NOPE"):
+        estimate_power([alt_scenario()], ("NOPE",), 100, alpha=0.0, seed=1, null_seed=1)
 
 
 @pytest.mark.parametrize("alpha, b, need", [(5e-8, 20_000, 200_000_000), (1e-3, 9_999, 10_000),
                                             (0.05, 999, 1_000), (3e-3, 3_333, 3_334),
                                             # 10 / alpha overflows to inf: no B is enough
-                                            (5e-324, 10**15, math.inf), (5e-309, 1_000, math.inf)])
+                                            (5e-324, 10**15, math.inf), (5e-309, 1_000, math.inf),
+                                            # 10 / alpha is a finite float past 2**53: six digits, not 309
+                                            (1e-307, 1_000, "1e+308")])
 def test_a_threshold_needs_ten_null_values_above_its_rank(alpha, b, need, monkeypatch):
     # below max(1000, ceil(10 / alpha)) replicates the threshold is (nearly) the sample maximum
     def no_draw(*args, **kwargs):

@@ -58,6 +58,14 @@ def test_a_table_is_a_tuple_of_six_floats():
         assert type(t) is tuple and len(t) == 6 and all(type(c) is float for c in t)
 
 
+@pytest.mark.parametrize("negative_zero", ["-0", "-0.0", -0.0])
+def test_a_negative_zero_cell_is_stored_as_zero(negative_zero):
+    # json dumps -0.0 as "-0.0", so a spelled "-0" would change the table's hash
+    for t in (new_genotype_table(negative_zero, 5, 5, 5, 5, 5),
+              parse_table_record(f"5 5 5 5 5 {negative_zero}")):
+        assert 0.0 in t and not np.signbit(t).any()
+
+
 BOUND = 2**51  # below it every cell, margin and +1/2-corrected cell of whole counts is an exact float
 
 
